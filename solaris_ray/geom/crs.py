@@ -170,12 +170,14 @@ def reproject(x: np.ndarray, y: np.ndarray, from_epsg: int, to_epsg: int) -> tup
             return lon, lat
         if epsg == 3857:
             return latlon_to_webmercator(lon, lat)
-        if 32600 < epsg <= 32660:
-            e, n, _ = latlon_to_utm(lon, lat, zone=epsg - 32600)
-            return e, n
-        if 32700 < epsg <= 32760:
-            e, n, _ = latlon_to_utm(lon, lat, zone=epsg - 32700)
-            return e, n
+        if 32600 < epsg <= 32660 or 32700 < epsg <= 32760:
+            south = epsg > 32700
+            e, n, _ = latlon_to_utm(lon, lat, zone=epsg - (32700 if south else 32600))
+            # latlon_to_utm applies the false northing by each point's
+            # own hemisphere; the target EPSG fixes it for every point
+            if south:
+                return e, np.where(lat < 0, n, n + _FN_S)
+            return e, np.where(lat < 0, n - _FN_S, n)
         raise ValueError(f"unsupported target EPSG:{epsg}")
 
     lon, lat = _to_4326(np.asarray(x, np.float64), np.asarray(y, np.float64), from_epsg)

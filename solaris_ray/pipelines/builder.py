@@ -109,11 +109,11 @@ def _tile_cut(ds, ctx, **kw):
 
 @register_step("clip_join")
 def _clip_join(ds, ctx, **kw):
-    from ..stages.joins import broadcast_spatial_join
+    from ..stages.joins import spatial_join
 
     feats = _load_features(kw.get("features"), ctx)
     cols = [c for c in ("tile_id", "image_id", "cell", "x0", "y0", "x1", "y1") if c in ds.schema().names]
-    return broadcast_spatial_join(
+    return spatial_join(
         ds.select_columns(cols), feats,
         min_partial_perc=float(kw.get("min_partial_perc", 0.0)),
     )

@@ -17,7 +17,7 @@ import pyarrow as pa
 
 from ..sources import synth
 from ..stages import tiler
-from ..stages.joins import broadcast_spatial_join
+from ..stages.joins import broadcast_spatial_join_tasks, build_join_index, spatial_join
 
 
 def synthetic_images_ds(n_images: int, seed: int = 42, size: int = 256,
@@ -38,30 +38,8 @@ def synthetic_images_ds(n_images: int, seed: int = 42, size: int = 256,
     return ds.map_batches(_gen, batch_format="pyarrow", batch_size=None)
 
 
-def synthetic_features_table(n_images: int, seed: int = 42, size: int = 256,
-                             distributed: bool = True) -> pa.Table:
-    """Feature layer for the same corpus (no pixel cost).
-
-    Generated distributed (range -> map_batches) and gathered to one
-    Arrow table for the broadcast side; driver-side fallback for tiny
-    corpora/tests.
-    """
-    if not distributed or n_images <= 256:
-        return synth.gen_features_shard(np.arange(n_images), n_images, seed, size)
-    import ray
-
-    ds = ray.data.range(n_images, override_num_blocks=max(8, n_images // 128))
-
-    def _gen(batch: pa.Table) -> pa.Table:
-        return synth.gen_features_shard(batch["id"].to_numpy(), n_images, seed, size)
-
-    blocks = ray.get(ds.map_batches(_gen, batch_format="pyarrow").to_arrow_refs())
-    return pa.concat_tables([b for b in blocks if b.num_rows])
-
-
 def flagship(n_images: int = 400, seed: int = 42, size: int = 256,
-             tile_size: int = 128, concurrency: int | None = None,
-             warmup: bool = False, blocks: int | None = None) -> dict:
+             tile_size: int = 128, warmup: bool = False, blocks: int | None = None) -> dict:
     """Run generate -> tile -> join; return counts + timings.
 
     Tiles are materialized once (bytes stay in the object store); the
@@ -82,10 +60,7 @@ def flagship(n_images: int = 400, seed: int = 42, size: int = 256,
     if warmup:
         cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
         flagship(n_images=max(64, 2 * cpus), seed=seed, size=size,
-                 tile_size=tile_size, concurrency=concurrency,
-                 warmup=False, blocks=2 * cpus)
-
-    from ..stages.joins import build_join_index
+                 tile_size=tile_size, warmup=False, blocks=2 * cpus)
 
     t0 = time.time()
     # feature-layer generation AND index construction are independent
@@ -117,14 +92,8 @@ def flagship(n_images: int = 400, seed: int = 42, size: int = 256,
     t_tiles = time.time() - t0
 
     t1 = time.time()
-    # task-mode join with the spec projection FUSED into the join task
-    # (joins.broadcast_spatial_join_tasks): no separate select scan
-    # over the 1600 materialized tile blocks, no actor-pool spin-up —
-    # the per-execution fixed cost that kept the join leg at ~11 s
-    # regardless of CPU width in the scaling bench.  Same clip kernel,
-    # bit-identical rows (parity-tested vs the actor pool).
-    from ..stages.joins import broadcast_spatial_join_tasks
-
+    # the spec projection runs inside the join task (spec_columns): no
+    # separate select scan over the materialized tile blocks
     joined = broadcast_spatial_join_tasks(
         tiles, index_ref=index_ref,
         spec_columns=["tile_id", "image_id", "cell", "x0", "y0", "x1", "y1"],
@@ -175,7 +144,7 @@ def flagship_resumable(out_dir: str, n_images: int = 400, n_partitions: int = 8,
         images = ds.map_batches(_gen, batch_format="pyarrow", batch_size=None)
         tiles = tiler.cut_tiles(images, tile_size=tile_size)
         feats = synth.gen_features_shard(np.arange(lo, hi), n_images, seed, size)
-        joined = broadcast_spatial_join(
+        joined = spatial_join(
             tiles.select_columns(["tile_id", "image_id", "cell", "x0", "y0", "x1", "y1"]),
             feats,
         )

@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 
 from ..geom import cells
 from ..stages import ann, dedup, knn, pip, text, tiler
-from ..stages.joins import broadcast_spatial_join, spatial_join_tasks
+from ..stages.joins import spatial_join, spatial_join_tasks
 
 GRID = 50
 TILE = 64.0
@@ -250,7 +250,7 @@ def q_clip_join(sf_dir: str):
         )
 
     tiles = p.map_batches(_tiles, batch_format="pyarrow", batch_size=4096)
-    joined = broadcast_spatial_join(tiles, _customer_rects(sf_dir))
+    joined = spatial_join(tiles, _customer_rects(sf_dir))
     return joined.map_batches(_join_out, batch_format="pyarrow")
 
 
@@ -1184,7 +1184,7 @@ def q_areal_interp(sf_dir: str):
         )
 
     tiles = p.map_batches(_tiles, batch_format="pyarrow", batch_size=4096)
-    joined = broadcast_spatial_join(tiles, _customer_rects(sf_dir)).map_batches(
+    joined = spatial_join(tiles, _customer_rects(sf_dir)).map_batches(
         _join_out, batch_format="pyarrow"
     )
 
@@ -2479,7 +2479,7 @@ def q_tile_feature_join(sf_dir: str):
         _part_images, batch_format="pyarrow", batch_size=4096
     )
     specs = tiler.plan_tiles_ds(images, tile_size=128, cell_res=13)
-    joined = broadcast_spatial_join(specs, _customer_rects(sf_dir))
+    joined = spatial_join(specs, _customer_rects(sf_dir))
     return joined.map_batches(_join_out, batch_format="pyarrow")
 
 

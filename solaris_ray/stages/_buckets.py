@@ -32,32 +32,35 @@ def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None,
 
     float64 key columns are supported through an order-irrelevant
     bit-view (−0.0 normalized to +0.0 so the two zero encodings
-    group together; NaN keys are undefined — don't key on NaNs) and
-    come back out as float64.
+    group together) and come back out as float64.  A NaN key raises
+    ``ValueError``: NaN has many bit patterns and equals nothing, so it
+    has no well-defined group.
     """
     import pyarrow as pa
 
     aggs = aggs or {}
     val_cols = list(aggs)
 
-    def _as_i64(col) -> np.ndarray:
-        a = col.to_numpy(zero_copy_only=False)
+    def _as_i64(b: pa.Table, c: str) -> np.ndarray:
+        a = b[c].to_numpy(zero_copy_only=False)
         if a.dtype == np.float64:
+            if np.isnan(a).any():
+                raise ValueError(f"distinct_reduce: NaN in key column {c!r}")
             return (a + 0.0).view(np.int64)  # +0.0 folds -0.0 into +0.0
         return a.astype(np.int64)
 
     def _tag(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return b.append_column("__db", pa.array([], pa.int64()))
-        mix = _as_i64(b[key_cols[0]]).copy()
+        mix = _as_i64(b, key_cols[0]).copy()
         for c in key_cols[1:]:
-            mix = mix * np.int64(1000003) + _as_i64(b[c])
+            mix = mix * np.int64(1000003) + _as_i64(b, c)
         return b.append_column("__db", pa.array(bucket_of(mix, n_buckets)))
 
     def _reduce(group: pa.Table) -> pa.Table:
         is_f = [group[c].to_numpy(zero_copy_only=False).dtype == np.float64
                 for c in key_cols]
-        ks = [_as_i64(group[c]) for c in key_cols]
+        ks = [_as_i64(group, c) for c in key_cols]
         order = np.lexsort(ks[::-1])
         ks = [k[order] for k in ks]
         n = ks[0].size

@@ -25,7 +25,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..geom.assign import linear_sum_assignment
 from ..geom.poly import polygon_iou
+from ..raster import codec
+from ..raster.kernels import dilate_square
 
 SCORE_SCHEMA = pa.schema(
     [
@@ -368,8 +371,6 @@ def scot_group(group: pa.Table, miniou: float = 0.25) -> pa.Table:
     timestep loop is sequential *within* the AOI group — AOIs are the
     parallel unit (groupby(aoi), SURVEY.md §2.4).
     """
-    from ..geom.assign import linear_sum_assignment
-
     side = group["side"].to_numpy()
     ts_all = group["timestep"].to_numpy(zero_copy_only=False)
     aoi = group["aoi"][0].as_py()
@@ -511,8 +512,6 @@ def pair_masks(truth_ds, pred_ds, key_col: str = "tile_id",
 def pixel_score_batch(batch: pa.Table, truth_col: str = "truth", pred_col: str = "pred",
                       fmt: str = "png") -> pa.Table:
     """Per-row mask-pair confusion counts (the partial aggregate)."""
-    from ..raster import codec
-
     tps, fps, fns, tns = [], [], [], []
     for i in range(batch.num_rows):
         t = codec.decode(batch[truth_col][i].as_py(), fmt) > 0
@@ -560,12 +559,7 @@ def relaxed_pixel_scores(mask_pairs, rho: int = 3, truth_col: str = "truth",
     reference's O(HW*rho^2) python loops become one square dilation
     per mask (raster.kernels.dilate_square) + global Sum of counts.
     """
-    import numpy as np
-
     from ray.data.aggregate import Sum
-
-    from ..raster import codec
-    from ..raster.kernels import dilate_square
 
     k = 2 * rho + 1
 

@@ -11,19 +11,20 @@ clips each to the tile box, and annotates:
 - ``truncated``  — 1 when the clip lost any part (:313-316)
 - rows with ``partialDec < min_partial_perc`` are dropped (:296-300)
 
-Two physical strategies (SURVEY.md §2.4):
+``spatial_join`` picks one of two physical plans (SURVEY.md §2.4) by
+the feature layer's size; both share the clip kernel ``clip_pairs``:
 
-1. **Broadcast join** (`BroadcastJoiner`): when the feature layer fits
-   in the object store, build one cell-bucketed index, ``ray.put`` it
-   once, and run an actor-pool ``map_batches`` over tile specs — each
-   actor deserializes the index once in ``__init__``.  No shuffle; this
-   mirrors the reference's single global ``gdf.sindex``
-   (solaris/eval/base.py:46) but distributed.
-2. **Cell-partitioned join** (`cell_partitioned_join`): both-sides
-   large.  Replicate each feature to every cell its bbox covers
-   (duplication factor logged), tag tiles with their cell, co-shuffle
-   with ``groupby(cell)`` and join inside each group.  Hot cells can be
-   pre-split one resolution finer (see ``cells.cell_children``).
+1. **Broadcast join** (`broadcast_spatial_join_tasks`): when the layer
+   fits ``BROADCAST_LIMIT_BYTES``, build one cell-bucketed index,
+   ``ray.put`` it once, and map tasks over tile specs
+   (``runtime.stateful_map``) — each worker process fetches the index
+   once.  No shuffle; this mirrors the reference's single global
+   ``gdf.sindex`` (solaris/eval/base.py:46) but distributed.
+2. **Cell-partitioned join** (`cell_partitioned_join`): large layers.
+   Replicate each feature to every cell its bbox covers, tag tiles with
+   their cell, co-shuffle with ``groupby(cell)`` and join inside each
+   group.  Hot cells can be pre-split one resolution finer (see
+   ``cells.cell_children``).
 """
 
 from __future__ import annotations
@@ -311,8 +312,8 @@ def clip_pairs(
 ) -> pa.Table:
     """Shared pair-clip kernel: (tile, feature) pair arrays -> join rows.
 
-    Used by BOTH physical join strategies (broadcast + cell-partitioned)
-    so their outputs are bit-identical.  Polygons go through the batched
+    Used by both physical plans (broadcast and cell-partitioned), so
+    their outputs are bit-identical.  Polygons go through the batched
     Sutherland-Hodgman; lines through the scalar Liang-Barsky path.
     """
     tid = tid_arr.to_pylist()
@@ -444,50 +445,36 @@ def build_buckets(pack: FeaturePack, cell_res: int) -> CellBuckets:
 
 
 class BroadcastJoiner:
-    """Actor-pool map_batches body: tile specs × broadcast feature layer.
+    """Per-worker body of the broadcast join: tile specs x one index.
 
-    ``features_ref`` is a ``ray.put`` handle to the features Arrow
-    table — fetched and indexed ONCE per actor in ``__init__`` (the
-    actor-pool analogue of the reference's per-process
-    ``Pool(initializer=...)`` broadcast, solaris/vector/graph.py:341-349).
+    ``index_ref`` is a ``ray.put`` of the ``build_join_index``
+    ``(pack, buckets, cell_res)`` tuple; ``runtime.stateful_map``
+    builds one instance per worker process, so the index is fetched
+    once per worker (zero-copy numpy/Arrow views out of plasma) — the
+    task-mode analogue of the reference's per-process
+    ``Pool(initializer=...)`` broadcast (solaris/vector/graph.py:341-349).
+    ``spec_columns`` projects the incoming tile batch (dropping e.g. a
+    pixel column) and ``out_columns`` the join rows, so consumers that
+    keep neither pay no plasma bandwidth for them.
     """
 
-    def __init__(self, features_ref, cell_res: int = 13, min_partial_perc: float = 0.0,
+    def __init__(self, index_ref, min_partial_perc: float = 0.0,
+                 spec_columns: list[str] | None = None,
                  out_columns: list[str] | None = None):
         import ray
 
-        obj = ray.get(features_ref) if not isinstance(features_ref, (pa.Table, tuple)) else features_ref
-        if isinstance(obj, tuple):
-            # prebuilt broadcast: (pack, buckets) or (pack, buckets,
-            # cell_res) — the 3-tuple comes from build_join_index run
-            # as a remote task (overlapped with upstream stages)
-            if len(obj) == 3:
-                self.pack, self.buckets, cell_res = obj
-            else:
-                self.pack, self.buckets = obj
-        else:
-            self.pack = FeaturePack.from_arrow(obj)
-            self.buckets = build_buckets(self.pack, cell_res)
-        self.cell_res = cell_res
+        self.pack, self.buckets, self.cell_res = ray.get(index_ref)
         self.min_partial_perc = min_partial_perc
-        # project inside the actor: consumers that don't persist the
-        # clipped geometry (counts, rollups) shouldn't pay plasma
-        # bandwidth for columns they immediately drop
+        self.spec_columns = spec_columns
         self.out_columns = out_columns
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.spec_columns:
+            batch = batch.select(self.spec_columns)
         out = join_tile_batch_to_pack(
             batch, self.pack, self.buckets, self.cell_res, self.min_partial_perc
         )
         return out.select(self.out_columns) if self.out_columns else out
-
-
-# per-WORKER-PROCESS broadcast-index cache for the task-mode join:
-# ray.put once on the driver, ray.get once per worker (zero-copy numpy
-# views out of plasma), every later task in that worker hits the dict.
-# Holds at most ONE index (cleared on ref change) so a long session
-# never accumulates stale broadcasts.
-_TASK_INDEX_CACHE: dict = {}
 
 
 def broadcast_spatial_join_tasks(
@@ -496,60 +483,33 @@ def broadcast_spatial_join_tasks(
     min_partial_perc: float = 0.0,
     out_columns: list[str] | None = None,
     spec_columns: list[str] | None = None,
-    batch_size: int = 256,
+    batch_size: int | None = 256,
 ):
-    """Task-operator twin of ``broadcast_spatial_join`` — same clip
-    kernel, bit-identical output, different physical plan: stateless
-    map tasks with the prebuilt ``build_join_index`` result fetched
-    once per worker process (module-level cache).
+    """tiles Dataset x prebuilt broadcast index -> tile_features Dataset.
 
-    Why it exists: an actor pool buys per-actor state but pays pool
-    spin-up — fresh worker processes, imports, per-actor index fetch —
-    on EVERY execution.  That cost is fixed (does not shrink with more
-    CPUs) and dominates short runs: the scaling bench's join leg
-    measured ~11 s at both 4 and 16 cpus with the actor pool.  Task
-    mode reuses warm workers, fuses the spec projection into the join
-    task (``spec_columns``), and leaves per-batch clip work as the
-    only cost, so the leg actually scales.  Actor mode remains the
-    right shape for long scans that persist clipped geometry.
+    Stateless map tasks over warm workers (``runtime.stateful_map``):
+    no actor-pool spin-up, whose fixed per-execution cost kept the
+    scaling bench's join leg at ~11 s at both 4 and 16 cpus.
     """
-    import ray
+    from ..runtime import stateful_map
 
-    # the per-worker cache is keyed by the ObjectRef hex — a raw
-    # table/tuple has no stable identity (id() reuse after GC could
-    # serve a stale index), so require a ray.put ref up front
+    # the per-worker instance cache is keyed by the ObjectRef hex — a
+    # raw table/tuple has no stable identity, so require a ray.put ref
     if not hasattr(index_ref, "hex"):
         raise TypeError(
             "broadcast_spatial_join_tasks requires a ray.ObjectRef "
             "(ray.put the prebuilt index); raw tables/tuples have no "
             "stable cache identity"
         )
-
-    def _join(batch: pa.Table) -> pa.Table:
-        key = index_ref.hex()
-        cached = _TASK_INDEX_CACHE.get(key)
-        if cached is None:
-            obj = ray.get(index_ref)
-            if isinstance(obj, tuple):
-                if len(obj) == 3:
-                    pack, buckets, res = obj
-                else:
-                    (pack, buckets), res = obj, 13
-            else:
-                pack = FeaturePack.from_arrow(obj)
-                res = 13
-                buckets = build_buckets(pack, res)
-            _TASK_INDEX_CACHE.clear()
-            _TASK_INDEX_CACHE[key] = (pack, buckets, res)
-            cached = _TASK_INDEX_CACHE[key]
-        pack, buckets, res = cached
-        if spec_columns:
-            batch = batch.select(spec_columns)
-        out = join_tile_batch_to_pack(batch, pack, buckets, res, min_partial_perc)
-        return out.select(out_columns) if out_columns else out
-
-    return tile_specs.map_batches(
-        _join, batch_format="pyarrow", batch_size=batch_size
+    return stateful_map(
+        tile_specs, BroadcastJoiner,
+        {
+            "index_ref": index_ref,
+            "min_partial_perc": min_partial_perc,
+            "spec_columns": spec_columns,
+            "out_columns": out_columns,
+        },
+        batch_size=batch_size,
     )
 
 
@@ -586,11 +546,8 @@ def spatial_join_tasks(
     out_columns: list[str] | None = None,
     batch_size: int | None = 256,
 ):
-    """Convenience wrapper: build the broadcast index once, ``ray.put``
-    it, and run the TASK-mode join (``broadcast_spatial_join_tasks``)
-    — bit-identical rows to ``broadcast_spatial_join`` (parity-tested)
-    without the per-execution actor-pool spin-up, which dominates
-    short gate pipelines (~3-5 s fixed regardless of width)."""
+    """Build the broadcast index once on the driver, ``ray.put`` it and
+    run ``broadcast_spatial_join_tasks``."""
     import ray
 
     index_ref = ray.put(build_join_index(features, cell_res))
@@ -601,53 +558,8 @@ def spatial_join_tasks(
     )
 
 
-def broadcast_spatial_join(
-    tile_specs,
-    features: pa.Table | None = None,
-    cell_res: int | None = None,
-    min_partial_perc: float = 0.0,
-    concurrency=None,
-    batch_size: int = 256,
-    index_ref=None,
-    out_columns: list[str] | None = None,
-):
-    """tiles Dataset × in-memory features table → tile_features Dataset.
-
-    ``batch_size`` is deliberately small relative to typical spec
-    counts so the actor pool actually fans out (a 4096-row batch over a
-    few thousand specs would starve all but one actor).
-
-    ``index_ref``: ObjectRef of a prebuilt ``build_join_index`` result
-    (skips driver-side index construction entirely).
-    """
-    import ray
-
-    from ..runtime import auto_concurrency
-
-    if concurrency is None:
-        concurrency = auto_concurrency()
-    if index_ref is None:
-        # build the index ONCE on the driver; actors fetch the built
-        # structure from plasma (numpy/Arrow buffers come back zero-copy)
-        ref = ray.put(build_join_index(features, cell_res))
-    else:
-        ref = index_ref
-    return tile_specs.map_batches(
-        BroadcastJoiner,
-        fn_constructor_kwargs={
-            "features_ref": ref,
-            "cell_res": cell_res if cell_res is not None else 13,
-            "min_partial_perc": min_partial_perc,
-            "out_columns": out_columns,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-
-
 # default object-store budget for a broadcast feature layer; above
-# this the layer must co-shuffle instead of shipping to every actor
+# this the layer must co-shuffle instead of shipping to every worker
 BROADCAST_LIMIT_BYTES = 1 << 30
 
 
@@ -666,14 +578,15 @@ def spatial_join(
     bit-identical (parity-tested) — the choice is purely a plan-time
     size decision, mirroring the broadcast-small-side rule of
     SURVEY.md §4.  ``features`` may be an in-memory ``pyarrow.Table``
-    or a ``ray.data.Dataset``.
+    or a ``ray.data.Dataset``.  ``kwargs`` (``out_columns``,
+    ``batch_size``) go to the broadcast plan, ``spatial_join_tasks``.
     """
     import ray
 
     limit = broadcast_limit_bytes if broadcast_limit_bytes is not None else BROADCAST_LIMIT_BYTES
     if isinstance(features, pa.Table):
         if features.nbytes <= limit:
-            return broadcast_spatial_join(
+            return spatial_join_tasks(
                 tile_specs, features, cell_res=cell_res,
                 min_partial_perc=min_partial_perc, **kwargs,
             )
@@ -687,7 +600,7 @@ def spatial_join(
         tbl = pa.concat_tables(
             [b for b in ray.get(features.to_arrow_refs()) if b.num_rows]
         )
-        return broadcast_spatial_join(
+        return spatial_join_tasks(
             tile_specs, tbl, cell_res=cell_res,
             min_partial_perc=min_partial_perc, **kwargs,
         )
@@ -1041,10 +954,6 @@ def _add_bucket(batch: pa.Table, nbuckets: int) -> pa.Table:
     c = batch["cell"].to_numpy().astype(np.uint64)
     bucket = ((c * np.uint64(2654435761)) % np.uint64(nbuckets)).astype(np.int32)
     return batch.append_column("bucket", pa.array(bucket))
-
-
-def _cell_res_of(cell: int) -> int:
-    return int(np.uint64(cell) >> np.uint64(58))
 
 
 def _pad_side(batch: pa.Table, side: int) -> pa.Table:

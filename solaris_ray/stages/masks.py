@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..geom.poly import buffer_convex
 from ..raster import codec
 from ..raster.kernels import (
     dilate_square,
@@ -140,8 +141,6 @@ def tile_masks(
     # non-convex ring falls back to pixel dilation.
     k = max(1, int(round(contact_spacing / 2)))
     if len(poly_idx) >= 2:
-        from ..geom.poly import buffer_convex
-
         cover = np.zeros(shape, dtype=np.int16)
         for i in range(len(poly_idx)):
             ring = coords[offsets[i] : offsets[i + 1]]

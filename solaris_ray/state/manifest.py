@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from collections.abc import Callable
 
@@ -99,7 +100,10 @@ def run_partitioned(
         t0 = time.time()
         ds = make_dataset(pid)
         part_dir = os.path.join(out_dir, f"part={pid}")
-        os.makedirs(part_dir, exist_ok=True)
+        # a crashed run may have left files here; write_parquet appends,
+        # so a pending partition starts from an empty directory
+        shutil.rmtree(part_dir, ignore_errors=True)
+        os.makedirs(part_dir)
         ds.write_parquet(part_dir)
         rows = _count_parquet_rows(part_dir)
         wall = time.time() - t0

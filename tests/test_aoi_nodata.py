@@ -8,7 +8,7 @@ from solaris_ray.raster import codec
 from solaris_ray.sources import synth
 from solaris_ray.stages import masks as masks_stage
 from solaris_ray.stages import tiler
-from solaris_ray.stages.joins import broadcast_spatial_join
+from solaris_ray.stages.joins import spatial_join
 
 
 def test_plan_tiles_aoi_restriction(ray_session):
@@ -52,7 +52,7 @@ def test_instance_nodata_zeroing(ray_session):
     images, features = synth.gen_shard(np.arange(4), 4, seed=42, size=200)
     meta = images.select(["image_id", "w", "h", "gt_a", "gt_b", "gt_c", "gt_d", "gt_e", "gt_f"])
     specs = tiler.plan_tiles_ds(ray.data.from_arrow(meta), tile_size=128)
-    joined = broadcast_spatial_join(specs, features)
+    joined = spatial_join(specs, features)
     inst = masks_stage.instance_masks(joined, tile_size=128)
     tiles = tiler.cut_tiles(ray.data.from_arrow(images), tile_size=128)
     zeroed = masks_stage.zero_nodata_instances(inst, tiles).to_pandas()

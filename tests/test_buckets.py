@@ -79,3 +79,9 @@ def test_distinct_float_keys(ray_session):
     # -0.0 and +0.0 are ONE key; float values come back as floats
     assert got == {(1.5, 2.0): 3, (0.0, 3.0): 7, (2.25, 4.0): 5}
     assert out.x.dtype == np.float64
+    # a NaN key has no well-defined group: refused, naming the column
+    # (the ValueError surfaces wrapped in RayTaskError; match its text)
+    nan = t.set_column(1, "y", pa.array([2.0, float("nan"), 3.0, 3.0, 4.0]))
+    with pytest.raises(Exception, match="ValueError: distinct_reduce: NaN in key column 'y'"):
+        distinct_reduce(_ds(nan), ["x", "y"]).materialize()
+

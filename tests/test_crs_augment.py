@@ -45,6 +45,19 @@ def test_utm_southern_hemisphere_roundtrip():
     assert abs(lon2[0] - 151.2) < 1e-6 and abs(lat2[0] + 33.9) < 1e-6
 
 
+def test_reproject_false_northing_follows_target_epsg():
+    """The false northing comes from the target zone's hemisphere, not
+    from the point's: a point just across the equator still round-trips
+    through the other hemisphere's zone."""
+    for lat, epsg in ((-1.0, 32601), (1.0, 32701)):
+        lon = np.array([-177.0])
+        e, n = crs.reproject(lon, np.array([lat]), 4326, epsg)
+        # 326xx: northing < 0 south of the equator; 327xx: > 10,000 km north of it
+        assert (n[0] < 0) if epsg == 32601 else (n[0] > 1e7)
+        lon2, lat2 = crs.reproject(e, n, epsg, 4326)
+        assert abs(lon2[0] - lon[0]) < 1e-6 and abs(lat2[0] - lat) < 1e-6
+
+
 def test_projection_unit():
     assert crs.projection_unit(32616) == "metre"
     assert crs.projection_unit(4326) == "degree"

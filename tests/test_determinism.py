@@ -10,7 +10,7 @@ import pyarrow as pa
 
 from solaris_ray.sources.synth import gen_shard
 from solaris_ray.stages import tiler
-from solaris_ray.stages.joins import broadcast_spatial_join
+from solaris_ray.stages.joins import spatial_join
 from solaris_ray.stages.knn import broadcast_knn_join
 
 
@@ -30,7 +30,7 @@ def test_clip_join_block_layout_invariant(ray_session):
         specs = tiler.plan_tiles_ds(
             ray.data.from_arrow(meta).repartition(blocks), tile_size=128
         )
-        ds = broadcast_spatial_join(specs, feats, batch_size=bs, concurrency=2)
+        ds = spatial_join(specs, feats, batch_size=bs)
         outs.append(_canon(ds.to_pandas()))
     pd.testing.assert_frame_equal(outs[0], outs[1], check_exact=True)
     pd.testing.assert_frame_equal(outs[0], outs[2], check_exact=True)

@@ -14,7 +14,7 @@ import pyarrow as pa
 
 from solaris_ray.sources.synth import gen_shard
 from solaris_ray.stages import evaluate, masks, polygonize, tiler
-from solaris_ray.stages.joins import broadcast_spatial_join
+from solaris_ray.stages.joins import spatial_join
 
 
 def test_vector_raster_vector_roundtrip(ray_session):
@@ -25,7 +25,7 @@ def test_vector_raster_vector_roundtrip(ray_session):
     meta = imgs.select(["image_id", "w", "h", "gt_a", "gt_b", "gt_c", "gt_d", "gt_e", "gt_f"])
     # 256-px tiles => one tile per image => no cross-tile fragmentation
     specs = tiler.plan_tiles_ds(ray.data.from_arrow(meta), tile_size=256)
-    joined = broadcast_spatial_join(specs, feats)
+    joined = spatial_join(specs, feats)
     buildings_joined = joined.filter(lambda r: r["class"] == "building")
     inst = masks.instance_masks(buildings_joined, tile_size=256)
 

@@ -66,12 +66,12 @@ def test_write_tile_geojsons(ray_session, tmp_path):
 
     from solaris_ray.sources import synth
     from solaris_ray.stages import export, tiler
-    from solaris_ray.stages.joins import broadcast_spatial_join
+    from solaris_ray.stages.joins import spatial_join
 
     images, features = synth.gen_shard(np.arange(4), 4, seed=42, size=256)
     meta = images.select(["image_id", "w", "h", "gt_a", "gt_b", "gt_c", "gt_d", "gt_e", "gt_f"])
     specs = tiler.plan_tiles_ds(ray.data.from_arrow(meta), tile_size=128)
-    joined = broadcast_spatial_join(specs, features).materialize()
+    joined = spatial_join(specs, features).materialize()
     out = export.write_tile_geojsons(
         tiler.plan_tiles_ds(ray.data.from_arrow(meta), tile_size=128),
         joined, str(tmp_path / "vt"),

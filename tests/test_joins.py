@@ -14,7 +14,6 @@ import pytest
 from solaris_ray.geom.poly import clip_ring_to_box, clip_line_to_box, ring_areas, ring_lengths
 from solaris_ray.sources.synth import gen_shard
 from solaris_ray.stages.joins import (
-    BroadcastJoiner,
     FeaturePack,
     build_buckets,
     join_tile_batch_to_pack,
@@ -127,21 +126,22 @@ class TestJoinOnRay:
     def test_broadcast_join_dataset(self, corpus):
         import ray.data as rd
 
-        from solaris_ray.stages.joins import broadcast_spatial_join
+        from solaris_ray.stages.joins import spatial_join
 
         imgs, feats, plan = corpus
-        ds = broadcast_spatial_join(rd.from_arrow(plan), feats, concurrency=2)
+        ds = spatial_join(rd.from_arrow(plan), feats)
         got = ds.to_pandas()
         want = brute_force_join(plan, feats)
         got_pairs = sorted(zip(got["tile_id"], got["feature_id"]))
         assert got_pairs == [(a, b) for a, b, _ in want]
 
-    def test_task_mode_join_equals_actor_pool(self, corpus):
+    def test_task_mode_join_equals_kernel(self, corpus):
+        """The distributed broadcast join emits exactly the rows of one
+        in-process kernel call, every column including the geometry."""
         import ray
         import ray.data as rd
 
         from solaris_ray.stages.joins import (
-            broadcast_spatial_join,
             broadcast_spatial_join_tasks,
             build_join_index,
         )
@@ -151,22 +151,22 @@ class TestJoinOnRay:
         plan2 = plan.append_column(
             "noise", pa.array(np.arange(plan.num_rows, dtype=np.int64))
         )
-        idx_ref = ray.put(build_join_index(feats))
+        index = build_join_index(feats)
         got_t = broadcast_spatial_join_tasks(
-            rd.from_arrow(plan2), idx_ref,
+            rd.from_arrow(plan2), ray.put(index),
             spec_columns=plan.column_names,
         ).to_pandas()
-        got_a = broadcast_spatial_join(
-            rd.from_arrow(plan), feats, concurrency=2
-        ).to_pandas()
+        pack, buckets, res = index
+        got_k = join_tile_batch_to_pack(plan, pack, buckets, res, 0.0).to_pandas()
         key = ["tile_id", "feature_id"]
         got_t = got_t.sort_values(key).reset_index(drop=True)
-        got_a = got_a.sort_values(key).reset_index(drop=True)
-        assert list(got_t.columns) == list(got_a.columns)
-        for c in got_a.columns:
+        got_k = got_k.sort_values(key).reset_index(drop=True)
+        assert len(got_k) > 0
+        assert list(got_t.columns) == list(got_k.columns)
+        for c in got_k.columns:
             ta = [list(v) if isinstance(v, np.ndarray) else v for v in got_t[c]]
-            aa = [list(v) if isinstance(v, np.ndarray) else v for v in got_a[c]]
-            assert ta == aa, c  # bit-identical incl. list geometry
+            ka = [list(v) if isinstance(v, np.ndarray) else v for v in got_k[c]]
+            assert ta == ka, c  # bit-identical incl. list geometry
 
     def test_cell_partitioned_equals_broadcast(self, corpus):
         import ray.data as rd

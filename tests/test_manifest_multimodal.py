@@ -46,12 +46,15 @@ def test_run_partitioned_resume(ray_session, tmp_path):
     r2 = run_partitioned(out, [0, 1, 2], make_ds)
     assert r2["processed"] == [] and r2["skipped"] == [0, 1, 2]
     assert calls == [0, 1, 2]
-    # drop one manifest entry -> only that partition re-runs
+    # drop one manifest entry -> only that partition re-runs, and its
+    # rows replace the files the first run left (not appended to them)
     import os
 
     os.remove(os.path.join(out, "_manifest", "part-1.json"))
     r3 = run_partitioned(out, [0, 1, 2], make_ds)
     assert r3["processed"] == [1] and r3["skipped"] == [0, 2]
+    assert r3["metrics"][1]["rows"] == r1["metrics"][1]["rows"] == 10
+    assert r3["metrics"][1]["checksum"] == r1["metrics"][1]["checksum"]
 
 
 def test_kill_mid_run_resumes_only_missing(ray_session, tmp_path):
