@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pyarrow as pa
 
+from ..runtime import session_cpus
 from ..sources import synth
 from ..stages import tiler
 from ..stages.joins import broadcast_spatial_join_tasks, build_join_index, spatial_join
@@ -58,7 +59,7 @@ def flagship(n_images: int = 400, seed: int = 42, size: int = 256,
     import ray
 
     if warmup:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+        cpus = session_cpus()
         flagship(n_images=max(64, 2 * cpus), seed=seed, size=size,
                  tile_size=tile_size, warmup=False, blocks=2 * cpus)
 

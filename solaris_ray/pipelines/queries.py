@@ -3976,7 +3976,7 @@ def q_pixel_eval(sf_dir: str):
     # grouped pairing (no driver materialization of mask bytes): each
     # side's mask table is materialized (blocks stay in the object
     # store) so only one join actor pool is live at a time, then the
-    # pairing is a groupby(tile_id) co-shuffle feeding both metric passes
+    # pairing is a co-shuffle on tile_id feeding both metric passes
     pairs_ds = evaluate.pair_masks(
         truth.materialize(), pred.materialize(), key_col="tile_id"
     ).materialize()

@@ -24,6 +24,10 @@ import zlib
 
 import numpy as np
 
+from .gif import gif_decode, gif_encode
+from .gtiff import gtiff_decode, gtiff_encode
+from .jpeg import jpeg_decode, jpeg_encode
+
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
 
@@ -165,20 +169,14 @@ def encode(arr: np.ndarray, fmt: str, level: int = 4) -> bytes:
     if fmt == "f64":
         return f64_encode(arr)
     if fmt in ("gtif", "tif", "tiff"):
-        from .gtiff import gtiff_encode
-
         return gtiff_encode(arr)
     if fmt in ("jpeg", "jpg"):
-        from .jpeg import jpeg_encode
-
         return jpeg_encode(arr, quality=95)
     if fmt == "webp":
-        from .webp import webp_encode
+        from .webp import webp_encode  # ctypes module: see decode
 
         return webp_encode(arr, lossless=True)
     if fmt == "gif":
-        from .gif import gif_encode
-
         if arr.ndim == 3 and arr.shape[2] == 1:
             arr = arr[:, :, 0]
         elif arr.ndim == 3 and arr.shape[2] == 3:
@@ -201,9 +199,14 @@ def decode(buf: bytes, fmt: str) -> np.ndarray:
         # libpng fast path when the system library exists (3x on our
         # own filter-0 streams; required for foreign filtered /
         # 16-bit / palette / interlaced PNGs, which the pure decoder
-        # rejects or unfilters per-byte in Python)
-        from . import pnglib
-
+        # rejects or unfilters per-byte in Python).  pnglib and webp hold
+        # ctypes state that cannot be pickled by value, so they are
+        # imported on the worker; one that cannot import the package
+        # (foreign cwd under ensure_shippable) uses the pure decoder.
+        try:
+            from . import pnglib
+        except ImportError:
+            return png_decode(bytes(buf))
         if pnglib.available():
             return pnglib.png_decode_fast(bytes(buf))
         return png_decode(bytes(buf))
@@ -215,21 +218,15 @@ def decode(buf: bytes, fmt: str) -> np.ndarray:
         # gtiff_decode reads general baseline TIFF too (both byte
         # orders, deflate/LZW/PackBits strips, predictor 2), so plain
         # ``tiff`` payloads are native, not stubbed
-        from .gtiff import gtiff_decode
-
         arr, _ = gtiff_decode(bytes(buf))
         return arr[:, :, 0] if arr.shape[2] == 1 else arr
     if fmt in ("jpeg", "jpg"):
-        from .jpeg import jpeg_decode
-
         return jpeg_decode(bytes(buf))
     if fmt == "webp":
         from .webp import webp_decode
 
         return webp_decode(bytes(buf))
     if fmt == "gif":
-        from .gif import gif_decode
-
         return gif_decode(bytes(buf))
     raise ValueError(f"unsupported fmt {fmt!r}")
 

@@ -41,6 +41,16 @@ def ensure_shippable() -> None:
         pass
 
 
+def session_cpus() -> int:
+    """CPUs of the caller's Ray session (8 when no session is running)."""
+    try:
+        import ray
+
+        return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    except Exception:
+        return 8
+
+
 def auto_concurrency(cap: int = 16) -> int:
     """Actor-pool sizing that follows the session's CPU budget.
 
@@ -53,12 +63,7 @@ def auto_concurrency(cap: int = 16) -> int:
     (16) bounds pool spin-up cost for short jobs; callers with long
     scans pass a higher cap explicitly.
     """
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
+    cpus = session_cpus()
     # 3/4 of the budget: leaves slots for the upstream task operators
     # feeding the pool (pinning EVERY cpu deadlocks them with resource
     # reservation disabled) AND keeps pool size PROPORTIONAL to the

@@ -85,8 +85,9 @@ def stitch_group(group: pa.Table, method: str = "average", fmt: str = "png") -> 
 
     stitch_images semantics (raster/image.py:80-137): 'average' =
     nanmean over overlapping writers; 'first' = first chip (in (y0,x0)
-    order) wins; 'confidence' = per-pixel writer with max |p - 0.5|
-    (probabilities scaled to [0,1] from uint8).
+    order) wins; 'confidence' = per-pixel, per-channel writer with max
+    |p - 0.5| (probabilities scaled to [0,1] from uint8; the reference
+    argmaxes confidence over [Y, X, C], raster/image.py:141-150).
     """
     image_id = group["image_id"][0].as_py()
     h = int(group["h"][0].as_py())
@@ -98,7 +99,7 @@ def stitch_group(group: pa.Table, method: str = "average", fmt: str = "png") -> 
     ch = 1 if first.ndim == 2 else first.shape[2]
     acc = np.zeros((h, w, ch), dtype=np.float64)
     cnt = np.zeros((h, w, 1), dtype=np.float64)
-    conf = np.full((h, w, 1), -1.0)
+    conf = np.full((h, w, ch), -1.0)
     for oi in order.tolist():
         img = codec.decode(group["bytes"][oi].as_py(), fmt).astype(np.float64)
         if img.ndim == 2:
@@ -114,11 +115,10 @@ def stitch_group(group: pa.Table, method: str = "average", fmt: str = "png") -> 
             acc[ys, xs][m] = img[m]
             cnt[ys, xs, 0][m] = 1.0
         elif method == "confidence":
-            c = np.abs(img.mean(axis=2, keepdims=True) / 255.0 - 0.5)
-            m = c[:, :, 0] > conf[ys, xs, 0]
+            c = np.abs(img / 255.0 - 0.5)
+            m = c > conf[ys, xs]
             acc[ys, xs][m] = img[m]
             conf[ys, xs][m] = c[m]
-            cnt[ys, xs, 0][m] = 1.0
         else:
             raise ValueError(f"unknown stitch method {method!r}")
     if method == "average":

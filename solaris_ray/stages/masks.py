@@ -19,10 +19,12 @@ diagonals; our goldens are computed against this engine's own scalar
 oracle, never against shapely output.
 
 Ray-Data mapping: the tile is the unit of work.  After the spatial
-join, rows already carry per-feature geo coords; ``groupby(tile_id)``
-co-locates a tile's features and ``map_groups`` runs the pure-numpy
-kernels (SURVEY.md §2.9).  Masks are emitted as PNG-compressed binary
-columns (wide fixed lists would blow up block sizes).
+join, rows already carry per-feature geo coords; ``_buckets.co_shuffle``
+on ``tile_id`` co-locates a tile's features and runs the pure-numpy
+kernels once per tile (SURVEY.md §2.9).  The shuffle is as wide as the
+session has CPUs, never a fixed count.  Masks are emitted as
+PNG-compressed binary columns (wide fixed lists would blow up block
+sizes).
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from ..raster.kernels import (
     rasterize_lines,
     rasterize_rings,
 )
+from ..runtime import session_cpus
+from ._buckets import co_shuffle
 
 MASK_SCHEMA = pa.schema(
     [
@@ -186,65 +190,33 @@ def tile_masks(
     )
 
 
-def masks_from_join(joined, tile_size: int = 128, n_buckets: int = 64, **kwargs):
+def masks_from_join(joined, tile_size: int = 128, n_buckets: int | None = None, **kwargs):
     """tile_features Dataset -> masks Dataset (one row per tile).
 
     The join output must carry tile bounds; if it doesn't, join them
-    back by tile_id first.  The shuffle groups on a HASH BUCKET of
-    tile_id (all rows of a tile land in one bucket) and each bucket
-    call loops its tiles — ~n_buckets group dispatches instead of one
-    Python ``map_groups`` call per tile (the same bucket-dispatch fix
-    as the CC star rounds; per-tile dispatch dominated the wall at
-    thousands of small tiles).
+    back by tile_id first.  ``co_shuffle`` on ``tile_id`` brings all
+    rows of a tile into one bucket and each bucket call loops its
+    tiles, so there is one Python dispatch per bucket, not per tile.
+    ``n_buckets`` defaults to the session's CPU count.
     """
-    import zlib
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        tid = batch["tile_id"].to_pylist()
-        kb = np.array(
-            [zlib.crc32(t.encode("utf-8")) % n_buckets for t in tid], np.int64
-        )
-        return batch.append_column("_mb", pa.array(kb, pa.int64()))
-
-    def _bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_mb"])
-        if group.num_rows == 0:
-            return tile_masks(group, tile_size=tile_size, **kwargs)
-        tid = np.asarray(group["tile_id"].to_pylist(), object)
-        order = np.argsort(tid, kind="stable")
-        group = group.take(pa.array(order))
-        tid = tid[order]
-        new = np.r_[True, tid[1:] != tid[:-1]]
-        starts = np.flatnonzero(new).tolist() + [len(tid)]
-        parts = [
-            tile_masks(group.slice(starts[i], starts[i + 1] - starts[i]),
-                       tile_size=tile_size, **kwargs)
-            for i in range(len(starts) - 1)
-        ]
-        return pa.concat_tables(parts)
-
-    return (
-        joined.map_batches(_tag, batch_format="pyarrow")
-        # the groupby sort inherits the input block count; a join that
-        # materialized to one block would otherwise run every bucket's
-        # rasterization in ONE task (measured serial: 8.7 s of kernel
-        # at 32 cpus) — spread rows first so map_groups fans out
-        .repartition(n_buckets)
-        .groupby("_mb")
-        .map_groups(_bucket, batch_format="pyarrow")
+    return co_shuffle(
+        joined, "tile_id",
+        lambda group: tile_masks(group, tile_size=tile_size, **kwargs),
+        n_buckets,
     )
 
 
 def instance_masks(joined, tile_size: int = 128, burn_value: int = 255,
-                   out_fmt: str = "png", n_blocks: int = 64):
+                   out_fmt: str = "png", n_blocks: int | None = None):
     """One row per (tile, feature) with that feature's own mask —
     the sparse-row replacement for instance_mask's [Y,X,n] ndarray
     (solaris/vector/mask.py:845-976; SURVEY.md §7.4 wide-row note).
 
-    The input is repartitioned first: a join that materialized to one
-    block would rasterize every instance in ONE task (task granularity
-    is blocks, not batches)."""
-    joined = joined.repartition(n_blocks)
+    The input is repartitioned first, into ``n_blocks`` blocks (default:
+    the session's CPU count): a join that materialized to one block
+    would rasterize every instance in ONE task (task granularity is
+    blocks, not batches)."""
+    joined = joined.repartition(n_blocks or session_cpus())
 
     def _one(batch: pa.Table) -> pa.Table:
         out = {
@@ -281,7 +253,7 @@ def zero_nodata_instances(inst_ds, tiles_ds, nodata: float = 0.0, out_fmt: str =
     """Zero instance-mask pixels where the reference tile is nodata in
     ALL bands (solaris/vector/mask.py:950-961).
 
-    Distributed as a ``groupby(tile_id)`` co-shuffle: instance rows and
+    Distributed as a ``co_shuffle`` on ``tile_id``: instance rows and
     the tile's pixel row meet in one group; the nodata mask is computed
     once per tile and ANDed into every instance mask.  Tiles without
     pixels pass instances through unchanged (no reference image -> no
@@ -361,4 +333,4 @@ def zero_nodata_instances(inst_ds, tiles_ds, nodata: float = 0.0, out_fmt: str =
             }
         )
 
-    return inst.union(tiles).groupby("tile_id").map_groups(_group, batch_format="pyarrow")
+    return co_shuffle(inst.union(tiles), "tile_id", _group)

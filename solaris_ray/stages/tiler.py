@@ -26,8 +26,11 @@ import numpy as np
 import pyarrow as pa
 
 from ..geom import cells
-from ..geom.affine import Affine
+from ..geom.affine import Affine, apply_affine, invert_affine
+from ..geom.crs import projection_unit
 from ..raster import codec
+from ..raster.kernels import rasterize_rings
+from ..raster.warp import calculate_default_transform, crs_transformer, warp_affine
 
 DEFAULT_TILE_SIZE = 128
 # Partition resolution: cell edge = WORLD_SIZE / 2^res = 2^24 / 2^13 = 2048 m
@@ -214,9 +217,6 @@ class TileCutter:
             if self.aoi is not None:
                 # rasterize the AOI in this image's pixel frame and
                 # push everything outside to nodata
-                from ..geom.affine import apply_affine, invert_affine
-                from ..raster.kernels import rasterize_rings
-
                 inv = invert_affine(t)
                 pxs, pys = apply_affine(inv, self.aoi[:, 0], self.aoi[:, 1])
                 ring = np.stack([pxs, pys], axis=1)
@@ -253,12 +253,6 @@ class TileCutter:
                         and src_epsg != self.dest_epsg
                     ):
                         # per-tile warp (raster_tile.py:350-365)
-                        from ..raster.warp import (
-                            calculate_default_transform,
-                            crs_transformer,
-                            warp_affine,
-                        )
-
                         tile_t = Affine(
                             t.a, t.b, t.c + xs * t.a + ys * t.b,
                             t.d, t.e, t.f + xs * t.d + ys * t.e,
@@ -280,8 +274,6 @@ class TileCutter:
                         # save_tile keys naming on the DEST CRS unit
                         # (raster_tile.py:425-434): a projected (metric)
                         # target gets int-rounded names even after a warp
-                        from ..geom.crs import projection_unit
-
                         metric = projection_unit(self.dest_epsg) != "degree"
                     else:
                         gx0 = t.c + xs * t.a
@@ -289,8 +281,6 @@ class TileCutter:
                         gy0 = t.f + ys * t.e
                         gy1 = t.f + (ys + ts) * t.e
                         # naming keys on the (unchanged) source CRS unit
-                        from ..geom.crs import projection_unit
-
                         metric = (
                             projection_unit(src_epsg) != "degree"
                             if src_epsg is not None

@@ -204,6 +204,27 @@ def test_stitch_confidence_method(ray_session):
     assert (back == 255).all()
 
 
+def test_stitch_confidence_per_channel():
+    """Confidence picks a writer per [Y, X, C] (ADVICE.md, low: the
+    reference argmaxes per channel, raster/image.py:141-150), not one
+    writer per pixel from the channel mean: chip a is the more confident
+    in R only, chip b in G and B (by mean, a would win every channel)."""
+    from solaris_ray.stages import chips as chips_stage
+
+    h = w = 8
+    a = np.empty((h, w, 3), np.uint8)
+    a[:] = (255, 128, 20)
+    b = np.empty((h, w, 3), np.uint8)
+    b[:] = (128, 10, 240)
+    tbl = pa.Table.from_pylist([
+        {"image_id": "c0", "y0": 0, "x0": 0, "w": w, "h": h, "fmt": "png",
+         "bytes": codec.encode(img, "png")} for img in (a, b)
+    ])
+    out = chips_stage.stitch_group(tbl, method="confidence")
+    back = codec.decode(out["bytes"][0].as_py(), "png")
+    assert (back == np.array([255, 10, 240], np.uint8)).all()
+
+
 def test_graph_to_geojson(ray_session):
     import json
 

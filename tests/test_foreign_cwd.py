@@ -13,6 +13,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = textwrap.dedent(
@@ -44,18 +46,40 @@ SCRIPT = textwrap.dedent(
     ref = join_tile_batch_to_pack(tiler.plan_tiles(images, tile_size=128),
                                   pack, buckets, res, 0.0)
     print("TILES", len(set(ref["tile_id"].to_pylist())))
+    # TileCutter's AOI, warp and projection-unit branches, against the
+    # same cutter called in-process
+    row = images.to_pylist()[0]
+    aoi = (row["gt_c"], row["gt_f"] - 64.0, row["gt_c"] + 32.0, row["gt_f"])
+    for dest in (None, 4326):
+        got = tiler.cut_tiles(ray.data.from_arrow(images), tile_size=128, aoi=aoi,
+                              dest_epsg=dest).to_pandas()
+        want = tiler.TileCutter(tile_size=128, aoi=aoi, dest_epsg=dest)(images).to_pandas()
+        key = lambda df: sorted(zip(df["tile_id"], df["bytes"]))
+        print("CUT", dest, len(got), int(len(got) > 0 and key(got) == key(want)))
     ray.shutdown()
     """
 )
 
 
-def test_masks_from_join_in_foreign_cwd(tmp_path):
+@pytest.fixture(scope="module")
+def foreign_run(tmp_path_factory) -> str:
+    """Run SCRIPT in a subprocess from a temporary cwd; its stdout."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT.format(repo=REPO)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+        cwd=tmp_path_factory.mktemp("cwd"), env=env, capture_output=True, text=True,
+        timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
-    counts = dict(line.split() for line in proc.stdout.splitlines()
+    return proc.stdout
+
+
+def test_masks_from_join_in_foreign_cwd(foreign_run):
+    counts = dict(line.split() for line in foreign_run.splitlines()
                   if line.startswith(("ROWS", "TILES")))
-    assert counts["ROWS"] == counts["TILES"] != "0", proc.stdout[-2000:]
+    assert counts["ROWS"] == counts["TILES"] != "0", foreign_run[-2000:]
+
+
+def test_tile_cutter_aoi_in_foreign_cwd(foreign_run):
+    cuts = [line.split() for line in foreign_run.splitlines() if line.startswith("CUT")]
+    assert [(c[1], c[3]) for c in cuts] == [("None", "1"), ("4326", "1")], foreign_run[-2000:]
