@@ -201,12 +201,9 @@ def decode(buf: bytes, fmt: str) -> np.ndarray:
         # 16-bit / palette / interlaced PNGs, which the pure decoder
         # rejects or unfilters per-byte in Python).  pnglib and webp hold
         # ctypes state that cannot be pickled by value, so they are
-        # imported on the worker; one that cannot import the package
-        # (foreign cwd under ensure_shippable) uses the pure decoder.
-        try:
-            from . import pnglib
-        except ImportError:
-            return png_decode(bytes(buf))
+        # imported here, on the worker.
+        from . import pnglib
+
         if pnglib.available():
             return pnglib.png_decode_fast(bytes(buf))
         return png_decode(bytes(buf))

@@ -7,78 +7,34 @@ operators.  numpy's Python-style ``%`` keeps the result non-negative
 even when the int64 product wraps.
 
 ``co_shuffle`` is the one keyed co-shuffle whose width follows the
-session: ``groupby(key).map_groups(fn)`` with one Python dispatch per
-bucket instead of one per key.
+session and the input, never a fixed count.
 """
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..runtime import session_cpus
-
-_CB = "__cb"
 
 
 def bucket_of(x: np.ndarray, n_buckets: int) -> np.ndarray:
     return ((x * np.int64(2654435761)) % np.int64(n_buckets)).astype(np.int64)
 
 
+def shuffle_width(ds) -> int:
+    """Blocks for a shuffle of ``ds``: the session's CPU count, or the
+    input's planned block count when that is larger.  The first lets a
+    one-block input use every CPU; the second keeps the average shuffle
+    task no larger than the average input block."""
+    return max(session_cpus(), ds._plan.initial_num_blocks() or 1)
+
+
 def co_shuffle(ds, key: str, fn, n_buckets: int | None = None):
-    """Apply ``fn`` to every group of rows sharing ``key``; concatenate.
-
-    A drop-in for ``ds.groupby(key).map_groups(fn)``: each row is
-    tagged with a stable bucket of its key (``bucket_of`` for integer
-    keys; ``crc32`` of the UTF-8 string, hashed once per distinct value
-    of the batch, for string keys), the rows are spread over
-    ``n_buckets`` blocks and grouped by bucket, and each bucket call
-    sorts its rows by key and runs ``fn`` once per key segment.  Rows
-    of one key therefore always meet in one ``fn`` call, whatever the
-    input block layout; row order inside a segment is not defined.
-
-    ``n_buckets`` defaults to the session's CPU count: a fixed width
-    turns a few thousand rows into dozens of near-empty shuffle tasks
-    on a small session and caps parallelism on a large one.  A null
-    key raises ``ValueError``, because it has no group.
-    """
-    n = n_buckets or session_cpus()
-
-    def _tag(b: pa.Table) -> pa.Table:
-        k = b[key]
-        if k.null_count:
-            raise ValueError(f"co_shuffle: null in key column {key!r}")
-        if pa.types.is_integer(k.type):
-            kb = bucket_of(k.to_numpy().astype(np.int64), n)
-        else:
-            enc = pc.dictionary_encode(k.combine_chunks())
-            per_value = np.fromiter(
-                (zlib.crc32(v.encode("utf-8")) % n for v in enc.dictionary.to_pylist()),
-                np.int64, len(enc.dictionary),
-            )
-            kb = per_value[enc.indices.to_numpy()]
-        return b.append_column(_CB, pa.array(kb, pa.int64()))
-
-    def _segments(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([_CB]).sort_by(key)
-        k = group[key].combine_chunks()
-        change = pc.not_equal(k.slice(1), k.slice(0, len(k) - 1))
-        starts = [0, *(np.flatnonzero(change.to_numpy(zero_copy_only=False)) + 1).tolist()]
-        ends = starts[1:] + [group.num_rows]
-        return pa.concat_tables([fn(group.slice(s, e - s)) for s, e in zip(starts, ends)])
-
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        # the groupby sort inherits the input block count: repartition
-        # first so a one-block input still fans out to n tasks and a
-        # many-block one does not pay n_blocks tiny sort tasks
-        .repartition(n)
-        .groupby(_CB)
-        .map_groups(_segments, batch_format="pyarrow")
-    )
+    """``ds.groupby(key).map_groups(fn)`` over ``n_buckets`` blocks,
+    ``shuffle_width(ds)`` by default.  The groupby sort keeps its
+    input's block count, so a ``repartition`` sets the width first."""
+    n = n_buckets or shuffle_width(ds)
+    return ds.repartition(n).groupby(key).map_groups(fn, batch_format="pyarrow")
 
 
 def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None,
@@ -101,6 +57,8 @@ def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None,
     ``ValueError``: NaN has many bit patterns and equals nothing, so it
     has no well-defined group.
     """
+    import pyarrow as pa
+
     aggs = aggs or {}
     val_cols = list(aggs)
 

@@ -21,8 +21,9 @@ oracle, never against shapely output.
 Ray-Data mapping: the tile is the unit of work.  After the spatial
 join, rows already carry per-feature geo coords; ``_buckets.co_shuffle``
 on ``tile_id`` co-locates a tile's features and runs the pure-numpy
-kernels once per tile (SURVEY.md §2.9).  The shuffle is as wide as the
-session has CPUs, never a fixed count.  Masks are emitted as
+kernels once per tile (SURVEY.md §2.9).  The shuffle is as wide as
+``_buckets.shuffle_width`` says (the session's CPUs or the input's
+blocks, whichever is more), never a fixed count.  Masks are emitted as
 PNG-compressed binary columns (wide fixed lists would blow up block
 sizes).
 """
@@ -40,8 +41,7 @@ from ..raster.kernels import (
     rasterize_lines,
     rasterize_rings,
 )
-from ..runtime import session_cpus
-from ._buckets import co_shuffle
+from ._buckets import co_shuffle, shuffle_width
 
 MASK_SCHEMA = pa.schema(
     [
@@ -195,9 +195,9 @@ def masks_from_join(joined, tile_size: int = 128, n_buckets: int | None = None, 
 
     The join output must carry tile bounds; if it doesn't, join them
     back by tile_id first.  ``co_shuffle`` on ``tile_id`` brings all
-    rows of a tile into one bucket and each bucket call loops its
-    tiles, so there is one Python dispatch per bucket, not per tile.
-    ``n_buckets`` defaults to the session's CPU count.
+    rows of a tile into one group and runs ``tile_masks`` once per
+    tile, many tiles per task.  ``n_buckets`` (the shuffle's block
+    count) defaults to ``_buckets.shuffle_width(joined)``.
     """
     return co_shuffle(
         joined, "tile_id",
@@ -213,10 +213,10 @@ def instance_masks(joined, tile_size: int = 128, burn_value: int = 255,
     (solaris/vector/mask.py:845-976; SURVEY.md §7.4 wide-row note).
 
     The input is repartitioned first, into ``n_blocks`` blocks (default:
-    the session's CPU count): a join that materialized to one block
-    would rasterize every instance in ONE task (task granularity is
-    blocks, not batches)."""
-    joined = joined.repartition(n_blocks or session_cpus())
+    ``_buckets.shuffle_width(joined)``): a join that materialized to
+    one block would rasterize every instance in ONE task (task
+    granularity is blocks, not batches)."""
+    joined = joined.repartition(n_blocks or shuffle_width(joined))
 
     def _one(batch: pa.Table) -> pa.Table:
         out = {

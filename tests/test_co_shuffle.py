@@ -13,7 +13,7 @@ import pytest
 from solaris_ray.raster import codec
 from solaris_ray.sources import synth
 from solaris_ray.stages import evaluate, masks, tiler
-from solaris_ray.stages._buckets import co_shuffle
+from solaris_ray.stages._buckets import co_shuffle, shuffle_width
 from solaris_ray.stages.joins import build_join_index, join_tile_batch_to_pack, spatial_join
 
 TS = 128
@@ -97,12 +97,19 @@ def test_co_shuffle_integer_key(ray_session, n_buckets):
     assert got["n"].tolist() == want["count"].tolist()
 
 
-def test_co_shuffle_null_key_raises(ray_session):
+def test_shuffle_width_follows_cpus_and_blocks(ray_session):
+    """At least the session's CPUs; at least the input's blocks."""
     import ray
 
-    ds = ray.data.from_arrow(pa.table({"k": pa.array(["a", None], pa.string())}))
-    with pytest.raises(Exception, match="null in key column 'k'"):
-        co_shuffle(ds, "k", lambda g: g, 1).materialize()
+    from solaris_ray.runtime import session_cpus
+
+    t = pa.table({"k": [1, 2, 3]})
+    cpus = session_cpus()
+    assert shuffle_width(ray.data.from_arrow(t)) == cpus
+    many = ray.data.from_arrow([t] * (cpus + 3))
+    assert shuffle_width(many) == cpus + 3
+    # a lazy map keeps its input's planned block count
+    assert shuffle_width(many.map_batches(lambda b: b, batch_format="pyarrow")) == cpus + 3
 
 
 def _px_sha(buf: bytes) -> str:

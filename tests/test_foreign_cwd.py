@@ -23,8 +23,10 @@ SCRIPT = textwrap.dedent(
     sys.path.insert(0, {repo!r})
 
     import numpy as np
+    import pyarrow as pa
     import ray
 
+    from solaris_ray.raster import codec
     from solaris_ray.runtime import ensure_shippable
     from solaris_ray.sources import synth
     from solaris_ray.stages import masks, tiler
@@ -47,13 +49,22 @@ SCRIPT = textwrap.dedent(
                                   pack, buckets, res, 0.0)
     print("TILES", len(set(ref["tile_id"].to_pylist())))
     # TileCutter's AOI, warp and projection-unit branches, against the
-    # same cutter called in-process
-    row = images.to_pylist()[0]
+    # same cutter called in-process.  The images are re-encoded as
+    # GeoTIFF: a PNG (or qnt) decode loads libpng through a ctypes
+    # module, which cannot be pickled by value, so PNG input still needs
+    # a worker that imports the package.
+    gtif = [codec.encode(codec.decode(b, f), "gtif")
+            for b, f in zip(images["bytes"].to_pylist(), images["fmt"].to_pylist())]
+    tifs = images.set_column(images.schema.get_field_index("bytes"), "bytes",
+                             pa.array(gtif, pa.binary()))
+    tifs = tifs.set_column(tifs.schema.get_field_index("fmt"), "fmt",
+                           pa.array(["gtif"] * tifs.num_rows, pa.string()))
+    row = tifs.to_pylist()[0]
     aoi = (row["gt_c"], row["gt_f"] - 64.0, row["gt_c"] + 32.0, row["gt_f"])
     for dest in (None, 4326):
-        got = tiler.cut_tiles(ray.data.from_arrow(images), tile_size=128, aoi=aoi,
+        got = tiler.cut_tiles(ray.data.from_arrow(tifs), tile_size=128, aoi=aoi,
                               dest_epsg=dest).to_pandas()
-        want = tiler.TileCutter(tile_size=128, aoi=aoi, dest_epsg=dest)(images).to_pandas()
+        want = tiler.TileCutter(tile_size=128, aoi=aoi, dest_epsg=dest)(tifs).to_pandas()
         key = lambda df: sorted(zip(df["tile_id"], df["bytes"]))
         print("CUT", dest, len(got), int(len(got) > 0 and key(got) == key(want)))
     ray.shutdown()
