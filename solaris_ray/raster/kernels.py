@@ -12,6 +12,21 @@ the heart of the reference's mask generation:
   mask_to_poly_geojson (solaris/vector/mask.py:718-818):
   4-connected components traced to rectilinear pixel-boundary rings.
 - ``simplify_ring``    ≙ shapely ``.simplify`` (Douglas–Peucker).
+
+The label path runs on two whole-array tables instead of per-edge,
+per-run and per-pixel loops:
+
+- the SPAN TABLE (``ring_spans``): every edge x scanline crossing of
+  every ring, sorted and paired into ``(ring, row, xa, xb)`` spans.
+  ``rasterize_rings`` paints it; ``span_cover`` counts how many spans
+  cover each pixel (the contact mask's cover, one pass per tile).
+- the RUN TABLE (``_run_table``): the row runs of a mask from one
+  ``np.diff``, overlapping runs of adjacent rows from ``searchsorted``,
+  components from min-label hooking with pointer jumping.
+  ``label_components`` paints it; ``polygonize_full`` takes each
+  component's pixel count from it, then traces every component's
+  boundary in one pass over the label image, as maximal straight
+  segments (one per ring vertex).
 """
 
 from __future__ import annotations
@@ -19,6 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "ring_spans",
+    "span_cover",
     "rasterize_rings",
     "rasterize_lines",
     "dilate_square",
@@ -28,6 +45,93 @@ __all__ = [
     "polygonize_full",
     "simplify_ring",
 ]
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``start[i], start[i] + 1, ..., start[i] + count[i] - 1`` for every
+    i, concatenated."""
+    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+
+
+def ring_spans(
+    coords: np.ndarray, offsets: np.ndarray, h: int, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The span table of packed rings on an [h, w] grid.
+
+    Returns ``(ring, row, xa, xb)``: ring ``ring[k]`` covers pixels
+    ``xa[k] <= col < xb[k]`` of row ``row[k]`` (pixel-centre even-odd
+    rule), sorted by (ring, row, xa); empty spans are dropped.  Every
+    edge x scanline crossing of every ring is computed in one pass.
+    Rings with fewer than 3 vertices cover nothing.  A NaN or infinite
+    coordinate raises ``ValueError`` naming its ring.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    if len(offsets) < 2:
+        return none, none, none, none
+    v = np.asarray(coords)[offsets[0] : offsets[-1]]
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        bad = offsets[0] + int(np.argmin(finite))
+        ring = int(np.searchsorted(offsets, bad, side="right")) - 1
+        raise ValueError(f"ring {ring} has a NaN or infinite coordinate")
+    lens = np.diff(offsets)
+    keep = lens >= 3
+    v = v[np.repeat(keep, lens)]
+    if len(v) == 0:
+        return none, none, none, none
+    ring_id = np.flatnonzero(keep)
+    lens = lens[keep]
+    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    x0 = v[:, 0]
+    y0 = v[:, 1]
+    succ = np.arange(1, len(v) + 1)
+    succ[starts + lens - 1] = starts
+    x1 = x0[succ]
+    y1 = y0[succ]
+    # each ring's window: rows it can cover, and the columns parity can
+    # toggle in (crossings outside are clipped onto its edges)
+    ymin = np.maximum(np.ceil(np.minimum.reduceat(y0, starts) - 0.5), 0).astype(np.int64)
+    ymax = np.minimum(np.floor(np.maximum.reduceat(y0, starts) - 0.5) + 1, h).astype(np.int64)
+    wx0 = np.maximum(np.ceil(np.minimum.reduceat(x0, starts) - 0.5), 0).astype(np.int64)
+    wx1 = np.minimum(np.ceil(np.maximum.reduceat(x0, starts) - 0.5) + 1, w).astype(np.int64)
+    ymax[wx1 <= wx0] = 0  # nothing to burn: drop the ring's rows
+    # edge e crosses scanline y = row + 0.5 when elo <= y < ehi
+    # (half-open, so a vertex counts once); candidate rows are widened
+    # by one each way, then tested exactly
+    er = np.repeat(np.arange(len(lens)), lens)
+    elo = np.minimum(y0, y1)
+    ehi = np.maximum(y0, y1)
+    ra = np.clip(np.ceil(elo - 0.5) - 1, ymin[er], ymax[er]).astype(np.int64)
+    rb = np.clip(np.ceil(ehi - 0.5) + 1, ymin[er], ymax[er]).astype(np.int64)
+    cnt = np.maximum(rb - ra, 0)
+    e = np.repeat(np.arange(len(v)), cnt)
+    row = _ranges(ra, cnt)
+    ys = row + 0.5
+    hit = (ys >= elo[e]) & (ys < ehi[e])
+    e, row, ys = e[hit], row[hit], ys[hit]
+    xint = x0[e] + (ys - y0[e]) * (x1[e] - x0[e]) / (y1[e] - y0[e])
+    # a crossing toggles parity at pixel ceil(x - 0.5)
+    r = er[e]
+    px = np.clip(np.ceil(xint - 0.5).astype(np.int64), wx0[r], wx1[r])
+    # every (ring, row) has an even number of crossings: sorted, they pair
+    # into spans
+    key = np.sort((r * h + row) * (w + 1) + px)
+    rr, px = np.divmod(key, w + 1)
+    r, row = np.divmod(rr[0::2], h)
+    xa, xb = px[0::2], px[1::2]
+    span = xb > xa
+    return ring_id[r[span]], row[span], xa[span], xb[span]
+
+
+def span_cover(row: np.ndarray, xa: np.ndarray, xb: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """How many spans cover each pixel of ``shape`` (a per-row diff
+    array and its cumsum)."""
+    h, w = shape
+    n = h * (w + 1)
+    base = row * (w + 1)
+    diff = np.bincount(base + xa, minlength=n) - np.bincount(base + xb, minlength=n)
+    return np.cumsum(diff.reshape(h, w + 1), axis=1)[:, :w]
 
 
 def rasterize_rings(
@@ -43,66 +147,25 @@ def rasterize_rings(
     ``values`` is a scalar burn value or a per-ring array (the
     reference's ``burn_field`` semantics, solaris/vector/mask.py:214).
     Later rings overwrite earlier ones, matching rasterio's default.
-    Pixel-center even-odd scanline fill.
+    Pixel-center even-odd fill of every ring from one ``ring_spans``
+    table.
     """
     h, w = shape
     if out is None:
         out = np.zeros((h, w), dtype=dtype)
-    n = len(offsets) - 1
-    vals = np.full(n, values) if np.isscalar(values) else np.asarray(values)
-    for i in range(n):
-        ring = coords[offsets[i] : offsets[i + 1]]
-        if len(ring) < 3:
-            continue
-        _fill_ring(out, ring, vals[i], h, w)
+    ring, row, xa, xb = ring_spans(coords, offsets, h, w)
+    if np.isscalar(values):
+        out[span_cover(row, xa, xb, shape) > 0] = np.asarray(values)
+        return out
+    # per-ring values: the highest ring index covering a pixel wins
+    lens = xb - xa
+    pix = _ranges(row * w + xa, lens)
+    owner = np.full(h * w, -1, dtype=np.int64)
+    np.maximum.at(owner, pix, np.repeat(ring, lens))
+    owner = owner.reshape(h, w)
+    hit = owner >= 0
+    out[hit] = np.asarray(values)[owner[hit]]
     return out
-
-
-def _fill_ring(out: np.ndarray, ring: np.ndarray, value, h: int, w: int) -> None:
-    x0 = ring[:, 0]
-    y0 = ring[:, 1]
-    # manual roll: np.roll's axis normalization costs more than the
-    # whole fill on small rings
-    x1 = np.empty_like(x0)
-    x1[:-1] = x0[1:]
-    x1[-1] = x0[0]
-    y1 = np.empty_like(y0)
-    y1[:-1] = y0[1:]
-    y1[-1] = y0[0]
-    ymin = max(int(np.ceil(y0.min() - 0.5)), 0)
-    ymax = min(int(np.floor(y0.max() - 0.5)) + 1, h)  # exclusive
-    if ymax <= ymin:
-        return
-    # window the parity accumulator to the ring's x-extent: crossings
-    # can only toggle inside it, and parity left of it is 0 — a small
-    # footprint on a wide tile otherwise pays O(rows * W) cumsum per
-    # ring for O(rows * footprint) of actual work
-    wx0 = max(int(np.ceil(x0.min() - 0.5)), 0)
-    wx1 = min(int(np.ceil(x0.max() - 0.5)) + 1, w)  # exclusive
-    if wx1 <= wx0:
-        return
-    ww = wx1 - wx0
-    rows = np.arange(ymin, ymax)
-    ys = rows + 0.5
-    # edges crossing each scanline (half-open [min, max) to handle vertices)
-    elo = np.minimum(y0, y1)
-    ehi = np.maximum(y0, y1)
-    nonhoriz = ehi > elo
-    # diff-array fill: +1 at span start pixel, -1 at span end pixel
-    acc = np.zeros((len(rows), ww + 1), dtype=np.int32)
-    for e in np.nonzero(nonhoriz)[0]:
-        m = (ys >= elo[e]) & (ys < ehi[e])
-        if not m.any():
-            continue
-        xint = x0[e] + (ys[m] - y0[e]) * (x1[e] - x0[e]) / (y1[e] - y0[e])
-        ri = rows[m] - ymin
-        # crossing toggles parity at pixel index ceil(x - 0.5)
-        px = np.ceil(xint - 0.5).astype(np.int64)
-        px = np.clip(px, wx0, wx1) - wx0
-        np.add.at(acc, (ri, px), 1)
-    inside = (np.cumsum(acc[:, :-1], axis=1) % 2) == 1
-    sub = out[ymin:ymax, wx0:wx1]
-    sub[inside] = value
 
 
 def rasterize_lines(
@@ -160,132 +223,141 @@ def erode_square(mask: np.ndarray, k: int) -> np.ndarray:
     return _sliding_minmax(mask, k, np.min)
 
 
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row runs of a boolean [H, W] mask in raster order: run k covers
+    columns ``c0[k] <= col < c1[k]`` of row ``row[k]``."""
+    h, w = mask.shape
+    flat = np.zeros((h, w + 1), dtype=np.int8)
+    flat[:, :w] = mask != 0
+    d = np.diff(flat.ravel(), prepend=np.int8(0))
+    row, c0 = np.divmod(np.flatnonzero(d == 1), w + 1)
+    c1 = np.flatnonzero(d == -1) - row * (w + 1)
+    return row, c0, c1
+
+
+def _run_table(mask: np.ndarray):
+    """The run table of a boolean mask: ``(row, c0, c1, label, n)``.
+
+    ``label[k]`` is the 4-connected component of run k, 1..n, numbered
+    by each component's first run in raster order.  Runs of adjacent
+    rows that overlap in columns are found with ``searchsorted``;
+    components come from min-label hooking plus pointer jumping.
+    """
+    row, c0, c1 = _runs(mask)
+    w1 = mask.shape[1] + 1
+    start, end = row * w1 + c0, row * w1 + c1
+    # run b touches the runs of the row above whose end > its start and
+    # whose start < its end (keys shifted up one row)
+    lo = np.searchsorted(end, start - w1, side="right")
+    hi = np.searchsorted(start, end - w1, side="left")
+    cnt = np.maximum(hi - lo, 0)
+    b = np.repeat(np.arange(len(row)), cnt)
+    a = _ranges(lo, cnt)
+    root = np.arange(len(row))
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            break
+        # hook the larger root under the smaller, then flatten
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    # a root is its component's first run; number components in that order
+    rank = np.cumsum(root == np.arange(len(row)))
+    return row, c0, c1, rank[root].astype(np.int32), int(rank[-1]) if len(rank) else 0
+
+
+def _paint_runs(shape, row, c0, c1, label) -> np.ndarray:
+    """The int32 image of a run table: ``label[k]`` on run k, else 0."""
+    h, w = shape
+    flat = np.zeros(h * (w + 1), dtype=np.int32)
+    flat[row * (w + 1) + c0] = label
+    flat[row * (w + 1) + c1] = -label
+    return np.ascontiguousarray(np.cumsum(flat, dtype=np.int32).reshape(h, w + 1)[:, :w])
+
+
 def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """4-connected component labeling of a boolean mask.
 
-    Two-pass union-find, vectorized row merging; labels start at 1.
+    Labels start at 1, numbered by each component's first pixel in
+    raster order; an empty mask gives ``(zeros, 0)``.
     (rasterio.features.shapes uses 4-connectivity by default.)
     """
-    h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    parent = [0]  # parent[i] for union-find; 0 = background sentinel
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    nxt = 1
-    for r in range(h):
-        row = mask[r]
-        runs = np.flatnonzero(np.diff(np.concatenate(([0], row.view(np.uint8), [0]))))
-        for s, e in zip(runs[::2], runs[1::2]):
-            above = labels[r - 1, s:e] if r > 0 else np.empty(0, dtype=np.int32)
-            touching = np.unique(above[above > 0])
-            if len(touching) == 0:
-                parent.append(nxt)
-                labels[r, s:e] = nxt
-                nxt += 1
-            else:
-                roots = sorted({find(int(t)) for t in touching})
-                keep = roots[0]
-                for other in roots[1:]:
-                    parent[other] = keep
-                labels[r, s:e] = keep
-    # flatten labels
-    remap = np.arange(nxt, dtype=np.int32)
-    for i in range(1, nxt):
-        remap[i] = find(i)
-    # compact to 1..n
-    uniq, compact = np.unique(remap[1:], return_inverse=True)
-    lut = np.zeros(nxt, dtype=np.int32)
-    lut[1:] = compact + 1
-    out = lut[remap[labels]]
-    return out, int(out.max())
+    row, c0, c1, label, n = _run_table(mask)
+    return _paint_runs(mask.shape, row, c0, c1, label), n
 
 
-def _trace_loops(comp: np.ndarray) -> list[np.ndarray]:
-    """ALL boundary loops of a 4-connected component.
+def _trace_loops(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """ALL boundary loops of every component of a label image.
 
     Directed pixel-edge following with interior on the left.  The
-    directed boundary-edge set of a component decomposes into exactly
-    one outer ring plus one loop per interior hole (rasterio
-    ``features.shapes`` emits both — solaris/vector/mask.py:776-797).
-    Returns open (N, 2) rings in (x, y) pixel-corner coordinates,
-    collinear points merged; the OUTER ring is always first (it owns
-    the lexicographically smallest boundary corner).
+    directed boundary-edge set of a 4-connected component decomposes
+    into exactly one outer ring plus one loop per interior hole
+    (rasterio ``features.shapes`` emits both —
+    solaris/vector/mask.py:776-797).  Returns ``(label, ring)`` pairs,
+    by label, each ring an open (N, 2) array of its corners in (x, y)
+    pixel-corner coordinates; a component's OUTER ring comes first (it
+    owns the component's lexicographically smallest boundary corner).
+
+    The four directed edge maps are merged into maximal straight
+    segments, so each ring vertex is one segment, and the segments are
+    chained once per vertex.  Each loop starts at its component's
+    smallest remaining corner.  At a pinch corner (two out-segments of
+    one component) the walk takes the sharpest left turn; with no
+    incoming direction it would take the first-inserted out-edge, in
+    (pixel row-major, side) order.
     """
-    h, w = comp.shape
-    padded = np.zeros((h + 2, w + 2), dtype=bool)
-    padded[1:-1, 1:-1] = comp
-    inside = padded
-    # directed edges: key = start corner, val = list of (end corner)
-    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    n_edges = 0
-    rs, cs = np.nonzero(comp)
-    for r, c in zip(rs.tolist(), cs.tolist()):
-        pr, pc = r + 1, c + 1
-        if not inside[pr - 1, pc]:  # top edge, rightward
-            edges.setdefault((c, r), []).append((c + 1, r))
-            n_edges += 1
-        if not inside[pr, pc + 1]:  # right edge, downward
-            edges.setdefault((c + 1, r), []).append((c + 1, r + 1))
-            n_edges += 1
-        if not inside[pr + 1, pc]:  # bottom edge, leftward
-            edges.setdefault((c + 1, r + 1), []).append((c, r + 1))
-            n_edges += 1
-        if not inside[pr, pc - 1]:  # left edge, upward
-            edges.setdefault((c, r + 1), []).append((c, r))
-            n_edges += 1
-    loops: list[np.ndarray] = []
-    while n_edges > 0:
-        # start each loop at the smallest remaining corner; the first
-        # loop traced is therefore the outer ring
-        start = min(k for k, v in edges.items() if v)
-        ring = [start]
-        prev_dir = None
-        cur = start
-        while True:
-            outs = edges[cur]
-            if len(outs) == 1:
-                nxt = outs.pop()
-            else:
-                # ambiguous corner (pinch): prefer the sharpest left
-                # turn so each loop stays simple and closed
-                def turn_key(cand):
-                    dx, dy = cand[0] - cur[0], cand[1] - cur[1]
-                    if prev_dir is None:
-                        return 0
-                    px, py = prev_dir
-                    cross = px * dy - py * dx
-                    dot = px * dx + py * dy
-                    return -np.arctan2(cross, dot)
-
-                nxt = min(outs, key=turn_key)
-                outs.remove(nxt)
-            n_edges -= 1
-            prev_dir = (nxt[0] - cur[0], nxt[1] - cur[1])
-            cur = nxt
-            if cur == start:
-                break
-            ring.append(cur)
-        arr = np.asarray(ring, dtype=np.float64)
-        # merge collinear runs (rectilinear → keep corners only)
-        if len(arr) > 2:
-            prev_seg = arr - np.roll(arr, 1, axis=0)
-            next_seg = np.roll(arr, -1, axis=0) - arr
-            corner = (prev_seg[:, 0] * next_seg[:, 1] - prev_seg[:, 1] * next_seg[:, 0]) != 0
-            arr = arr[corner]
-        loops.append(arr)
+    h, w = labels.shape
+    p = np.zeros((h + 2, w + 2), dtype=bool)
+    p[1:-1, 1:-1] = labels > 0
+    fg = p[1:-1, 1:-1]
+    # directed boundary edges of pixel (r, c): top (c,r)->(c+1,r),
+    # right (c+1,r)->(c+1,r+1), bottom (c+1,r+1)->(c,r+1), left (c,r+1)->(c,r).
+    # 4-neighbours in the mask share a label, so every run of edges
+    # belongs to one component.
+    r_t, a_t, b_t = _runs(fg & ~p[:-2, 1:-1])
+    c_r, a_r, b_r = _runs((fg & ~p[1:-1, 2:]).T)
+    r_b, a_b, b_b = _runs(fg & ~p[2:, 1:-1])
+    c_l, a_l, b_l = _runs((fg & ~p[1:-1, :-2]).T)
+    sx = np.concatenate((a_t, c_r + 1, b_b, c_l))
+    sy = np.concatenate((r_t, a_r, r_b + 1, b_l))
+    ex = np.concatenate((b_t, c_r + 1, a_b, c_l))
+    ey = np.concatenate((r_t, b_r, r_b + 1, a_l))
+    # pixel and side of each segment's first unit edge
+    pix = np.concatenate((r_t * w + a_t, a_r * w + c_r, r_b * w + b_b - 1, (b_l - 1) * w + c_l))
+    side = np.repeat(np.arange(4), (len(r_t), len(c_r), len(r_b), len(c_l)))
+    lab = labels.ravel()[pix].astype(np.int64)
+    dx, dy = np.sign(ex - sx), np.sign(ey - sy)
+    skey = (lab * (w + 1) + sx) * (h + 1) + sy
+    order = np.lexsort((side, pix, skey))
+    # successor: the segment of the same component leaving this one's end
+    # corner; at a pinch corner, the one turning left
+    ekey = (lab * (w + 1) + ex) * (h + 1) + ey
+    sorted_key = skey[order]
+    lo = np.searchsorted(sorted_key, ekey, side="left")
+    two = np.searchsorted(sorted_key, ekey, side="right") - lo == 2
+    first = order[lo]
+    second = order[np.minimum(lo + 1, len(order) - 1)]
+    left = dx * dy[first] - dy * dx[first] > 0
+    succ = np.where(two & ~left, second, first).tolist()
+    # walking in key order starts every loop at its smallest corner
+    corners = np.stack([sx, sy], axis=1).astype(np.float64)
+    lab = lab.tolist()
+    seen = [False] * len(succ)
+    loops: list[tuple[int, np.ndarray]] = []
+    for s in order.tolist():
+        if seen[s]:
+            continue
+        ring = []
+        while not seen[s]:
+            seen[s] = True
+            ring.append(s)
+            s = succ[s]
+        loops.append((lab[ring[0]], corners[ring]))
     return loops
-
-
-def _trace_boundary(comp: np.ndarray) -> np.ndarray:
-    """Outer boundary only (back-compat wrapper over ``_trace_loops``)."""
-    return _trace_loops(comp)[0]
 
 
 def polygonize_full(
@@ -296,18 +368,23 @@ def polygonize_full(
     Mirrors mask_to_poly_geojson (solaris/vector/mask.py:718-818) with
     rasterio ``features.shapes`` semantics: each 4-connected component
     becomes one polygon with its interior rings (holes).  ``min_area``
-    filters on the component PIXEL count (net area).  Output order is
-    deterministic: components sorted by (min row, min col).
+    filters on the component PIXEL count (net area), taken from the run
+    table.  Output order is deterministic: components sorted by (min
+    row, min col).
     """
-    labels, n = label_components(mask > 0)
-    polys = []
-    for i in range(1, n + 1):
-        comp = labels == i
-        area = float(comp.sum())
-        if area < min_area:
-            continue
-        loops = _trace_loops(comp)
-        polys.append((loops[0], loops[1:]))
+    row, c0, c1, label, n = _run_table(mask > 0)
+    if n == 0:
+        return []
+    area = np.bincount(label, weights=c1 - c0, minlength=n + 1)
+    label[(area < min_area)[label]] = 0
+    polys: list[tuple[np.ndarray, list[np.ndarray]]] = []
+    last = 0
+    for i, ring in _trace_loops(_paint_runs(mask.shape, row, c0, c1, label)):
+        if i == last:
+            polys[-1][1].append(ring)
+        else:
+            polys.append((ring, []))
+            last = i
     return polys
 
 

@@ -40,6 +40,8 @@ from ..raster.kernels import (
     erode_square,
     rasterize_lines,
     rasterize_rings,
+    ring_spans,
+    span_cover,
 )
 from ._buckets import co_shuffle, shuffle_width
 
@@ -140,24 +142,26 @@ def tile_masks(
     # contact_mask (:321-444): buffer each footprint by spacing/2;
     # contact = pixels covered by >= 2 buffered objects, minus
     # footprint pixels.  Convex rings take the GEOMETRIC buffer
-    # (buffer_convex — one cheap rasterize per feature, and closer to
-    # the reference's shapely buffer than a square dilation); the rare
+    # (buffer_convex — closer to the reference's shapely buffer than a
+    # square dilation), all counted from one span table; the rare
     # non-convex ring falls back to pixel dilation.
     k = max(1, int(round(contact_spacing / 2)))
     if len(poly_idx) >= 2:
         cover = np.zeros(shape, dtype=np.int16)
+        bufs = []
         for i in range(len(poly_idx)):
             ring = coords[offsets[i] : offsets[i + 1]]
             if _is_convex(ring):
-                buf = buffer_convex(ring, float(k))
-                cover += rasterize_rings(
-                    buf, np.asarray([0, len(buf)]), shape, values=1
-                ).astype(np.int16)
+                bufs.append(buffer_convex(ring, float(k)))
             else:
                 one = rasterize_rings(
                     ring, np.asarray([0, len(ring)]), shape, values=1
                 )
-                cover += dilate_square(one, 2 * k + 1).astype(np.int16)
+                cover += dilate_square(one, 2 * k + 1)
+        if bufs:
+            buf_offsets = np.cumsum([0] + [len(b) for b in bufs])
+            _, row, xa, xb = ring_spans(np.concatenate(bufs), buf_offsets, *shape)
+            cover += span_cover(row, xa, xb, shape)
         contact = ((cover >= 2) & (footprint == 0)).astype(np.uint8) * burn_value
     else:
         contact = empty.copy()
