@@ -4552,9 +4552,12 @@ def q_bfs_hops(sf_dir: str):
     """Multi-source BFS hop distances over the deterministic chord
     graph on customer keys (the pagerank fixture's edge rule), seeded
     at every key divisible by 29 — the graph twin of
-    "distance to nearest POI".  Frontier-synchronous rounds, two
-    id-only bucketed co-shuffles each, exact int64 min-merge; the SQL
-    twin is a depth-capped recursive CTE, so output is hash-exact."""
+    "distance to nearest POI".  ``bfs_hops`` is ``sssp_dist`` over unit
+    weights: one CSR task up to its edge limit, above it
+    frontier-synchronous rounds of two id-only co-shuffles
+    (``shuffle_width`` buckets); either way an exact int64 min-merge.
+    The SQL twin is a depth-capped recursive CTE, so output is
+    hash-exact."""
     from ..stages.bfs import bfs_hops
 
     cust = _read(sf_dir, "customer", ["c_custkey"])

@@ -1,4 +1,4 @@
-"""Shared shuffle-bucket hash and the sized co-shuffle.
+"""Shared shuffle-bucket hash, the shuffle width and the sized co-shuffle.
 
 One definition of the Knuth multiplicative bucket key used by the
 bucketed co-shuffle stages (triangles, pagerank, funnel, ...) so the
@@ -6,8 +6,14 @@ constant and modulo semantics cannot silently diverge between
 operators.  numpy's Python-style ``%`` keeps the result non-negative
 even when the int64 product wraps.
 
-``co_shuffle`` is the one keyed co-shuffle whose width follows the
-session and the input, never a fixed count.
+``shuffle_width`` is the one sizing policy: it follows the session and
+the input, never a fixed count.  ``co_shuffle`` (the mask family),
+``distinct_reduce`` and the graph family (``bfs_hops``, ``sssp_dist``,
+``pagerank``, ``kcore``, ``triangle_counts``,
+``link_prediction_scores``) take their bucket count and every
+repartition from it.  Iterative operators compute it once from their
+input before the first round: the block count of unioned per-round
+state grows every round (NOTES round 4i).
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ def co_shuffle(ds, key: str, fn, n_buckets: int | None = None):
     return ds.repartition(n).groupby(key).map_groups(fn, batch_format="pyarrow")
 
 
-def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None,
-                    n_buckets: int = 64):
+def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None):
     """Exact distinct / grouped min-max over int64-keyed rows: ONE
-    bucketed co-shuffle + a vectorized in-bucket segment reduce.
+    bucketed co-shuffle over ``shuffle_width(ds)`` buckets + a
+    vectorized in-bucket segment reduce.
 
     Replaces ``ds.groupby(key_cols).count()/aggregate(Min/Max)`` for
     the pair-distinct shape: Ray's hash aggregate spends ~100 us of
@@ -60,7 +66,7 @@ def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None,
     import pyarrow as pa
 
     aggs = aggs or {}
-    val_cols = list(aggs)
+    width = shuffle_width(ds)
 
     def _as_i64(b: pa.Table, c: str) -> np.ndarray:
         a = b[c].to_numpy(zero_copy_only=False)
@@ -76,7 +82,7 @@ def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None,
         mix = _as_i64(b, key_cols[0]).copy()
         for c in key_cols[1:]:
             mix = mix * np.int64(1000003) + _as_i64(b, c)
-        return b.append_column("__db", pa.array(bucket_of(mix, n_buckets)))
+        return b.append_column("__db", pa.array(bucket_of(mix, width)))
 
     def _reduce(group: pa.Table) -> pa.Table:
         is_f = [group[c].to_numpy(zero_copy_only=False).dtype == np.float64

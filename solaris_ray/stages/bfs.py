@@ -7,118 +7,24 @@ builds the graph but has no analytics).  Multi-source BFS also powers
 crawl-frontier depth limits and link-graph quality tiers in corpus
 curation.
 
-Algorithm: frontier-synchronous label-correcting BFS.  All state rows
-are id-only int64 (node, dist) — min() is order-free, so results are
-bit-reproducible at any parallelism and hash-identical to a SQL
-recursive-CTE twin.
-
-Per round, TWO bucketed co-shuffles (the pagerank.py skeleton):
-  1. frontier rows + (src, dst) edge rows meet in ``groupby``
-     (bucket of the SOURCE node); a vectorized searchsorted lookup
-     emits one (dst, dist+1) candidate per out-edge of a frontier node;
-  2. candidates + current label rows meet in ``groupby`` (bucket of
-     the node); a lexsort-segment min computes the new label and the
-     IMPROVED subset becomes the next frontier.
-The edge table is bucket-tagged and materialized ONCE (consumed every
-round — the NOTES round-4d fan-out rule); labels and frontier are
-repartitioned to a bounded block count each round so the per-round
-sort cost stays flat (the round-4i block-growth lesson).
-
-Rounds run until the frontier is empty — ``count()`` on a materialized
-id-only dataset is metadata-only, so convergence detection is free.
-Round count is O(eccentricity of the seed set), the BFS lower bound
-for synchronous frontier expansion.
-
-Two physical plans, chosen by edge count (the ``connected_components``
-idiom): graphs ``<= small_edge_limit`` edges route to ONE remote task
-running a fully vectorized CSR BFS (each synchronous round is ~1.3 s
-of fixed Ray Data overhead at any data size, so a 15-round frontier
-loop over a 45k-edge graph pays 20 s for 50 ms of work); larger graphs
-keep the frontier-synchronous rounds, whose per-round shuffle volume
-is what survives 100 TB.  Both plans are parity-tested bit-identical.
-
-Partitioning assumption (SURVEY custom-operator rule): node ids are
-non-negative int64 (the ``dst = -1`` frontier-row marker relies on it).
-Per-round shuffle volume is O(frontier out-degree + |visited|) rows of
-three int64s; no stage ever holds more than one bucket in memory.
+``bfs_hops`` is ``sssp.sssp_dist`` over unit weights, so both physical
+plans (one CSR task for small graphs, frontier-synchronous rounds for
+large ones) are the weighted engine's.  This is exact, not an
+approximation: with every weight 1, round r of the label-correcting
+relaxation improves exactly the unreached out-neighbours of the nodes
+at distance r (a reached node already holds its minimum hop count, and
+any candidate for it is >= that count), so labels, frontiers and round
+counts equal synchronous BFS's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from .sssp import sssp_dist
 
 _OUT_SCHEMA = pa.schema([("node", pa.int64()), ("hops", pa.int64())])
-
-
-def _bfs_single_task(edge_side, state):
-    """Small-graph plan: ONE remote task runs vectorized CSR BFS over
-    the already-tagged edge blocks (k=src, dst) and state blocks
-    (seeds = every k row; all enter at d=0).  Engine-side: blocks move
-    object-store -> task as refs; the driver never holds the graph."""
-    import ray
-
-    @ray.remote
-    def _bfs(n_edge_blocks, *blocks):
-        eb = [b for b in blocks[:n_edge_blocks] if "dst" in b.schema.names]
-        sb = [b for b in blocks[n_edge_blocks:] if "k" in b.schema.names]
-        src = np.concatenate(
-            [b["k"].to_numpy(zero_copy_only=False) for b in eb]
-        ).astype(np.int64) if eb else np.empty(0, np.int64)
-        dst = np.concatenate(
-            [b["dst"].to_numpy(zero_copy_only=False) for b in eb]
-        ).astype(np.int64) if eb else np.empty(0, np.int64)
-        seeds = np.concatenate(
-            [b["k"].to_numpy(zero_copy_only=False) for b in sb]
-        ).astype(np.int64) if sb else np.empty(0, np.int64)
-        uniq, inv = np.unique(
-            np.concatenate([src, dst, seeds]), return_inverse=True
-        )
-        n = uniq.size
-        si = inv[: src.size]
-        di = inv[src.size: src.size + dst.size]
-        sdi = inv[src.size + dst.size:]
-        order = np.argsort(si, kind="stable")
-        si, adj = si[order], di[order]
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(si, minlength=n), out=indptr[1:])
-        dist = np.full(n, -1, np.int64)
-        frontier = np.unique(sdi)
-        dist[frontier] = 0
-        hops = 0
-        while frontier.size:
-            starts = indptr[frontier]
-            deg = indptr[frontier + 1] - starts
-            tot = int(deg.sum())
-            if tot == 0:
-                break
-            # flat index array for all out-edges of the frontier
-            idx = np.repeat(starts - np.concatenate(([0], np.cumsum(deg)[:-1])),
-                            deg) + np.arange(tot)
-            nbrs = np.unique(adj[idx])
-            new = nbrs[dist[nbrs] < 0]
-            if new.size == 0:
-                break
-            hops += 1
-            dist[new] = hops
-            frontier = new
-        hit = dist >= 0
-        return pa.table(
-            {
-                "node": pa.array(uniq[hit], pa.int64()),
-                "hops": pa.array(dist[hit], pa.int64()),
-            }
-        )
-
-    e_refs = edge_side.to_arrow_refs()
-    s_refs = state.to_arrow_refs()
-    ref = _bfs.remote(len(e_refs), *e_refs, *s_refs)
-    import ray.data
-
-    return ray.data.from_arrow_refs([ref])
 
 
 def bfs_hops(
@@ -128,8 +34,6 @@ def bfs_hops(
     dst_col: str = "dst",
     seed_col: str = "node",
     max_rounds: int = 256,
-    n_buckets: int = 64,
-    shuffle_blocks: int = 16,
     small_edge_limit: int = 500_000,
     stats_out: dict | None = None,
 ):
@@ -141,182 +45,22 @@ def bfs_hops(
     frontier empties, and raises if the valve trips first (a partial
     BFS must never be mistaken for a converged one).
     """
+    import ray.data
 
-    def _tag_edges(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if s.size and (s.min() < 0 or d.min() < 0):
-            raise ValueError("bfs_hops requires non-negative node ids")
-        return pa.table(
-            {
-                "k": pa.array(s, pa.int64()),
-                "dst": pa.array(d, pa.int64()),
-                "d": pa.array(np.zeros(s.size, np.int64)),
-                "kb": pa.array(bucket_of(s, n_buckets), pa.int64()),
-            }
-        )
+    def _unit(batch: pa.Table) -> pa.Table:
+        w = pa.array(np.ones(batch.num_rows, np.int64))
+        return pa.table({"src": batch[src_col], "dst": batch[dst_col], "w": w})
 
-    edge_side = (
-        edges.map_batches(_tag_edges, batch_format="pyarrow")
-        .repartition(shuffle_blocks)
-        .materialize()
+    dist = sssp_dist(
+        edges.map_batches(_unit, batch_format="pyarrow"),
+        seeds,
+        seed_col=seed_col,
+        max_rounds=max_rounds,
+        small_edge_limit=small_edge_limit,
+        stats_out=stats_out,
+    ).materialize()
+    if dist.count() == 0:  # a rename over no blocks would drop the schema
+        return ray.data.from_arrow(_OUT_SCHEMA.empty_table())
+    return dist.map_batches(
+        lambda b: b.rename_columns(_OUT_SCHEMA.names), batch_format="pyarrow"
     )
-
-    def _tag_seeds(batch: pa.Table) -> pa.Table:
-        n = batch[seed_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if n.size and n.min() < 0:
-            raise ValueError("bfs_hops requires non-negative node ids")
-        # each seed enters as BOTH a settled label row (f=0, survives
-        # the per-round label filter) and a frontier row (f=1)
-        k2 = np.concatenate([n, n])
-        f2 = np.concatenate(
-            [np.zeros(n.size, np.int64), np.ones(n.size, np.int64)]
-        )
-        return pa.table(
-            {
-                "k": pa.array(k2, pa.int64()),
-                "d": pa.array(np.zeros(k2.size, np.int64)),
-                "f": pa.array(f2, pa.int64()),
-                "kb": pa.array(bucket_of(k2, n_buckets), pa.int64()),
-            }
-        )
-
-    # state rows: (k=node, d=dist, f flag 0=settled label / 1=frontier)
-    state = (
-        seeds.map_batches(_tag_seeds, batch_format="pyarrow")
-        .repartition(shuffle_blocks)
-        .materialize()
-    )
-
-    n_edges = edge_side.count()  # metadata-only on a materialized ds
-    if n_edges <= small_edge_limit:
-        if stats_out is not None:
-            stats_out["plan"] = "single-task"
-            stats_out["edges"] = n_edges
-        return _bfs_single_task(edge_side, state)
-    if stats_out is not None:
-        stats_out["plan"] = "frontier-rounds"
-        stats_out["edges"] = n_edges
-
-    def _to_frontier_rows(batch: pa.Table) -> pa.Table:
-        # frontier rows ride shuffle 1 in the edge-row schema with the
-        # dst = -1 marker
-        t = batch.filter(pc.equal(batch["f"], 1))
-        k = t["k"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "k": t["k"],
-                "dst": pa.array(np.full(k.size, -1, np.int64)),
-                "d": t["d"],
-                "kb": t["kb"],
-            }
-        )
-
-    def _expand(group: pa.Table) -> pa.Table:
-        # bucket of source nodes: emit (dst, dist+1) per out-edge of a
-        # frontier node, as shuffle-2 candidate rows (f = 1)
-        k = group["k"].to_numpy(zero_copy_only=False)
-        dst = group["dst"].to_numpy(zero_copy_only=False)
-        d = group["d"].to_numpy(zero_copy_only=False)
-        is_front = dst < 0
-        fk, fd = k[is_front], d[is_front]
-        order = np.argsort(fk, kind="stable")
-        fk, fd = fk[order], fd[order]
-        ek, ed = k[~is_front], dst[~is_front]
-        if ek.size and fk.size:
-            pos = np.searchsorted(fk, ek)
-            pos_c = np.minimum(pos, fk.size - 1)
-            hit = fk[pos_c] == ek
-            out_n = ed[hit]
-            out_d = fd[pos_c[hit]] + 1
-        else:
-            out_n = np.zeros(0, np.int64)
-            out_d = np.zeros(0, np.int64)
-        return pa.table(
-            {
-                "k": pa.array(out_n, pa.int64()),
-                "d": pa.array(out_d, pa.int64()),
-                "f": pa.array(np.ones(out_n.size, np.int64)),
-                "kb": pa.array(bucket_of(out_n, n_buckets), pa.int64()),
-            }
-        )
-
-    def _combine(group: pa.Table) -> pa.Table:
-        # bucket of nodes: candidates (f=1) min-merge with the settled
-        # label (f=0, at most one per node); improved nodes re-enter
-        # the frontier
-        k = group["k"].to_numpy(zero_copy_only=False)
-        d = group["d"].to_numpy(zero_copy_only=False)
-        f = group["f"].to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="stable")
-        k, d, f = k[order], d[order], f[order]
-        new = np.ones(k.size, bool)
-        new[1:] = k[1:] != k[:-1]
-        starts = np.flatnonzero(new)
-        seg = np.cumsum(new) - 1
-        mind = np.minimum.reduceat(d, starts)
-        old = np.full(starts.size, np.iinfo(np.int64).max, np.int64)
-        lab = f == 0
-        old[seg[lab]] = d[lab]  # at most one settled label per node
-        nodes = k[starts]
-        improved = mind < old
-        out_k = np.concatenate([nodes, nodes[improved]])
-        out_d = np.concatenate([mind, mind[improved]])
-        out_f = np.concatenate(
-            [np.zeros(nodes.size, np.int64), np.ones(int(improved.sum()), np.int64)]
-        )
-        return pa.table(
-            {
-                "k": pa.array(out_k, pa.int64()),
-                "d": pa.array(out_d, pa.int64()),
-                "f": pa.array(out_f, pa.int64()),
-                "kb": pa.array(bucket_of(out_k, n_buckets), pa.int64()),
-            }
-        )
-
-    def _front_count(batch: pa.Table) -> pa.Table:
-        n = int(pc.sum(pc.cast(pc.equal(batch["f"], 1), pa.int64())).as_py() or 0)
-        return pa.table({"n": pa.array([n], pa.int64())})
-
-    rounds = 0
-    while True:
-        # one vectorized scan over the materialized id-only state;
-        # Dataset.sum is None on an empty dataset (box-gotchas) — coalesce
-        frontier_n = (
-            state.map_batches(_front_count, batch_format="pyarrow").sum("n") or 0
-        )
-        if frontier_n == 0:
-            break
-        if rounds >= max_rounds:
-            raise RuntimeError(
-                f"bfs_hops: frontier still non-empty after max_rounds={max_rounds}"
-            )
-        rounds += 1
-        front = state.map_batches(_to_frontier_rows, batch_format="pyarrow")
-        cands = (
-            front.union(edge_side)
-            .groupby("kb")
-            .map_groups(_expand, batch_format="pyarrow")
-        )
-
-        def _labels_only(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.equal(batch["f"], 0))
-
-        state = (
-            cands.union(state.map_batches(_labels_only, batch_format="pyarrow"))
-            .groupby("kb")
-            .map_groups(_combine, batch_format="pyarrow")
-            .repartition(shuffle_blocks)
-            .materialize()
-        )
-
-    if stats_out is not None:
-        stats_out["rounds"] = rounds
-
-    def _out(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch["f"], 0))
-        if t.num_rows == 0:
-            return _OUT_SCHEMA.empty_table()
-        return pa.table({"node": t["k"], "hops": t["d"]})
-
-    return state.map_batches(_out, batch_format="pyarrow")

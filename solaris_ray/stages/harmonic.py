@@ -6,15 +6,17 @@ centrality that stays well-defined on disconnected graphs).  Scores
 are emitted in exact integer micro-units (``1_000_000 // d`` per
 source) so the SQL twin reproduces them bit-for-bit.
 
-Two plans, the bfs.py idiom:
+Two plans, the ``sssp.sssp_dist`` idiom (small graphs in one task,
+large ones in frontier rounds):
 
 - Small graphs (``<= small_edge_limit`` edges): ONE remote task builds
-  a CSR once and runs all k source sweeps over it — each sweep is the
-  same vectorized frontier expansion as ``bfs._bfs_single_task``; the
-  driver never holds the graph.
-- Larger graphs: k frontier-synchronous ``bfs_hops`` runs (the
-  scale-safe two-co-shuffle rounds), each tagged with its source and
-  unioned into one (node)-keyed aggregate.  State per run is O(nodes)
+  a CSR once (``sssp._csr``, unit weights) and runs all k source
+  sweeps over it with the relaxation of ``sssp_dist``'s single-task
+  plan (``sssp._relax``); the caller never holds the graph.
+- Larger graphs: k ``bfs_hops`` runs (``sssp_dist`` over unit
+  weights, whose scale-safe two-co-shuffle rounds take over above
+  its own edge limit), each tagged with its source and unioned into
+  one (node)-keyed aggregate.  State per run is O(nodes)
   id-only rows; total work is k sweeps — the standard price of sampled
   centrality (pick k ≪ n; the estimator's error is O(1/√k)).
 """
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .sssp import _INF, _concat, _csr, _relax
 
 _MICRO = 1_000_000
 
@@ -89,48 +93,15 @@ def _single_task(edges, sources, src_col, dst_col):
     @ray.remote
     def _sweeps(srcs, *blocks):
         eb = [b for b in blocks if b.num_rows]
-        src = np.concatenate(
-            [b[src_col].to_numpy(zero_copy_only=False) for b in eb]
-        ).astype(np.int64) if eb else np.empty(0, np.int64)
-        dst = np.concatenate(
-            [b[dst_col].to_numpy(zero_copy_only=False) for b in eb]
-        ).astype(np.int64) if eb else np.empty(0, np.int64)
-        ss = np.asarray(srcs, np.int64)
-        uniq, inv = np.unique(np.concatenate([src, dst, ss]),
-                              return_inverse=True)
-        n = uniq.size
-        si = inv[: src.size]
-        di = inv[src.size: src.size + dst.size]
-        sdi = inv[src.size + dst.size:]
-        order = np.argsort(si, kind="stable")
-        adj = di[order]
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(si[order], minlength=n), out=indptr[1:])
-
-        reached = np.zeros(n, np.int64)
-        harm = np.zeros(n, np.int64)
+        src, dst = _concat(eb, src_col), _concat(eb, dst_col)
+        uniq, indptr, adj, aw, sdi = _csr(
+            src, dst, np.ones(src.size, np.int64), np.asarray(srcs, np.int64)
+        )
+        reached = np.zeros(uniq.size, np.int64)
+        harm = np.zeros(uniq.size, np.int64)
         for s0 in sdi:
-            dist = np.full(n, -1, np.int64)
-            dist[s0] = 0
-            frontier = np.asarray([s0], np.int64)
-            hops = 0
-            while frontier.size:
-                starts = indptr[frontier]
-                deg = indptr[frontier + 1] - starts
-                tot = int(deg.sum())
-                if tot == 0:
-                    break
-                idx = np.repeat(
-                    starts - np.concatenate(([0], np.cumsum(deg)[:-1])), deg
-                ) + np.arange(tot)
-                nbrs = np.unique(adj[idx])
-                new = nbrs[dist[nbrs] < 0]
-                if new.size == 0:
-                    break
-                hops += 1
-                dist[new] = hops
-                frontier = new
-            hit = dist > 0
+            dist = _relax(indptr, adj, aw, np.array([s0]))
+            hit = (dist > 0) & (dist < _INF)
             reached[hit] += 1
             harm[hit] += _MICRO // dist[hit]
         out = reached > 0

@@ -39,7 +39,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import bucket_of, shuffle_width
 
 _OUT = pa.schema([("node", pa.int64()), ("deg", pa.int64())])
 
@@ -91,8 +91,6 @@ def kcore(
     src_col: str = "src",
     dst_col: str = "dst",
     max_rounds: int = 10_000,
-    n_buckets: int = 64,
-    shuffle_blocks: int = 16,
     small_edge_limit: int = 2_000_000,
     stats_out: dict | None = None,
 ):
@@ -101,6 +99,7 @@ def kcore(
     Empty result when no k-core exists."""
     if k < 1:
         raise ValueError("kcore: k must be >= 1")
+    width = shuffle_width(edges)
 
     def _sym(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -115,7 +114,7 @@ def kcore(
             {
                 "k": pa.array(a, pa.int64()),
                 "dst": pa.array(b, pa.int64()),
-                "kb": pa.array(bucket_of(a, n_buckets), pa.int64()),
+                "kb": pa.array(bucket_of(a, width), pa.int64()),
             }
         )
 
@@ -132,7 +131,7 @@ def kcore(
             {
                 "k": pa.array(s, pa.int64()),
                 "dst": pa.array(d, pa.int64()),
-                "kb": pa.array(bucket_of(s, n_buckets), pa.int64()),
+                "kb": pa.array(bucket_of(s, width), pa.int64()),
             }
         )
 
@@ -140,7 +139,7 @@ def kcore(
         edges.map_batches(_sym, batch_format="pyarrow")
         .groupby("kb")
         .map_groups(_dedupe, batch_format="pyarrow")
-        .repartition(shuffle_blocks)
+        .repartition(width)
         .materialize()
     )
 
@@ -178,7 +177,7 @@ def kcore(
         out_k = np.concatenate([ks, rm])
         out_d = np.concatenate([kd, np.full(rm.size, -1, np.int64)])
         # survivors bucket by DST for the kill pass; markers by node
-        out_b = bucket_of(np.where(out_d >= 0, out_d, out_k), n_buckets)
+        out_b = bucket_of(np.where(out_d >= 0, out_d, out_k), width)
         return pa.table(
             {
                 "k": pa.array(out_k, pa.int64()),
@@ -202,7 +201,7 @@ def kcore(
             {
                 "k": pa.array(es, pa.int64()),
                 "dst": pa.array(ed, pa.int64()),
-                "kb": pa.array(bucket_of(es, n_buckets), pa.int64()),
+                "kb": pa.array(bucket_of(es, width), pa.int64()),
             }
         )
 
@@ -219,7 +218,7 @@ def kcore(
             .map_groups(_peel_src, batch_format="pyarrow")
             .groupby("kb")
             .map_groups(_kill_dst, batch_format="pyarrow")
-            .repartition(shuffle_blocks)
+            .repartition(width)
             .materialize()
         )
         cur = state.count()  # metadata-only: free convergence check

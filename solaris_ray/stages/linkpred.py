@@ -25,16 +25,16 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import bucket_of, shuffle_width
 from ._pairs import segment_pairs
 
 
 def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
                            ra_scale: int = 1_000_000_000,
-                           n_buckets: int = 64,
                            max_center_degree: int = 65536):
     """edges (undirected, a<b, parallel edges tolerated) ->
     (u, w, cn, ra_e9) for every non-adjacent pair with cn >= 1."""
+    width = shuffle_width(edges)
 
     def _sym(batch: pa.Table) -> pa.Table:
         a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -45,7 +45,7 @@ def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
             {
                 "z": pa.array(z, pa.int64()),
                 "nb": pa.array(nb, pa.int64()),
-                "kb": pa.array(bucket_of(z, n_buckets), pa.int64()),
+                "kb": pa.array(bucket_of(z, width), pa.int64()),
             }
         )
 
@@ -55,6 +55,21 @@ def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
         [("u", pa.int64()), ("w", pa.int64()), ("contrib", pa.int64()),
          ("is_edge", pa.int8()), ("pb", pa.int64())]
     )
+
+    def _pair_rows(lo, hi, contrib, is_edge: int) -> pa.Table:
+        # wedge and edge rows meet in the bucket of their (lo, hi) pair
+        return pa.table(
+            {
+                "u": pa.array(lo, pa.int64()),
+                "w": pa.array(hi, pa.int64()),
+                "contrib": pa.array(contrib, pa.int64()),
+                "is_edge": pa.array(np.full(lo.size, is_edge, np.int8)),
+                "pb": pa.array(
+                    bucket_of(lo * np.int64(1_000_003) + hi, width),
+                    pa.int64(),
+                ),
+            }
+        )
 
     def _wedges(group: pa.Table) -> pa.Table:
         z = group["z"].to_numpy(zero_copy_only=False)
@@ -79,19 +94,7 @@ def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
         ia, ib, segp = segment_pairs(counts, starts)
         contrib = ra_scale // counts.astype(np.int64)
         u, w = nb[ia], nb[ib]
-        lo, hi = np.minimum(u, w), np.maximum(u, w)
-        return pa.table(
-            {
-                "u": pa.array(lo, pa.int64()),
-                "w": pa.array(hi, pa.int64()),
-                "contrib": pa.array(contrib[segp], pa.int64()),
-                "is_edge": pa.array(np.zeros(lo.size, np.int8)),
-                "pb": pa.array(
-                    bucket_of(lo * np.int64(1_000_003) + hi, n_buckets),
-                    pa.int64(),
-                ),
-            }
-        )
+        return _pair_rows(np.minimum(u, w), np.maximum(u, w), contrib[segp], 0)
 
     wedges = sym.groupby("kb").map_groups(_wedges, batch_format="pyarrow")
 
@@ -99,18 +102,7 @@ def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
         a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pa.table(
-            {
-                "u": pa.array(lo, pa.int64()),
-                "w": pa.array(hi, pa.int64()),
-                "contrib": pa.array(np.zeros(lo.size, np.int64)),
-                "is_edge": pa.array(np.ones(lo.size, np.int8)),
-                "pb": pa.array(
-                    bucket_of(lo * np.int64(1_000_003) + hi, n_buckets),
-                    pa.int64(),
-                ),
-            }
-        )
+        return _pair_rows(lo, hi, np.zeros(lo.size, np.int64), 1)
 
     tagged = wedges.union(
         edges.map_batches(_edge_rows, batch_format="pyarrow", batch_size=16384)

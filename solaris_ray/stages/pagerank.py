@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import bucket_of, shuffle_width
 
 
 def pagerank(
@@ -54,8 +54,6 @@ def pagerank(
     scale: int = 10**9,
     damp_num: int = 85,
     damp_den: int = 100,
-    n_buckets: int = 64,
-    shuffle_blocks: int = 16,
 ):
     """Directed ``edges`` dataset -> (node, pr_micro) after ``iters``
     exact-integer damped power-iteration rounds.
@@ -67,6 +65,7 @@ def pagerank(
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
+    width = shuffle_width(edges)
     teleport = (scale * (damp_den - damp_num)) // damp_den
 
     rank_schema = pa.schema([("node", pa.int64()), ("pr_micro", pa.int64())])
@@ -89,7 +88,7 @@ def pagerank(
                 "dst": pa.array(dst, pa.int64()),
                 "g": pa.array(g, pa.int64()),
                 "r": pa.array(np.zeros(k.size, np.int64)),
-                "kb": pa.array(bucket_of(k, n_buckets), pa.int64()),
+                "kb": pa.array(bucket_of(k, width), pa.int64()),
             }
         )
 
@@ -119,7 +118,7 @@ def pagerank(
                 "dst": pa.array(out_dst, pa.int64()),
                 "g": pa.array(out_g, pa.int64()),
                 "r": pa.array(np.zeros(out_k.size, np.int64)),
-                "kb": pa.array(bucket_of(out_k, n_buckets), pa.int64()),
+                "kb": pa.array(bucket_of(out_k, width), pa.int64()),
             }
         )
 
@@ -131,6 +130,10 @@ def pagerank(
         .map_groups(_degree, batch_format="pyarrow")
         .materialize()
     )
+    if base.count() == 0:  # no edges; metadata-only on a materialized ds
+        import ray.data
+
+        return ray.data.from_arrow(rank_schema.empty_table())
 
     def _split(batch: pa.Table):
         return batch["dst"].to_numpy(zero_copy_only=False) >= 0
@@ -140,13 +143,12 @@ def pagerank(
 
     def _node_rows(batch: pa.Table) -> pa.Table:
         t = batch.filter(pa.array(~_split(batch)))
-        k = t["k"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "k": t["k"],
                 "dst": t["dst"],
                 "g": t["g"],
-                "r": pa.array(np.full(k.size, scale, np.int64)),
+                "r": pa.array(np.full(t.num_rows, scale, np.int64)),
                 "kb": t["kb"],
             }
         )
@@ -155,10 +157,10 @@ def pagerank(
     # output blocks = input blocks, so without this every round's union
     # grows the block count by edge_side's and the all-to-all degrades
     # quadratically in round number (measured 45 s -> 12 s at sf0.1).
-    # At cluster scale set shuffle_blocks ~ total cores.
+    # The width comes from the input, never from the per-round state.
     edge_side = (
         base.map_batches(_edge_rows, batch_format="pyarrow")
-        .repartition(shuffle_blocks)
+        .repartition(width)
         .materialize()
     )
     ranks = base.map_batches(_node_rows, batch_format="pyarrow")
@@ -186,7 +188,7 @@ def pagerank(
             {
                 "dst": pa.array(out_dst, pa.int64()),
                 "c": pa.array(out_c, pa.int64()),
-                "kb": pa.array(bucket_of(out_dst, n_buckets), pa.int64()),
+                "kb": pa.array(bucket_of(out_dst, width), pa.int64()),
             }
         )
 
@@ -207,7 +209,7 @@ def pagerank(
                 "dst": pa.array(np.full(nodes.size, -1, np.int64)),
                 "g": pa.array(np.zeros(nodes.size, np.int64)),
                 "r": pa.array(r_new, pa.int64()),
-                "kb": pa.array(bucket_of(nodes, n_buckets), pa.int64()),
+                "kb": pa.array(bucket_of(nodes, width), pa.int64()),
             }
         )
 
@@ -222,7 +224,7 @@ def pagerank(
             .map_groups(_contrib, batch_format="pyarrow")
             .groupby("kb")
             .map_groups(_apply, batch_format="pyarrow")
-            .repartition(shuffle_blocks)
+            .repartition(width)
             .materialize()
         )
 

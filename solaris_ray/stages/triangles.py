@@ -32,13 +32,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import bucket_of, distinct_reduce, shuffle_width
 
 
-def triangle_counts(edges, a_col: str = "a", b_col: str = "b",
-                    n_buckets: int = 256):
+def triangle_counts(edges, a_col: str = "a", b_col: str = "b"):
     """edges (a < b, distinct) -> (node, tri_cnt) for every node in at
     least one triangle."""
+    width = shuffle_width(edges)
 
     dual_schema = pa.schema(
         [("k", pa.int64()), ("peer", pa.int64()), ("side", pa.int64()),
@@ -60,7 +60,7 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b",
                 "k": pa.array(k, pa.int64()),
                 "peer": pa.array(peer, pa.int64()),
                 "side": pa.array(side, pa.int64()),
-                "kb": pa.array(bucket_of(k, n_buckets), pa.int64()),
+                "kb": pa.array(bucket_of(k, width), pa.int64()),
             }
         )
 
@@ -86,7 +86,7 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b",
                 "b": pa.array(b, pa.int64()),
                 "side": pa.array(side, pa.int64()),
                 "degk": pa.array(degk, pa.int64()),
-                "pb": pa.array(bucket_of(a * 31 + b, n_buckets), pa.int64()),
+                "pb": pa.array(bucket_of(a * 31 + b, width), pa.int64()),
             }
         )
 
@@ -114,7 +114,7 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b",
             {
                 "src": pa.array(src, pa.int64()),
                 "dst": pa.array(dst, pa.int64()),
-                "sb": pa.array(bucket_of(src, n_buckets), pa.int64()),
+                "sb": pa.array(bucket_of(src, width), pa.int64()),
             }
         )
 
@@ -162,7 +162,7 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b",
                 "v": pa.array(v, pa.int64()),
                 "apex": pa.array(apex, pa.int64()),
                 "is_edge": pa.array(is_edge, pa.int64()),
-                "pb": pa.array(bucket_of(u * 31 + v, n_buckets), pa.int64()),
+                "pb": pa.array(bucket_of(u * 31 + v, width), pa.int64()),
             }
         )
 
@@ -190,14 +190,11 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b",
 
     def _ones(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return pa.schema(
-                [("node", pa.int64()), ("tri_cnt", pa.int64())]).empty_table()
+            return out_schema.empty_table()
         return pa.table({
             "node": batch["node"],
             "tri_cnt": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-
-    from ._buckets import distinct_reduce
 
     return distinct_reduce(
         # per-node count via the bucketed vectorized sum-reduce (Ray's

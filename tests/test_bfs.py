@@ -13,6 +13,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.bfs import bfs_hops
 
 
@@ -71,7 +72,7 @@ def test_bfs_directed_cycles_converge():
     assert got == _dense_twin(pairs, [0])
 
 
-def test_bfs_bucket_invariance_random_graph():
+def test_bfs_bucket_invariance_random_graph(ray_session):
     rng = np.random.RandomState(7)
     pairs = [
         (int(a), int(b))
@@ -80,9 +81,13 @@ def test_bfs_bucket_invariance_random_graph():
     ]
     seeds = [0, 17, 33]
     want = _dense_twin(pairs, seeds)
-    # force the frontier-rounds plan: n_buckets only matters there
-    assert _run(pairs, seeds, n_buckets=5, small_edge_limit=0) == want
-    assert _run(pairs, seeds, n_buckets=128, small_edge_limit=0) == want
+    # the bucket count follows the input's block count
+    narrow, wide = _ds_edges(pairs, n_blocks=5), _ds_edges(pairs, n_blocks=128)
+    assert shuffle_width(narrow) != shuffle_width(wide)
+    # force the frontier-rounds plan: the width only matters there
+    for edges in (narrow, wide):
+        res = bfs_hops(edges, _ds_seeds(seeds), small_edge_limit=0).take_all()
+        assert {row["node"]: row["hops"] for row in res} == want
 
 
 def test_bfs_plan_parity_single_vs_rounds():
@@ -113,3 +118,15 @@ def test_bfs_max_rounds_valve_raises():
 def test_bfs_rejects_negative_ids():
     with pytest.raises(Exception, match="non-negative"):
         bfs_hops(_ds_edges([(-1, 2)]), _ds_seeds([0])).take_all()
+
+
+@pytest.mark.parametrize("limit", [500_000, 0])
+def test_bfs_empty_seeds_keep_columns(ray_session, limit):
+    # both plans return the declared columns, not a schema-less dataset
+    # (checked on schema(): to_pandas() skips empty blocks, so it has no
+    # columns for any empty dataset)
+    out = bfs_hops(
+        _ds_edges([(0, 1), (1, 2)]), _ds_seeds([]), small_edge_limit=limit
+    )
+    assert out.schema().names == ["node", "hops"]
+    assert out.count() == 0

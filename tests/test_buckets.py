@@ -85,3 +85,44 @@ def test_distinct_float_keys(ray_session):
     with pytest.raises(Exception, match="ValueError: distinct_reduce: NaN in key column 'y'"):
         distinct_reduce(_ds(nan), ["x", "y"]).materialize()
 
+
+
+def test_graph_rounds_keep_block_count_at_width(ray_session):
+    # iterative graph stages repartition their state to the width of the
+    # INPUT every round; a width read from the unioned per-round state
+    # (or a fixed count) lets the result's block count drift above it
+    import ray.data
+
+    from solaris_ray.stages._buckets import shuffle_width
+    from solaris_ray.stages.bfs import bfs_hops
+    from solaris_ray.stages.pagerank import pagerank
+
+    pairs = [(i, (i * 3 + 1) % 50) for i in range(50)]
+    pairs += [(i, (i + 7) % 50) for i in range(0, 50, 2)]
+    t = pa.table({"src": pa.array([p[0] for p in pairs], pa.int64()),
+                  "dst": pa.array([p[1] for p in pairs], pa.int64())})
+    edges = ray.data.from_arrow(t).repartition(5)
+    seeds = ray.data.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
+    width = shuffle_width(edges)
+    assert pagerank(edges, iters=8).materialize().num_blocks() <= width
+    hops = bfs_hops(edges, seeds, small_edge_limit=0).materialize()
+    assert hops.num_blocks() <= width
+
+
+def test_graph_family_takes_no_fixed_width():
+    # the bucket count and every repartition come from shuffle_width;
+    # no graph-family entry point may take a literal width again
+    import inspect
+
+    from solaris_ray.stages.bfs import bfs_hops
+    from solaris_ray.stages.kcore import kcore
+    from solaris_ray.stages.linkpred import link_prediction_scores
+    from solaris_ray.stages.pagerank import pagerank
+    from solaris_ray.stages.sssp import sssp_dist
+    from solaris_ray.stages.triangles import triangle_counts
+
+    for fn in (bfs_hops, sssp_dist, pagerank, kcore, triangle_counts,
+               link_prediction_scores, distinct_reduce):
+        params = set(inspect.signature(fn).parameters)
+        knobs = {"n_buckets", "shuffle_blocks"} & params
+        assert not knobs, f"{fn.__name__} takes {sorted(knobs)}"

@@ -13,6 +13,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.pagerank import pagerank
 
 
@@ -72,15 +73,27 @@ def test_pagerank_self_loop_and_zero_iters():
     assert _run(pairs, 0) == {0: 10**9, 1: 10**9}
 
 
-def test_pagerank_many_buckets_invariance():
+def test_pagerank_many_buckets_invariance(ray_session):
     pairs = [(i, (i * 3 + 1) % 50) for i in range(50)]
     pairs += [(i, (i + 7) % 50) for i in range(0, 50, 2)]
     want = _dense_twin(pairs, 5)
-    assert _run(pairs, 5, n_buckets=7) == want
-    assert _run(pairs, 5, n_buckets=128) == want
+    # the bucket count follows the input's block count
+    narrow, wide = _edges_ds(pairs, n_blocks=7), _edges_ds(pairs, n_blocks=128)
+    assert shuffle_width(narrow) != shuffle_width(wide)
+    for edges in (narrow, wide):
+        res = pagerank(edges, iters=5).sort("node").take_all()
+        assert {row["node"]: row["pr_micro"] for row in res} == want
 
 
 def test_pagerank_rejects_negative_ids():
     # the ValueError surfaces wrapped in RayTaskError; match the message
     with pytest.raises(Exception, match="non-negative"):
         pagerank(_edges_ds([(-1, 2)]), iters=1).take_all()
+
+
+def test_pagerank_empty_edges_keep_columns(ray_session):
+    empty = pa.table({"src": pa.array([], pa.int64()),
+                      "dst": pa.array([], pa.int64())})
+    out = pagerank(ray.data.from_arrow(empty), iters=2)
+    assert out.schema().names == ["node", "pr_micro"]
+    assert out.count() == 0

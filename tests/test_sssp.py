@@ -99,3 +99,14 @@ def test_sssp_unreachable_absent(ray_session):
         sssp_dist(e, s).to_pandas().sort_values("node").set_index("node")["dist"]
     )
     assert dict(got) == {0: 0, 1: 4}
+
+
+@pytest.mark.parametrize("limit", [500_000, 0])
+def test_sssp_overflow_raises(ray_session, limit):
+    # 0 -> 1 -> 2 -> 3 with weights 2^62, 2^62, 1: dist(2) = 2^63 does
+    # not fit int64 and must not wrap to a negative distance
+    src = np.array([0, 1, 2], np.int64)
+    dst = np.array([1, 2, 3], np.int64)
+    w = np.array([2**62, 2**62, 1], np.int64)
+    with pytest.raises(ValueError, match="overflows int64"):
+        _run(src, dst, w, np.array([0], np.int64), small_edge_limit=limit)
