@@ -1,26 +1,42 @@
-"""Shared shuffle-bucket hash, the shuffle width and the sized co-shuffle.
+"""The one bucket co-shuffle, its key hash and its width.
 
-One definition of the Knuth multiplicative bucket key used by the
-bucketed co-shuffle stages (triangles, pagerank, funnel, ...) so the
-constant and modulo semantics cannot silently diverge between
-operators.  numpy's Python-style ``%`` keeps the result non-negative
-even when the int64 product wraps.
+``co_shuffle`` is the one shuffle that brings every row of a key
+together: each row is tagged with ``bucket_of(mix, n)`` over its mixed
+key, the input is repartitioned to ``n`` blocks and grouped on the tag,
+and ``fn`` runs once per BUCKET -- every row of every key that hashes
+there, tag column dropped.  A bucket kernel (lexsort + segment reduce)
+then handles many keys per call with no per-key Python dispatch.
+Callers whose kernel takes one key at a time wrap it in ``per_key``.
 
-``shuffle_width`` is the one sizing policy: it follows the session and
-the input, never a fixed count.  ``co_shuffle`` (the mask family),
-``distinct_reduce`` and the graph family (``bfs_hops``, ``sssp_dist``,
-``pagerank``, ``kcore``, ``triangle_counts``,
-``link_prediction_scores``) take their bucket count and every
-repartition from it.  Iterative operators compute it once from their
-input before the first round: the block count of unioned per-round
-state grows every round (NOTES round 4i).
+``key_i64`` turns one key column into the int64 hash input: ints are
+cast, float64 is bit-viewed with -0.0 folded into +0.0, strings are
+``zlib.crc32`` of their UTF-8 bytes (stable across processes, unlike
+the salted ``hash()``).  A null or NaN key has no well-defined group
+and raises ``ValueError`` naming the column.
+
+``bucket_of`` is the Knuth multiplicative bucket key; numpy's
+Python-style ``%`` keeps it non-negative even when the int64 product
+wraps.  ``shuffle_width`` is the one sizing policy: it follows the
+session and the input, never a fixed count.  ``co_shuffle`` (the mask
+and event families, ``distinct_reduce``) and the graph family
+(``bfs_hops``, ``sssp_dist``, ``pagerank``, ``kcore``,
+``triangle_counts``, ``link_prediction_scores``) take their bucket
+count and every repartition from it.  Iterative operators compute it
+once from their input before the first round: the block count of
+unioned per-round state grows every round (NOTES round 4i).
 """
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..runtime import session_cpus
+
+_TAG = "__bucket"
 
 
 def bucket_of(x: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -35,18 +51,69 @@ def shuffle_width(ds) -> int:
     return max(session_cpus(), ds._plan.initial_num_blocks() or 1)
 
 
-def co_shuffle(ds, key: str, fn, n_buckets: int | None = None):
-    """``ds.groupby(key).map_groups(fn)`` over ``n_buckets`` blocks,
-    ``shuffle_width(ds)`` by default.  The groupby sort keeps its
-    input's block count, so a ``repartition`` sets the width first."""
+def key_i64(batch: pa.Table, col: str) -> np.ndarray:
+    """Column ``col`` of ``batch`` as int64: equal keys give equal
+    values.  Exact (invertible) for int and float64 columns; strings
+    hash to their crc32, once per distinct value of the batch."""
+    a = batch[col]
+    if a.null_count:
+        raise ValueError(f"null in key column {col!r}")
+    if pa.types.is_string(a.type) or pa.types.is_large_string(a.type):
+        enc = a.combine_chunks().dictionary_encode()
+        crc = np.array([zlib.crc32(s.encode("utf-8")) for s in enc.dictionary.to_pylist()],
+                       np.int64)
+        return crc[enc.indices.to_numpy(zero_copy_only=False)]
+    v = a.to_numpy(zero_copy_only=False)
+    if v.dtype == np.float64:
+        if np.isnan(v).any():
+            raise ValueError(f"NaN in key column {col!r}")
+        return (v + 0.0).view(np.int64)  # +0.0 folds -0.0 into +0.0
+    return v.astype(np.int64)
+
+
+def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
+    """Run ``fn`` once per bucket of ``ds`` hashed on ``keys`` (one
+    column name or a list), over ``n_buckets`` blocks --
+    ``shuffle_width(ds)`` by default.  Every row of a key arrives in the
+    same ``fn`` call.  The groupby sort keeps its input's block count,
+    so a ``repartition`` sets the width first."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
     n = n_buckets or shuffle_width(ds)
-    return ds.repartition(n).groupby(key).map_groups(fn, batch_format="pyarrow")
+
+    def _tag(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0:
+            return b.append_column(_TAG, pa.array([], pa.int64()))
+        mix = key_i64(b, keys[0])
+        for c in keys[1:]:
+            mix = mix * np.int64(1000003) + key_i64(b, c)
+        return b.append_column(_TAG, pa.array(bucket_of(mix, n), pa.int64()))
+
+    return (
+        ds.map_batches(_tag, batch_format="pyarrow")
+        .repartition(n)
+        .groupby(_TAG)
+        .map_groups(lambda g: fn(g.drop_columns([_TAG])), batch_format="pyarrow")
+    )
+
+
+def per_key(key: str, fn):
+    """Wrap a one-key ``fn`` for ``co_shuffle``: sort the bucket by
+    ``key`` and call ``fn`` once per run of equal keys."""
+
+    def _run(bucket: pa.Table) -> pa.Table:
+        bucket = bucket.take(pc.sort_indices(bucket, [(key, "ascending")]))
+        k = bucket[key].to_numpy(zero_copy_only=False)
+        cuts = np.r_[0, np.flatnonzero(k[1:] != k[:-1]) + 1, k.size]
+        return pa.concat_tables([fn(bucket.slice(s, e - s))
+                                 for s, e in zip(cuts[:-1], cuts[1:])])
+
+    return _run
 
 
 def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None):
-    """Exact distinct / grouped min-max over int64-keyed rows: ONE
-    bucketed co-shuffle over ``shuffle_width(ds)`` buckets + a
-    vectorized in-bucket segment reduce.
+    """Exact distinct / grouped min-max-sum over int64 or float64 keys:
+    one ``co_shuffle`` on ``key_cols`` + a vectorized in-bucket segment
+    reduce.
 
     Replaces ``ds.groupby(key_cols).count()/aggregate(Min/Max)`` for
     the pair-distinct shape: Ray's hash aggregate spends ~100 us of
@@ -54,40 +121,16 @@ def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None)
     distinct at sf0.1), while this runs lexsort + reduceat per bucket
     in microseconds per thousand rows.  ``aggs`` maps value columns to
     "min" | "max" | "sum"; output columns keep their input names.
-    Same exactness: all copies of a key meet in one bucket (hash of
-    the mixed key), segments reduce vectorized.
 
-    float64 key columns are supported through an order-irrelevant
-    bit-view (−0.0 normalized to +0.0 so the two zero encodings
-    group together) and come back out as float64.  A NaN key raises
-    ``ValueError``: NaN has many bit patterns and equals nothing, so it
-    has no well-defined group.
+    float64 keys group through ``key_i64``'s bit view (−0.0 and +0.0
+    are one key) and come back out as float64; a NaN or null key
+    raises ``ValueError``.
     """
-    import pyarrow as pa
-
     aggs = aggs or {}
-    width = shuffle_width(ds)
-
-    def _as_i64(b: pa.Table, c: str) -> np.ndarray:
-        a = b[c].to_numpy(zero_copy_only=False)
-        if a.dtype == np.float64:
-            if np.isnan(a).any():
-                raise ValueError(f"distinct_reduce: NaN in key column {c!r}")
-            return (a + 0.0).view(np.int64)  # +0.0 folds -0.0 into +0.0
-        return a.astype(np.int64)
-
-    def _tag(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column("__db", pa.array([], pa.int64()))
-        mix = _as_i64(b, key_cols[0]).copy()
-        for c in key_cols[1:]:
-            mix = mix * np.int64(1000003) + _as_i64(b, c)
-        return b.append_column("__db", pa.array(bucket_of(mix, width)))
 
     def _reduce(group: pa.Table) -> pa.Table:
-        is_f = [group[c].to_numpy(zero_copy_only=False).dtype == np.float64
-                for c in key_cols]
-        ks = [_as_i64(group, c) for c in key_cols]
+        is_f = [group[c].type == pa.float64() for c in key_cols]
+        ks = [key_i64(group, c) for c in key_cols]
         order = np.lexsort(ks[::-1])
         ks = [k[order] for k in ks]
         n = ks[0].size
@@ -116,8 +159,4 @@ def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None)
             out[c] = pa.array(red)
         return pa.table(out)
 
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__db")
-        .map_groups(_reduce, batch_format="pyarrow")
-    )
+    return co_shuffle(ds, key_cols, _reduce)

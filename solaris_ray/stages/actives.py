@@ -7,18 +7,18 @@ notices a user contributes to day d iff d falls in the union of
 intervals [active_day, active_day + window - 1] — so the count per day
 is a plain sum of exactly-once (user, window_day) memberships.
 
-ONE wide co-shuffle: the tagging pass dedups (user, day) per batch;
-``groupby(bucket(user))`` then expands each user's distinct days into
-window-day memberships, DEDUPS them per user (overlapping trailing
-windows collapse — the in-kernel expansion is bounded by
+ONE wide ``_buckets.co_shuffle``: the projection dedups (user, day)
+per batch; the shuffle on the user then expands each user's distinct
+days into window-day memberships, DEDUPS them per user (overlapping
+trailing windows collapse — the in-kernel expansion is bounded by
 ``window * distinct_days``, id-only int64), and pre-counts per window
-day, so the second shuffle moves at most |buckets| * |days| count
-rows.  Exactly-once global emission makes the final sum a distinct
-count with no distinct-aggregation machinery.
+day, so the second co-shuffle (on the day) moves at most
+|buckets| * |days| count rows.  Exactly-once global emission makes the
+final sum a distinct count with no distinct-aggregation machinery.
 
 Partitioning assumption (SURVEY custom-operator rule): one user's
-rows meet in one group (bucket key = user id); days are epoch-day
-int64 (``epoch_us // 86400e6``).
+rows meet in one bucket (the shuffle key is the user id); days are
+epoch-day int64 (``epoch_us // 86400e6``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _DAY_US = 86400 * 10**6
 
@@ -36,7 +36,6 @@ def rolling_actives(
     window: int = 7,
     user_col: str = "user_id",
     ts_col: str = "ts",
-    n_buckets: int = 64,
 ):
     """-> (day, n_active): distinct users active within the trailing
     ``window`` days ending at ``day``, for every day where the count
@@ -45,8 +44,8 @@ def rolling_actives(
         raise ValueError("window must be >= 1")
     out_schema = pa.schema([("day", pa.int64()), ("n_active", pa.int64())])
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        u = key_i64(batch, user_col)
         d = (
             batch[ts_col]
             .to_numpy(zero_copy_only=False)
@@ -59,7 +58,6 @@ def rolling_actives(
             {
                 "u": pa.array(ud[:, 0], pa.int64()),
                 "d": pa.array(ud[:, 1], pa.int64()),
-                "kb": pa.array(bucket_of(ud[:, 0], n_buckets), pa.int64()),
             }
         )
 
@@ -75,7 +73,6 @@ def rolling_actives(
             {
                 "day": pa.array(days, pa.int64()),
                 "n": pa.array(counts.astype(np.int64), pa.int64()),
-                "db": pa.array(bucket_of(days, n_buckets), pa.int64()),
             }
         )
 
@@ -95,13 +92,8 @@ def rolling_actives(
             }
         )
 
-    out = (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_expand, batch_format="pyarrow")
-        .groupby("db")
-        .map_groups(_combine, batch_format="pyarrow")
-    )
+    expanded = co_shuffle(events.map_batches(_project, batch_format="pyarrow"), "u", _expand)
+    out = co_shuffle(expanded, "day", _combine)
 
     def _pin(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

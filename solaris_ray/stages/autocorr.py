@@ -14,8 +14,9 @@ recipe), so the gate stays hash-exact despite r being a float
 diagnostic.  Degenerate series (fewer than lag+1 rows, or zero
 variance on either margin) emit r6 = NULL.
 
-ONE bucketed co-shuffle; pairing is a vectorized in-segment shift
-(row t pairs with row t+lag iff both fall in the same key segment).
+ONE ``_buckets.co_shuffle`` on the key; pairing is a vectorized
+in-segment shift (row t pairs with row t+lag iff both fall in the same
+key segment).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _OUT = pa.schema(
     [
@@ -46,7 +47,6 @@ def lag_autocorr(
     val_col: str,
     lag: int = 1,
     id_col: str | None = None,
-    n_buckets: int = 64,
 ):
     """Dataset -> one row per key with lag-``lag`` pair sufficient
     statistics and truncated micro-unit Pearson r (NULL when
@@ -54,15 +54,14 @@ def lag_autocorr(
     if lag < 1:
         raise ValueError("lag_autocorr: lag must be >= 1")
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        k = key_i64(batch, key_col)
         cols = {
             "k": pa.array(k, pa.int64()),
             "v": pa.array(
                 batch[val_col].to_numpy(zero_copy_only=False).astype(np.int64),
                 pa.int64(),
             ),
-            "kb": pa.array(bucket_of(k, n_buckets), pa.int64()),
         }
         for j, oc in enumerate(order_cols):
             cols[f"o{j}"] = pa.array(
@@ -159,8 +158,4 @@ def lag_autocorr(
             }
         )
 
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_corr, batch_format="pyarrow")
-    )
+    return co_shuffle(ds.map_batches(_project, batch_format="pyarrow"), "k", _corr)

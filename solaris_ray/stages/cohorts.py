@@ -7,19 +7,19 @@ cohort active ``offset`` weeks later.  Weeks are plain epoch-week
 integers (``epoch_us // (7 * 86400 * 10^6)``) so both engine and SQL
 twin use exact int64 arithmetic.
 
-TWO co-shuffles of id-only int64 rows:
-  1. ``groupby(bucket(user))`` — all of a user's (user, week) rows
-     meet; a lexsort-segment kernel computes the per-user first week
+TWO ``_buckets.co_shuffle`` calls over id-only int64 rows:
+  1. on the user — all of a user's (user, week) rows meet in one
+     bucket; a lexsort-segment kernel computes the per-user first week
      and emits one (cohort, offset) row per DISTINCT (user, week)
-     (per-batch dedup in the tagging pass keeps the shuffle small:
+     (per-batch dedup in the projection keeps the shuffle small:
      repeat events inside a batch collapse before moving);
-  2. ``groupby(cohort bucket)`` counts rows per (cohort, offset) —
+  2. on the cohort — counts rows per (cohort, offset) —
      counting distinct users is exact because step 1 emits each
      (user, week) exactly once globally.
 
 Partitioning assumption (SURVEY custom-operator rule): a user's rows
-meet in one group (bucket key = user id); user ids are non-negative
-int64.
+meet in one bucket (the shuffle key is the user id); user ids are
+non-negative int64.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _WEEK_US = 7 * 86400 * 10**6
 
@@ -36,7 +36,6 @@ def retention_cohorts(
     events,
     user_col: str = "user_id",
     ts_col: str = "ts",
-    n_buckets: int = 64,
 ):
     """-> (cohort_week, week_offset, n_users): distinct users of each
     first-seen-week cohort active at each week offset (offset 0 row is
@@ -46,8 +45,8 @@ def retention_cohorts(
          ("n_users", pa.int64())]
     )
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        u = key_i64(batch, user_col)
         wk = (
             batch[ts_col]
             .to_numpy(zero_copy_only=False)
@@ -60,7 +59,6 @@ def retention_cohorts(
             {
                 "u": pa.array(uw[:, 0], pa.int64()),
                 "wk": pa.array(uw[:, 1], pa.int64()),
-                "kb": pa.array(bucket_of(uw[:, 0], n_buckets), pa.int64()),
             }
         )
 
@@ -81,7 +79,6 @@ def retention_cohorts(
             {
                 "cohort": pa.array(cohort, pa.int64()),
                 "woff": pa.array(wk - cohort, pa.int64()),
-                "cb": pa.array(bucket_of(cohort, n_buckets), pa.int64()),
             }
         )
 
@@ -102,13 +99,8 @@ def retention_cohorts(
             }
         )
 
-    out = (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_per_user, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(_count, batch_format="pyarrow")
-    )
+    firsts = co_shuffle(events.map_batches(_project, batch_format="pyarrow"), "u", _per_user)
+    out = co_shuffle(firsts, "cohort", _count)
 
     def _pin(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

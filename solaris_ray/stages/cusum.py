@@ -15,8 +15,8 @@ Vectorization: the recursion has the classic prefix form
 lexsort by (key, order, id), a SEGMENTED cumsum and a SEGMENTED
 running min (both via the intervals.py base-offset trick) produce
 every S_t with no per-row loop; per-key aggregates reduce with
-``reduceat``.  ONE bucketed co-shuffle total; everything int64 with an
-explicit overflow budget check (|d| sums are bounded by
+``reduceat``.  ONE ``_buckets.co_shuffle`` on the key; everything
+int64 with an explicit overflow budget check (|d| sums are bounded by
 range * rows-per-key).
 
 Output per key: (key, n_alarms, first_alarm, max_s) where
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _OUT = pa.schema(
     [
@@ -50,17 +50,15 @@ def cusum_alarms(
     slack: int,
     h: int,
     id_col: str | None = None,
-    n_buckets: int = 64,
 ):
     """Dataset -> (key, n_alarms, first_alarm, max_s) per key."""
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        k = key_i64(batch, key_col)
         v = batch[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
         cols = {
             "k": pa.array(k, pa.int64()),
             "d": pa.array(v - np.int64(mu0) - np.int64(slack), pa.int64()),
-            "kb": pa.array(bucket_of(k, n_buckets), pa.int64()),
         }
         for j, oc in enumerate(order_cols):
             cols[f"o{j}"] = pa.array(
@@ -138,8 +136,4 @@ def cusum_alarms(
             }
         )
 
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_detect, batch_format="pyarrow")
-    )
+    return co_shuffle(ds.map_batches(_project, batch_format="pyarrow"), "k", _detect)

@@ -7,7 +7,7 @@ integer inputs (cents), the recurrence is computed as
 recursive-CTE SQL twin replays it bit-for-bit (floor division on
 non-negative operands is truncation on both sides).
 
-Scale plan: one co-shuffle by hashed key bucket; inside each bucket
+Scale plan: one ``_buckets.co_shuffle`` on the key; inside each bucket
 the recurrence is TIME-MAJOR vectorized — rows are lexsorted by
 (key, t, id), re-ordered by position-in-sequence, and the state vector
 for every key in the bucket advances one step per iteration, so the
@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 
 def ema_kernel(key: np.ndarray, t: np.ndarray, ids: np.ndarray,
@@ -51,17 +51,15 @@ def ema_kernel(key: np.ndarray, t: np.ndarray, ids: np.ndarray,
 
 
 def ema_final(ds, key_col: str, t_col: str, id_col: str, val_col: str,
-              shift: int = 2, n_buckets: int = 64):
+              shift: int = 2):
     """-> (key, n, ema) — final EMA state per key, exact."""
 
-    def _bucket(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy().astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "key": pa.array(k, pa.int64()),
+            "key": pa.array(key_i64(batch, key_col), pa.int64()),
             "t": pc.cast(batch[t_col], pa.int64()),
             "id": pc.cast(batch[id_col], pa.int64()),
             "x": pc.cast(batch[val_col], pa.int64()),
-            "b": pa.array(bucket_of(k, n_buckets), pa.int64()),
         })
 
     def _per_bucket(group: pa.Table) -> pa.Table:
@@ -74,5 +72,5 @@ def ema_final(ds, key_col: str, t_col: str, id_col: str, val_col: str,
             "ema": pa.array(s, pa.int64()),
         })
 
-    keyed = ds.map_batches(_bucket, batch_format="pyarrow", batch_size=65536)
-    return keyed.groupby("b").map_groups(_per_bucket, batch_format="pyarrow")
+    keyed = ds.map_batches(_project, batch_format="pyarrow", batch_size=65536)
+    return co_shuffle(keyed, "key", _per_bucket)

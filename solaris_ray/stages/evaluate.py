@@ -29,7 +29,7 @@ from ..geom.assign import linear_sum_assignment
 from ..geom.poly import polygon_iou
 from ..raster import codec
 from ..raster.kernels import dilate_square
-from ._buckets import co_shuffle
+from ._buckets import co_shuffle, per_key
 
 SCORE_SCHEMA = pa.schema(
     [
@@ -470,10 +470,11 @@ def pair_masks(truth_ds, pred_ds, key_col: str = "tile_id",
                truth_col: str = "truth", pred_col: str = "pred"):
     """Pair truth/pred mask Datasets by key WITHOUT driver materialization.
 
-    Tag each side, union, ``co_shuffle`` on the key, emit one
-    (truth, pred) row per key present on both sides — the same grouped
-    pairing the eval matcher uses (replaces a driver pandas merge; the
-    masks never leave the object store).  Input columns: (key_col, mask).
+    Tag each side, union, ``co_shuffle`` on the key with a ``per_key``
+    kernel, emit one (truth, pred) row per key present on both sides —
+    the same grouped pairing the eval matcher uses (replaces a pandas
+    merge in the calling process; the masks never leave the object
+    store).  Input columns: (key_col, mask).
     """
 
     def _tag(batch: pa.Table, side: int) -> pa.Table:
@@ -507,7 +508,7 @@ def pair_masks(truth_ds, pred_ds, key_col: str = "tile_id",
             }
         )
 
-    return co_shuffle(t.union(p), key_col, _pair)
+    return co_shuffle(t.union(p), key_col, per_key(key_col, _pair))
 
 
 def pixel_score_batch(batch: pa.Table, truth_col: str = "truth", pred_col: str = "pred",

@@ -6,7 +6,7 @@ known value as of this row".  The reference fills raster nodata from
 neighbours (`/root/reference/solaris/utils/raster.py` nodata paths);
 this is the time-series twin.
 
-Shape: ONE bucketed co-shuffle on the series key; per bucket a lexsort
+Shape: ONE ``_buckets.co_shuffle`` on the series key; per bucket a lexsort
 by (key, order..., id) and a SEGMENTED running max over observation
 POSITIONS (the intervals.py base-offset trick — add seg*n before
 ``np.maximum.accumulate``, subtract after; unobserved rows carry -1,
@@ -27,7 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 
 def forward_fill(
@@ -36,15 +36,14 @@ def forward_fill(
     order_cols: list[str],
     val_col: str,
     id_col: str,
-    n_buckets: int = 64,
 ):
     """Dataset -> (id, filled): per key, ordered by ``order_cols`` then
     id, each row's ``filled`` is the most recent non-null ``val_col``
     at or before it (int64; NULL before the first observation)."""
     out_schema = pa.schema([(id_col, pa.int64()), ("filled", pa.int64())])
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        k = key_i64(batch, key_col)
         va = batch[val_col]
         valid = pc.is_valid(va).to_numpy(zero_copy_only=False)
         v = (
@@ -60,7 +59,6 @@ def forward_fill(
             ),
             "v": pa.array(v, pa.int64()),
             "ok": pa.array(valid.astype(np.int8), pa.int8()),
-            "kb": pa.array(bucket_of(k, n_buckets), pa.int64()),
         }
         for j, oc in enumerate(order_cols):
             cols[f"o{j}"] = pa.array(
@@ -102,8 +100,4 @@ def forward_fill(
             }
         )
 
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_fill, batch_format="pyarrow")
-    )
+    return co_shuffle(ds.map_batches(_project, batch_format="pyarrow"), "k", _fill)

@@ -8,10 +8,10 @@ after the matched s1, and so on (first-touch semantics, unbounded
 window, strict timestamp ordering so equal-timestamp events never
 chain).  The reference has no sequential-pattern operator.
 
-ONE bucketed co-shuffle of id-only int64 rows: the tagging pass maps
-step names to small ints (non-step events collapse to per-batch
+ONE ``_buckets.co_shuffle`` of id-only int64 rows: the projection
+maps step names to small ints (non-step events collapse to per-batch
 DISTINCT user marker rows so depth-0 users survive without shipping
-their full event history), then ``groupby(bucket(user))`` matches all
+their full event history), then the shuffle on the user matches all
 steps inside a vectorized bucket kernel — per step one scatter-min
 (``np.minimum.at``) over that step's rows, gated by the user's
 previous matched time; a user that misses a step is fenced with
@@ -30,7 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _I64MAX = np.iinfo(np.int64).max
 _I64MIN = np.iinfo(np.int64).min
@@ -42,7 +42,6 @@ def funnel(
     user_col: str = "user_id",
     type_col: str = "event_type",
     ts_col: str = "ts",
-    n_buckets: int = 64,
 ):
     """-> one row per user seen in ``events``:
     (user_id, depth, t1_us..tk_us) where depth is the number of funnel
@@ -59,8 +58,8 @@ def funnel(
     out_fields += [(f"t{i + 1}_us", pa.int64()) for i in range(k)]
     out_schema = pa.schema(out_fields)
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        u = key_i64(batch, user_col)
         ts = (
             batch[ts_col]
             .to_numpy(zero_copy_only=False)
@@ -84,7 +83,6 @@ def funnel(
                 "u": pa.array(ou, pa.int64()),
                 "st": pa.array(ost, pa.int64()),
                 "ts": pa.array(ots, pa.int64()),
-                "kb": pa.array(bucket_of(ou, n_buckets), pa.int64()),
             }
         )
 
@@ -113,11 +111,7 @@ def funnel(
             data[f"t{i + 1}_us"] = pa.array(c, pa.int64())
         return pa.table(data)
 
-    out = (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_match, batch_format="pyarrow")
-    )
+    out = co_shuffle(events.map_batches(_project, batch_format="pyarrow"), "u", _match)
 
     def _pin(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

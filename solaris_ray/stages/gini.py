@@ -15,8 +15,8 @@ is deterministic without a tiebreak.  Like the repo's other exact
 gates, output is the integer (n, sum_v, gini_num) triple — the ratio
 is the caller's one division — which keeps the DuckDB twin hash-exact.
 
-Scale shape: one partition-hash bucketed co-shuffle (the
-`ntile.py` plan); per bucket a single lexsort + segment reduceat —
+Scale shape: one ``_buckets.co_shuffle`` on the group; per bucket a
+single lexsort + segment reduceat —
 no per-group Python dispatch.  Assumes each GROUP fits a task (the
 documented partitioning assumption of every rank-family stage here);
 groups are (nation, source, cell)-sized, not corpus-sized.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _OUT = pa.schema(
     [
@@ -39,18 +39,16 @@ _OUT = pa.schema(
 )
 
 
-def group_gini(ds, group_col: str, val_col: str, n_buckets: int = 64):
+def group_gini(ds, group_col: str, val_col: str):
     """Dataset with int64-able ``group_col``/``val_col`` ->
     (grp, n, sum_v, gini_num) per group, gini = gini_num / (n*sum_v)."""
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        g = batch[group_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
         v = batch[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "g": pa.array(g, pa.int64()),
+                "g": pa.array(key_i64(batch, group_col), pa.int64()),
                 "v": pa.array(v, pa.int64()),
-                "kb": pa.array(bucket_of(g, n_buckets), pa.int64()),
             }
         )
 
@@ -77,11 +75,7 @@ def group_gini(ds, group_col: str, val_col: str, n_buckets: int = 64):
             }
         )
 
-    out = (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_gini, batch_format="pyarrow")
-    )
+    out = co_shuffle(ds.map_batches(_project, batch_format="pyarrow"), "g", _gini)
 
     def _pin(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

@@ -109,8 +109,9 @@ def dedup_nodes(roads, id_col: str = "feature_id"):
 
     counts = ray.get([_nrows.remote(r) for r in refs])
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) if counts else []
+    # an empty shuffle partition is a block with no columns: skip it
     return ray.data.from_arrow_refs(
-        [_assign.remote(r, int(o)) for r, o in zip(refs, offsets)]
+        [_assign.remote(r, int(o)) for r, o, c in zip(refs, offsets, counts) if c]
     )
 
 

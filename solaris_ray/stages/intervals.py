@@ -7,7 +7,7 @@ islands.  Per key the output is the island count, total covered
 length (union measure), and longest island — the curation shape of
 "how much wall-clock does this user/sensor actually cover?".
 
-Algorithm (all int64, exact): one partition-hash bucketed co-shuffle;
+Algorithm (all int64, exact): one ``_buckets.co_shuffle`` on the key;
 per bucket a lexsort by (key, start, end, id) and a SEGMENTED running
 max of ``end`` — vectorized with the per-segment base-offset trick
 (add seg_id·BIG before ``np.maximum.accumulate``, subtract after; BIG
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _OUT = pa.schema(
     [
@@ -43,13 +43,12 @@ def merge_intervals(
     key_col: str = "key",
     start_col: str = "s",
     end_col: str = "e",
-    n_buckets: int = 64,
 ):
     """Dataset of (key, s, e) int64 intervals (s <= e) ->
     (key, n_islands, covered, max_island) per key."""
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        k = key_i64(batch, key_col)
         s = batch[start_col].to_numpy(zero_copy_only=False).astype(np.int64)
         e = batch[end_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if s.size and (e < s).any():
@@ -59,7 +58,6 @@ def merge_intervals(
                 "k": pa.array(k, pa.int64()),
                 "s": pa.array(s, pa.int64()),
                 "e": pa.array(e, pa.int64()),
-                "kb": pa.array(bucket_of(k, n_buckets), pa.int64()),
             }
         )
 
@@ -110,11 +108,7 @@ def merge_intervals(
             }
         )
 
-    out = (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_islands, batch_format="pyarrow")
-    )
+    out = co_shuffle(ds.map_batches(_project, batch_format="pyarrow"), "k", _islands)
 
     def _pin(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

@@ -20,8 +20,9 @@ oracle, never against shapely output.
 
 Ray-Data mapping: the tile is the unit of work.  After the spatial
 join, rows already carry per-feature geo coords; ``_buckets.co_shuffle``
-on ``tile_id`` co-locates a tile's features and runs the pure-numpy
-kernels once per tile (SURVEY.md §2.9).  The shuffle is as wide as
+on ``tile_id`` co-locates a tile's features in one bucket and
+``_buckets.per_key`` runs the pure-numpy kernels once per tile of the
+bucket (SURVEY.md §2.9).  The shuffle is as wide as
 ``_buckets.shuffle_width`` says (the session's CPUs or the input's
 blocks, whichever is more), never a fixed count.  Masks are emitted as
 PNG-compressed binary columns (wide fixed lists would blow up block
@@ -43,7 +44,7 @@ from ..raster.kernels import (
     ring_spans,
     span_cover,
 )
-from ._buckets import co_shuffle, shuffle_width
+from ._buckets import co_shuffle, per_key, shuffle_width
 
 MASK_SCHEMA = pa.schema(
     [
@@ -199,28 +200,28 @@ def masks_from_join(joined, tile_size: int = 128, n_buckets: int | None = None, 
 
     The join output must carry tile bounds; if it doesn't, join them
     back by tile_id first.  ``co_shuffle`` on ``tile_id`` brings all
-    rows of a tile into one group and runs ``tile_masks`` once per
-    tile, many tiles per task.  ``n_buckets`` (the shuffle's block
-    count) defaults to ``_buckets.shuffle_width(joined)``.
+    rows of a tile into one bucket and ``per_key`` runs ``tile_masks``
+    once per tile of it, many tiles per task.  ``n_buckets`` (the
+    shuffle's block count) defaults to ``_buckets.shuffle_width(joined)``.
     """
     return co_shuffle(
         joined, "tile_id",
-        lambda group: tile_masks(group, tile_size=tile_size, **kwargs),
+        per_key("tile_id", lambda group: tile_masks(group, tile_size=tile_size, **kwargs)),
         n_buckets,
     )
 
 
 def instance_masks(joined, tile_size: int = 128, burn_value: int = 255,
-                   out_fmt: str = "png", n_blocks: int | None = None):
+                   out_fmt: str = "png"):
     """One row per (tile, feature) with that feature's own mask —
     the sparse-row replacement for instance_mask's [Y,X,n] ndarray
     (solaris/vector/mask.py:845-976; SURVEY.md §7.4 wide-row note).
 
-    The input is repartitioned first, into ``n_blocks`` blocks (default:
-    ``_buckets.shuffle_width(joined)``): a join that materialized to
-    one block would rasterize every instance in ONE task (task
+    The input is repartitioned first, into
+    ``_buckets.shuffle_width(joined)`` blocks: a join that materialized
+    to one block would rasterize every instance in ONE task (task
     granularity is blocks, not batches)."""
-    joined = joined.repartition(n_blocks or shuffle_width(joined))
+    joined = joined.repartition(shuffle_width(joined))
 
     def _one(batch: pa.Table) -> pa.Table:
         out = {
@@ -257,9 +258,10 @@ def zero_nodata_instances(inst_ds, tiles_ds, nodata: float = 0.0, out_fmt: str =
     """Zero instance-mask pixels where the reference tile is nodata in
     ALL bands (solaris/vector/mask.py:950-961).
 
-    Distributed as a ``co_shuffle`` on ``tile_id``: instance rows and
-    the tile's pixel row meet in one group; the nodata mask is computed
-    once per tile and ANDed into every instance mask.  Tiles without
+    Distributed as a ``co_shuffle`` on ``tile_id`` with a ``per_key``
+    kernel: instance rows and the tile's pixel row meet in one call;
+    the nodata mask is computed once per tile and ANDed into every
+    instance mask.  Tiles without
     pixels pass instances through unchanged (no reference image -> no
     zeroing, matching the reference's ``reference_im=None`` path).
     """
@@ -337,4 +339,4 @@ def zero_nodata_instances(inst_ds, tiles_ds, nodata: float = 0.0, out_fmt: str =
             }
         )
 
-    return co_shuffle(inst.union(tiles), "tile_id", _group)
+    return co_shuffle(inst.union(tiles), "tile_id", per_key("tile_id", _group))

@@ -5,8 +5,8 @@ Funnel-adjacent engagement mining: sessionize each user's events
 render each session's ordered event types as a ``'->'``-joined path
 string, count sessions per distinct path, return the global top-k.
 
-ONE wide co-shuffle moves raw (user, ts, id, type) rows to the
-user's bucket; paths are built vectorized (Arrow list offsets +
+ONE wide ``_buckets.co_shuffle`` moves raw (user, ts, id, type) rows
+to the user's bucket; paths are built vectorized (Arrow list offsets +
 ``binary_join`` — no per-session Python), pre-counted per bucket so
 the path-count shuffle moves at most |buckets| x |distinct paths|
 rows, then a tiny sort/limit.  Total order everywhere: events by
@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 
 def session_paths(
@@ -33,7 +33,6 @@ def session_paths(
     ts_col: str = "ts",
     type_col: str = "event_type",
     id_col: str = "event_id",
-    n_buckets: int = 64,
 ):
     """-> (path, n_sessions): top-k most common session type-paths."""
     if gap_us <= 0:
@@ -41,8 +40,8 @@ def session_paths(
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        u = key_i64(batch, user_col)
         t = (
             batch[ts_col]
             .to_numpy(zero_copy_only=False)
@@ -58,7 +57,6 @@ def session_paths(
                     pa.int64(),
                 ),
                 "ty": batch[type_col],
-                "ub": pa.array(bucket_of(u, n_buckets), pa.int64()),
             }
         )
 
@@ -92,9 +90,7 @@ def session_paths(
         )
 
     counted = (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(_paths, batch_format="pyarrow")
+        co_shuffle(events.map_batches(_project, batch_format="pyarrow"), "u", _paths)
         .groupby("path")
         .sum("n")
         .map_batches(

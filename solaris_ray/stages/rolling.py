@@ -2,7 +2,7 @@
 
 The reference has no time-series surface; this is the training-data
 analytics op (per-entity smoothing / robust denoising) expressed the
-Ray-Data way: one hash-bucket co-shuffle on the entity, then a fully
+Ray-Data way: one ``_buckets.co_shuffle`` on the entity, then a fully
 vectorized per-bucket kernel — no per-row Python, no per-entity group
 dispatch (entities share a bucket; series boundaries are handled by
 masking, not iteration).
@@ -22,15 +22,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _SENTINEL = np.iinfo(np.int64).max
 
 
 def rolling_median2(events, k: int = 5, entity_col: str = "user_id",
                     ts_col: str = "ts", id_col: str = "event_id",
-                    value_col: str = "value", scale: int = 100,
-                    n_buckets: int = 64):
+                    value_col: str = "value", scale: int = 100):
     """Per entity (ordered by ts, then id): twice the exact median of
     the last ``k`` values (shorter leading windows use what exists).
 
@@ -39,20 +38,16 @@ def rolling_median2(events, k: int = 5, entity_col: str = "user_id",
     if k < 1:
         raise ValueError("window k must be >= 1")
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        ent = pc.cast(batch[entity_col], pa.int64())
+    def _project(batch: pa.Table) -> pa.Table:
         vals = np.round(
             batch[value_col].to_numpy(zero_copy_only=False) * float(scale)
         ).astype(np.int64)
         return pa.table(
             {
-                "ent__": ent,
+                "ent__": pa.array(key_i64(batch, entity_col), pa.int64()),
                 "ts__": pc.cast(batch[ts_col], pa.int64()),
                 "id__": pc.cast(batch[id_col], pa.int64()),
                 "v__": pa.array(vals, pa.int64()),
-                "kb__": pa.array(
-                    bucket_of(ent.to_numpy(zero_copy_only=False), n_buckets)
-                ),
             }
         )
 
@@ -96,8 +91,5 @@ def rolling_median2(events, k: int = 5, entity_col: str = "user_id",
             }
         )
 
-    return (
-        events.map_batches(_tag, batch_format="pyarrow", batch_size=16384)
-        .groupby("kb__")
-        .map_groups(_roll, batch_format="pyarrow")
-    )
+    keyed = events.map_batches(_project, batch_format="pyarrow", batch_size=16384)
+    return co_shuffle(keyed, "ent__", _roll)

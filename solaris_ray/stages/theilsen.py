@@ -15,7 +15,7 @@ rank floor((n-1)/2)) of those integers.  Median-of-truncations rather
 than truncation-of-median keeps every compared quantity an integer,
 so the SQL twin (CASE-sign arithmetic + row_number) is hash-exact.
 
-Shape: ONE bucketed co-shuffle on the key; the per-bucket kernel
+Shape: ONE ``_buckets.co_shuffle`` on the key; the per-bucket kernel
 generates each key segment's pair triangle VECTORIZED (the editdist
 closed-form triangle enumeration) and reduces with a lexsort-segment
 median — no per-pair Python.  Pair count is O(n_k^2) per key — the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _OUT = pa.schema(
     [
@@ -47,17 +47,15 @@ def theil_sen(
     t_col: str,
     v_col: str,
     max_key_rows: int = 20_000,
-    n_buckets: int = 64,
 ):
     """Dataset of (key, t, v) integer rows -> (key, n_pairs, slope_u):
     lower-median pairwise micro-slope per key (NULL when no pair has
     distinct t)."""
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "k": pa.array(k, pa.int64()),
+                "k": pa.array(key_i64(batch, key_col), pa.int64()),
                 "t": pa.array(
                     batch[t_col].to_numpy(zero_copy_only=False).astype(np.int64),
                     pa.int64(),
@@ -66,7 +64,6 @@ def theil_sen(
                     batch[v_col].to_numpy(zero_copy_only=False).astype(np.int64),
                     pa.int64(),
                 ),
-                "kb": pa.array(bucket_of(k, n_buckets), pa.int64()),
             }
         )
 
@@ -151,8 +148,4 @@ def theil_sen(
             }
         )
 
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_slopes, batch_format="pyarrow")
-    )
+    return co_shuffle(ds.map_batches(_project, batch_format="pyarrow"), "k", _slopes)

@@ -1,10 +1,10 @@
 """Per-entity trajectory length (movement mining over event points).
 
 GPS/track curation wants per-entity displacement statistics: total
-path length over the entity's time-ordered positions.  ONE bucketed
-co-shuffle on the entity id, an in-bucket lexsort by (entity, ts,
-event id) — the same total order as sessionize/funnel — and a
-vectorized consecutive-distance sum per segment.
+path length over the entity's time-ordered positions.  ONE
+``_buckets.co_shuffle`` on the entity id, an in-bucket lexsort by
+(entity, ts, event id) — the same total order as sessionize/funnel —
+and a vectorized consecutive-distance sum per segment.
 
 Float discipline: per-entity sums of correctly-rounded sqrt terms,
 6-dp round; ordering inside an entity is pinned, so engine and SQL
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 
 def trajectory_length(
@@ -26,13 +26,12 @@ def trajectory_length(
     id_col: str = "event_id",
     x_col: str = "x",
     y_col: str = "y",
-    n_buckets: int = 64,
 ):
     """-> (entity, n_events, path6): total polyline length of each
     entity's time-ordered positions."""
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch[entity_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        u = key_i64(batch, entity_col)
         t = (
             batch[ts_col]
             .to_numpy(zero_copy_only=False)
@@ -55,7 +54,6 @@ def trajectory_length(
                     batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64),
                     pa.float64(),
                 ),
-                "ub": pa.array(bucket_of(u, n_buckets), pa.int64()),
             }
         )
 
@@ -92,8 +90,4 @@ def trajectory_length(
             }
         )
 
-    return (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(_paths, batch_format="pyarrow")
-    )
+    return co_shuffle(events.map_batches(_project, batch_format="pyarrow"), "u", _paths)

@@ -7,15 +7,16 @@ pair emission ``LEAD(event_type) OVER (PARTITION BY user ORDER BY ts,
 event_id)`` — the id tie-break makes the order total, so engine and
 twin agree even on equal timestamps.
 
-ONE co-shuffle of the event rows keyed on the user's hash bucket: a
+ONE ``_buckets.co_shuffle`` of the event rows on the user: a
 lexsort-segment kernel orders every user's events at once and emits
 pair rows where adjacent rows share the user; a second (tiny —
-|types|^2 rows after per-group pre-count) shuffle sums the counts.
+|types|^2 rows per bucket after pre-count) co-shuffle on the from-type
+sums the counts.
 Event types travel as strings only in the tiny second shuffle; the
 wide shuffle carries (user:int64, ts:int64, event_id:int64, type).
 
 Partitioning assumption (SURVEY custom-operator rule): one user's
-events meet in one group (bucket key = user id).
+events meet in one bucket (the shuffle key is the user id).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 
 def transition_matrix(
@@ -32,7 +33,6 @@ def transition_matrix(
     type_col: str = "event_type",
     ts_col: str = "ts",
     id_col: str = "event_id",
-    n_buckets: int = 64,
 ):
     """-> (from_type, to_type, n): counts of consecutive event-type
     pairs per user, ordered by (ts, event_id) within each user."""
@@ -41,8 +41,8 @@ def transition_matrix(
          ("n", pa.int64())]
     )
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        u = key_i64(batch, user_col)
         ts = (
             batch[ts_col]
             .to_numpy(zero_copy_only=False)
@@ -55,7 +55,6 @@ def transition_matrix(
                 "ts": pa.array(ts, pa.int64()),
                 "eid": batch[id_col],
                 "ty": batch[type_col],
-                "kb": pa.array(bucket_of(u, n_buckets), pa.int64()),
             }
         )
 
@@ -94,24 +93,8 @@ def transition_matrix(
             }
         )
 
-    def _tag_pair(batch: pa.Table) -> pa.Table:
-        # the pre-counted pair table is tiny (<= |types|^2 rows per
-        # bucket), so a per-row python byte-sum bucket is fine here
-        h = np.array(
-            [sum(s.encode()) % n_buckets for s in
-             batch["from_type"].to_pylist()],
-            np.int64,
-        )
-        return batch.append_column("pb", pa.array(h, pa.int64()))
-
-    out = (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_pairs, batch_format="pyarrow")
-        .map_batches(_tag_pair, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(_combine, batch_format="pyarrow")
-    )
+    pairs = co_shuffle(events.map_batches(_project, batch_format="pyarrow"), "u", _pairs)
+    out = co_shuffle(pairs, "from_type", _combine)
 
     def _pin(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

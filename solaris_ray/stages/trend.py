@@ -9,7 +9,7 @@ int64) and cent-ized values the whole statistic is exact: emitted as
 ``slope_e6`` micro-units (cents/day) with DuckDB's truncating
 division semantics, plus the raw (num, den) pair.
 
-ONE entity-bucketed co-shuffle; in-group the rebase and all five
+ONE ``_buckets.co_shuffle`` on the entity; in-bucket the rebase and all five
 sums are lexsort-segment reductions (no per-row Python).  The final
 micro-unit division runs per ENTITY row (output-sized, not
 data-sized) in arbitrary-precision Python ints because
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, key_i64
 
 _DAY_US = 86400 * 10**6
 
@@ -31,14 +31,13 @@ def trend_slope(
     entity_col: str = "user_id",
     ts_col: str = "ts",
     value_col: str = "value",
-    n_buckets: int = 64,
 ):
     """-> one row per entity: (entity, n_events, num, den, slope_e6)
     where slope_e6 = trunc(1e6 * num / den) cents per day (0 when the
     entity has a single distinct day)."""
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch[entity_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
+        u = key_i64(batch, entity_col)
         d = (
             batch[ts_col]
             .to_numpy(zero_copy_only=False)
@@ -54,7 +53,6 @@ def trend_slope(
                 "u": pa.array(u, pa.int64()),
                 "d": pa.array(d, pa.int64()),
                 "v": pa.array(v, pa.int64()),
-                "ub": pa.array(bucket_of(u, n_buckets), pa.int64()),
             }
         )
 
@@ -103,8 +101,4 @@ def trend_slope(
             }
         )
 
-    return (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(_slopes, batch_format="pyarrow")
-    )
+    return co_shuffle(events.map_batches(_project, batch_format="pyarrow"), "u", _slopes)

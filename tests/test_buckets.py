@@ -1,10 +1,25 @@
-"""distinct_reduce: the bucketed vectorized pair-distinct idiom."""
+"""distinct_reduce, the key hash and the width rules of the co-shuffle callers."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from solaris_ray.stages._buckets import bucket_of, distinct_reduce
+from solaris_ray.stages.actives import rolling_actives
+from solaris_ray.stages.autocorr import lag_autocorr
+from solaris_ray.stages.cohorts import retention_cohorts
+from solaris_ray.stages.cusum import cusum_alarms
+from solaris_ray.stages.ema import ema_final
+from solaris_ray.stages.ffill import forward_fill
+from solaris_ray.stages.funnel import funnel
+from solaris_ray.stages.gini import group_gini
+from solaris_ray.stages.intervals import merge_intervals
+from solaris_ray.stages.paths import session_paths
+from solaris_ray.stages.rolling import rolling_median2
+from solaris_ray.stages.theilsen import theil_sen
+from solaris_ray.stages.trajectory import trajectory_length
+from solaris_ray.stages.transitions import transition_matrix
+from solaris_ray.stages.trend import trend_slope
 
 
 def _ds(tbl):
@@ -82,9 +97,8 @@ def test_distinct_float_keys(ray_session):
     # a NaN key has no well-defined group: refused, naming the column
     # (the ValueError surfaces wrapped in RayTaskError; match its text)
     nan = t.set_column(1, "y", pa.array([2.0, float("nan"), 3.0, 3.0, 4.0]))
-    with pytest.raises(Exception, match="ValueError: distinct_reduce: NaN in key column 'y'"):
+    with pytest.raises(Exception, match="ValueError: NaN in key column 'y'"):
         distinct_reduce(_ds(nan), ["x", "y"]).materialize()
-
 
 
 def test_graph_rounds_keep_block_count_at_width(ray_session):
@@ -111,7 +125,7 @@ def test_graph_rounds_keep_block_count_at_width(ray_session):
 
 def test_graph_family_takes_no_fixed_width():
     # the bucket count and every repartition come from shuffle_width;
-    # no graph-family entry point may take a literal width again
+    # no graph- or event-family entry point may take a literal width again
     import inspect
 
     from solaris_ray.stages.bfs import bfs_hops
@@ -122,7 +136,80 @@ def test_graph_family_takes_no_fixed_width():
     from solaris_ray.stages.triangles import triangle_counts
 
     for fn in (bfs_hops, sssp_dist, pagerank, kcore, triangle_counts,
-               link_prediction_scores, distinct_reduce):
+               link_prediction_scores, distinct_reduce, *_EVENT_FAMILY.values()):
         params = set(inspect.signature(fn).parameters)
         knobs = {"n_buckets", "shuffle_blocks"} & params
         assert not knobs, f"{fn.__name__} takes {sorted(knobs)}"
+
+
+# the event family on co_shuffle: entry point -> a call on _event_ds
+_EVENT_FAMILY = {
+    ema_final: lambda ds: ema_final(ds, "user_id", "t", "event_id", "v"),
+    rolling_median2: rolling_median2,
+    funnel: lambda ds: funnel(ds, ["view", "click"]),
+    trajectory_length: trajectory_length,
+    session_paths: lambda ds: session_paths(ds, gap_us=10),
+    trend_slope: trend_slope,
+    retention_cohorts: retention_cohorts,
+    transition_matrix: transition_matrix,
+    rolling_actives: rolling_actives,
+    group_gini: lambda ds: group_gini(ds, "user_id", "v"),
+    merge_intervals: lambda ds: merge_intervals(ds, "user_id", "s", "e"),
+    forward_fill: lambda ds: forward_fill(ds, "user_id", ["t"], "v", "event_id"),
+    cusum_alarms: lambda ds: cusum_alarms(ds, "user_id", ["t"], "v", mu0=0, slack=0, h=1),
+    lag_autocorr: lambda ds: lag_autocorr(ds, "user_id", ["t"], "v"),
+    theil_sen: lambda ds: theil_sen(ds, "user_id", "t", "v"),
+}
+
+
+def _event_ds(user_id: pa.Array):
+    n = len(user_id)
+    t = np.arange(n, dtype=np.int64)
+    return _ds(pa.table({
+        "user_id": user_id,
+        "event_type": ["view", "click", "purchase", "view"][:n],
+        "ts": pa.array(t * 3_600_000_000, pa.timestamp("us")),
+        "event_id": t,
+        "value": t * 1.5,
+        "x": t * 1.0,
+        "y": t * 2.0,
+        "t": t,
+        "v": t * 7,
+        "s": t * 10,
+        "e": t * 10 + 5,
+    }))
+
+
+@pytest.mark.parametrize("bad", ["null", "NaN"])
+@pytest.mark.parametrize("stage", list(_EVENT_FAMILY), ids=lambda f: f.__name__)
+def test_event_family_refuses_null_and_nan_keys(ray_session, stage, bad):
+    # a null int key used to come back as key -2**63; a null or NaN key
+    # has no group, so it is refused naming the column
+    keys = (pa.array([1, None, 2, 1], pa.int64()) if bad == "null"
+            else pa.array([1.0, float("nan"), 2.0, 1.0]))
+    with pytest.raises(Exception, match=f"ValueError: {bad} in key column 'user_id'"):
+        _EVENT_FAMILY[stage](_event_ds(keys)).materialize()
+
+
+# stages/ modules that still build their own tag shuffle on bucket_of;
+# a port to co_shuffle removes its module, and no module may be added
+_BUCKET_OF_ALLOWLIST = {
+    "cdc", "cooccur", "corpus", "dbscan", "editdist", "hull", "kcore",
+    "linkpred", "moran", "ntile", "pagerank", "profile", "ranktest",
+    "ripley", "setjoin", "sssp", "triangles",
+}
+
+
+def test_bucket_of_importers_only_shrink():
+    import ast
+    import pathlib
+
+    import solaris_ray.stages as stages
+
+    users = set()
+    for path in pathlib.Path(stages.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_buckets")
+                    and any(a.name == "bucket_of" for a in node.names)):
+                users.add(path.stem)
+    assert users <= _BUCKET_OF_ALLOWLIST, sorted(users - _BUCKET_OF_ALLOWLIST)

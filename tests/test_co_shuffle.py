@@ -1,7 +1,9 @@
-"""``_buckets.co_shuffle``: exact per-key grouping for any block layout
-and any bucket count, checked through its mask-family callers."""
+"""``_buckets.co_shuffle``: every row of a key in one ``fn`` call for any
+block layout, key type and bucket count; ``per_key`` and the mask-family
+callers built on it."""
 
 import hashlib
+import uuid
 from collections import Counter
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from solaris_ray.raster import codec
 from solaris_ray.sources import synth
 from solaris_ray.stages import evaluate, masks, tiler
-from solaris_ray.stages._buckets import co_shuffle, shuffle_width
+from solaris_ray.stages._buckets import co_shuffle, per_key, shuffle_width
 from solaris_ray.stages.joins import build_join_index, join_tile_batch_to_pack, spatial_join
 
 TS = 128
@@ -75,26 +77,82 @@ def test_masks_from_join_empty(ray_session, joined):
     assert masks.tile_masks(empty, tile_size=TS).schema == masks.MASK_SCHEMA
 
 
+def _keyed(kind: str) -> tuple[pa.Table, list[str]]:
+    """60 rows, row id ``i``; every key repeats, so any cut splits keys."""
+    i = np.arange(60)
+    if kind == "int":
+        return pa.table({"i": i, "k": (i % 7) * 3 - 5}), ["k"]
+    if kind == "float":  # -0.0 and +0.0 are one key
+        vals = np.array([-0.0, 0.0, 1.5, -2.25, 1e300, 7.0, 0.1])
+        return pa.table({"i": i, "k": vals[i % 7]}), ["k"]
+    if kind == "string":  # "ab" and "ba" have equal byte sums
+        vals = ["a", "b", "ab", "ba", "", "é", "z"]
+        return pa.table({"i": i, "k": [vals[j % 7] for j in i]}), ["k"]
+    return pa.table({"i": i, "k1": i % 7, "k2": (i % 3).astype(str)}), ["k1", "k2"]
+
+
+def _layout(tbl: pa.Table, layout: str) -> list[pa.Table]:
+    if layout == "one_block":
+        return [tbl]
+    if layout == "row_per_block":
+        return [tbl.slice(j, 1) for j in range(tbl.num_rows)]
+    return [tbl.slice(0, 30), tbl.slice(30)]  # key_split: every key in both
+
+
+def _key_of(tbl: pa.Table, keys: list[str]) -> list[tuple]:
+    # +0.0 folds -0.0 into +0.0, as the shuffle's key hash does
+    cols = [[v + 0.0 if isinstance(v, float) else v for v in tbl[c].to_pylist()]
+            for c in keys]
+    return list(zip(*cols))
+
+
 @pytest.mark.parametrize("n_buckets", [1, 3])
 def test_co_shuffle_integer_key(ray_session, n_buckets):
+    """Per-bucket contract for int, float, string and two-column keys
+    over three block layouts: ``fn`` sees the input columns only, every
+    row arrives once, and every key's rows arrive in exactly one call."""
     import ray
 
-    rng = np.random.default_rng(0)
-    k = rng.integers(-5, 40, 500)
-    v = rng.integers(0, 1000, 500)
-    ds = ray.data.from_arrow([pa.table({"k": k[i:i + 50], "v": v[i:i + 50]})
-                              for i in range(0, 500, 50)])
+    for kind in ("int", "float", "string", "two_col"):
+        tbl, keys = _keyed(kind)
 
-    def _sum(g: pa.Table) -> pa.Table:
-        assert len(set(g["k"].to_pylist())) == 1
-        return pa.table({"k": g["k"].slice(0, 1), "s": [pc.sum(g["v"]).as_py()],
-                         "n": [g.num_rows]})
+        def _calls(bucket: pa.Table) -> pa.Table:
+            assert bucket.column_names == tbl.column_names
+            return pa.table({"i": bucket["i"],
+                             "call": [uuid.uuid4().hex] * bucket.num_rows})
 
-    got = co_shuffle(ds, "k", _sum, n_buckets).to_pandas().sort_values("k")
-    want = pd.DataFrame({"k": k, "v": v}).groupby("k")["v"].agg(["sum", "count"])
-    assert got["k"].tolist() == want.index.tolist()
-    assert got["s"].tolist() == want["sum"].tolist()
-    assert got["n"].tolist() == want["count"].tolist()
+        for layout in ("one_block", "row_per_block", "key_split"):
+            ds = ray.data.from_arrow(_layout(tbl, layout))
+            # a one-column key goes in as a name, two as a list
+            out = co_shuffle(ds, keys if len(keys) > 1 else keys[0], _calls,
+                             n_buckets).to_pandas()
+            assert sorted(out["i"]) == list(range(tbl.num_rows)), (kind, layout)
+            call_of = dict(zip(out["i"], out["call"]))
+            calls = {}
+            for row, key in enumerate(_key_of(tbl, keys)):
+                calls.setdefault(key, set()).add(call_of[row])
+            assert all(len(c) == 1 for c in calls.values()), (kind, layout)
+            if n_buckets == 1:  # one bucket: one call holds every key
+                assert out["call"].nunique() == 1, (kind, layout)
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "string"])
+def test_per_key_calls_fn_once_per_key(ray_session, kind):
+    import ray
+
+    tbl, keys = _keyed(kind)
+    ds = ray.data.from_arrow(_layout(tbl, "row_per_block"))
+
+    def _one(seg: pa.Table) -> pa.Table:
+        assert len(set(seg["k"].to_pylist())) == 1  # -0.0 == +0.0
+        return pa.table({"i": [min(seg["i"].to_pylist())], "n": [seg.num_rows]})
+
+    out = co_shuffle(ds, "k", per_key("k", _one), 3).to_pandas()
+    rows = {}
+    for row, key in enumerate(_key_of(tbl, keys)):
+        rows.setdefault(key, []).append(row)
+    assert sorted(out["i"]) == sorted(min(r) for r in rows.values())
+    assert sorted(out["n"]) == sorted(len(r) for r in rows.values())
 
 
 def test_shuffle_width_follows_cpus_and_blocks(ray_session):

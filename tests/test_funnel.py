@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.funnel import funnel
 
 _I64 = np.int64
@@ -52,8 +53,8 @@ def _naive(rows, steps):
     return out
 
 
-def _run(rows, steps, **kw):
-    res = funnel(_events_ds(rows), steps, **kw).sort("user_id").take_all()
+def _run(rows, steps, n_blocks=3):
+    res = funnel(_events_ds(rows, n_blocks), steps).sort("user_id").take_all()
     return {
         r["user_id"]: (r["depth"], *[r[f"t{i + 1}_us"] for i in range(len(steps))])
         for r in res
@@ -90,7 +91,7 @@ def test_funnel_first_touch_not_best_path():
     assert _run(rows, STEPS)[1] == (2, 10, 25, -1)
 
 
-def test_funnel_bucket_invariance_random():
+def test_funnel_bucket_invariance_random(ray_session):
     rng = np.random.default_rng(7)
     types = ["view", "click", "purchase", "error", "signup"]
     rows = [
@@ -99,8 +100,10 @@ def test_funnel_bucket_invariance_random():
         for _ in range(2000)
     ]
     want = _naive(rows, STEPS)
-    assert _run(rows, STEPS, n_buckets=5) == want
-    assert _run(rows, STEPS, n_buckets=97) == want
+    # the bucket count follows the input's block count
+    assert shuffle_width(_events_ds(rows, 5)) != shuffle_width(_events_ds(rows, 97))
+    assert _run(rows, STEPS, n_blocks=5) == want
+    assert _run(rows, STEPS, n_blocks=97) == want
 
 
 def test_funnel_rejects_bad_steps():

@@ -6,6 +6,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.gini import group_gini
 
 
@@ -19,15 +20,18 @@ def _brute(groups, vals):
     return out
 
 
-def _run(groups, vals, n_blocks=4, **kw):
+def _ds(groups, vals, n_blocks=4):
     t = pa.table(
         {
             "g": pa.array(np.array(groups, np.int64)),
             "v": pa.array(np.array(vals, np.int64)),
         }
     )
-    ds = ray.data.from_arrow(t).repartition(n_blocks)
-    rows = group_gini(ds, "g", "v", **kw).take_all()
+    return ray.data.from_arrow(t).repartition(n_blocks)
+
+
+def _run(groups, vals, n_blocks=4):
+    rows = group_gini(_ds(groups, vals, n_blocks), "g", "v").take_all()
     return {r["grp"]: (r["n"], r["sum_v"], r["gini_num"]) for r in rows}
 
 
@@ -49,9 +53,11 @@ def test_gini_extreme_concentration():
     assert got == {0: (5, 100, 400)}
 
 
-def test_gini_ties_are_order_invariant_and_bucket_invariant():
+def test_gini_ties_are_order_invariant_and_bucket_invariant(ray_session):
     groups = [3, 3, 3, 3, 9, 9]
     vals = [5, 5, 5, 7, 1, 1]
     want = _brute(groups, vals)
-    assert _run(groups, vals, n_buckets=3) == want
-    assert _run(groups, vals, n_buckets=97) == want
+    # the bucket count follows the input's block count
+    assert shuffle_width(_ds(groups, vals, 3)) != shuffle_width(_ds(groups, vals, 97))
+    assert _run(groups, vals, n_blocks=3) == want
+    assert _run(groups, vals, n_blocks=97) == want

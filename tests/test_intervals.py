@@ -7,6 +7,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.intervals import merge_intervals
 
 
@@ -27,7 +28,7 @@ def _brute(keys, ss, ee):
     return out
 
 
-def _run(keys, ss, ee, n_blocks=4, **kw):
+def _ds(keys, ss, ee, n_blocks=4):
     t = pa.table(
         {
             "key": pa.array(np.array(keys, np.int64)),
@@ -35,8 +36,11 @@ def _run(keys, ss, ee, n_blocks=4, **kw):
             "e": pa.array(np.array(ee, np.int64)),
         }
     )
-    ds = ray.data.from_arrow(t).repartition(n_blocks)
-    rows = merge_intervals(ds, **kw).take_all()
+    return ray.data.from_arrow(t).repartition(n_blocks)
+
+
+def _run(keys, ss, ee, n_blocks=4):
+    rows = merge_intervals(_ds(keys, ss, ee, n_blocks)).take_all()
     return {r["key"]: (r["n_islands"], r["covered"], r["max_island"]) for r in rows}
 
 
@@ -63,14 +67,16 @@ def test_intervals_disjoint_and_multi_key():
     assert _run(keys, ss, ee) == {1: (2, 20, 10), 2: (1, 1, 1)}
 
 
-def test_intervals_bucket_invariance():
+def test_intervals_bucket_invariance(ray_session):
     rng = np.random.RandomState(8)
     keys = rng.randint(0, 5, 200).tolist()
     ss = rng.randint(0, 500, 200).tolist()
     ee = [s + int(d) for s, d in zip(ss, rng.randint(0, 60, 200))]
     want = _brute(keys, ss, ee)
-    assert _run(keys, ss, ee, n_buckets=2) == want
-    assert _run(keys, ss, ee, n_buckets=128) == want
+    # the bucket count follows the input's block count
+    assert shuffle_width(_ds(keys, ss, ee, 2)) != shuffle_width(_ds(keys, ss, ee, 128))
+    assert _run(keys, ss, ee, n_blocks=2) == want
+    assert _run(keys, ss, ee, n_blocks=128) == want
 
 
 def test_intervals_rejects_end_before_start():
