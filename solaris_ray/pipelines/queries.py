@@ -488,7 +488,7 @@ def q_tpch_q3(sf_dir: str):
         ["o_orderkey", "o_date_us", "o_orderpriority"]
     ).materialize()
 
-    from ..stages._buckets import bucket_of
+    from ..stages._buckets import distinct_reduce
 
     def _li_partial(batch: pa.Table) -> pa.Table:
         k = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -499,28 +499,6 @@ def q_tpch_q3(sf_dir: str):
         k, rev = k[order], rev[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         sums = np.add.reduceat(rev, starts) if k.size else rev
-        uk = k[starts]
-        return pa.table(
-            {
-                "l_orderkey": pa.array(uk, pa.int64()),
-                "rev": pa.array(sums.astype(np.int64), pa.int64()),
-                "kb": pa.array(bucket_of(uk, 128), pa.int64()),
-            }
-        )
-
-    li_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("revenue_e4", pa.int64())]
-    )
-
-    def _li_combine(group: pa.Table) -> pa.Table:
-        k = group["l_orderkey"].to_numpy(zero_copy_only=False)
-        r = group["rev"].to_numpy(zero_copy_only=False)
-        if k.size == 0:
-            return li_schema.empty_table()
-        order = np.argsort(k, kind="stable")
-        k, r = k[order], r[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        sums = np.add.reduceat(r, starts)
         return pa.table(
             {
                 "l_orderkey": pa.array(k[starts], pa.int64()),
@@ -528,10 +506,9 @@ def q_tpch_q3(sf_dir: str):
             }
         )
 
-    li_agg = (
-        li.map_batches(_li_partial, batch_format="pyarrow", batch_size=16384)
-        .groupby("kb")
-        .map_groups(_li_combine, batch_format="pyarrow")
+    li_agg = distinct_reduce(
+        li.map_batches(_li_partial, batch_format="pyarrow", batch_size=16384),
+        ["l_orderkey"], {"revenue_e4": "sum"},
     )
 
     joined = hash_join(
@@ -556,7 +533,6 @@ def q_tpch_q5(sf_dir: str):
     a broadcast or a driver-side constant."""
     import ray
 
-    from ..stages._buckets import bucket_of
     from ..stages.relational import hash_join
 
     lo = np.datetime64("1996-01-01", "us")
@@ -4226,11 +4202,7 @@ def q_editdist(sf_dir: str):
     from ..stages.editdist import editdist1_pairs
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    # n_buckets sized to the fixture (15k names); the library default
-    # (64) is the scale shape — buckets grow with the corpus
-    return editdist1_pairs(
-        cust, id_col="c_custkey", s_col="c_name", n_buckets=16
-    ).sort(["id_a", "id_b"])
+    return editdist1_pairs(cust, id_col="c_custkey", s_col="c_name").sort(["id_a", "id_b"])
 
 
 def q_gini(sf_dir: str):
@@ -4374,14 +4346,14 @@ def q_patchify(sf_dir: str):
 
 def q_running_sum(sf_dir: str):
     """Per-user running cumulative sum (the window-function primitive):
-    one bucketed co-shuffle on user, in-bucket lexsort + vectorized
+    one co-shuffle on user, in-bucket lexsort + vectorized
     cumsum with per-user offsets.  Exact integer cents (the
     events_window idiom) — no float-order sensitivity at all."""
+    from ..stages._buckets import co_shuffle
+
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    n_buckets = 128
 
     def _derive(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "event_id": pc.cast(batch["event_id"], pa.int64()),
@@ -4390,7 +4362,6 @@ def q_running_sum(sf_dir: str):
                 "cents": pc.cast(
                     pc.round(pc.multiply(batch["value"], 100.0)), pa.int64()
                 ),
-                "ub": pa.array((u % n_buckets).astype(np.int64), pa.int64()),
             }
         )
 
@@ -4422,12 +4393,8 @@ def q_running_sum(sf_dir: str):
             }
         )
 
-    return (
-        ev.map_batches(_derive, batch_format="pyarrow", batch_size=8192)
-        .groupby("ub")
-        .map_groups(_cum, batch_format="pyarrow")
-        .sort("event_id")
-    )
+    return co_shuffle(ev.map_batches(_derive, batch_format="pyarrow", batch_size=8192),
+                      "user_id", _cum).sort("event_id")
 
 
 def q_mix_sources(sf_dir: str):
@@ -6818,18 +6785,16 @@ def q_gap_hist(sf_dir: str):
     bucket.  One user-bucketed co-shuffle, lexsort-segment diffs."""
     from ray.data.aggregate import Sum
 
-    from ..stages._buckets import bucket_of
+    from ..stages._buckets import co_shuffle
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
     pows = np.asarray([1 << j for j in range(21)], np.int64)
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy().astype(np.int64)
+    def _project(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "u": pa.array(u, pa.int64()),
+            "u": pc.cast(batch["user_id"], pa.int64()),
             "t": pc.cast(batch["ts"], pa.int64()),
             "i": batch["event_id"],
-            "kb": pa.array(bucket_of(u, 64), pa.int64()),
         })
 
     def _gaps(group: pa.Table) -> pa.Table:
@@ -6849,8 +6814,8 @@ def q_gap_hist(sf_dir: str):
         })
 
     agg = (
-        ev.map_batches(_tag, batch_format="pyarrow", batch_size=16384)
-        .groupby("kb").map_groups(_gaps, batch_format="pyarrow")
+        co_shuffle(ev.map_batches(_project, batch_format="pyarrow", batch_size=16384),
+                   "u", _gaps)
         .groupby("bucket").aggregate(Sum("n"), Sum("gap_s_sum"))
     )
     return agg.map_batches(
@@ -7292,7 +7257,7 @@ def q_tpch_q18(sf_dir: str):
     """TPC-H Q18 (large-volume customers): lineitem pre-aggregated per
     orderkey inside map_batches, HAVING-filtered to the hot set, then
     two engine hash joins (orders, customer).  All money exact cents."""
-    from ..stages._buckets import bucket_of
+    from ..stages._buckets import co_shuffle
     from ..stages.relational import hash_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
@@ -7304,10 +7269,9 @@ def q_tpch_q18(sf_dir: str):
         return pa.table({
             "okey": pa.array(uniq, pa.int64()),
             "qty": np.bincount(inv, weights=q).astype(np.int64),
-            "kb": pa.array(bucket_of(uniq, 16), pa.int64()),
         })
 
-    # int-bucket co-shuffle + segment-sum combine with the HAVING
+    # orderkey co-shuffle + segment-sum combine with the HAVING
     # fused in (Ray's sort-based groupby over 150k keys costs ~3 s of
     # barrier floor; this emits only the ~0.3% survivors)
     def _combine(group: pa.Table) -> pa.Table:
@@ -7321,10 +7285,8 @@ def q_tpch_q18(sf_dir: str):
             "sum_qty": pa.array(s[keep], pa.int64()),
         })
 
-    hot = (
-        li.map_batches(_partial, batch_format="pyarrow", batch_size=16384)
-        .groupby("kb").map_groups(_combine, batch_format="pyarrow")
-    )
+    hot = co_shuffle(li.map_batches(_partial, batch_format="pyarrow", batch_size=16384),
+                     "okey", _combine)
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"])
@@ -7382,18 +7344,16 @@ def q_clustering_coef(sf_dir: str):
     edges = cust.map_batches(_edges, batch_format="pyarrow")
     tri = triangle_counts(edges)
 
-    # distinct-neighbor degree: ONE bucketed co-shuffle, per-bucket
+    # distinct-neighbor degree: ONE co-shuffle on the node, per-bucket
     # unique-(node, nbr) + segment counts (the bucket-vectorized idiom)
-    from ..stages._buckets import bucket_of
+    from ..stages._buckets import co_shuffle
 
     def _dual(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy()
         b = batch["b"].to_numpy()
-        node = np.concatenate([a, b])
         return pa.table({
-            "node": pa.array(node, pa.int64()),
+            "node": pa.array(np.concatenate([a, b]), pa.int64()),
             "nbr": pa.array(np.concatenate([b, a]), pa.int64()),
-            "kb": pa.array(bucket_of(node, 64), pa.int64()),
         })
 
     def _deg(group: pa.Table) -> pa.Table:
@@ -7404,10 +7364,7 @@ def q_clustering_coef(sf_dir: str):
         return pa.table({"node": pa.array(uniq, pa.int64()),
                          "deg": pa.array(cnt.astype(np.int64), pa.int64())})
 
-    deg = (
-        edges.map_batches(_dual, batch_format="pyarrow")
-        .groupby("kb").map_groups(_deg, batch_format="pyarrow")
-    )
+    deg = co_shuffle(edges.map_batches(_dual, batch_format="pyarrow"), "node", _deg)
     # triangle-node rows are a small id-table: broadcast them against
     # the degree stream instead of a bucketed exchange
     joined = hash_join(

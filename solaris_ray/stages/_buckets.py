@@ -8,21 +8,28 @@ there, tag column dropped.  A bucket kernel (lexsort + segment reduce)
 then handles many keys per call with no per-key Python dispatch.
 Callers whose kernel takes one key at a time wrap it in ``per_key``.
 
-``key_i64`` turns one key column into the int64 hash input: ints are
-cast, float64 is bit-viewed with -0.0 folded into +0.0, strings are
-``zlib.crc32`` of their UTF-8 bytes (stable across processes, unlike
-the salted ``hash()``).  A null or NaN key has no well-defined group
-and raises ``ValueError`` naming the column.
+``key_i64`` turns one int or float64 key column into exact int64
+values: ints are cast, float64 is bit-viewed with -0.0 folded into
++0.0.  A null or NaN key has no well-defined group, and a string key
+has no exact int64 form; each raises ``ValueError`` naming the column.
+Only the tag pass hashes: a string key column is tagged by the
+``zlib.crc32`` of its UTF-8 bytes (stable across processes, unlike the
+salted ``hash()``).  Keys that collide there share a bucket, never a
+group: the kernel segments on the key itself.
 
 ``bucket_of`` is the Knuth multiplicative bucket key; numpy's
 Python-style ``%`` keeps it non-negative even when the int64 product
 wraps.  ``shuffle_width`` is the one sizing policy: it follows the
-session and the input, never a fixed count.  ``co_shuffle`` (the mask
-and event families, ``distinct_reduce``) and the graph family
-(``bfs_hops``, ``sssp_dist``, ``pagerank``, ``kcore``,
-``triangle_counts``, ``link_prediction_scores``) take their bucket
-count and every repartition from it.  Iterative operators compute it
-once from their input before the first round: the block count of
+session and the input, never a fixed count.  ``co_shuffle`` takes its
+bucket count from it for every keyed stage outside the graph family:
+the mask and event families, ``distinct_reduce``, ``cdc``,
+``cooccur``, ``corpus``, ``dbscan``, ``editdist``, ``hull``,
+``moran``, ``ntile``, ``profile``, ``ranktest``, ``ripley``,
+``setjoin`` and the keyed gates of ``pipelines/queries.py``.  The
+graph family (``bfs_hops``, ``sssp_dist``, ``pagerank``, ``kcore``,
+``triangle_counts``, ``link_prediction_scores``) tags with
+``bucket_of`` itself and repartitions once per round; it computes the
+width once from its input before the first round: the block count of
 unioned per-round state grows every round (NOTES round 4i).
 """
 
@@ -52,23 +59,36 @@ def shuffle_width(ds) -> int:
 
 
 def key_i64(batch: pa.Table, col: str) -> np.ndarray:
-    """Column ``col`` of ``batch`` as int64: equal keys give equal
-    values.  Exact (invertible) for int and float64 columns; strings
-    hash to their crc32, once per distinct value of the batch."""
+    """Column ``col`` of ``batch`` as exact int64: equal keys give equal
+    values and distinct keys distinct ones.  Ints are cast, float64 is
+    bit-viewed; null, NaN and string keys raise ``ValueError``."""
     a = batch[col]
     if a.null_count:
         raise ValueError(f"null in key column {col!r}")
-    if pa.types.is_string(a.type) or pa.types.is_large_string(a.type):
-        enc = a.combine_chunks().dictionary_encode()
-        crc = np.array([zlib.crc32(s.encode("utf-8")) for s in enc.dictionary.to_pylist()],
-                       np.int64)
-        return crc[enc.indices.to_numpy(zero_copy_only=False)]
+    if _is_string(a.type):
+        raise ValueError(f"string in key column {col!r}: exact int64 keys are int or float64")
     v = a.to_numpy(zero_copy_only=False)
     if v.dtype == np.float64:
         if np.isnan(v).any():
             raise ValueError(f"NaN in key column {col!r}")
         return (v + 0.0).view(np.int64)  # +0.0 folds -0.0 into +0.0
     return v.astype(np.int64)
+
+
+def _is_string(t: pa.DataType) -> bool:
+    return pa.types.is_string(t) or pa.types.is_large_string(t)
+
+
+def _tag_i64(batch: pa.Table, col: str) -> np.ndarray:
+    """``key_i64``, except that a string column hashes to its crc32,
+    once per distinct value of the batch: lossy, so only for a tag."""
+    a = batch[col]
+    if a.null_count or not _is_string(a.type):
+        return key_i64(batch, col)  # exact, or the named error
+    enc = a.combine_chunks().dictionary_encode()
+    crc = np.array([zlib.crc32(s.encode("utf-8")) for s in enc.dictionary.to_pylist()],
+                   np.int64)
+    return crc[enc.indices.to_numpy(zero_copy_only=False)]
 
 
 def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
@@ -83,9 +103,9 @@ def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
     def _tag(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return b.append_column(_TAG, pa.array([], pa.int64()))
-        mix = key_i64(b, keys[0])
+        mix = _tag_i64(b, keys[0])
         for c in keys[1:]:
-            mix = mix * np.int64(1000003) + key_i64(b, c)
+            mix = mix * np.int64(1000003) + _tag_i64(b, c)
         return b.append_column(_TAG, pa.array(bucket_of(mix, n), pa.int64()))
 
     return (
@@ -123,8 +143,8 @@ def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None)
     "min" | "max" | "sum"; output columns keep their input names.
 
     float64 keys group through ``key_i64``'s bit view (−0.0 and +0.0
-    are one key) and come back out as float64; a NaN or null key
-    raises ``ValueError``.
+    are one key) and come back out as float64; a NaN, null or string
+    key raises ``ValueError``.
     """
     aggs = aggs or {}
 

@@ -26,13 +26,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle
 
 _OP_CODE = {"B": 0, "D": 1, "I": 2, "U": 3}
 
 
 def merge_changes(base, changes, key_col: str, seq_col: str, op_col: str,
-                  payload_cols: list[str], n_buckets: int = 128):
+                  payload_cols: list[str]):
     """Apply a change feed to a base table (MERGE / upsert semantics).
 
     ``changes`` rows carry (key, seq >= 0, op in {'I','U','D'}, payload);
@@ -50,7 +50,6 @@ def merge_changes(base, changes, key_col: str, seq_col: str, op_col: str,
             key_col: k,
             "seq__": pa.array(np.full(len(batch), -1, np.int64)),
             "op__": pa.array(np.zeros(len(batch), np.int8)),
-            "kb__": pa.array(bucket_of(k.to_numpy(zero_copy_only=False), n_buckets)),
         }
         for c in payload_cols:
             cols[c] = batch[c]
@@ -73,7 +72,6 @@ def merge_changes(base, changes, key_col: str, seq_col: str, op_col: str,
             key_col: k,
             "seq__": pa.array(seq, pa.int64()),
             "op__": pa.array(code),
-            "kb__": pa.array(bucket_of(k.to_numpy(zero_copy_only=False), n_buckets)),
         }
         for c in payload_cols:
             cols[c] = batch[c]
@@ -88,7 +86,7 @@ def merge_changes(base, changes, key_col: str, seq_col: str, op_col: str,
         seq = group["seq__"].to_numpy(zero_copy_only=False)
         op = group["op__"].to_numpy(zero_copy_only=False)
         if k.size == 0:
-            return group.drop_columns(["seq__", "op__", "kb__"])
+            return group.drop_columns(["seq__", "op__"])
         order = np.lexsort((seq, k))
         ks, ss = k[order], seq[order]
         dup = (ks[1:] == ks[:-1]) & (ss[1:] == ss[:-1]) & (ss[1:] >= 0)
@@ -105,12 +103,11 @@ def merge_changes(base, changes, key_col: str, seq_col: str, op_col: str,
             cols[c] = group[c].take(idx)
         return pa.table(cols)
 
-    return tagged.groupby("kb__").map_groups(_resolve, batch_format="pyarrow")
+    return co_shuffle(tagged, key_col, _resolve)
 
 
 def scd2_intervals(events, entity_col: str = "user_id", ts_col: str = "ts",
-                   status_col: str = "event_type", id_col: str = "event_id",
-                   n_buckets: int = 64):
+                   status_col: str = "event_type", id_col: str = "event_id"):
     """Status-change stream -> SCD type-2 effective-dated history.
 
     Per entity (ordered by ts, then id), consecutive rows with the same
@@ -120,7 +117,7 @@ def scd2_intervals(events, entity_col: str = "user_id", ts_col: str = "ts",
     Output: entity, status, from_us: int64, to_us: int64, n_rows: int64.
     """
 
-    def _tag(batch: pa.Table) -> pa.Table:
+    def _project(batch: pa.Table) -> pa.Table:
         ent = pc.cast(batch[entity_col], pa.int64())
         return pa.table(
             {
@@ -128,9 +125,6 @@ def scd2_intervals(events, entity_col: str = "user_id", ts_col: str = "ts",
                 "ts__": pc.cast(batch[ts_col], pa.int64()),
                 "id__": pc.cast(batch[id_col], pa.int64()),
                 "st__": batch[status_col],
-                "kb__": pa.array(
-                    bucket_of(ent.to_numpy(zero_copy_only=False), n_buckets)
-                ),
             }
         )
 
@@ -172,16 +166,13 @@ def scd2_intervals(events, entity_col: str = "user_id", ts_col: str = "ts",
             }
         )
 
-    return (
-        events.map_batches(_tag, batch_format="pyarrow", batch_size=16384)
-        .groupby("kb__")
-        .map_groups(_runs, batch_format="pyarrow")
-    )
+    return co_shuffle(
+        events.map_batches(_project, batch_format="pyarrow", batch_size=16384),
+        "ent__", _runs)
 
 
 def scd2_lookup(events, intervals, entity_col: str = "user_id",
-                ts_col: str = "ts", id_col: str = "event_id",
-                n_buckets: int = 64):
+                ts_col: str = "ts", id_col: str = "event_id"):
     """Temporal dimension lookup: classify each event by the SCD2
     interval valid at its timestamp (``from_us <= ts < to_us``, open
     intervals via ``to_us = -1``) — the warehouse point-in-validity
@@ -207,9 +198,6 @@ def scd2_lookup(events, intervals, entity_col: str = "user_id",
                 "id__": pc.cast(batch[id_col], pa.int64()),
                 "st__": pa.array([""] * len(batch), pa.string()),
                 "kind__": pa.array(np.ones(len(batch), np.int8)),
-                "kb__": pa.array(
-                    bucket_of(ent.to_numpy(zero_copy_only=False), n_buckets)
-                ),
             }
         )
 
@@ -224,9 +212,6 @@ def scd2_lookup(events, intervals, entity_col: str = "user_id",
                 "id__": pc.cast(batch["to_us"], pa.int64()),
                 "st__": pc.cast(batch["status"], pa.string()),
                 "kind__": pa.array(np.zeros(len(batch), np.int8)),
-                "kb__": pa.array(
-                    bucket_of(ent.to_numpy(zero_copy_only=False), n_buckets)
-                ),
             }
         )
 
@@ -282,4 +267,4 @@ def scd2_lookup(events, intervals, entity_col: str = "user_id",
             }
         )
 
-    return tagged.groupby("kb__").map_groups(_lookup, batch_format="pyarrow")
+    return co_shuffle(tagged, "ent__", _lookup)

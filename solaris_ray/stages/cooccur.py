@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle
 
 _SEP = "\x01"
 
@@ -31,13 +31,12 @@ def type_cooccurrence(
     events,
     entity_col: str = "user_id",
     type_col: str = "event_type",
-    n_buckets: int = 64,
 ):
     """-> one row per unordered type pair co-occurring in >= 1 entity:
     (ta, tb, n_both, n_a, n_b, pmi6), ta < tb lexicographically."""
     import ray
 
-    def _tag(batch: pa.Table) -> pa.Table:
+    def _distinct(batch: pa.Table) -> pa.Table:
         u = batch[entity_col].to_numpy(zero_copy_only=False).astype(np.int64)
         ty = batch[type_col].to_numpy(zero_copy_only=False)
         key = np.char.add(np.char.add(u.astype(str), _SEP), ty.astype(str))
@@ -46,7 +45,6 @@ def type_cooccurrence(
             {
                 "u": pa.array(u[idx], pa.int64()),
                 "ty": pa.array(ty[idx], pa.string()),
-                "ub": pa.array(bucket_of(u[idx], n_buckets), pa.int64()),
             }
         )
 
@@ -102,9 +100,7 @@ def type_cooccurrence(
         )
 
     combined = (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(_bucket, batch_format="pyarrow")
+        co_shuffle(events.map_batches(_distinct, batch_format="pyarrow"), "u", _bucket)
         .groupby(["k", "key"])
         .sum("c")
         .materialize()

@@ -290,24 +290,17 @@ def bigram_lm_scores(
 
 # --- cross-source overlap matrix -----------------------------------------
 
-_OVL_PART = pa.schema(
-    [("gram", pa.string()), ("source", pa.string()), ("bucket", pa.int64())]
-)
-_OVL_PAIR = pa.schema(
-    [("src_a", pa.string()), ("src_b", pa.string()), ("inter", pa.int64())]
-)
-_OVL_CNT = pa.schema([("source", pa.string()), ("n", pa.int64())])
+_OVL_PART = pa.schema([("gram", pa.string()), ("source", pa.string())])
 
 
-def source_overlap(ds, n: int = 3, n_buckets: int = 256,
-                   text_col: str = "text", source_col: str = "source",
+def source_overlap(ds, n: int = 3, text_col: str = "text", source_col: str = "source",
                    round_dp: int = 6):
     """Cross-source contamination matrix: for every source pair, the
     number of shared distinct word n-gram shingles and their Jaccard.
 
     Corpus diagnostics (mirror-site detection, split leakage across
     crawls).  Shape: one token-shingle pass emitting batch-distinct
-    (gram, source) rows hash-bucketed by gram; inside each bucket the
+    (gram, source) rows co-shuffled on the gram; inside each bucket the
     rows of a gram are co-located, so global (gram, source) dedup, the
     per-gram source-pair expansion (bounded by n_sources^2), and the
     per-source distinct-gram partial counts are all bucket-local.  Two
@@ -316,11 +309,10 @@ def source_overlap(ds, n: int = 3, n_buckets: int = 256,
 
     Output: (src_a < src_b, inter, jac6) for pairs with inter > 0.
     """
-    import zlib
-
     import ray
     from ray.data.aggregate import Sum
 
+    from ._buckets import co_shuffle
     from .dedup import word_shingles
 
     def _emit(batch: pa.Table) -> pa.Table:
@@ -340,15 +332,8 @@ def source_overlap(ds, n: int = 3, n_buckets: int = 256,
         key = np.char.add(np.char.add(g.astype(str), "\x01"), s.astype(str))
         _, idx = np.unique(key, return_index=True)
         g, s = g[idx], s[idx]
-        b = np.array([zlib.crc32(x.encode("utf-8")) % n_buckets for x in g],
-                     np.int64)
-        return pa.table(
-            {
-                "gram": pa.array(g, pa.string()),
-                "source": pa.array(s, pa.string()),
-                "bucket": pa.array(b, pa.int64()),
-            }
-        )
+        return pa.table({"gram": pa.array(g, pa.string()),
+                         "source": pa.array(s, pa.string())})
 
     def _bucket(group: pa.Table):
         g = group["gram"].to_numpy(zero_copy_only=False)
@@ -394,9 +379,8 @@ def source_overlap(ds, n: int = 3, n_buckets: int = 256,
         return pa.concat_tables([pairs, cnts])
 
     agg = (
-        ds.map_batches(_emit, batch_format="pyarrow", batch_size=1024)
-        .groupby("bucket")
-        .map_groups(_bucket, batch_format="pyarrow")
+        co_shuffle(ds.map_batches(_emit, batch_format="pyarrow", batch_size=1024),
+                   "gram", _bucket)
         .groupby(["src_a", "src_b"])
         .aggregate(Sum("inter"))
     )  # pair rows (src_b != '') + per-source totals (src_b == '')
@@ -471,7 +455,7 @@ def chunk_documents(
 
 
 def paragraph_dedup(ds, sep: str = "\n\n", text_col: str = "text",
-                    id_col: str = "doc_id", n_buckets: int = 64):
+                    id_col: str = "doc_id"):
     """C4/CCNet-style paragraph-level exact dedup: every distinct
     paragraph keeps only its FIRST occurrence (global (doc_id, idx)
     order); each doc is reconstructed from its surviving paragraphs.
@@ -500,7 +484,7 @@ def paragraph_dedup(ds, sep: str = "\n\n", text_col: str = "text",
              for s in strs], dtype=np.uint64)
         return u.view(np.int64)
 
-    from ._buckets import bucket_of
+    from ._buckets import co_shuffle
 
     def _explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -516,12 +500,11 @@ def paragraph_dedup(ds, sep: str = "\n\n", text_col: str = "text",
             "ph": pa.array(h, pa.int64()),
             "d": pa.array(np.asarray(did, np.int64), pa.int64()),
             "i": pa.array(np.asarray(idx, np.int64), pa.int64()),
-            "pb": pa.array(bucket_of(h, n_buckets), pa.int64()),
         })
 
     loser_schema = pa.schema([
         ("d", pa.int64()), ("i", pa.int64()), ("side", pa.int64()),
-        ("text", pa.string()), ("db", pa.int64()),
+        ("text", pa.string()),
     ])
 
     def _losers(group: pa.Table) -> pa.Table:
@@ -539,7 +522,6 @@ def paragraph_dedup(ds, sep: str = "\n\n", text_col: str = "text",
             "i": pa.array(i[lose], pa.int64()),
             "side": pa.array(np.zeros(n, np.int64), pa.int64()),
             "text": pa.nulls(n, pa.string()),
-            "db": pa.array(bucket_of(d[lose], n_buckets), pa.int64()),
         }, schema=loser_schema)
 
     def _doc_side(batch: pa.Table) -> pa.Table:
@@ -550,7 +532,6 @@ def paragraph_dedup(ds, sep: str = "\n\n", text_col: str = "text",
             "i": pa.array(np.full(n, -1, np.int64), pa.int64()),
             "side": pa.array(np.ones(n, np.int64), pa.int64()),
             "text": pc.cast(batch[text_col], pa.string()),
-            "db": pa.array(bucket_of(ids, n_buckets), pa.int64()),
         }, schema=loser_schema)
 
     out_schema = pa.schema([
@@ -585,16 +566,9 @@ def paragraph_dedup(ds, sep: str = "\n\n", text_col: str = "text",
             "clean_md5": pa.array(out["clean_md5"], pa.string()),
         }, schema=out_schema)
 
-    losers = (
-        ds.map_batches(_explode, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(_losers, batch_format="pyarrow")
-    )
-    return (
-        losers.union(ds.map_batches(_doc_side, batch_format="pyarrow"))
-        .groupby("db")
-        .map_groups(_rebuild, batch_format="pyarrow")
-    )
+    losers = co_shuffle(ds.map_batches(_explode, batch_format="pyarrow"), "ph", _losers)
+    return co_shuffle(losers.union(ds.map_batches(_doc_side, batch_format="pyarrow")),
+                      "d", _rebuild)
 
 
 def dsir_weights(raw, target, n_buckets: int = 64,

@@ -16,8 +16,8 @@ KDD'96).  Deterministic label convention so a SQL twin exists:
 Scale plan: grid cells of edge ``eps`` mean every within-``eps``
 neighbour of a point lies in its 3x3 cell block.  Each point is
 replicated to those 9 cells (id/x/y-only rows, 9x a 28-byte row — the
-only data-size-proportional shuffle); cells are hash-bucketed so ONE
-``groupby`` co-locates each cell with its halo.
+only data-size-proportional shuffle); ONE ``co_shuffle`` on the cell
+id co-locates each cell with its halo.
 
 EXACT-duplicATE pre-collapse (the embedding-near-dup lesson): points
 sharing identical coordinates — grid-snapped geodata does this
@@ -44,7 +44,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle
 from .components import connected_components
 from .relational import hash_join
 
@@ -62,7 +62,6 @@ def dbscan(
     id_col: str = "point_id",
     x_col: str = "x",
     y_col: str = "y",
-    n_buckets: int = 64,
 ):
     """-> (point_id, cluster) for every input point; noise = -1."""
     if eps <= 0:
@@ -120,7 +119,6 @@ def dbscan(
                 "m": pa.array(m_all, pa.int64()),
                 "px": pa.array(x_all, pa.float64()),
                 "py": pa.array(y_all, pa.float64()),
-                "gb": pa.array(bucket_of(cell_all, n_buckets), pa.int64()),
             }
         )
 
@@ -214,12 +212,8 @@ def dbscan(
             }
         )
 
-    tagged = (
-        points.map_batches(_tag, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(_local, batch_format="pyarrow")
-        .materialize()
-    )
+    tagged = co_shuffle(points.map_batches(_tag, batch_format="pyarrow"),
+                        "cell", _local).materialize()
 
     def _counts(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.equal(batch["k"], 0))

@@ -44,7 +44,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, distinct_reduce
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +106,6 @@ def editdist1_pairs(
     id_col: str = "doc_id",
     s_col: str = "s",
     max_len: int = 64,
-    n_buckets: int = 64,
     max_key_bucket: int = 4096,
 ):
     """Dataset of (id, string) -> all unordered pairs at byte-level
@@ -118,135 +117,7 @@ def editdist1_pairs(
     ``max_key_bucket``: per-key candidate cap — keys carrying more
     strings are truncated WITH A LOG LINE (degenerate keys, e.g.
     every 1-char string sharing the empty-deletion key)."""
-
-    def _emit_keys(batch: pa.Table) -> pa.Table:
-        s = pc.cast(batch[s_col], pa.string())
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(s)
-        if n == 0:
-            return pa.table(
-                {
-                    "kh": pa.array([], pa.int64()),
-                    "id": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.string()),
-                    "kb": pa.array([], pa.int64()),
-                }
-            )
-        lens = pc.utf8_length(s).to_numpy(zero_copy_only=False)
-        khs, kid, kst = [], [], []
-        sv = s  # identity key
-        khs.append(_hash_strings(sv))
-        kid.append(ids)
-        kst.append(np.asarray(s.to_pylist(), dtype=object))
-        dmax = int(min(max_len, lens.max()))
-        for d in range(dmax):
-            valid = np.flatnonzero(lens > d)
-            if valid.size == 0:
-                break
-            sub = s.take(pa.array(valid))
-            pre = pc.utf8_slice_codeunits(sub, 0, d)
-            suf = pc.utf8_slice_codeunits(sub, d + 1, 2**30)
-            key = pc.binary_join_element_wise(pre, suf, "")
-            khs.append(_hash_strings(key))
-            kid.append(ids[valid])
-            kst.append(np.asarray(sub.to_pylist(), dtype=object))
-        kh = np.concatenate(khs)
-        kid_all = np.concatenate(kid)
-        kst_all = np.concatenate(kst)
-        # dedupe (key, id): deleting any char of a same-char RUN yields
-        # the same key ("Customer#000000001" has 8 equal zero-deletion
-        # keys), which would inflate candidate volume quadratically
-        order = np.lexsort((kid_all, kh))
-        kh, kid_all, kst_all = kh[order], kid_all[order], kst_all[order]
-        keep = np.ones(kh.size, bool)
-        keep[1:] = (kh[1:] != kh[:-1]) | (kid_all[1:] != kid_all[:-1])
-        kh, kid_all, kst_all = kh[keep], kid_all[keep], kst_all[keep]
-        return pa.table(
-            {
-                "kh": pa.array(kh, pa.int64()),
-                "id": pa.array(kid_all, pa.int64()),
-                "s": pa.array(kst_all, pa.string()),
-                "kb": pa.array(bucket_of(kh, n_buckets), pa.int64()),
-            }
-        )
-
-    def _candidates(group: pa.Table) -> pa.Table:
-        kh = group["kh"].to_numpy(zero_copy_only=False)
-        ids = group["id"].to_numpy(zero_copy_only=False)
-        strs = np.asarray(group["s"].to_pylist(), dtype=object)
-        order = np.lexsort((ids, kh))
-        kh, ids, strs = kh[order], ids[order], strs[order]
-        new = np.ones(kh.size, bool)
-        new[1:] = kh[1:] != kh[:-1]
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.append(starts, kh.size))
-        over = counts > max_key_bucket
-        if over.any():
-            logger.warning(
-                "editdist1_pairs: %d keys over max_key_bucket=%d "
-                "(largest %d) — candidates truncated",
-                int(over.sum()), max_key_bucket, int(counts.max()),
-            )
-            counts = np.minimum(counts, max_key_bucket)
-        # all-pairs per key segment, fully vectorized: enumerate the
-        # global pair rank t, invert the triangle offset function
-        # S(i) = i*(c-1) - i*(i-1)/2 in closed form (+/-1 fixup for
-        # float rounding; c is capped so the sqrt is well-conditioned)
-        m = counts * (counts - 1) // 2
-        tot = int(m.sum())
-        if tot == 0:
-            return _PAIR_SCHEMA.empty_table()
-        segp = np.repeat(np.arange(counts.size), m)
-        t = np.arange(tot, dtype=np.int64) - np.repeat(np.cumsum(m) - m, m)
-        c = counts[segp]
-
-        def _S(i):
-            return i * (c - 1) - i * (i - 1) // 2
-
-        tri_i = np.floor(
-            (2 * c - 1 - np.sqrt((2 * c - 1.0) ** 2 - 8.0 * t)) / 2
-        ).astype(np.int64)
-        tri_i = np.clip(tri_i, 0, c - 2)
-        tri_i -= (_S(tri_i) > t).astype(np.int64)
-        tri_i += (_S(tri_i + 1) <= t).astype(np.int64)
-        tri_j = t - _S(tri_i) + tri_i + 1
-        base = starts[segp]
-        ga, gb = ids[base + tri_i], ids[base + tri_j]
-        sa, sb = strs[base + tri_i], strs[base + tri_j]
-        lo = np.minimum(ga, gb)
-        hi = np.maximum(ga, gb)
-        keepmask = lo != hi
-        lo, hi = lo[keepmask], hi[keepmask]
-        sa, sb = sa[keepmask], sb[keepmask]
-        # dedupe within the bucket, then VERIFY HERE — strings never
-        # ride a second shuffle; the remaining exchange is id-only
-        key = lo * np.int64(1000003) + hi
-        order2 = np.argsort(key, kind="stable")
-        lo, hi, sa, sb = lo[order2], hi[order2], sa[order2], sb[order2]
-        uniq = np.ones(lo.size, bool)
-        uniq[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        lo, hi, sa, sb = lo[uniq], hi[uniq], sa[uniq], sb[uniq]
-        ok = _verify_leq1(
-            np.asarray([x.encode() for x in sa], dtype=object),
-            np.asarray([x.encode() for x in sb], dtype=object),
-        )
-        return pa.table(
-            {
-                "id_a": pa.array(lo[ok], pa.int64()),
-                "id_b": pa.array(hi[ok], pa.int64()),
-            }
-        )
-
-    keys = ds.map_batches(_emit_keys, batch_format="pyarrow")
-    verified = keys.groupby("kb").map_groups(
-        _candidates, batch_format="pyarrow"
-    )
-    # cross-key distinct (a pair can meet under several keys that land
-    # in different kb buckets) — bucketed vectorized reduce, NOT Ray's
-    # hash aggregate (whose per-group cost dominated this pipeline)
-    from ._buckets import distinct_reduce
-
-    return distinct_reduce(verified, ["id_a", "id_b"])
+    return editdist_pairs(ds, 1, id_col, s_col, max_len, max_key_bucket)
 
 
 def _verify_leq_k(sa: np.ndarray, sb: np.ndarray, k: int) -> np.ndarray:
@@ -297,7 +168,6 @@ def editdist_pairs(
     id_col: str = "doc_id",
     s_col: str = "s",
     max_len: int = 32,
-    n_buckets: int = 64,
     max_key_bucket: int = 4096,
 ):
     """Generalized FastSS: all unordered pairs at byte-level edit
@@ -323,7 +193,6 @@ def editdist_pairs(
                     "kh": pa.array([], pa.int64()),
                     "id": pa.array([], pa.int64()),
                     "s": pa.array([], pa.string()),
-                    "kb": pa.array([], pa.int64()),
                 }
             )
         lens = pc.utf8_length(s).to_numpy(zero_copy_only=False)
@@ -369,7 +238,6 @@ def editdist_pairs(
                 "kh": pa.array(kh, pa.int64()),
                 "id": pa.array(kid_all, pa.int64()),
                 "s": pa.array(kst_all, pa.string()),
-                "kb": pa.array(bucket_of(kh, n_buckets), pa.int64()),
             }
         )
 
@@ -409,11 +277,9 @@ def editdist_pairs(
         uniq = np.ones(lo.size, bool)
         uniq[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         lo, hi, sa, sb = lo[uniq], hi[uniq], sa[uniq], sb[uniq]
-        ok = _verify_leq_k(
-            np.asarray([x.encode() for x in sa], dtype=object),
-            np.asarray([x.encode() for x in sb], dtype=object),
-            k,
-        )
+        ba = np.asarray([x.encode() for x in sa], dtype=object)
+        bb = np.asarray([x.encode() for x in sb], dtype=object)
+        ok = _verify_leq1(ba, bb) if k == 1 else _verify_leq_k(ba, bb, k)
         return pa.table(
             {
                 "id_a": pa.array(lo[ok], pa.int64()),
@@ -421,8 +287,6 @@ def editdist_pairs(
             }
         )
 
-    keys = ds.map_batches(_emit_keys, batch_format="pyarrow")
-    verified = keys.groupby("kb").map_groups(_candidates, batch_format="pyarrow")
-    from ._buckets import distinct_reduce
-
+    verified = co_shuffle(ds.map_batches(_emit_keys, batch_format="pyarrow"),
+                          "kh", _candidates)
     return distinct_reduce(verified, ["id_a", "id_b"])

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle
 
 _OUT = pa.schema([("group", pa.int64()), ("point_id", pa.int64())])
 
@@ -107,13 +107,12 @@ def group_convex_hull(
     id_col: str = "point_id",
     x_col: str = "x",
     y_col: str = "y",
-    n_buckets: int = 64,
 ):
     """Dataset of (group, id, x, y) with integer-valued coords ->
     (group, point_id) rows for every point on its group's convex-hull
     boundary (corners, collinear edge points, and their duplicates)."""
 
-    def _tag(batch: pa.Table) -> pa.Table:
+    def _project(batch: pa.Table) -> pa.Table:
         g = batch[group_col].to_numpy(zero_copy_only=False).astype(np.int64)
         i = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         x = batch[x_col].to_numpy(zero_copy_only=False)
@@ -135,7 +134,6 @@ def group_convex_hull(
                 "i": pa.array(i, pa.int64()),
                 "x": pa.array(x.astype(np.int64), pa.int64()),
                 "y": pa.array(y.astype(np.int64), pa.int64()),
-                "gb": pa.array(bucket_of(g, n_buckets), pa.int64()),
             }
         )
 
@@ -162,8 +160,4 @@ def group_convex_hull(
             }
         )
 
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(_hulls, batch_format="pyarrow")
-    )
+    return co_shuffle(ds.map_batches(_project, batch_format="pyarrow"), "g", _hulls)

@@ -20,12 +20,13 @@ construction) plus ``moran_e6`` = trunc(1e6 * A / (W * B)) computed
 in arbitrary-precision Python ints with DuckDB's ``//`` (truncate
 toward zero) semantics, so the float statistic is also hash-exact.
 
-Scale plan: ONE groupby builds per-cell values; the pair pass
-replicates each occupied cell's (value) row to its 8 neighbour keys
-(9x a 24-byte row) and co-shuffles once — every ordered neighbour
-pair meets exactly once in the owner's group, partial (S1, S2, W)
-rows are per-bucket scalars, and the final combine touches O(buckets)
-rows.  No all-pairs path; lattice skew is bounded by 8 neighbours.
+Scale plan: ONE keyed sum (``distinct_reduce``) builds per-cell
+values; the pair pass replicates each occupied cell's (value) row to
+its 8 neighbour keys (9x a 24-byte row) and co-shuffles once on the
+cell key — every ordered neighbour pair meets exactly once in the
+owner's bucket, partial (S1, S2, W) rows are per-bucket scalars, and
+the final combine touches O(buckets) rows.  No all-pairs path;
+lattice skew is bounded by 8 neighbours.
 """
 
 from __future__ import annotations
@@ -33,10 +34,54 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, distinct_reduce
 
 _STRIDE = np.int64(1) << np.int64(21)
 _OFF = np.int64(1) << np.int64(20)
+# the 3x3 queen window around a cell key, self (offset 0) included
+_WINDOW = np.array([-_STRIDE - 1, -_STRIDE, -_STRIDE + 1, -1, 0, 1,
+                    _STRIDE - 1, _STRIDE, _STRIDE + 1], np.int64)
+
+
+def _cell_counts(points, cell: float, x_col: str, y_col: str):
+    """-> materialized (ck, v): the point count v of every occupied
+    cell, keyed by its grid key ck."""
+    if cell <= 0:
+        raise ValueError("cell must be > 0")
+
+    def _cells(batch: pa.Table) -> pa.Table:
+        x = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        y = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        cx = np.floor(x / cell).astype(np.int64) + _OFF
+        cy = np.floor(y / cell).astype(np.int64) + _OFF
+        uniq, counts = np.unique(cx * _STRIDE + cy, return_counts=True)
+        return pa.table({"ck": pa.array(uniq, pa.int64()),
+                         "v": pa.array(counts.astype(np.int64), pa.int64())})
+
+    return distinct_reduce(points.map_batches(_cells, batch_format="pyarrow"),
+                           ["ck"], {"v": "sum"}).materialize()
+
+
+def _replicate(batch: pa.Table) -> pa.Table:
+    """Each cell row to the 9 keys of its window: own = 1 on its own key."""
+    k = batch["ck"].to_numpy(zero_copy_only=False)
+    v = batch["v"].to_numpy(zero_copy_only=False)
+    return pa.table({
+        "ck": pa.array((k[:, None] + _WINDOW[None, :]).ravel(), pa.int64()),
+        "own": pa.array(np.tile((_WINDOW == 0).astype(np.int8), k.size), pa.int8()),
+        "v": pa.array(np.repeat(v, 9), pa.int64()),
+    })
+
+
+def _moments(cells) -> tuple[int, int, int]:
+    """(n, sum x, sum x^2) over the cell values."""
+    def _part(b: pa.Table) -> pa.Table:
+        v = b["v"].to_numpy(zero_copy_only=False)
+        return pa.table({"n": [b.num_rows], "sx": [int(v.sum())],
+                         "sx2": [int((v * v).sum())]})
+
+    sums = cells.map_batches(_part, batch_format="pyarrow").sum(["n", "sx", "sx2"]) or {}
+    return tuple(int(sums.get(f"sum({c})") or 0) for c in ("n", "sx", "sx2"))
 
 
 def moran_i(
@@ -44,75 +89,10 @@ def moran_i(
     cell: float,
     x_col: str = "x",
     y_col: str = "y",
-    n_buckets: int = 64,
 ):
     """-> one row (n_cells, w_pairs, s1, s2, sum_x, sum_x2, moran_e6)
     for queen-contiguity Moran's I of per-cell point counts."""
-    if cell <= 0:
-        raise ValueError("cell must be > 0")
-
-    # ---- per-cell counts (the x_i values), one wide groupby ----------
-    def _cells(batch: pa.Table) -> pa.Table:
-        x = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        y = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        cx = np.floor(x / cell).astype(np.int64) + _OFF
-        cy = np.floor(y / cell).astype(np.int64) + _OFF
-        key = cx * _STRIDE + cy
-        uniq, counts = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "ck": pa.array(uniq, pa.int64()),
-                "v": pa.array(counts.astype(np.int64), pa.int64()),
-                "cb": pa.array(bucket_of(uniq, n_buckets), pa.int64()),
-            }
-        )
-
-    def _cell_combine(group: pa.Table) -> pa.Table:
-        k = group["ck"].to_numpy(zero_copy_only=False)
-        v = group["v"].to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="stable")
-        k, v = k[order], v[order]
-        new = np.ones(k.size, bool)
-        new[1:] = k[1:] != k[:-1]
-        starts = np.flatnonzero(new)
-        sums = np.add.reduceat(v, starts) if k.size else v
-        return pa.table(
-            {
-                "ck": pa.array(k[starts], pa.int64()),
-                "v": pa.array(sums.astype(np.int64), pa.int64()),
-            }
-        )
-
-    cells = (
-        points.map_batches(_cells, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(_cell_combine, batch_format="pyarrow")
-        .materialize()
-    )
-
-    # ---- pair pass: replicate to 8 neighbour keys, meet in one shuffle
-    def _tag(batch: pa.Table) -> pa.Table:
-        k = batch["ck"].to_numpy(zero_copy_only=False)
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        n = k.size
-        offs = np.array(
-            [
-                -_STRIDE - 1, -_STRIDE, -_STRIDE + 1,
-                -1, 0, 1,
-                _STRIDE - 1, _STRIDE, _STRIDE + 1,
-            ],
-            np.int64,
-        )
-        key = (k[:, None] + offs[None, :]).ravel()
-        own = np.tile((offs == 0).astype(np.int8), n)
-        return pa.table(
-            {
-                "ck": pa.array(key, pa.int64()),
-                "own": pa.array(own, pa.int8()),
-                "v": pa.array(np.repeat(v, 9), pa.int64()),
-                "gb": pa.array(bucket_of(key, n_buckets), pa.int64()),
-            }
-        )
+    cells = _cell_counts(points, cell, x_col, y_col)
 
     part_schema = pa.schema(
         [("w", pa.int64()), ("s1", pa.int64()), ("s2", pa.int64())]
@@ -147,36 +127,13 @@ def moran_i(
             }
         ) if w else part_schema.empty_table()
 
-    pair_parts = (
-        cells.map_batches(_tag, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(_pairs, batch_format="pyarrow")
-    )
-
+    pair_parts = co_shuffle(cells.map_batches(_replicate, batch_format="pyarrow"),
+                            "ck", _pairs)
     sums = pair_parts.sum(["w", "s1", "s2"]) or {}
     w_pairs = int(sums.get("sum(w)") or 0)
     s1 = int(sums.get("sum(s1)") or 0)
     s2 = int(sums.get("sum(s2)") or 0)
-
-    gsum = cells.map_batches(
-        lambda b: pa.table(
-            {
-                "n": pa.array([b.num_rows], pa.int64()),
-                "sx": pa.array(
-                    [int(b["v"].to_numpy(zero_copy_only=False).sum())],
-                    pa.int64(),
-                ),
-                "sx2": pa.array(
-                    [int((b["v"].to_numpy(zero_copy_only=False) ** 2).sum())],
-                    pa.int64(),
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    ).sum(["n", "sx", "sx2"]) or {}
-    n = int(gsum.get("sum(n)") or 0)
-    sx = int(gsum.get("sum(sx)") or 0)
-    sx2 = int(gsum.get("sum(sx2)") or 0)
+    n, sx, sx2 = _moments(cells)
 
     # exact integer assembly; trunc-toward-zero division = DuckDB `//`
     a_num = s1 * n * n - s2 * sx * n + w_pairs * sx * sx
@@ -212,7 +169,6 @@ def getis_ord(
     cell: float,
     x_col: str = "x",
     y_col: str = "y",
-    n_buckets: int = 64,
 ):
     """Getis-Ord Gi* hot-spot score per occupied cell (queen window
     INCLUDING self):
@@ -230,87 +186,8 @@ def getis_ord(
     -> one row per occupied cell: (cx, cy, k, wsum, gi6), grid
     indexes relative to the ``cell`` edge.
     """
-    if cell <= 0:
-        raise ValueError("cell must be > 0")
-
-    def _cells(batch: pa.Table) -> pa.Table:
-        x = batch[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        y = batch[y_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        cx = np.floor(x / cell).astype(np.int64) + _OFF
-        cy = np.floor(y / cell).astype(np.int64) + _OFF
-        key = cx * _STRIDE + cy
-        uniq, counts = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "ck": pa.array(uniq, pa.int64()),
-                "v": pa.array(counts.astype(np.int64), pa.int64()),
-                "cb": pa.array(bucket_of(uniq, n_buckets), pa.int64()),
-            }
-        )
-
-    def _cell_combine(group: pa.Table) -> pa.Table:
-        k = group["ck"].to_numpy(zero_copy_only=False)
-        v = group["v"].to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="stable")
-        k, v = k[order], v[order]
-        new = np.r_[True, k[1:] != k[:-1]]
-        starts = np.flatnonzero(new)
-        sums = np.add.reduceat(v, starts) if k.size else v
-        return pa.table(
-            {
-                "ck": pa.array(k[starts], pa.int64()),
-                "v": pa.array(sums.astype(np.int64), pa.int64()),
-            }
-        )
-
-    cells = (
-        points.map_batches(_cells, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(_cell_combine, batch_format="pyarrow")
-        .materialize()
-    )
-
-    gsum = cells.map_batches(
-        lambda b: pa.table(
-            {
-                "n": pa.array([b.num_rows], pa.int64()),
-                "sx": pa.array(
-                    [int(b["v"].to_numpy(zero_copy_only=False).sum())], pa.int64()
-                ),
-                "sx2": pa.array(
-                    [int((b["v"].to_numpy(zero_copy_only=False) ** 2).sum())],
-                    pa.int64(),
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    ).sum(["n", "sx", "sx2"]) or {}
-    n = int(gsum.get("sum(n)") or 0)
-    sx = int(gsum.get("sum(sx)") or 0)
-    sx2 = int(gsum.get("sum(sx2)") or 0)
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        k = batch["ck"].to_numpy(zero_copy_only=False)
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        m = k.size
-        offs = np.array(
-            [
-                -_STRIDE - 1, -_STRIDE, -_STRIDE + 1,
-                -1, 0, 1,
-                _STRIDE - 1, _STRIDE, _STRIDE + 1,
-            ],
-            np.int64,
-        )
-        key = (k[:, None] + offs[None, :]).ravel()
-        own = np.tile((offs == 0).astype(np.int8), m)
-        return pa.table(
-            {
-                "ck": pa.array(key, pa.int64()),
-                "own": pa.array(own, pa.int8()),
-                "v": pa.array(np.repeat(v, 9), pa.int64()),
-                "gb": pa.array(bucket_of(key, n_buckets), pa.int64()),
-            }
-        )
+    cells = _cell_counts(points, cell, x_col, y_col)
+    n, sx, sx2 = _moments(cells)
 
     out_schema = pa.schema(
         [("cx", pa.int64()), ("cy", pa.int64()), ("k", pa.int64()),
@@ -356,8 +233,5 @@ def getis_ord(
             }
         )
 
-    return (
-        cells.map_batches(_tag, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(_windows, batch_format="pyarrow")
-    )
+    return co_shuffle(cells.map_batches(_replicate, batch_format="pyarrow"),
+                      "ck", _windows)

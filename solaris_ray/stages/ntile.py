@@ -12,10 +12,12 @@ deterministic) maps to
     bucket = r // (q + 1) + 1                          if r < rem * (q + 1)
            = rem + (r - rem * (q + 1)) // q + 1        otherwise
 
-ONE co-shuffle keyed on the partition column's hash bucket: every row
-of a partition lands in one group, a lexsort-segment kernel computes
-ranks for ALL partitions in the bucket at once, and the closed-form
-map above assigns buckets — no per-partition Python dispatch.
+ONE ``co_shuffle`` keyed on the partition column: every row of a
+partition lands in one bucket, a lexsort-segment kernel computes ranks
+for ALL partitions in the bucket at once (segmented on the partition
+value itself, dictionary-encoded, so two partitions that share a
+bucket never merge), and the closed-form map above assigns buckets —
+no per-partition Python dispatch.
 
 Partitioning assumption (SURVEY custom-operator rule): one partition's
 rows fit in one group's memory (same assumption as the repo's
@@ -28,38 +30,46 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle
 
 
+def _segments(group: pa.Table, group_col: str, val_col: str, id_col: str):
+    """Sort a bucket by (partition, val, id).  -> (order, v, id, new,
+    r, n): the sort permutation, sorted vals and ids, the first-row
+    flag of each partition, each row's 0-based row number and its
+    partition's row count."""
+    g = group[group_col].combine_chunks().dictionary_encode().indices
+    g = g.to_numpy(zero_copy_only=False)
+    v = group[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    i = group[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.lexsort((i, v, g))
+    g_s = g[order]
+    new = np.ones(g_s.size, bool)
+    new[1:] = g_s[1:] != g_s[:-1]
+    seg_start = np.flatnonzero(new)
+    seg_id = np.cumsum(new) - 1
+    n_per = np.diff(np.append(seg_start, g_s.size))
+    r = np.arange(g_s.size) - seg_start[seg_id]
+    return order, v[order], i[order], new, r, n_per[seg_id]
 
-def _fnv_tag(batch: pa.Table, group_col: str, val_col: str, id_col: str,
-             n_buckets: int) -> pa.Table:
-    """Shared tagging pass: FNV-1a hash of the partition key (computed
-    per batch-dictionary unique only), plus the shuffle bucket."""
-    g = batch[group_col]
-    garr = g.combine_chunks() if isinstance(g, pa.ChunkedArray) else g
-    enc = garr.dictionary_encode()
-    uniq = enc.dictionary.to_pylist()
-    hv = np.empty(len(uniq), np.int64)
-    for i, s in enumerate(uniq):
-        h = np.uint64(1469598103934665603)
-        for b in s.encode():
-            h = np.uint64(h ^ np.uint64(b)) * np.uint64(1099511628211)
-        hv[i] = np.int64(h & np.uint64(0x7FFFFFFFFFFFFFFF))
-    if len(uniq):
-        idx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        gh = hv[idx]
-    else:
-        gh = np.zeros(0, np.int64)
-    return pa.table(
-        {
-            id_col: batch[id_col],
-            group_col: g,
-            val_col: batch[val_col],
-            "gh": pa.array(gh, pa.int64()),
-            "kb": pa.array(bucket_of(gh, n_buckets), pa.int64()),
-        }
-    )
+
+def _shuffle(ds, group_col: str, val_col: str, id_col: str, kernel, out_schema):
+    def _assign(group: pa.Table) -> pa.Table:
+        order, v_s, i_s, new, r, n = _segments(group, group_col, val_col, id_col)
+        return pa.table({
+            id_col: pa.array(i_s, pa.int64()),
+            group_col: group[group_col].take(pa.array(order)),
+            val_col: pa.array(v_s, pa.int64()),
+            out_schema.names[-1]: pa.array(kernel(v_s, new, r, n), pa.int64()),
+        })
+
+    def _pin(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return out_schema.empty_table()
+        return batch.select(out_schema.names)
+
+    proj = ds.select_columns([id_col, group_col, val_col])
+    return co_shuffle(proj, group_col, _assign).map_batches(_pin, batch_format="pyarrow")
 
 
 def group_ntile(
@@ -68,11 +78,10 @@ def group_ntile(
     val_col: str,
     id_col: str,
     k: int = 10,
-    n_buckets: int = 64,
 ):
     """-> (id, group, val, bucket) with bucket = NTILE(k) within the
-    group ordered by (val, id).  Group keys may be strings; they are
-    hashed per batch for the shuffle tag and carried through."""
+    group ordered by (val, id).  Group keys may be strings; the shuffle
+    hashes them and the kernel segments on the values themselves."""
     if k < 1:
         raise ValueError("k must be >= 1")
 
@@ -81,58 +90,17 @@ def group_ntile(
          (val_col, pa.int64()), ("bucket", pa.int64())]
     )
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        return _fnv_tag(batch, group_col, val_col, id_col, n_buckets)
-
-    def _assign(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        gh = group["gh"].to_numpy(zero_copy_only=False)
-        # segments are keyed on the 63-bit FNV hash; a collision would
-        # silently merge two partitions, so verify and fail loudly
-        if np.unique(gh).size != pc.count_distinct(group[group_col]).as_py():
-            raise ValueError("group_ntile: group-key hash collision")
-        v = group[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        i = group[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((i, v, gh))
-        gh_s, v_s, i_s = gh[order], v[order], i[order]
-        new = np.ones(gh_s.size, bool)
-        new[1:] = gh_s[1:] != gh_s[:-1]
-        seg_start = np.flatnonzero(new)
-        seg_id = np.cumsum(new) - 1
-        n_per = np.diff(np.append(seg_start, gh_s.size))
-        r = np.arange(gh_s.size) - seg_start[seg_id]  # 0-based rank
-        n = n_per[seg_id]
+    def _ntile(v_s, new, r, n):
         q, rem = n // k, n % k
         big_span = rem * (q + 1)
         in_big = r < big_span
-        bucket = np.where(
+        return np.where(
             in_big,
             r // np.maximum(q + 1, 1) + 1,
             rem + np.where(q > 0, (r - big_span) // np.maximum(q, 1), 0) + 1,
         ).astype(np.int64)
-        names = group[group_col].take(pa.array(order))
-        return pa.table(
-            {
-                id_col: pa.array(i_s, pa.int64()),
-                group_col: names,
-                val_col: pa.array(v_s, pa.int64()),
-                "bucket": pa.array(bucket, pa.int64()),
-            }
-        )
 
-    out = (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_assign, batch_format="pyarrow")
-    )
-
-    def _pin(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return out_schema.empty_table()
-        return batch.select(out_schema.names)
-
-    return out.map_batches(_pin, batch_format="pyarrow")
+    return _shuffle(ds, group_col, val_col, id_col, _ntile, out_schema)
 
 
 def group_percent_rank(
@@ -140,64 +108,24 @@ def group_percent_rank(
     group_col: str,
     val_col: str,
     id_col: str,
-    n_buckets: int = 64,
     scale: int = 10**6,
 ):
     """SQL ``PERCENT_RANK() OVER (PARTITION BY g ORDER BY v)`` in exact
     micro-units: pr = (rank - 1) * scale // (n - 1), where rank is the
     TIES-SHARE rank (1 + count of strictly smaller values) and a
     single-row partition gets 0 (the SQL convention).  Same one-shuffle
-    partition-hash plan as :func:`group_ntile`."""
+    plan as :func:`group_ntile`."""
     out_schema = pa.schema(
         [(id_col, pa.int64()), (group_col, pa.string()),
          (val_col, pa.int64()), ("pr_micro", pa.int64())]
     )
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        return _fnv_tag(batch, group_col, val_col, id_col, n_buckets)
+    def _percent_rank(v_s, new, r, n):
+        # ties share the rank of their FIRST row: a new value within
+        # the partition -> rank jumps to the row number
+        vnew = new.copy()
+        vnew[1:] |= v_s[1:] != v_s[:-1]
+        rank0 = r[np.flatnonzero(vnew)][np.cumsum(vnew) - 1]
+        return np.where(n > 1, rank0 * scale // np.maximum(n - 1, 1), 0).astype(np.int64)
 
-    def _assign(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        gh = group["gh"].to_numpy(zero_copy_only=False)
-        if np.unique(gh).size != pc.count_distinct(group[group_col]).as_py():
-            raise ValueError("group_percent_rank: group-key hash collision")
-        v = group[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        i = group[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((i, v, gh))
-        gh_s, v_s, i_s = gh[order], v[order], i[order]
-        new = np.ones(gh_s.size, bool)
-        new[1:] = gh_s[1:] != gh_s[:-1]
-        seg_start = np.flatnonzero(new)
-        seg_id = np.cumsum(new) - 1
-        n_per = np.diff(np.append(seg_start, gh_s.size))
-        r0 = np.arange(gh_s.size) - seg_start[seg_id]  # 0-based row number
-        # ties share the rank of their FIRST row: new value within the
-        # segment -> rank jumps to the row number
-        vnew = np.ones(gh_s.size, bool)
-        vnew[1:] = (gh_s[1:] != gh_s[:-1]) | (v_s[1:] != v_s[:-1])
-        rank0 = r0[np.flatnonzero(vnew)][np.cumsum(vnew) - 1]
-        n = n_per[seg_id]
-        denom = np.maximum(n - 1, 1)
-        pr = np.where(n > 1, rank0 * scale // denom, 0).astype(np.int64)
-        return pa.table(
-            {
-                id_col: pa.array(i_s, pa.int64()),
-                group_col: group[group_col].take(pa.array(order)),
-                val_col: pa.array(v_s, pa.int64()),
-                "pr_micro": pa.array(pr, pa.int64()),
-            }
-        )
-
-    out = (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_assign, batch_format="pyarrow")
-    )
-
-    def _pin(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return out_schema.empty_table()
-        return batch.select(out_schema.names)
-
-    return out.map_batches(_pin, batch_format="pyarrow")
+    return _shuffle(ds, group_col, val_col, id_col, _percent_rank, out_schema)

@@ -7,7 +7,7 @@ schema-drift detector a production corpus runs on every ingest batch.
 Scale shape (the repo idiom, NOT a string-keyed multi-aggregate
 groupby — that path measured 10x slower): every batch reduces each
 column to its DISTINCT (value, count) partials with ``np.unique``,
-numeric partials ride one int-keyed bucket co-shuffle and combine with
+numeric partials ride one (column, value) ``co_shuffle`` and combine with
 a lexsort-segment pass, string partials (low-cardinality by nature —
 a high-cardinality string column profile wants a sketch, not exact
 distinct) combine per column.  Bucket partials collapse in one final
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle
 
 _SCHEMA = pa.schema(
     [("col", pa.string()), ("n", pa.int64()), ("n_null", pa.int64()),
@@ -27,8 +27,7 @@ _SCHEMA = pa.schema(
 )
 
 
-def profile_table(ds, int_cols: dict, str_cols: list[str],
-                  n_buckets: int = 64):
+def profile_table(ds, int_cols: dict, str_cols: list[str]):
     """``int_cols``: {output_name: fn(batch) -> int64 ndarray (may
     contain the caller's encoding, e.g. cents)}; ``str_cols``: string
     column names profiled by exact distinct + byte-length min/max.
@@ -47,17 +46,11 @@ def profile_table(ds, int_cols: dict, str_cols: list[str],
             codes.append(np.full(uv.size, ci, np.int64))
             vals.append(uv.astype(np.int64))
             cnts.append(cnt.astype(np.int64))
-        code = np.concatenate(codes)
-        val = np.concatenate(vals)
         return pa.table(
             {
-                "c": pa.array(code, pa.int64()),
-                "v": pa.array(val, pa.int64()),
+                "c": pa.array(np.concatenate(codes), pa.int64()),
+                "v": pa.array(np.concatenate(vals), pa.int64()),
                 "n": pa.array(np.concatenate(cnts), pa.int64()),
-                "kb": pa.array(
-                    bucket_of(code * np.int64(1_000_003) + val, n_buckets),
-                    pa.int64(),
-                ),
             }
         )
 
@@ -100,11 +93,9 @@ def profile_table(ds, int_cols: dict, str_cols: list[str],
             }
         )
 
-    num = (
-        ds.map_batches(_num_partial, batch_format="pyarrow", batch_size=16384)
-        .groupby("kb")
-        .map_groups(_bucket_combine, batch_format="pyarrow")
-    )
+    num = co_shuffle(
+        ds.map_batches(_num_partial, batch_format="pyarrow", batch_size=16384),
+        ["c", "v"], _bucket_combine)
     parts = list(num.iter_batches(batch_format="pyarrow"))
     rows = {}
     if parts:

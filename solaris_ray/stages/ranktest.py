@@ -8,8 +8,8 @@ approximation z (with the standard tie correction) is the only float,
 evaluated identically by the SQL twin on identical integer operands.
 
 Scale plan: the whole sample compresses to its VALUE HISTOGRAM —
-per-batch (value, count, count_group1) partials, one int-bucketed
-co-shuffle, and a driver-side finish over the O(distinct values)
+per-batch (value, count, count_group1) partials, one keyed sum
+(``distinct_reduce``), and a driver-side finish over the O(distinct values)
 table (the histogram/wasserstein precedent; value domains are
 bounded, rows are not).
 """
@@ -19,14 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import distinct_reduce
 
 
-def mann_whitney(ds, group_col: str, val_col: str, g1: str, g2: str,
-                 n_buckets: int = 16) -> pa.Table:
+def mann_whitney(ds, group_col: str, val_col: str, g1: str, g2: str) -> pa.Table:
     """-> one row (n1, n2, u2, t3t, z6): U for group ``g1`` in 2×
     units (exact), the tie mass Σ(t³−t), and the tie-corrected z."""
-    from ray.data.aggregate import Sum
 
     def _partial(batch: pa.Table) -> pa.Table:
         g = batch[group_col].to_numpy(zero_copy_only=False)
@@ -38,25 +36,12 @@ def mann_whitney(ds, group_col: str, val_col: str, g1: str, g2: str,
             "v": pa.array(uniq, pa.int64()),
             "c": np.bincount(inv).astype(np.int64),
             "c1": np.bincount(inv, weights=is1).astype(np.int64),
-            "kb": pa.array(bucket_of(uniq, n_buckets), pa.int64()),
         })
 
-    def _combine(group: pa.Table) -> pa.Table:
-        v = group["v"].to_numpy()
-        c = group["c"].to_numpy()
-        c1 = group["c1"].to_numpy()
-        uniq, inv = np.unique(v, return_inverse=True)
-        return pa.table({
-            "v": pa.array(uniq, pa.int64()),
-            "c": np.bincount(inv, weights=c).astype(np.int64),
-            "c1": np.bincount(inv, weights=c1).astype(np.int64),
-        })
-
-    hist = (
-        ds.map_batches(_partial, batch_format="pyarrow", batch_size=16384)
-        .groupby("kb").map_groups(_combine, batch_format="pyarrow")
-        .to_pandas()  # O(distinct values) rows — the compressed sample
-    ).sort_values("v")
+    hist = distinct_reduce(
+        ds.map_batches(_partial, batch_format="pyarrow", batch_size=16384),
+        ["v"], {"c": "sum", "c1": "sum"},
+    ).to_pandas().sort_values("v")  # O(distinct values) rows — the compressed sample
     c = hist["c"].to_numpy().astype(np.int64)
     c1 = hist["c1"].to_numpy().astype(np.int64)
     sv = np.concatenate(([0], np.cumsum(c)[:-1]))
@@ -84,10 +69,9 @@ def _rank2_table(hist_df):
     return hist_df["v"].to_numpy().astype(np.int64), 2 * sv + c + 1
 
 
-def spearman(ds, x_col: str, y_col: str, n_buckets: int = 16) -> pa.Table:
+def spearman(ds, x_col: str, y_col: str) -> pa.Table:
     """Exact Spearman rank correlation between two bounded-domain
-    integer columns: per-value histograms (one bucket co-shuffle
-    each) give tie-averaged ranks in 2× integer units; the broadcast
+    integer columns: per-value histograms (one keyed sum each) give tie-averaged ranks in 2× integer units; the broadcast
     rank tables attach ranks per batch and exact int64 moment
     partials reduce to one row.  The only floats are the final rho
     expression (arbitrary-precision numerator, one sqrt), 6-dp.
@@ -104,23 +88,12 @@ def spearman(ds, x_col: str, y_col: str, n_buckets: int = 16) -> pa.Table:
             return pa.table({
                 "v": pa.array(uniq, pa.int64()),
                 "c": np.bincount(inv).astype(np.int64),
-                "kb": pa.array(bucket_of(uniq, n_buckets), pa.int64()),
             })
 
-        def _combine(group: pa.Table) -> pa.Table:
-            v = group["v"].to_numpy()
-            c = group["c"].to_numpy()
-            uniq, inv = np.unique(v, return_inverse=True)
-            return pa.table({
-                "v": pa.array(uniq, pa.int64()),
-                "c": np.bincount(inv, weights=c).astype(np.int64),
-            })
-
-        return (
-            ds.map_batches(_partial, batch_format="pyarrow", batch_size=16384)
-            .groupby("kb").map_groups(_combine, batch_format="pyarrow")
-            .to_pandas().sort_values("v")  # O(domain) rows
-        )
+        return distinct_reduce(
+            ds.map_batches(_partial, batch_format="pyarrow", batch_size=16384),
+            ["v"], {"c": "sum"},
+        ).to_pandas().sort_values("v")  # O(domain) rows
 
     xv, xr2 = _rank2_table(_hist(x_col))
     yv, yr2 = _rank2_table(_hist(y_col))

@@ -21,15 +21,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle
 
 _HALF_OFFSETS = ((1, -1), (1, 0), (1, 1), (0, 1))
 _CID = np.int64(1 << 20)
 
 
 def ripley_pair_counts(points, radii: list[int], x_col: str = "x",
-                       y_col: str = "y", n_buckets: int = 64,
-                       max_cell_points: int = 8192):
+                       y_col: str = "y", max_cell_points: int = 8192):
     """points (x, y int64 >= 0) -> one row per radius:
     (r, n_pairs, n_points), exact."""
     radii = sorted(int(r) for r in radii)
@@ -39,7 +38,7 @@ def ripley_pair_counts(points, radii: list[int], x_col: str = "x",
 
     n_points = points.count()
 
-    def _tag(batch: pa.Table) -> pa.Table:
+    def _replicate(batch: pa.Table) -> pa.Table:
         x = batch[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
         y = batch[y_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if x.size and (x.min() < 0 or y.min() < 0):
@@ -60,11 +59,10 @@ def ripley_pair_counts(points, radii: list[int], x_col: str = "x",
                 "px": pa.array(np.concatenate(xs), pa.int64()),
                 "py": pa.array(np.concatenate(ys), pa.int64()),
                 "kind": pa.array(np.concatenate(kinds)),
-                "kb": pa.array(bucket_of(cid, n_buckets), pa.int64()),
             }
         )
 
-    tagged = points.map_batches(_tag, batch_format="pyarrow", batch_size=16384)
+    cells = points.map_batches(_replicate, batch_format="pyarrow", batch_size=16384)
 
     r2s = np.array([r * r for r in radii], np.int64)
     part_schema = pa.schema([("r", pa.int64()), ("c", pa.int64())])
@@ -112,8 +110,7 @@ def ripley_pair_counts(points, radii: list[int], x_col: str = "x",
         )
 
     agg = (
-        tagged.groupby("kb")
-        .map_groups(_cell_counts, batch_format="pyarrow")
+        co_shuffle(cells, "cid", _cell_counts)
         .groupby("r")
         .sum("c")
     )

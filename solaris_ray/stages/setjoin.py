@@ -21,23 +21,23 @@ version materialized the global token-DF table on the driver and
 broadcast two vocab-sized arrays; a 100 TB corpus has billions of
 distinct tokens, so that pull was a north-rule violation):
 
-1. docs explode once to (doc_id, tok) distinct rows, bucketed by
-   token hash;
-2. ``groupby(token-bucket)`` — every occurrence of a token lands in
+1. docs explode once to (doc_id, tok) distinct rows;
+2. ``co_shuffle`` on the token — every occurrence of a token lands in
    one bucket, so its global document frequency is simply the row
-   count per token inside the group; rows leave as (doc_id, tok, df);
-3. ``groupby(doc-bucket)`` reassembles each doc's token set, orders
+   count per token inside the bucket; rows leave as (doc_id, tok, df);
+3. ``co_shuffle`` on the doc reassembles each doc's token set, orders
    it by (df, tok) — the same total order dense DF-ranks induced, no
    rank table needed anywhere — and emits prefix rows
    (tok, doc_id, full token set as a list column);
-4. ``groupby(prefix-token-bucket)`` verifies candidates in-bucket
+4. ``co_shuffle`` on the prefix token verifies candidates in-bucket
    with a boolean-membership matmul, capped + logged per token
    (dedup.py discipline); sets never ride a second exchange;
 5. an id-pair distinct collapses pairs that met under several prefix
    tokens.
 
-Every exchange moves O(doc-token pairs) fixed-width rows; tokenization
-runs once; driver memory is O(1).
+Every exchange moves O(doc-token pairs) fixed-width rows over
+``shuffle_width`` buckets; tokenization runs once; driver memory is
+O(1).
 
 Token identity is a 64-bit siphash (pandas ``hash_array``): two
 distinct tokens colliding would merge their df counts and could
@@ -55,7 +55,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of
+from ._buckets import co_shuffle, distinct_reduce
 from .text import WORD_SPLIT
 
 logger = logging.getLogger(__name__)
@@ -93,7 +93,6 @@ def jaccard_set_join(
     tau100: int = 60,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_buckets: int = 64,
     max_key_bucket: int = 4096,
 ):
     """-> (id_a, id_b, inter, uni) for every unordered doc pair with
@@ -109,7 +108,6 @@ def jaccard_set_join(
             return pa.table({
                 "id": pa.array([], pa.int64()),
                 "tok": pa.array([], pa.int64()),
-                "tb": pa.array([], pa.int64()),
             })
         lens = np.asarray([s.size for s in sets], np.int64)
         tok = (np.concatenate(sets) if lens.sum()
@@ -118,7 +116,6 @@ def jaccard_set_join(
         return pa.table({
             "id": pa.array(did, pa.int64()),
             "tok": pa.array(tok, pa.int64()),
-            "tb": pa.array(bucket_of(tok, n_buckets), pa.int64()),
         })
 
     # ---- stage 2: global df per token, attached inside its bucket ----
@@ -132,7 +129,6 @@ def jaccard_set_join(
             "id": pa.array(did, pa.int64()),
             "tok": pa.array(tok, pa.int64()),
             "df": pa.array(cnt[inv].astype(np.int64), pa.int64()),
-            "db": pa.array(bucket_of(did, n_buckets), pa.int64()),
         })
 
     # ---- stage 3: per-doc prefix emission in (df, tok) order ---------
@@ -161,14 +157,11 @@ def jaccard_set_join(
                 "r": pa.array([], pa.int64()),
                 "id": pa.array([], pa.int64()),
                 "set": pa.array([], pa.list_(pa.int64())),
-                "rb": pa.array([], pa.int64()),
             })
-        r = np.asarray(out_key, np.int64)
         return pa.table({
-            "r": pa.array(r, pa.int64()),
+            "r": pa.array(np.asarray(out_key, np.int64), pa.int64()),
             "id": pa.array(np.asarray(out_id, np.int64), pa.int64()),
             "set": pa.array(out_set, pa.list_(pa.int64())),
-            "rb": pa.array(bucket_of(r, n_buckets), pa.int64()),
         })
 
     def _pairs(group: pa.Table) -> pa.Table:
@@ -231,19 +224,10 @@ def jaccard_set_join(
             }
         )
 
-    verified = (
-        ds.map_batches(_explode, batch_format="pyarrow")
-        .groupby("tb")
-        .map_groups(_attach_df, batch_format="pyarrow")
-        .groupby("db")
-        .map_groups(_emit, batch_format="pyarrow")
-        .groupby("rb")
-        .map_groups(_pairs, batch_format="pyarrow")
-    )
+    with_df = co_shuffle(ds.map_batches(_explode, batch_format="pyarrow"), "tok", _attach_df)
+    verified = co_shuffle(co_shuffle(with_df, "id", _emit), "r", _pairs)
     # cross-bucket distinct (a pair can qualify under prefix tokens in
     # different buckets); inter/uni are identical on every copy —
     # bucketed vectorized reduce, not Ray's per-group hash aggregate
-    from ._buckets import distinct_reduce
-
     return distinct_reduce(
         verified, ["id_a", "id_b"], aggs={"inter": "max", "uni": "max"})

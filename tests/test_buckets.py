@@ -7,6 +7,18 @@ import pytest
 from solaris_ray.stages._buckets import bucket_of, distinct_reduce
 from solaris_ray.stages.actives import rolling_actives
 from solaris_ray.stages.autocorr import lag_autocorr
+from solaris_ray.stages.cdc import merge_changes, scd2_intervals, scd2_lookup
+from solaris_ray.stages.cooccur import type_cooccurrence
+from solaris_ray.stages.corpus import paragraph_dedup, source_overlap
+from solaris_ray.stages.dbscan import dbscan
+from solaris_ray.stages.editdist import editdist1_pairs, editdist_pairs
+from solaris_ray.stages.hull import group_convex_hull
+from solaris_ray.stages.moran import getis_ord, moran_i
+from solaris_ray.stages.ntile import group_ntile, group_percent_rank
+from solaris_ray.stages.profile import profile_table
+from solaris_ray.stages.ranktest import mann_whitney, spearman
+from solaris_ray.stages.ripley import ripley_pair_counts
+from solaris_ray.stages.setjoin import jaccard_set_join
 from solaris_ray.stages.cohorts import retention_cohorts
 from solaris_ray.stages.cusum import cusum_alarms
 from solaris_ray.stages.ema import ema_final
@@ -125,7 +137,8 @@ def test_graph_rounds_keep_block_count_at_width(ray_session):
 
 def test_graph_family_takes_no_fixed_width():
     # the bucket count and every repartition come from shuffle_width;
-    # no graph- or event-family entry point may take a literal width again
+    # no graph-family, event-family or other co_shuffle entry point may
+    # take a literal width again
     import inspect
 
     from solaris_ray.stages.bfs import bfs_hops
@@ -136,11 +149,20 @@ def test_graph_family_takes_no_fixed_width():
     from solaris_ray.stages.triangles import triangle_counts
 
     for fn in (bfs_hops, sssp_dist, pagerank, kcore, triangle_counts,
-               link_prediction_scores, distinct_reduce, *_EVENT_FAMILY.values()):
+               link_prediction_scores, distinct_reduce, *_EVENT_FAMILY.values(),
+               *_PORTED):
         params = set(inspect.signature(fn).parameters)
         knobs = {"n_buckets", "shuffle_blocks"} & params
         assert not knobs, f"{fn.__name__} takes {sorted(knobs)}"
 
+
+# the keyed stages outside the event family that run on co_shuffle
+_PORTED = (
+    merge_changes, scd2_intervals, scd2_lookup, type_cooccurrence, source_overlap,
+    paragraph_dedup, dbscan, editdist1_pairs, editdist_pairs, group_convex_hull,
+    moran_i, getis_ord, group_ntile, group_percent_rank, profile_table,
+    mann_whitney, spearman, ripley_pair_counts, jaccard_set_join,
+)
 
 # the event family on co_shuffle: entry point -> a call on _event_ds
 _EVENT_FAMILY = {
@@ -180,34 +202,47 @@ def _event_ds(user_id: pa.Array):
     }))
 
 
-@pytest.mark.parametrize("bad", ["null", "NaN"])
+# two strings with one crc32 (1306201125)
+_CRC_TWINS = ["plumless", "buckeroo"]
+
+_BAD_KEYS = {
+    "null": pa.array([1, None, 2, 1], pa.int64()),
+    "NaN": pa.array([1.0, float("nan"), 2.0, 1.0]),
+    "string": pa.array(_CRC_TWINS * 2),
+}
+
+
+@pytest.mark.parametrize("bad", ["null", "NaN", "string"])
 @pytest.mark.parametrize("stage", list(_EVENT_FAMILY), ids=lambda f: f.__name__)
 def test_event_family_refuses_null_and_nan_keys(ray_session, stage, bad):
-    # a null int key used to come back as key -2**63; a null or NaN key
-    # has no group, so it is refused naming the column
-    keys = (pa.array([1, None, 2, 1], pa.int64()) if bad == "null"
-            else pa.array([1.0, float("nan"), 2.0, 1.0]))
+    # a null int key used to come back as key -2**63, a string key as
+    # its crc32 (merging keys whose crc32 collide); none has an exact
+    # int64 group, so each is refused naming the column
     with pytest.raises(Exception, match=f"ValueError: {bad} in key column 'user_id'"):
-        _EVENT_FAMILY[stage](_event_ds(keys)).materialize()
+        _EVENT_FAMILY[stage](_event_ds(_BAD_KEYS[bad])).materialize()
 
 
-# stages/ modules that still build their own tag shuffle on bucket_of;
-# a port to co_shuffle removes its module, and no module may be added
-_BUCKET_OF_ALLOWLIST = {
-    "cdc", "cooccur", "corpus", "dbscan", "editdist", "hull", "kcore",
-    "linkpred", "moran", "ntile", "pagerank", "profile", "ranktest",
-    "ripley", "setjoin", "sssp", "triangles",
-}
+def test_distinct_reduce_refuses_string_keys(ray_session):
+    t = pa.table({"k": _CRC_TWINS * 2, "v": [1, 2, 3, 4]})
+    with pytest.raises(Exception, match="ValueError: string in key column 'k'"):
+        distinct_reduce(_ds(t), ["k"], {"v": "sum"}).materialize()
+
+
+# the graph family tags rows with bucket_of itself, once per round; every
+# other keyed shuffle is a co_shuffle, and no module may be added
+_BUCKET_OF_ALLOWLIST = {"kcore", "linkpred", "pagerank", "sssp", "triangles"}
 
 
 def test_bucket_of_importers_only_shrink():
     import ast
     import pathlib
 
+    import solaris_ray.pipelines.queries as queries
     import solaris_ray.stages as stages
 
     users = set()
-    for path in pathlib.Path(stages.__file__).parent.glob("*.py"):
+    paths = [*pathlib.Path(stages.__file__).parent.glob("*.py"), pathlib.Path(queries.__file__)]
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_buckets")
                     and any(a.name == "bucket_of" for a in node.names)):

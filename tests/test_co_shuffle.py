@@ -88,6 +88,8 @@ def _keyed(kind: str) -> tuple[pa.Table, list[str]]:
     if kind == "string":  # "ab" and "ba" have equal byte sums
         vals = ["a", "b", "ab", "ba", "", "é", "z"]
         return pa.table({"i": i, "k": [vals[j % 7] for j in i]}), ["k"]
+    if kind == "crc_twins":  # one crc32, so one bucket at any width
+        return pa.table({"i": i, "k": [("plumless", "buckeroo")[j % 2] for j in i]}), ["k"]
     return pa.table({"i": i, "k1": i % 7, "k2": (i % 3).astype(str)}), ["k1", "k2"]
 
 
@@ -113,7 +115,7 @@ def test_co_shuffle_integer_key(ray_session, n_buckets):
     row arrives once, and every key's rows arrive in exactly one call."""
     import ray
 
-    for kind in ("int", "float", "string", "two_col"):
+    for kind in ("int", "float", "string", "crc_twins", "two_col"):
         tbl, keys = _keyed(kind)
 
         def _calls(bucket: pa.Table) -> pa.Table:
@@ -132,7 +134,7 @@ def test_co_shuffle_integer_key(ray_session, n_buckets):
             for row, key in enumerate(_key_of(tbl, keys)):
                 calls.setdefault(key, set()).add(call_of[row])
             assert all(len(c) == 1 for c in calls.values()), (kind, layout)
-            if n_buckets == 1:  # one bucket: one call holds every key
+            if n_buckets == 1 or kind == "crc_twins":  # one call holds every key
                 assert out["call"].nunique() == 1, (kind, layout)
 
 

@@ -13,7 +13,7 @@ import pytest
 import ray
 
 from solaris_ray.stages.cohorts import retention_cohorts, _WEEK_US
-from solaris_ray.stages.ntile import group_ntile
+from solaris_ray.stages.ntile import group_ntile, group_percent_rank
 
 
 def _events_ds(rows, n_blocks=3):
@@ -102,6 +102,23 @@ def test_ntile_small_partitions():
     rows = [(1, "a", 9), (2, "a", 5), (3, "b", 1)]
     got = _run_ntile(rows, 10)
     assert got == {2: 1, 1: 2, 3: 1}
+
+
+def test_ntile_and_percent_rank_crc32_twin_groups(ray_session):
+    # "plumless" and "buckeroo" share a crc32, so both partitions land in
+    # one shuffle bucket; each must still be ranked on its own
+    rows = [(1, "plumless", 5), (2, "plumless", 3), (3, "plumless", 9),
+            (4, "plumless", 3), (5, "buckeroo", 4), (6, "buckeroo", 1),
+            (7, "buckeroo", 8)]
+    got = _run_ntile(rows, 2)
+    assert got == _naive_ntile(rows, 2)
+    assert got == {2: 1, 4: 1, 1: 2, 3: 2, 6: 1, 5: 1, 7: 2}
+    t = pa.table({"doc_id": [r[0] for r in rows], "lang": [r[1] for r in rows],
+                  "n_chars": [r[2] for r in rows]})
+    pr = group_percent_rank(ray.data.from_arrow(t).repartition(3),
+                            "lang", "n_chars", "doc_id").take_all()
+    assert {r["doc_id"]: r["pr_micro"] for r in pr} == {
+        2: 0, 4: 0, 1: 666666, 3: 10**6, 6: 0, 5: 500000, 7: 10**6}
 
 
 def test_ntile_rejects_bad_k():

@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.moran import getis_ord
 
 
@@ -47,8 +48,8 @@ def _naive(xy, cell):
     return out
 
 
-def _run(xy, cell):
-    got = getis_ord(_pts_ds(xy), cell=cell).take_all()
+def _run(xy, cell, n_blocks=3):
+    got = getis_ord(_pts_ds(xy, n_blocks), cell=cell).take_all()
     return {(r["cx"], r["cy"]): (r["k"], r["wsum"], r["gi6"]) for r in got}
 
 
@@ -77,14 +78,18 @@ def test_hotspot_scores_high():
         assert got[key][2] == pytest.approx(expect[key][2], abs=2e-6)
 
 
-def test_negative_coords_and_bucket_invariance():
+def test_negative_coords_and_bucket_invariance(ray_session):
     rng = np.random.default_rng(47)
     xy = rng.uniform(-200, 200, size=(1200, 2)).tolist()
-    a = getis_ord(_pts_ds(xy), cell=40.0, n_buckets=64).take_all()
-    b = getis_ord(_pts_ds(xy, n_blocks=5), cell=40.0, n_buckets=7).take_all()
-    ka = {(r["cx"], r["cy"]): (r["k"], r["wsum"], r["gi6"]) for r in a}
-    kb = {(r["cx"], r["cy"]): (r["k"], r["wsum"], r["gi6"]) for r in b}
-    assert ka == kb
+    # the bucket count follows the input's block count
+    assert shuffle_width(_pts_ds(xy, 3)) != shuffle_width(_pts_ds(xy, 97))
+    ka = _run(xy, 40.0, n_blocks=3)
+    assert _run(xy, 40.0, n_blocks=97) == ka
+    expect = _naive(xy, 40.0)
+    assert set(ka) == set(expect)
+    for key in ka:
+        assert ka[key][:2] == expect[key][:2]
+        assert ka[key][2] == pytest.approx(expect[key][2], abs=2e-6)
 
 
 def test_rejects_bad_cell():

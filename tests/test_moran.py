@@ -8,6 +8,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.moran import moran_i
 
 
@@ -75,13 +76,15 @@ def test_clustered_positive_autocorrelation():
     assert row["moran_e6"] == pytest.approx(expect * 1e6, abs=1.5)
 
 
-def test_negative_coordinates_and_bucket_invariance():
+def test_negative_coordinates_and_bucket_invariance(ray_session):
     rng = np.random.default_rng(8)
     xy = rng.uniform(-300, 300, size=(1500, 2)).tolist()
-    r64 = moran_i(_pts_ds(xy), cell=60.0, n_buckets=64).take_all()[0]
-    r7 = moran_i(_pts_ds(xy, n_blocks=5), cell=60.0, n_buckets=7).take_all()[0]
-    assert r64 == r7
-    assert r64["moran_e6"] == pytest.approx(_naive(xy, 60.0) * 1e6, abs=1.5)
+    # the bucket count follows the input's block count
+    assert shuffle_width(_pts_ds(xy, 3)) != shuffle_width(_pts_ds(xy, 97))
+    r3 = moran_i(_pts_ds(xy, n_blocks=3), cell=60.0).take_all()[0]
+    r97 = moran_i(_pts_ds(xy, n_blocks=97), cell=60.0).take_all()[0]
+    assert r3 == r97
+    assert r3["moran_e6"] == pytest.approx(_naive(xy, 60.0) * 1e6, abs=1.5)
 
 
 def test_rejects_bad_cell():
