@@ -82,6 +82,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "augment_album", "augment_pair", "paragraph_dedup", "dsir",
         "focal_gradients", "watermark_late", "geodesic_area",
         "haversine_knn", "overviews", "split_multi", "eval_class", "chip_stitch_conf",
+        "eval_concave",
     )
 
     def _prio(item):

@@ -9,7 +9,9 @@ float64 coordinate array plus an ``offsets`` int64 array of length
 These kernels replace the reference's shapely scalar math
 (.area/.length/.intersection/.intersects, solaris/eval/iou.py:4-44,
 solaris/tile/vector_tile.py:227-324) with vectorized or tight-loop
-numpy over whole batches.
+numpy over whole batches.  Polygon intersection and IoU go through
+one batched kernel, ``pair_overlaps``: any number of ring pairs,
+either ring concave, exact areas.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ __all__ = [
     "ring_centroids",
     "points_in_polygon",
     "clip_ring_to_box",
-    "convex_intersection_area",
+    "pack_rings",
+    "pair_overlaps",
+    "iou_matrix",
+    "intersection_area",
     "box_iou",
     "polygon_iou",
 ]
@@ -67,20 +72,6 @@ def ring_areas(coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     if empty.any():
         sums = np.where(empty, 0.0, sums)
     return np.abs(sums) * 0.5
-
-
-def signed_ring_areas(coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    x, y = _localize(coords, offsets)
-    nxt = np.arange(1, len(coords) + 1)
-    starts = offsets[:-1]
-    ends = offsets[1:]
-    nxt[ends - 1] = starts
-    cross = x * y[nxt] - x[nxt] * y
-    sums = np.add.reduceat(cross, starts) if len(starts) else np.empty(0)
-    empty = starts == ends
-    if empty.any():
-        sums = np.where(empty, 0.0, sums)
-    return sums * 0.5
 
 
 def ring_lengths(coords: np.ndarray, offsets: np.ndarray, closed: bool = True) -> np.ndarray:
@@ -363,82 +354,242 @@ def padded_ring_areas(P: np.ndarray, nv: np.ndarray) -> np.ndarray:
     return np.abs(term.sum(axis=1)) * 0.5
 
 
-def _clip_by_halfplane(poly: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Clip ``poly`` to the left half-plane of directed edge p0->p1."""
-    if len(poly) == 0:
-        return poly
-    d = (p1[0] - p0[0]) * (poly[:, 1] - p0[1]) - (p1[1] - p0[1]) * (poly[:, 0] - p0[0])
-    inside = d >= -1e-12
-    if inside.all():
-        return poly
-    pieces = []
-    n = len(poly)
-    for i in range(n):
-        j = (i + 1) % n
-        if inside[i]:
-            pieces.append(poly[i])
-            if not inside[j]:
-                t = d[i] / (d[i] - d[j])
-                pieces.append(poly[i] + t * (poly[j] - poly[i]))
-        elif inside[j]:
-            t = d[i] / (d[i] - d[j])
-            pieces.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.asarray(pieces, dtype=np.float64).reshape(-1, 2)
+def pack_rings(rings: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """List of (n_i, 2) rings -> packed ``(coords, offsets)``."""
+    offsets = np.zeros(len(rings) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rings], out=offsets[1:])
+    if not rings:
+        return np.zeros((0, 2)), offsets
+    return np.concatenate(rings).astype(np.float64, copy=False).reshape(-1, 2), offsets
 
 
-def _ccw(ring: np.ndarray) -> np.ndarray:
-    """Orient a ring counter-clockwise (positive signed area)."""
-    x = ring[:, 0]
-    y = ring[:, 1]
-    a = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    return ring if a >= 0 else ring[::-1]
+def _ear_clip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Triangulate one counter-clockwise simple ring -> (T, 3) vertex
+    indices, all triangles counter-clockwise.
 
-
-def convex_intersection_area(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection area of two polygons where ``b`` is CONVEX.
-
-    Sutherland–Hodgman of a against every edge of convex b; exact for
-    convex b and simple a.  Used by the IoU matcher
-    (reference: solaris/eval/iou.py:4-44 via shapely intersection).
-    The synthetic corpus generates convex proposals/GT, so this is
-    exact there; for concave b callers must rasterize instead.
+    An ear is a convex vertex whose triangle holds no other vertex;
+    only reflex vertices can lie inside one, so only they are tested.
+    Vertices with zero turn (collinear or spikes) span no area and are
+    dropped.  A ring with no ear is not simple; its sharpest convex
+    vertex is cut anyway.
     """
-    if len(a) < 3 or len(b) < 3:
-        return 0.0
-    # localize both polygons (shoelace cancellation at UTM magnitudes)
-    origin = a[0].copy()
-    a = np.asarray(a, dtype=np.float64) - origin
-    b = np.asarray(b, dtype=np.float64) - origin
-    b = _ccw(b)
-    out = a
-    n = len(b)
-    for i in range(n):
-        out = _clip_by_halfplane(out, b[i], b[(i + 1) % n])
-        if len(out) == 0:
-            return 0.0
-    x = out[:, 0]
-    y = out[:, 1]
-    return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) * 0.5)
+    idx = np.arange(len(x))
+    tris = []
+    while len(idx) > 3:
+        m = len(idx)
+        px, py = x[idx], y[idx]
+        k = np.arange(m)
+        ax, ay = px[k - 1], py[k - 1]
+        bx, by = px[(k + 1) % m], py[(k + 1) % m]
+        turn = (px - ax) * (by - py) - (py - ay) * (bx - px)
+        if (turn == 0).any():
+            idx = idx[turn != 0]
+            continue
+        rx, ry = px[turn < 0], py[turn < 0]
+        ear = int(np.argmax(turn))
+        for e in np.flatnonzero(turn > 0).tolist():
+            # closed-triangle test; a reflex vertex on a corner is the
+            # corner itself (rings may touch themselves there)
+            corner = ((rx == ax[e]) & (ry == ay[e])) | ((rx == px[e]) & (ry == py[e])) \
+                | ((rx == bx[e]) & (ry == by[e]))
+            inside = (
+                ((px[e] - ax[e]) * (ry - ay[e]) - (py[e] - ay[e]) * (rx - ax[e]) >= 0)
+                & ((bx[e] - px[e]) * (ry - py[e]) - (by[e] - py[e]) * (rx - px[e]) >= 0)
+                & ((ax[e] - bx[e]) * (ry - by[e]) - (ay[e] - by[e]) * (rx - bx[e]) >= 0)
+            )
+            if not (inside & ~corner).any():
+                ear = e
+                break
+        tris.append((idx[ear - 1], idx[ear], idx[(ear + 1) % m]))
+        idx = np.delete(idx, ear)
+    if len(idx) == 3:
+        (ax, bx, cx), (ay, by, cy) = x[idx], y[idx]
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0:
+            tris.append(tuple(idx))
+    return np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+
+
+def _ring_frame(coords: np.ndarray, offsets: np.ndarray):
+    """Per-vertex view of packed rings (empty rings allowed): ring id,
+    coordinates relative to the ring's first vertex, previous and next
+    vertex indices with per-ring wraparound, and signed ring areas."""
+    starts, ends = offsets[:-1], offsets[1:]
+    n = len(starts)
+    ring_of = np.repeat(np.arange(n), ends - starts)
+    local = coords - coords[starts[ring_of]]
+    x, y = local[:, 0], local[:, 1]
+    live = ends > starts
+    prv = np.arange(-1, len(coords) - 1)
+    prv[starts[live]] = ends[live] - 1
+    nxt = np.arange(1, len(coords) + 1)
+    nxt[ends[live] - 1] = starts[live]
+    area = 0.5 * np.bincount(ring_of, weights=x * y[nxt] - x[nxt] * y, minlength=n)
+    return ring_of, x, y, prv, nxt, area
+
+
+def _convex_pieces(coords: np.ndarray, offsets: np.ndarray):
+    """Split every ring into counter-clockwise convex pieces.
+
+    One cross-product sign test per vertex decides convexity: a ring
+    whose turns all share its orientation's sign is one piece (its own
+    vertices, reversed when clockwise); any other ring is ear-clipped
+    into triangles.  Rings under 3 vertices or with zero area have no
+    pieces.  Returns ``(first, idx, area)``: ring ``r`` owns pieces
+    ``first[r]:first[r + 1]``; row ``idx[p]`` lists piece ``p``'s
+    vertex indices into ``coords`` and then repeats its first vertex up
+    to the common width (a closed ring whose padding edges have zero
+    length); ``area`` holds the unsigned ring areas.
+    """
+    starts, ends = offsets[:-1], offsets[1:]
+    n = len(starts)
+    counts = ends - starts
+    ring_of, x, y, prv, nxt, area = _ring_frame(coords, offsets)
+    turn = (x - x[prv]) * (y[nxt] - y) - (y - y[prv]) * (x[nxt] - x)
+    n_against = np.bincount(ring_of, weights=turn * np.sign(area)[ring_of] < 0, minlength=n)
+    has_area = (counts >= 3) & (area != 0)
+    convex = has_area & (n_against == 0)
+
+    cs, cc = starts[convex], counts[convex]
+    cols = np.arange(max(int(cc.max()) if len(cc) else 0, 3) + 1)
+    step = np.where(area[convex] > 0, 1, -1)[:, None]
+    first_v = np.where(step[:, 0] > 0, cs, cs + cc - 1)[:, None]
+    ring_ids = [np.flatnonzero(convex)]
+    pieces = [first_v + step * np.where(cols < cc[:, None], cols, 0)]
+    for r in np.flatnonzero(has_area & ~convex).tolist():
+        ring = np.arange(starts[r], ends[r])
+        if area[r] < 0:
+            ring = ring[::-1]
+        tri = ring[_ear_clip(x[ring], y[ring])]
+        ring_ids.append(np.full(len(tri), r))
+        pieces.append(tri[:, np.where(cols < 3, cols, 0)])
+    ring_of_piece = np.concatenate(ring_ids)
+    first = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ring_of_piece, minlength=n), out=first[1:])
+    return first, np.concatenate(pieces)[np.argsort(ring_of_piece, kind="stable")], np.abs(area)
+
+
+def _clip_halfplane(P: np.ndarray, nv: np.ndarray, p0: np.ndarray, p1: np.ndarray):
+    """One Sutherland–Hodgman step for K rings at once: keep the part of
+    ring ``k`` left of the directed line ``p0[k] -> p1[k]`` (points
+    within 1e-12 of it count as inside).
+
+    ``P`` is (K, W, 2): row ``k`` holds ``nv[k]`` vertices, then its
+    first vertex again, then anything; the output keeps that layout,
+    zero-padded.  Each vertex owns two output slots, itself if inside
+    and its edge's crossing point if the edge crosses the line — the
+    emission order of ``clip_polys_to_boxes_batch``.  A zero-length
+    edge keeps every vertex.
+    """
+    K = len(P)
+    d = (p1[:, 0] - p0[:, 0])[:, None] * (P[:, :, 1] - p0[:, 1, None]) \
+        - (p1[:, 1] - p0[:, 1])[:, None] * (P[:, :, 0] - p0[:, 0, None])
+    di, dj = d[:, :-1], d[:, 1:]
+    Pi, Pj = P[:, :-1], P[:, 1:]
+    valid = np.arange(P.shape[1] - 1)[None, :] < nv[:, None]
+    inside = di >= -1e-12
+    cross = (inside != (dj >= -1e-12)) & valid
+    inside &= valid
+    t = np.divide(di, di - dj, out=np.zeros_like(di), where=cross)
+    slots = np.stack((Pi, Pi + t[:, :, None] * (Pj - Pi)), axis=2).reshape(K, -1, 2)
+    keep = np.stack((inside, cross), axis=2).reshape(K, -1)
+    pos = np.cumsum(keep, axis=1) - 1
+    nv_out = pos[:, -1] + 1
+    out = np.zeros((K, int(nv_out.max()) + 1, 2))
+    r, c = np.nonzero(keep)
+    out[r, pos[r, c]] = slots[r, c]
+    out[np.arange(K), nv_out] = out[:, 0]
+    return out, nv_out
+
+
+def pair_overlaps(
+    a_coords: np.ndarray,
+    a_offsets: np.ndarray,
+    b_coords: np.ndarray,
+    b_offsets: np.ndarray,
+    ia: np.ndarray,
+    ib: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact intersection area and IoU of K ring pairs
+    ``(a[ia[k]], b[ib[k]])`` in one padded pass — the kernel behind
+    every polygon IoU (reference: solaris/eval/iou.py:4-44 via shapely
+    intersection; IoU = inter / (area_a + area_b - inter)).
+
+    Each ring's area is computed once, and each ``b`` is split once
+    into convex pieces (``_convex_pieces``).  Every (pair, piece) row
+    then clips its ``a`` against the piece's edges, all rows together
+    (``_clip_halfplane``), and the piece areas sum back onto their
+    pair.  Sutherland–Hodgman against a convex clip is exact for any
+    simple subject, so both rings may be concave; interiors of holes
+    are not modelled (one ring per geometry).  Each pair works in a
+    frame at its ``a``'s first vertex, so UTM-magnitude inputs keep
+    full precision.
+    """
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
+    K = len(ia)
+    first, piece_idx, area_b = _convex_pieces(b_coords, b_offsets)
+    area_a = np.abs(_ring_frame(a_coords, a_offsets)[5])
+    a_start = a_offsets[:-1][ia]
+    a_nv = (a_offsets[1:] - a_offsets[:-1])[ia]
+    n_rows = np.where(a_nv >= 3, first[ib + 1] - first[ib], 0)
+    pair = np.repeat(np.arange(K), n_rows)
+    piece = first[ib][pair] + np.arange(len(pair)) - (np.cumsum(n_rows) - n_rows)[pair]
+
+    # rows in the pair frame, closed: a's first vertex is the origin, so
+    # the closing vertex and the padding are both (0, 0)
+    nv = a_nv[pair]
+    cols = np.arange((int(nv.max()) if len(nv) else 0) + 1)[None, :]
+    start = a_start[pair][:, None]
+    origin = a_coords[start]
+    P = a_coords[start + np.where(cols < nv[:, None], cols, 0)] - origin
+    C = b_coords[piece_idx[piece]] - origin
+    for e in range(C.shape[1] - 1):
+        if not nv.any():
+            break
+        P, nv = _clip_halfplane(P, nv, C[:, e], C[:, e + 1])
+
+    x, y = P[:, :, 0], P[:, :, 1]
+    rows = np.abs((x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1]).sum(axis=1)) * 0.5
+    inter = np.bincount(pair, weights=rows, minlength=K)
+    union = area_a[ia] + area_b[ib] - inter
+    ok = (inter > 0) & (union > 0)
+    iou = np.where(ok, inter / np.where(ok, union, 1.0), 0.0)
+    return inter, iou
+
+
+def iou_matrix(
+    a_coords: np.ndarray, a_offsets: np.ndarray, b_coords: np.ndarray, b_offsets: np.ndarray
+) -> np.ndarray:
+    """(n_a, n_b) exact IoU of every ring pair: one bbox prefilter
+    (``box_iou`` > 0, the reference's R-tree candidate lookup,
+    solaris/eval/base.py:46,268-283) and one ``pair_overlaps`` call
+    over the candidates; pairs whose boxes share no area are 0."""
+    out = np.zeros((len(a_offsets) - 1, len(b_offsets) - 1))
+    if out.size:
+        ia, ib = np.nonzero(
+            box_iou(ring_bboxes(a_coords, a_offsets), ring_bboxes(b_coords, b_offsets)) > 0
+        )
+        out[ia, ib] = pair_overlaps(a_coords, a_offsets, b_coords, b_offsets, ia, ib)[1]
+    return out
+
+
+def _pair_of(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 2)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 2)
+    zero = np.zeros(1, dtype=np.int64)
+    return pair_overlaps(a, np.array([0, len(a)]), b, np.array([0, len(b)]), zero, zero)
+
+
+def intersection_area(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact intersection area of two simple rings (K=1 ``pair_overlaps``)."""
+    return float(_pair_of(a, b)[0][0])
 
 
 def polygon_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """IoU of two polygons (b convex; see convex_intersection_area).
-
-    Mirrors ``calculate_iou`` (solaris/eval/iou.py:4-44):
-    inter / (area_a + area_b - inter).
-    """
-    inter = convex_intersection_area(a, b)
-    if inter == 0.0:
-        return 0.0
-    origin = a[0]
-    ax = a[:, 0] - origin[0]
-    ay = a[:, 1] - origin[1]
-    bx = b[:, 0] - origin[0]
-    by = b[:, 1] - origin[1]
-    area_a = abs(np.sum(ax * np.roll(ay, -1) - np.roll(ax, -1) * ay)) * 0.5
-    area_b = abs(np.sum(bx * np.roll(by, -1) - np.roll(bx, -1) * by)) * 0.5
-    union = area_a + area_b - inter
-    return float(inter / union) if union > 0 else 0.0
+    """IoU of two simple rings, either may be concave (K=1
+    ``pair_overlaps``; mirrors ``calculate_iou``,
+    solaris/eval/iou.py:4-44)."""
+    return float(_pair_of(a, b)[1][0])
 
 
 def buffer_convex(ring: np.ndarray, dist: float) -> np.ndarray:
@@ -484,31 +635,24 @@ def _ccw_order(ring: np.ndarray) -> np.ndarray:
 def internal_intersection_pairs(
     coords: np.ndarray, offsets: np.ndarray, buffer_dist: float = 0.0
 ) -> list[tuple[int, int, float]]:
-    """Pairwise intersection areas among (optionally buffered) convex
-    rings — ``geometries_internal_intersection`` semantics
-    (solaris/utils/geo.py:421-477): bbox candidate prefilter, exact
-    intersection per surviving pair.  Returns (i, j, area) triples.
+    """Pairwise intersection areas among (optionally buffered) rings —
+    ``geometries_internal_intersection`` semantics
+    (solaris/utils/geo.py:421-477): one bbox prefilter over all pairs
+    i < j, one ``pair_overlaps`` call over the candidates.  Returns
+    (i, j, area) triples for pairs sharing positive area, ordered by
+    (i, j).  ``buffer_dist > 0`` buffers each ring with
+    ``buffer_convex`` first, so it assumes convex rings.
     """
-    n = len(offsets) - 1
-    rings = [coords[offsets[i] : offsets[i + 1]] for i in range(n)]
     if buffer_dist > 0:
-        rings = [buffer_convex(r, buffer_dist) for r in rings]
-    bbox = np.asarray(
-        [[r[:, 0].min(), r[:, 1].min(), r[:, 0].max(), r[:, 1].max()] for r in rings]
-    ) if n else np.zeros((0, 4))
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (
-                bbox[i, 0] < bbox[j, 2]
-                and bbox[i, 2] > bbox[j, 0]
-                and bbox[i, 1] < bbox[j, 3]
-                and bbox[i, 3] > bbox[j, 1]
-            ):
-                a = convex_intersection_area(rings[i], rings[j])
-                if a > 0:
-                    out.append((i, j, a))
-    return out
+        n = len(offsets) - 1
+        coords, offsets = pack_rings(
+            [buffer_convex(coords[offsets[i] : offsets[i + 1]], buffer_dist) for i in range(n)]
+        )
+    bbox = ring_bboxes(coords, offsets)
+    ia, ib = np.nonzero(np.triu(box_iou(bbox, bbox) > 0, k=1))
+    inter = pair_overlaps(coords, offsets, coords, offsets, ia, ib)[0]
+    hit = inter > 0
+    return list(zip(ia[hit].tolist(), ib[hit].tolist(), inter[hit].tolist()))
 
 
 def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2742,6 +2742,68 @@ def q_map_101(sf_dir: str):
     )
 
 
+# unit-scale CCW rings of the eval_concave footprints, indexed by type:
+# square, L (square minus its top-right quarter), U, T — the oracle
+# states the same shapes as unit-cell membership tests
+_RECTILINEAR = (
+    [(0, 0), (4, 0), (4, 4), (0, 4)],
+    [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)],
+    [(0, 0), (6, 0), (6, 4), (4, 4), (4, 2), (2, 2), (2, 4), (0, 4)],
+    [(2, 0), (4, 0), (4, 2), (6, 2), (6, 4), (0, 4), (0, 2), (2, 2)],
+)
+# proposal shift per c // 12 % 6: every (type, scale, shift, box)
+# combination has IoU at least 0.004 away from 0.5, so float IoU and
+# the oracle's integer 2*inter > union test cannot disagree
+_CONCAVE_DX = (0, 1, -2, 1, 2, -3)
+_CONCAVE_DY = (0, -1, 1, 2, -2, 2)
+
+
+def q_eval_concave(sf_dir: str):
+    """Greedy IoU matching on CONCAVE footprints, SQL-oracled by
+    counting unit cells.  One GT per customer on the 57-unit isolation
+    grid at UTM-like offsets: type c%4 (square, L, U, T), integer scale
+    2 + c//4%3, clockwise when c%3 == 0.  Proposals (c%5 != 0) repeat
+    the GT shape, or its bounding box when c%7 == 0, shifted by a whole
+    number of units; the twin counts the shared and covered unit cells,
+    so the match (2*inter > union) is exact integer arithmetic."""
+    import ray
+
+    from ..stages import evaluate
+
+    c = _pq(sf_dir, "customer", ["c_custkey"])["c_custkey"].to_numpy().astype(np.int64)
+    c = c[c < 3100]
+    gt_rows, prop_rows = [], []
+    for k in c.tolist():
+        t, s = k % 4, 2 + k // 4 % 3
+        origin = np.array([500000.0 + k % 56 * 57, 4000000.0 + k // 56 % 56 * 57])
+        ring = np.asarray(_RECTILINEAR[t], np.float64) * s + origin
+        if k % 3 == 0:
+            ring = ring[::-1]
+        img = "img_" + str(k % 40)
+        gt_rows.append({"feature_id": k, "image_id": img, "class": "building",
+                        "xs": ring[:, 0].tolist(), "ys": ring[:, 1].tolist()})
+        if k % 5 == 0:
+            continue
+        if k % 7 == 0:
+            w = 4 * s if t < 2 else 6 * s
+            ring = np.array([[0, 0], [w, 0], [w, 4 * s], [0, 4 * s]], np.float64) + origin
+        ring = ring + [_CONCAVE_DX[k // 12 % 6], _CONCAVE_DY[k // 12 % 6]]
+        prop_rows.append({"proposal_id": k, "image_id": img, "class": "building",
+                          "xs": ring[:, 0].tolist(), "ys": ring[:, 1].tolist(),
+                          "conf": float(k * 13 % 20) / 20.0})
+    rings = [("xs", pa.list_(pa.float64())), ("ys", pa.list_(pa.float64()))]
+    gt = pa.Table.from_pylist(gt_rows, schema=pa.schema(
+        [("feature_id", pa.int64()), ("image_id", pa.string()), ("class", pa.string())] + rings))
+    props = pa.Table.from_pylist(prop_rows, schema=pa.schema(
+        [("proposal_id", pa.int64()), ("image_id", pa.string()), ("class", pa.string())]
+        + rings + [("conf", pa.float64())]))
+    matches = evaluate.eval_matches(ray.data.from_arrow(props), ray.data.from_arrow(gt))
+    return matches.map_batches(
+        lambda b: b.select(["image_id", "proposal_id", "matched_feature_id", "is_tp"]),
+        batch_format="pyarrow",
+    )
+
+
 def q_image_stats(sf_dir: str):
     """Per-image pixel stats (actor-pool decode stage), SQL-oracled:
     min/max/mean are exact (integer sums / exact counts); mean and std
@@ -7787,6 +7849,7 @@ QUERIES = {
     "geotiff_roundtrip": q_geotiff_roundtrip,
     "road_masks": q_road_masks,
     "map_101": q_map_101,
+    "eval_concave": q_eval_concave,
     "polygonize": q_polygonize,
     "coco_export": q_coco_export,
     "coco_shards": q_coco_shards,
@@ -9500,6 +9563,48 @@ FROM sizes GROUP BY 1 ORDER BY 1
 """
     )
 
+
+def _cell_in_shape_sql(i: str, j: str) -> str:
+    """SQL test: unit cell (i, j) lies in footprint type ``t`` at scale
+    ``s`` (the ``_RECTILINEAR`` rings of q_eval_concave)."""
+
+    def span(v: str, lo: int, hi: int) -> str:
+        return f"({v} >= {lo}*s AND {v} < {hi}*s)"
+
+    return f"""(CASE t
+      WHEN 0 THEN {span(i, 0, 4)} AND {span(j, 0, 4)}
+      WHEN 1 THEN ({span(i, 0, 4)} AND {span(j, 0, 2)}) OR ({span(i, 0, 2)} AND {span(j, 2, 4)})
+      WHEN 2 THEN ({span(i, 0, 6)} AND {span(j, 0, 2)})
+                  OR (({span(i, 0, 2)} OR {span(i, 4, 6)}) AND {span(j, 2, 4)})
+      ELSE ({span(i, 2, 4)} AND {span(j, 0, 2)}) OR ({span(i, 0, 6)} AND {span(j, 2, 4)}) END)"""
+
+
+_ORACLES_BASE["eval_concave"] = f"""
+WITH b AS (SELECT c_custkey AS c,
+                  'img_' || CAST(c_custkey % 40 AS VARCHAR) AS image_id,
+                  c_custkey % 4 AS t,
+                  2 + (c_custkey // 4) % 3 AS s,
+                  c_custkey % 7 = 0 AS boxed,
+                  {list(_CONCAVE_DX)}[(c_custkey // 12) % 6 + 1] AS dx,
+                  {list(_CONCAVE_DY)}[(c_custkey // 12) % 6 + 1] AS dy
+           FROM customer WHERE c_custkey < 3100 AND c_custkey % 5 <> 0),
+cells AS (SELECT b.*, i, j FROM b, range(-3, 27) ti(i), range(-2, 19) tj(j)),
+m AS (SELECT c, image_id,
+             {_cell_in_shape_sql("i", "j")} AS in_gt,
+             CASE WHEN boxed
+                  THEN i - dx >= 0 AND i - dx < (CASE WHEN t < 2 THEN 4 ELSE 6 END)*s
+                       AND j - dy >= 0 AND j - dy < 4*s
+                  ELSE {_cell_in_shape_sql("i - dx", "j - dy")} END AS in_prop
+      FROM cells),
+o AS (SELECT c, image_id,
+             count(*) FILTER (in_gt AND in_prop) AS inter,
+             count(*) FILTER (in_gt OR in_prop) AS uni
+      FROM m GROUP BY 1, 2)
+SELECT image_id, c AS proposal_id,
+       CASE WHEN 2*inter > uni THEN c ELSE -1 END AS matched_feature_id,
+       CASE WHEN 2*inter > uni THEN 1 ELSE 0 END AS is_tp
+FROM o
+"""
 
 _ORACLES_BASE["minhash_pairs"] = _minhash_oracle_sql()
 _ORACLES_BASE["fuzzy_dedup"] = _fuzzy_dedup_oracle_sql()

@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..geom.assign import linear_sum_assignment
-from ..geom.poly import polygon_iou
+from ..geom.poly import iou_matrix, pack_rings
 from ..raster import codec
 from ..raster.kernels import dilate_square
 from ._buckets import co_shuffle, per_key
@@ -65,44 +65,30 @@ def greedy_match_group(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eval_iou kernel for one image group.
 
-    Returns (matched_gt_id_or_-1, iou, is_tp) aligned to the pinned
-    proposal order (-conf, proposal_id).
+    Returns (matched_gt_id_or_-1, iou, is_tp) aligned to the input
+    proposals; matching runs in the pinned order (-conf, proposal_id).
     """
+    iou = iou_matrix(*pack_rings(prop_rings), *pack_rings(gt_rings))
+    return _greedy_match(prop_ids, prop_conf, iou, gt_ids, miniou)
+
+
+def _greedy_match(prop_ids, prop_conf, iou, gt_ids, miniou):
+    """Greedy 1:1 matching over a precomputed (proposal x GT) IoU
+    matrix: proposals in (-conf, proposal_id) order each take their
+    max-IoU live GT (ties by GT order, the idxmax of base.py:132-134)
+    and remove it from the pool when the IoU exceeds ``miniou``."""
     order = np.lexsort((prop_ids, -prop_conf))
     n = len(order)
     matched = np.full(n, -1, dtype=np.int64)
     ious = np.zeros(n, dtype=np.float64)
     is_tp = np.zeros(n, dtype=np.int8)
-    if len(gt_ids) == 0:
-        return matched[np.argsort(order)], ious[np.argsort(order)], is_tp[np.argsort(order)]
-    gt_bbox = np.stack(
-        [
-            np.asarray([r[:, 0].min() for r in gt_rings]),
-            np.asarray([r[:, 1].min() for r in gt_rings]),
-            np.asarray([r[:, 0].max() for r in gt_rings]),
-            np.asarray([r[:, 1].max() for r in gt_rings]),
-        ],
-        axis=1,
-    )
     alive = np.ones(len(gt_ids), dtype=bool)
     for oi, pi in enumerate(order.tolist()):
-        ring = prop_rings[pi]
-        bx0, by0 = ring[:, 0].min(), ring[:, 1].min()
-        bx1, by1 = ring[:, 0].max(), ring[:, 1].max()
-        cand = np.nonzero(
-            alive
-            & (gt_bbox[:, 0] < bx1)
-            & (gt_bbox[:, 2] > bx0)
-            & (gt_bbox[:, 1] < by1)
-            & (gt_bbox[:, 3] > by0)
-        )[0]
+        row = iou[pi]
         best_iou, best_j = 0.0, -1
-        for j in cand.tolist():
-            v = polygon_iou(ring, gt_rings[j])
-            # max-IoU GT, ties by gt id order (idxmax semantics,
-            # base.py:132-134 takes the first maximum)
-            if v > best_iou + 1e-15:
-                best_iou, best_j = v, j
+        for j in np.flatnonzero(alive & (row > 0)).tolist():
+            if row[j] > best_iou + 1e-15:
+                best_iou, best_j = float(row[j]), j
         if best_j >= 0 and best_iou > miniou:
             alive[best_j] = False
             matched[oi] = gt_ids[best_j]
@@ -139,10 +125,21 @@ def _pad_eval_side(batch: pa.Table, side: int) -> pa.Table:
     )
 
 
-def _rings_of(tbl: pa.Table, rows: np.ndarray) -> list[np.ndarray]:
-    xs = tbl["xs"].to_pylist()
-    ys = tbl["ys"].to_pylist()
-    return [np.stack([np.asarray(xs[i]), np.asarray(ys[i])], axis=1) for i in rows.tolist()]
+def _packed(tbl: pa.Table, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed (coords, offsets) rings of ``rows``, straight from the
+    xs/ys list columns."""
+    xs = tbl["xs"].take(rows).combine_chunks()
+    ys = tbl["ys"].take(rows).combine_chunks()
+    offsets = xs.offsets.to_numpy().astype(np.int64)
+    coords = np.stack(
+        [xs.flatten().to_numpy(zero_copy_only=False), ys.flatten().to_numpy(zero_copy_only=False)],
+        axis=1,
+    )
+    return coords.astype(np.float64, copy=False), offsets - offsets[0]
+
+
+def _group_ious(tbl: pa.Table, prows: np.ndarray, grows: np.ndarray) -> np.ndarray:
+    return iou_matrix(*_packed(tbl, prows), *_packed(tbl, grows))
 
 
 def _score_row(image_id: str, tp: int, fp: int, fn: int) -> pa.Table:
@@ -200,10 +197,9 @@ def eval_scores(proposals, ground_truth, miniou: float = 0.5, by_class: bool = F
             return _score_row(image_id, 0, len(prows), 0)
         pid = group["pid"].to_numpy(zero_copy_only=False)[prows].astype(np.int64)
         conf = group["conf"].to_numpy(zero_copy_only=False)[prows].astype(np.float64)
-        _, _, is_tp = greedy_match_group(
-            pid, conf, _rings_of(group, prows),
-            group["pid"].to_numpy(zero_copy_only=False)[grows].astype(np.int64),
-            _rings_of(group, grows), miniou,
+        _, _, is_tp = _greedy_match(
+            pid, conf, _group_ious(group, prows, grows),
+            group["pid"].to_numpy(zero_copy_only=False)[grows].astype(np.int64), miniou,
         )
         tp = int(is_tp.sum())
         return _score_row(image_id, tp, len(prows) - tp, len(grows) - tp)
@@ -227,8 +223,8 @@ def eval_matches(proposals, ground_truth, miniou: float = 0.5):
         pid = group["pid"].to_numpy(zero_copy_only=False)[prows].astype(np.int64)
         conf = group["conf"].to_numpy(zero_copy_only=False)[prows].astype(np.float64)
         gid = group["pid"].to_numpy(zero_copy_only=False)[grows].astype(np.int64)
-        matched, ious, is_tp = greedy_match_group(
-            pid, conf, _rings_of(group, prows), gid, _rings_of(group, grows), miniou
+        matched, ious, is_tp = _greedy_match(
+            pid, conf, _group_ious(group, prows, grows), gid, miniou
         )
         return pa.table(
             {
@@ -389,12 +385,7 @@ def scot_group(group: pa.Table, miniou: float = 0.25) -> pa.Table:
         if len(grows) == 0:
             fp += len(prows)
             continue
-        pr = _rings_of(group, prows)
-        gr = _rings_of(group, grows)
-        iou = np.zeros((len(prows), len(grows)))
-        for i, a in enumerate(pr):
-            for j, b in enumerate(gr):
-                iou[i, j] = polygon_iou(a, b)
+        iou = _group_ious(group, prows, grows)
         ri, ci = linear_sum_assignment(iou, maximize=True)
         matched = iou[ri, ci] > miniou
         t = int(matched.sum())

@@ -24,7 +24,8 @@ from ._buckets import distinct_reduce
 
 def mann_whitney(ds, group_col: str, val_col: str, g1: str, g2: str) -> pa.Table:
     """-> one row (n1, n2, u2, t3t, z6): U for group ``g1`` in 2×
-    units (exact), the tie mass Σ(t³−t), and the tie-corrected z."""
+    units (exact), the tie mass Σ(t³−t), and the tie-corrected z.
+    With no row in either group every field is 0."""
 
     def _partial(batch: pa.Table) -> pa.Table:
         g = batch[group_col].to_numpy(zero_copy_only=False)
@@ -41,9 +42,13 @@ def mann_whitney(ds, group_col: str, val_col: str, g1: str, g2: str) -> pa.Table
     hist = distinct_reduce(
         ds.map_batches(_partial, batch_format="pyarrow", batch_size=16384),
         ["v"], {"c": "sum", "c1": "sum"},
-    ).to_pandas().sort_values("v")  # O(distinct values) rows — the compressed sample
-    c = hist["c"].to_numpy().astype(np.int64)
-    c1 = hist["c1"].to_numpy().astype(np.int64)
+    ).to_pandas()  # O(distinct values) rows — the compressed sample
+    if hist.empty:  # no row in either group: the reduce yields no columns
+        c = c1 = np.zeros(0, dtype=np.int64)
+    else:
+        hist = hist.sort_values("v")
+        c = hist["c"].to_numpy().astype(np.int64)
+        c1 = hist["c1"].to_numpy().astype(np.int64)
     sv = np.concatenate(([0], np.cumsum(c)[:-1]))
     r2_1 = int((c1 * (2 * sv + c + 1)).sum())
     n1 = int(c1.sum())
@@ -51,7 +56,7 @@ def mann_whitney(ds, group_col: str, val_col: str, g1: str, g2: str) -> pa.Table
     n = n1 + n2
     u2 = r2_1 - n1 * (n1 + 1)
     t3t = int((c ** 3 - c).sum())
-    var = n1 * n2 / 12.0 * ((n + 1) - t3t / (n * (n - 1.0)))
+    var = n1 * n2 / 12.0 * ((n + 1) - t3t / (n * (n - 1.0))) if n > 1 else 0.0
     z = (u2 - n1 * n2) / (2.0 * np.sqrt(var)) if var > 0 else 0.0
     return pa.table({
         "n1": pa.array([n1], pa.int64()),
@@ -76,7 +81,7 @@ def spearman(ds, x_col: str, y_col: str) -> pa.Table:
     partials reduce to one row.  The only floats are the final rho
     expression (arbitrary-precision numerator, one sqrt), 6-dp.
 
-    -> one row (n, rho6).
+    -> one row (n, rho6); zero input rows give (0, 0.0).
     """
     import ray
     from ray.data.aggregate import Sum
@@ -93,10 +98,13 @@ def spearman(ds, x_col: str, y_col: str) -> pa.Table:
         return distinct_reduce(
             ds.map_batches(_partial, batch_format="pyarrow", batch_size=16384),
             ["v"], {"c": "sum"},
-        ).to_pandas().sort_values("v")  # O(domain) rows
+        ).to_pandas()  # O(domain) rows
 
-    xv, xr2 = _rank2_table(_hist(x_col))
-    yv, yr2 = _rank2_table(_hist(y_col))
+    hx = _hist(x_col)
+    if hx.empty:  # zero rows: the reduce yields no columns
+        return pa.table({"n": pa.array([0], pa.int64()), "rho6": pa.array([0.0], pa.float64())})
+    xv, xr2 = _rank2_table(hx.sort_values("v"))
+    yv, yr2 = _rank2_table(_hist(y_col).sort_values("v"))
     bundle = ray.put((xv, xr2, yv, yr2))
 
     def _moments(batch: pa.Table) -> pa.Table:

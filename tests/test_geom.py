@@ -20,7 +20,7 @@ from solaris_ray.geom import cells
 from solaris_ray.geom.poly import (
     box_iou,
     clip_ring_to_box,
-    convex_intersection_area,
+    intersection_area,
     points_in_polygon,
     polygon_iou,
     ring_areas,
@@ -139,7 +139,7 @@ class TestPoly:
     def test_convex_intersection_and_iou(self):
         a = UNIT_SQUARE
         b = UNIT_SQUARE + 0.5  # overlap area 0.25, union 1.75
-        assert convex_intersection_area(a, b) == pytest.approx(0.25)
+        assert intersection_area(a, b) == pytest.approx(0.25)
         assert polygon_iou(a, b) == pytest.approx(0.25 / 1.75)
         assert polygon_iou(a, a) == pytest.approx(1.0)
         assert polygon_iou(a, UNIT_SQUARE + 10.0) == 0.0

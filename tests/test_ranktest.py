@@ -104,3 +104,19 @@ def test_spearman_perfect_monotone(ray_session):
     ds = ray.data.from_arrow(pa.table({"x": x, "y": x * x}))
     out = spearman(ds, "x", "y").to_pandas().iloc[0]
     assert out["rho6"] == 1.0
+
+
+def test_zero_rows_give_the_empty_result(ray_session):
+    import ray.data
+
+    from solaris_ray.stages.ranktest import mann_whitney, spearman
+
+    empty = pa.table({"g": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
+    out = mann_whitney(ray.data.from_arrow(empty), "g", "v", "a", "b").to_pandas()
+    assert out.to_dict("records") == [{"n1": 0, "n2": 0, "u2": 0, "t3t": 0, "z6": 0.0}]
+    # rows exist, but none in either compared group
+    other = _run(["zzz", "yyy"], [1, 2])
+    assert (other["n1"], other["n2"], other["u2"], other["z6"]) == (0, 0, 0, 0.0)
+    xy = pa.table({"x": pa.array([], pa.int64()), "y": pa.array([], pa.int64())})
+    out = spearman(ray.data.from_arrow(xy), "x", "y").to_pandas()
+    assert out.to_dict("records") == [{"n": 0, "rho6": 0.0}]
