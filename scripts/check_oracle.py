@@ -14,12 +14,14 @@ import argparse
 import hashlib
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+# grade the checkout this script belongs to, wherever it was started from
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 

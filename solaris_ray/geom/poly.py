@@ -23,6 +23,8 @@ __all__ = [
     "ring_lengths",
     "ring_bboxes",
     "ring_centroids",
+    "ring_convex",
+    "buffer_rings",
     "points_in_polygon",
     "clip_ring_to_box",
     "pack_rings",
@@ -592,44 +594,62 @@ def polygon_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(_pair_of(a, b)[1][0])
 
 
-def buffer_convex(ring: np.ndarray, dist: float) -> np.ndarray:
-    """Offset a CONVEX ring outward by ``dist`` (miter joins).
+def ring_convex(coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per ring: do all its turns share one sign?  The cross products of
+    consecutive edges (with wraparound) must all be ``>= -1e-9`` or all
+    ``<= 1e-9``; a ring under 4 vertices counts as convex.  One pass
+    over every vertex of the batch."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    ring_of, _, _, prv, nxt, _ = _ring_frame(coords, offsets)
+    x, y = coords[:, 0], coords[:, 1]
+    cross = (x - x[prv]) * (y[nxt] - y) - (y - y[prv]) * (x[nxt] - x)
+    n = len(offsets) - 1
+    no_left = np.bincount(ring_of[~(cross >= -1e-9)], minlength=n) == 0
+    no_right = np.bincount(ring_of[~(cross <= 1e-9)], minlength=n) == 0
+    return no_left | no_right | (np.diff(offsets) < 4)
 
-    Each edge line is shifted ``dist`` along its outward normal and
-    consecutive shifted lines are intersected — the exact Minkowski sum
-    with a disc up to the (rounded) corners, which miter joins
-    overestimate slightly; the reference's shapely ``buffer`` uses
+
+def buffer_rings(coords: np.ndarray, offsets: np.ndarray, dist: float) -> np.ndarray:
+    """Offset every CONVEX packed ring outward by ``dist`` (miter joins),
+    in one pass over all vertices; returns the offset coordinates, which
+    share ``offsets``.
+
+    Each ring is taken counter-clockwise (a clockwise one comes back
+    reversed).  Each edge line is shifted ``dist`` along its outward
+    normal and consecutive shifted lines are intersected — the exact
+    Minkowski sum with a disc up to the (rounded) corners, which miter
+    joins overestimate slightly; the reference's shapely ``buffer`` uses
     round joins (solaris/vector/mask.py:567-666).  For the contact-mask
     use (spacing/2 buffers on near-rectangular footprints) the corner
-    difference is sub-pixel.
+    difference is sub-pixel.  Where two consecutive edges are parallel
+    the vertex just moves along the later edge's normal.  A concave
+    ring's miter offset is not its buffer: test with ``ring_convex``.
     """
-    r = ring[_ccw_order(ring)]
-    n = len(r)
-    e = np.roll(r, -1, axis=0) - r
+    offsets = np.asarray(offsets, dtype=np.int64)
+    coords = np.asarray(coords, dtype=np.float64)
+    ring_of, _, _, prv, nxt, area = _ring_frame(coords, offsets)
+    starts, ends = offsets[:-1][ring_of], offsets[1:][ring_of]
+    v = np.arange(len(coords))
+    r = coords[np.where(area[ring_of] >= 0, v, starts + ends - 1 - v)]
+    e = r[nxt] - r
     ln = np.hypot(e[:, 0], e[:, 1])
     ln[ln == 0] = 1.0
-    # outward normal of a CCW ring is (dy, -dx) rotated: (e_y, -e_x)/|e|
-    nx = e[:, 1] / ln
-    ny = -e[:, 0] / ln
-    p = r + dist * np.stack([nx, ny], axis=1)  # shifted edge start points
-    d = e  # direction unchanged
-    out = np.empty_like(r)
-    for i in range(n):
-        j = (i - 1) % n
-        # intersect line j (p[j] + t*d[j]) with line i (p[i] + s*d[i])
-        denom = d[j, 0] * d[i, 1] - d[j, 1] * d[i, 0]
-        if abs(denom) < 1e-12:
-            out[i] = p[i]
-            continue
-        t = ((p[i, 0] - p[j, 0]) * d[i, 1] - (p[i, 1] - p[j, 1]) * d[i, 0]) / denom
-        out[i] = p[j] + t * d[j]
-    return out
+    # outward normal of a CCW ring: (e_y, -e_x) / |e|
+    p = r + dist * np.stack([e[:, 1] / ln, -e[:, 0] / ln], axis=1)  # shifted edge starts
+    # vertex i: the shifted line of edge j = i - 1 (p[j] + t * e[j])
+    # meets the shifted line of edge i
+    ej, pj = e[prv], p[prv]
+    denom = ej[:, 0] * e[:, 1] - ej[:, 1] * e[:, 0]
+    par = np.abs(denom) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((p[:, 0] - pj[:, 0]) * e[:, 1] - (p[:, 1] - pj[:, 1]) * e[:, 0]) / denom
+        return np.where(par[:, None], p, pj + t[:, None] * ej)
 
 
-def _ccw_order(ring: np.ndarray) -> np.ndarray:
-    x, y = ring[:, 0] - ring[0, 0], ring[:, 1] - ring[0, 1]
-    area2 = float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-    return np.arange(len(ring)) if area2 >= 0 else np.arange(len(ring))[::-1]
+def buffer_convex(ring: np.ndarray, dist: float) -> np.ndarray:
+    """Offset one CONVEX ring outward by ``dist``: the one-ring
+    ``buffer_rings`` call."""
+    return buffer_rings(ring, np.array([0, len(ring)]), dist)
 
 
 def internal_intersection_pairs(
@@ -640,14 +660,15 @@ def internal_intersection_pairs(
     (solaris/utils/geo.py:421-477): one bbox prefilter over all pairs
     i < j, one ``pair_overlaps`` call over the candidates.  Returns
     (i, j, area) triples for pairs sharing positive area, ordered by
-    (i, j).  ``buffer_dist > 0`` buffers each ring with
-    ``buffer_convex`` first, so it assumes convex rings.
+    (i, j).  ``buffer_dist > 0`` buffers every ring in one
+    ``buffer_rings`` call first; a concave ring raises ``ValueError``
+    naming it, because its miter offset is not its buffer.
     """
     if buffer_dist > 0:
-        n = len(offsets) - 1
-        coords, offsets = pack_rings(
-            [buffer_convex(coords[offsets[i] : offsets[i + 1]], buffer_dist) for i in range(n)]
-        )
+        concave = np.flatnonzero(~ring_convex(coords, offsets))
+        if len(concave):
+            raise ValueError(f"ring {concave[0]} is concave: buffer_dist > 0 needs convex rings")
+        coords = buffer_rings(coords, offsets, buffer_dist)
     bbox = ring_bboxes(coords, offsets)
     ia, ib = np.nonzero(np.triu(box_iou(bbox, bbox) > 0, k=1))
     inter = pair_overlaps(coords, offsets, coords, offsets, ia, ib)[0]

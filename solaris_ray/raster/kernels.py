@@ -7,7 +7,9 @@ the heart of the reference's mask generation:
   footprint_mask (solaris/vector/mask.py:181-236): a pixel is burned
   when its CENTER is inside the polygon (even-odd rule).
 - ``dilate_square`` / ``erode_square`` ≙ skimage square-strel
-  morphology in boundary_mask (solaris/vector/mask.py:239-318).
+  morphology in boundary_mask (solaris/vector/mask.py:239-318), as a
+  running min/max over k shifted slices, of one mask or of a
+  ``(..., h, w)`` stack of them.
 - ``polygonize``       ≙ rasterio.features.shapes as used by
   mask_to_poly_geojson (solaris/vector/mask.py:718-818):
   4-connected components traced to rectilinear pixel-boundary rings.
@@ -27,6 +29,9 @@ per-run and per-pixel loops:
   component's pixel count from it, then traces every component's
   boundary in one pass over the label image, as maximal straight
   segments (one per ring vertex).
+
+``line_pixels`` samples every segment of every polyline in one pass;
+``rasterize_lines`` burns its pixels.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "ring_spans",
     "span_cover",
     "rasterize_rings",
+    "line_pixels",
     "rasterize_lines",
     "dilate_square",
     "erode_square",
@@ -168,6 +174,38 @@ def rasterize_rings(
     return out
 
 
+def line_pixels(
+    coords: np.ndarray, offsets: np.ndarray, h: int, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pixels ``rasterize_lines`` burns: ``(line, row, col)`` of every
+    sample of every segment of every packed polyline, in one pass.
+
+    A segment of length ``L`` (the larger of its x and y extents) takes
+    ``int(2 * L) + 1`` samples at ``np.linspace(0, 1, n)``'s parameters
+    (``arange(n) * (1 / (n - 1))``, the last one exactly 1), truncated
+    to pixels and clipped onto the grid.  A NaN or infinite coordinate
+    on a segment raises ``ValueError`` naming its line.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    coords = np.asarray(coords, dtype=np.float64)
+    n_seg = np.maximum(np.diff(offsets) - 1, 0)
+    a = _ranges(offsets[:-1], n_seg)  # first vertex of every segment
+    line = np.repeat(np.arange(len(n_seg)), n_seg)
+    p0, p1 = coords[a], coords[a + 1]
+    finite = np.isfinite(p0).all(axis=1) & np.isfinite(p1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"line {line[np.argmin(finite)]} has a NaN or infinite coordinate")
+    d = p1 - p0
+    n = (np.maximum(np.abs(d[:, 0]), np.abs(d[:, 1])) * 2).astype(np.int64) + 1
+    step = np.divide(1.0, n - 1, out=np.zeros(len(n)), where=n > 1)
+    s = np.repeat(np.arange(len(n)), n)
+    t = (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)) * step[s]
+    t[(np.cumsum(n) - 1)[n > 1]] = 1.0
+    xs = np.clip((p0[s, 0] + t * d[s, 0]).astype(np.int64), 0, w - 1)
+    ys = np.clip((p0[s, 1] + t * d[s, 1]).astype(np.int64), 0, h - 1)
+    return line[s], ys, xs
+
+
 def rasterize_lines(
     coords: np.ndarray,
     offsets: np.ndarray,
@@ -181,46 +219,48 @@ def rasterize_lines(
     Used by the road mask before width dilation
     (road_mask, solaris/vector/mask.py:447-564 — the reference buffers
     then rasterizes; we rasterize the centerline then ``dilate_square``
-    by width/2, equivalent for square caps on pixel grids).
+    by width/2, equivalent for square caps on pixel grids).  Every
+    segment is sampled in one ``line_pixels`` pass.
     """
     h, w = shape
     if out is None:
         out = np.zeros((h, w), dtype=dtype)
-    for i in range(len(offsets) - 1):
-        pts = coords[offsets[i] : offsets[i + 1]]
-        for j in range(len(pts) - 1):
-            p0, p1 = pts[j], pts[j + 1]
-            steps = int(max(abs(p1[0] - p0[0]), abs(p1[1] - p0[1])) * 2) + 1
-            t = np.linspace(0.0, 1.0, steps)
-            xs = np.clip((p0[0] + t * (p1[0] - p0[0])).astype(np.int64), 0, w - 1)
-            ys = np.clip((p0[1] + t * (p1[1] - p0[1])).astype(np.int64), 0, h - 1)
-            out[ys, xs] = value
+    _, ys, xs = line_pixels(coords, offsets, h, w)
+    out[ys, xs] = value
     return out
 
 
-def _sliding_minmax(arr: np.ndarray, k: int, op) -> np.ndarray:
-    """Separable square-window min/max filter (edge-padded)."""
+def _running_minmax(arr: np.ndarray, k: int, op) -> np.ndarray:
+    """Separable k×k window min/max (``op`` is ``np.minimum`` or
+    ``np.maximum``) over the last two axes of a ``(..., h, w)`` stack,
+    each image edge-padded on its own: per axis, a running ``op`` over
+    ``k`` shifted slices."""
     if k <= 1:
         return arr
-    pad = k // 2
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    mode = "edge"
-    a = np.pad(arr, ((pad, k - 1 - pad), (0, 0)), mode=mode)
-    a = op(sliding_window_view(a, k, axis=0), axis=-1)
-    a = np.pad(a, ((0, 0), (pad, k - 1 - pad)), mode=mode)
-    a = op(sliding_window_view(a, k, axis=1), axis=-1)
-    return a
+    pad = (k // 2, k - 1 - k // 2)
+    lead = [(0, 0)] * (arr.ndim - 2)
+    h, w = arr.shape[-2:]
+    a = np.pad(arr, lead + [pad, (0, 0)], mode="edge")
+    out = a[..., :h, :].copy()
+    for s in range(1, k):
+        op(out, a[..., s : s + h, :], out=out)
+    a = np.pad(out, lead + [(0, 0), pad], mode="edge")
+    out = a[..., :w].copy()
+    for s in range(1, k):
+        op(out, a[..., s : s + w], out=out)
+    return out
 
 
 def dilate_square(mask: np.ndarray, k: int) -> np.ndarray:
-    """Morphological dilation with a k×k square structuring element."""
-    return _sliding_minmax(mask, k, np.max)
+    """Morphological dilation with a k×k square structuring element, of
+    one ``(h, w)`` mask or of every mask of a ``(..., h, w)`` stack."""
+    return _running_minmax(mask, k, np.maximum)
 
 
 def erode_square(mask: np.ndarray, k: int) -> np.ndarray:
-    """Morphological erosion with a k×k square structuring element."""
-    return _sliding_minmax(mask, k, np.min)
+    """Morphological erosion with a k×k square structuring element, of
+    one ``(h, w)`` mask or of every mask of a ``(..., h, w)`` stack."""
+    return _running_minmax(mask, k, np.minimum)
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

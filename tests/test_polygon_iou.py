@@ -232,6 +232,29 @@ def test_internal_intersection_pairs_on_concave_rings():
     assert np.allclose([a for *_, a in got], [a for *_, a in want], rtol=0, atol=1e-12)
 
 
+def test_internal_intersection_pairs_buffers_convex_rings_in_one_call():
+    """``buffer_dist > 0`` on convex rings (both orientations, UTM scale)
+    gives the triples of buffering each ring alone first."""
+    from solaris_ray.geom.poly import buffer_convex, internal_intersection_pairs, pack_rings
+
+    rng = np.random.default_rng(5)
+    base = np.array([5e5, 4.1e6])
+    rings = [_random_convex(rng, base + rng.uniform(0, 60, 2)) for _ in range(40)]
+    coords, offsets = pack_rings(rings)
+    got = internal_intersection_pairs(coords, offsets, buffer_dist=2.5)
+    want = internal_intersection_pairs(*pack_rings([buffer_convex(r, 2.5) for r in rings]))
+    assert len(want) > 10 and got == want
+
+
+def test_internal_intersection_pairs_refuses_to_buffer_a_concave_ring():
+    from solaris_ray.geom.poly import internal_intersection_pairs, pack_rings
+
+    coords, offsets = pack_rings([SHAPES["square"][0], _shifted("L", 3, 0)[0]])
+    assert internal_intersection_pairs(coords, offsets)  # unbuffered: fine
+    with pytest.raises(ValueError, match="ring 1 is concave"):
+        internal_intersection_pairs(coords, offsets, buffer_dist=1.0)
+
+
 # --- parity with the scalar references on convex inputs -----------------
 
 def _convex_hull(pts):
