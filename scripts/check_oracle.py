@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -21,7 +22,8 @@ import numpy as np
 import pandas as pd
 
 # grade the checkout this script belongs to, wherever it was started from
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+ROOT = str(Path(__file__).resolve().parents[1])
+sys.path.insert(0, ROOT)
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
@@ -30,12 +32,11 @@ def to_pandas(obj) -> pd.DataFrame:
     import pyarrow as pa
 
     try:
-        import ray.data
-
-        if isinstance(obj, ray.data.Dataset):
-            obj = obj.to_pandas()
+        from ray.data import Dataset
     except ImportError:
-        pass
+        Dataset = ()
+    if isinstance(obj, Dataset):
+        obj = obj.to_pandas()  # a worker's error propagates to the gate
     if isinstance(obj, pa.Table):
         obj = obj.to_pandas()
     return obj
@@ -64,8 +65,11 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
+        path = os.pathsep.join(p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+        # workers import solaris_ray from this checkout whatever the cwd
         ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR")
+                 ignore_reinit_error=True, logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": path}})
 
     import __ray_entry__ as E
 

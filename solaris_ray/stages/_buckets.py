@@ -22,11 +22,14 @@ Python-style ``%`` keeps it non-negative even when the int64 product
 wraps.  ``shuffle_width`` is the one sizing policy: it follows the
 session and the input, never a fixed count.  ``co_shuffle`` takes its
 bucket count from it for every keyed stage outside the graph family:
-the mask and event families, ``distinct_reduce``, ``cdc``,
-``cooccur``, ``corpus``, ``dbscan``, ``editdist``, ``hull``,
-``moran``, ``ntile``, ``profile``, ``ranktest``, ``ripley``,
-``setjoin`` and the keyed gates of ``pipelines/queries.py``.  The
-graph family (``bfs_hops``, ``sssp_dist``, ``pagerank``, ``kcore``,
+the mask and event families, ``distinct_reduce``, ``align``, ``cdc``,
+``components`` (the isolated-node anti-join), ``cooccur``, ``corpus``,
+``dbscan``, ``dissolve``, ``divergence``, ``dupspan``, ``editdist``,
+``hull``, ``moran``, ``negatives``, ``ntile``, ``profile``,
+``quantiles`` (``group_quantiles``, ``grouped_mad``), ``rank``
+(``retrieval_metrics``), ``ranktest``, ``relational`` (``hash_join``),
+``ripley``, ``setjoin``, ``tfidf``, ``votes`` and the keyed gates of
+``pipelines/queries.py``.  The graph family (``bfs_hops``, ``sssp_dist``, ``pagerank``, ``kcore``,
 ``triangle_counts``, ``link_prediction_scores``) tags with
 ``bucket_of`` itself and repartitions once per round; it computes the
 width once from its input before the first round: the block count of

@@ -11,9 +11,9 @@ precomputed embedding column (what a real deployment has after the
 scorer actor pool, cf. stages.multimodal.EmbedExtractor).
 
 Shape: one token-explode map_batches (text features never leave the
-batch — the stage emits (doc_id, feat[dim])), then ONE bucketed
-co-shuffle joining features to embeddings on id (``groupby(id % B)``),
-cosine + threshold inside the group, vectorized.  Bodies never
+batch — the stage emits (doc_id, feat[dim])), then ONE ``co_shuffle``
+joining features to embeddings on id, cosine + threshold inside the
+bucket, vectorized.  Bodies never
 shuffle; only (id, dim floats) rows move.
 """
 
@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._buckets import co_shuffle
 from .text import WORD_SPLIT
 
 _FEAT_SUFFIX = "__feat"
@@ -48,7 +49,6 @@ def caption_alignment(
     embeds,
     dim: int = 64,
     tau: float = 0.0,
-    n_buckets: int = 64,
     id_col: str = "doc_id",
     vec_id_col: str = "vec_id",
     text_col: str = "text",
@@ -64,7 +64,7 @@ def caption_alignment(
 
     feat_schema = pa.schema(
         [("jid", pa.int64()), ("side", pa.int64()),
-         ("vals", pa.list_(pa.float64())), ("jb", pa.int64())]
+         ("vals", pa.list_(pa.float64()))]
     )
 
     def _featurize(batch: pa.Table) -> pa.Table:
@@ -88,7 +88,6 @@ def caption_alignment(
                 "jid": pa.array(ids, pa.int64()),
                 "side": pa.array(np.zeros(n, np.int64), pa.int64()),
                 "vals": pa.array(F.tolist(), pa.list_(pa.float64())),
-                "jb": pa.array((ids % n_buckets).astype(np.int64), pa.int64()),
             }
         )
 
@@ -103,7 +102,6 @@ def caption_alignment(
                 "jid": pa.array(ids, pa.int64()),
                 "side": pa.array(np.ones(n, np.int64), pa.int64()),
                 "vals": pa.array(V.tolist(), pa.list_(pa.float64())),
-                "jb": pa.array((ids % n_buckets).astype(np.int64), pa.int64()),
             }
         )
 
@@ -147,4 +145,4 @@ def caption_alignment(
     both = docs.map_batches(_featurize, batch_format="pyarrow", batch_size=1024).union(
         embeds.map_batches(_embed_rows, batch_format="pyarrow", batch_size=4096)
     )
-    return both.groupby("jb").map_groups(_join, batch_format="pyarrow")
+    return co_shuffle(both, "jid", _join)

@@ -37,10 +37,11 @@ Scale notes: the iterated edge table covers ONLY edge-touched nodes
 (in a dedup pair graph, a small fraction of the corpus) — each round
 shuffles O(edges) id-only rows, not O(all nodes); duplicates are
 uniqued inside every group so the working set never exceeds the
-symmetrized input.  Isolated nodes rejoin at the end via one bucketed
-anti-join co-shuffle.  Final labels come from one ``groupby(node)``
-over the converged star edges unioned with per-node self records (so
-every originally-touched node is covered even as a star root).
+symmetrized input.  Isolated nodes rejoin at the end via one
+``co_shuffle`` anti-join on the node id.  Final labels come from one
+``groupby(node)`` over the converged star edges unioned with per-node
+self records (so every originally-touched node is covered even as a
+star root).
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def connected_components(
             }
         )
 
-    from ._buckets import distinct_reduce
+    from ._buckets import co_shuffle, distinct_reduce
 
     # node-id distinct via the bucketed vectorized reduce (Ray's
     # per-group aggregate costs ~100us CPU per distinct node)
@@ -381,28 +382,16 @@ def connected_components(
         )
 
     # isolated nodes: anti-join all nodes against the touched set in
-    # one bucketed co-shuffle of id-only rows; each is its own component
-    n_buckets = 256
-
-    def _tag_all(batch: pa.Table) -> pa.Table:
+    # one co_shuffle of id-only rows; each is its own component
+    def _all(batch: pa.Table) -> pa.Table:
         n = batch[node_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "node": pa.array(n, pa.int64()),
-                "touched": pa.array(np.zeros(n.size, np.int64), pa.int64()),
-                "nb": pa.array((n % n_buckets).astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"node": pa.array(n, pa.int64()),
+                         "touched": pa.array(np.zeros(n.size, np.int64), pa.int64())})
 
-    def _tag_touched(batch: pa.Table) -> pa.Table:
+    def _touched(batch: pa.Table) -> pa.Table:
         n = batch["node"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "node": pa.array(n, pa.int64()),
-                "touched": pa.array(np.ones(n.size, np.int64), pa.int64()),
-                "nb": pa.array((n % n_buckets).astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"node": pa.array(n, pa.int64()),
+                         "touched": pa.array(np.ones(n.size, np.int64), pa.int64())})
 
     iso_schema = pa.schema([(node_col, pa.int64()), ("component", pa.int64())])
 
@@ -421,13 +410,9 @@ def connected_components(
              "component": pa.array(cand, pa.int64())}
         )
 
-    isolated = (
-        nodes.map_batches(_tag_all, batch_format="pyarrow")
-        .union(lab.select_columns(["node"]).map_batches(
-            _tag_touched, batch_format="pyarrow"))
-        .groupby("nb")
-        .map_groups(_isolated, batch_format="pyarrow")
-    )
+    both = nodes.map_batches(_all, batch_format="pyarrow").union(
+        lab.select_columns(["node"]).map_batches(_touched, batch_format="pyarrow"))
+    isolated = co_shuffle(both, "node", _isolated)
     return resolved.union(isolated)
 
 

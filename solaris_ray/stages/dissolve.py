@@ -10,7 +10,8 @@ handling); a trillion-footprint layer needs the pair graph + CC
 composition instead.
 
 Self-join shape (the exactly-once idiom shared with stages/rangejoin
-and stages/knn): every rect replicates to the grid cells it covers;
+and stages/knn): every rect replicates to the grid cells it covers,
+one ``co_shuffle`` on (cx, cy) brings each cell's rects together,
 inside a cell all candidate pairs are generated vectorized, and a pair
 is EMITTED only by the owner cell — the cell containing the
 intersection's min corner — so no global dedup pass is needed.
@@ -23,12 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
+
+from ._buckets import co_shuffle
 
 
 def overlap_pairs(rects, cell: float = 256.0, id_col: str = "fid",
-                  n_buckets: int = 256, dense_cutoff: int = 1024,
-                  spanning: bool = False, max_cell: int = 65536):
+                  dense_cutoff: int = 1024, spanning: bool = False,
+                  max_cell: int = 65536):
     """rects (fid, x0, y0, x1, y1) -> distinct overlapping pairs
     (doc_a < doc_b).  Overlap = strict interior intersection
     (touching edges do NOT join), evaluated identically in the SQL
@@ -52,8 +54,7 @@ def overlap_pairs(rects, cell: float = 256.0, id_col: str = "fid",
       cells short-circuit after the first chunk sweep, so 1M identical
       rects cost O(m·chunk) tests, not O(m^2)."""
     rep_schema = pa.schema(
-        [("cx", pa.int64()), ("cy", pa.int64()), ("cb", pa.int64()),
-         (id_col, pa.int64()),
+        [("cx", pa.int64()), ("cy", pa.int64()), (id_col, pa.int64()),
          ("x0", pa.float64()), ("y0", pa.float64()),
          ("x1", pa.float64()), ("y1", pa.float64())]
     )
@@ -79,13 +80,10 @@ def overlap_pairs(rects, cell: float = 256.0, id_col: str = "fid",
             np.cumsum(reps) - reps, reps)
         cx = cx0[row] + within % nx[row]
         cy = cy0[row] + within // nx[row]
-        cb = ((cx * np.int64(73856093)) ^ (cy * np.int64(19349663))) % np.int64(
-            n_buckets)
         return pa.table(
             {
                 "cx": pa.array(cx, pa.int64()),
                 "cy": pa.array(cy, pa.int64()),
-                "cb": pa.array(np.abs(cb), pa.int64()),
                 id_col: pa.array(fid[row], pa.int64()),
                 "x0": pa.array(x0[row], pa.float64()),
                 "y0": pa.array(y0[row], pa.float64()),
@@ -207,8 +205,8 @@ def overlap_pairs(rects, cell: float = 256.0, id_col: str = "fid",
         y0 = group["y0"].to_numpy(zero_copy_only=False)
         x1 = group["x1"].to_numpy(zero_copy_only=False)
         y1 = group["y1"].to_numpy(zero_copy_only=False)
-        # a bucket may hold several distinct cells (hash collisions):
-        # process per distinct (cx, cy) via sorted runs
+        # a bucket holds several distinct cells: process per distinct
+        # (cx, cy) via sorted runs
         key = cx * np.int64(1 << 32) + cy
         o = np.argsort(key, kind="stable")
         key_s = key[o]
@@ -242,11 +240,8 @@ def overlap_pairs(rects, cell: float = 256.0, id_col: str = "fid",
             }
         )
 
-    return (
-        rects.map_batches(_replicate, batch_format="pyarrow", batch_size=4096)
-        .groupby("cb")
-        .map_groups(_pairs, batch_format="pyarrow")
-    )
+    reps = rects.map_batches(_replicate, batch_format="pyarrow", batch_size=4096)
+    return co_shuffle(reps, ["cx", "cy"], _pairs)
 
 
 def dissolve(rects, cell: float = 256.0, id_col: str = "fid",

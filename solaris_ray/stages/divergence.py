@@ -9,29 +9,28 @@ scores high; a representative crawl scores near zero.  Complements
 global-reference measure.
 
 Scale plan: per-batch (source, term) Arrow group-by combine, then ONE
-``groupby(crc32(term) % B)`` co-shuffle — a term's counts across all
-sources land in one bucket, so both the per-term totals ``c_t`` and
-every source's partial KL contribution are bucket-local.  Only
-|buckets| x |sources| float partials shuffle to the final combine.
-Source token totals ``N_s`` are a tiny pre-pass (one row per source)
-broadcast via ``ray.put``.  Same float discipline as tfidf: identical
-division/ln expression on both engine and oracle sides, rounded to
-6 dp (sum error ~1e-15 against a 1e-6 grid).
+``co_shuffle`` on the term — a term's counts across all sources land
+in one bucket, so both the per-term totals ``c_t`` and every source's
+partial KL contribution are bucket-local.  Only |buckets| x |sources|
+float partials shuffle to the final combine.  Source token totals
+``N_s`` are a tiny pre-pass (a ``co_shuffle`` on the source, one row
+per source) broadcast via ``ray.put``; a null source is refused there
+with ``co_shuffle``'s named ``ValueError``.  Same float discipline as
+tfidf: identical division/ln expression on both engine and oracle
+sides, rounded to 6 dp (sum error ~1e-15 against a 1e-6 grid).
 """
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._buckets import co_shuffle
 from .text import WORD_SPLIT
 
 
-def source_kl(ds, group_col: str = "source", text_col: str = "text",
-              n_buckets: int = 256):
+def source_kl(ds, group_col: str = "source", text_col: str = "text"):
     """-> one row per source: (source, n_tokens, kl6)."""
     import ray
 
@@ -42,22 +41,19 @@ def source_kl(ds, group_col: str = "source", text_col: str = "text",
                 pc.utf8_trim_whitespace(batch[text_col]), WORD_SPLIT
             )
         )
-        t = pa.table({"s": batch[group_col], "n": pc.cast(n, pa.int64())})
-        return t.group_by(["s"]).aggregate([("n", "sum")])
+        t = pa.table({group_col: batch[group_col], "n": pc.cast(n, pa.int64())})
+        return t.group_by([group_col]).aggregate([("n", "sum")])
 
-    tot = (
-        ds.map_batches(_totals, batch_format="pyarrow")
-        .groupby("s")
-        .sum("n_sum")
-        .take_all()
-    )  # one row per source — the broadcast side
-    n_s = {r["s"]: int(r["sum(n_sum)"]) for r in tot}
+    tot = co_shuffle(
+        ds.map_batches(_totals, batch_format="pyarrow"), group_col,
+        lambda b: b.group_by([group_col]).aggregate([("n_sum", "sum")]),
+    ).take_all()  # one row per source — the broadcast side
+    n_s = {r[group_col]: int(r["n_sum_sum"]) for r in tot}
     n_total = sum(n_s.values())
     ns_ref = ray.put(n_s)
 
     part_schema = pa.schema(
-        [("src", pa.string()), ("term", pa.string()),
-         ("c", pa.int64()), ("tb", pa.int64())]
+        [("src", pa.string()), ("term", pa.string()), ("c", pa.int64())]
     )
 
     def _count(batch: pa.Table) -> pa.Table:
@@ -74,17 +70,11 @@ def source_kl(ds, group_col: str = "source", text_col: str = "text",
             .group_by(["src", "term"])
             .aggregate([([], "count_all")])
         )
-        uniq = t["term"].to_numpy(zero_copy_only=False)
-        tb = np.array(
-            [zlib.crc32(u.encode("utf-8")) % n_buckets for u in uniq],
-            np.int64,
-        )
         return pa.table(
             {
                 "src": t["src"],
                 "term": t["term"],
                 "c": pc.cast(t["count_all"], pa.int64()),
-                "tb": pa.array(tb, pa.int64()),
             }
         )
 
@@ -139,10 +129,9 @@ def source_kl(ds, group_col: str = "source", text_col: str = "text",
             }
         )
 
+    counts = ds.map_batches(_count, batch_format="pyarrow", batch_size=1024)
     return (
-        ds.map_batches(_count, batch_format="pyarrow", batch_size=1024)
-        .groupby("tb")
-        .map_groups(_bucket_kl, batch_format="pyarrow")
+        co_shuffle(counts, "term", _bucket_kl)
         .groupby("src")
         .sum("kl_part")
         .map_batches(_final, batch_format="pyarrow")

@@ -21,12 +21,12 @@ Scale design (100 TB):
   O(doc length) per document, vectorized across the batch's documents
   (the scalar recurrence runs over the PADDED-LENGTH axis with whole-
   batch vector ops, not per document).
-- one ``groupby(bucket(h))`` co-shuffle marks occurrences of grams
-  with corpus count >= min_count.  Emission is LINEAR in group size —
-  unlike pair emitters there is no quadratic blow-up, so no bucket cap
-  is needed; the bucketed group (1024-way) keeps per-group Python
-  overhead off the hot path (same idiom as stages/graph.py joins).
-- one ``groupby(bucket(doc_id))`` co-shuffle merges marked windows
+- one ``co_shuffle`` on ``h`` marks occurrences of grams with corpus
+  count >= min_count.  Emission is LINEAR in bucket size — unlike pair
+  emitters there is no quadratic blow-up, so no bucket cap is needed;
+  one kernel call per bucket, not per gram, keeps per-group Python
+  overhead off the hot path.
+- one ``co_shuffle`` on ``doc_id`` merges marked windows
   into covered-character counts with the vectorized
   ``sum(min(gap, k))`` interval-union identity — output is one row per
   document that has any duplicated span.
@@ -44,8 +44,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ._buckets import co_shuffle
+
 _B = np.uint64(1000003)
-_N_BUCKETS = 1024
 
 GRAM_SCHEMA = pa.schema(
     [
@@ -163,38 +164,18 @@ def duplicate_spans(
     text_col: str = "text",
     id_col: str = "doc_id",
     min_count: int = 2,
-    n_buckets: int = _N_BUCKETS,
 ):
     """(doc_id, n_chars, dup_chars, dup_frac) for every document with at
     least one k-char window duplicated >= min_count times corpus-wide.
 
-    Two co-shuffles (gram hash, then doc id), both bucketed 1024-way so
-    per-group overhead stays vectorized; linear emission throughout.
+    Two ``co_shuffle`` passes (gram hash, then doc id), each kernel
+    vectorized over its bucket; linear emission throughout.
     """
-    import pyarrow.compute as pc
-
     grams = docs.map_batches(
         lambda b: _emit_grams(b, k, text_col, id_col),
         batch_format="pyarrow",
         batch_size=4096,
     )
 
-    def _hb(b: pa.Table) -> pa.Table:
-        bucket = pc.bit_wise_and(b["h"], n_buckets - 1)
-        return b.append_column("b", pc.cast(bucket, pa.int32()))
-
-    marked = (
-        grams.map_batches(_hb, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(lambda g: _mark_bucket(g, min_count), batch_format="pyarrow")
-    )
-
-    def _db(b: pa.Table) -> pa.Table:
-        bucket = pc.bit_wise_and(b["doc_id"], n_buckets - 1)
-        return b.append_column("b", pc.cast(bucket, pa.int32()))
-
-    return (
-        marked.map_batches(_db, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(lambda g: _coverage_bucket(g.drop_columns(["b"]), k), batch_format="pyarrow")
-    )
+    marked = co_shuffle(grams, "h", lambda g: _mark_bucket(g, min_count))
+    return co_shuffle(marked, "doc_id", lambda g: _coverage_bucket(g, k))

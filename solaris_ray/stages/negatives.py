@@ -13,7 +13,7 @@ the anchor at rank r is the doc at rank
 which is never r (offset in [1, N-1]) and is a fixed pseudo-random
 walk the SQL oracle reproduces exactly.  Offsets for different j may
 coincide (documented; rows stay unique via j).  The negative lookup
-is ONE bucketed co-shuffle on rank — id-only rows.
+is ONE ``co_shuffle`` on rank — id-only rows.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ._buckets import co_shuffle
 
 _P = np.int64(2654435761)
 
 
-def mine_negatives(ds, k: int = 5, id_col: str = "doc_id",
-                   n_buckets: int = 256):
+def mine_negatives(ds, k: int = 5, id_col: str = "doc_id"):
     """rows with ``id_col`` -> (anchor_id, j, neg_id), k rows per
     anchor."""
     from .rank import global_rank
@@ -35,8 +35,7 @@ def mine_negatives(ds, k: int = 5, id_col: str = "doc_id",
     n = ranked.count()
 
     msg_schema = pa.schema(
-        [("tr", pa.int64()), ("anchor_id", pa.int64()), ("j", pa.int64()),
-         ("tb", pa.int64())]
+        [("tr", pa.int64()), ("anchor_id", pa.int64()), ("j", pa.int64())]
     )
 
     def _requests(batch: pa.Table) -> pa.Table:
@@ -55,7 +54,6 @@ def mine_negatives(ds, k: int = 5, id_col: str = "doc_id",
                 "tr": pa.array(tr, pa.int64()),
                 "anchor_id": pa.array(np.concatenate(ancs), pa.int64()),
                 "j": pa.array(np.concatenate(js), pa.int64()),
-                "tb": pa.array((tr % n_buckets).astype(np.int64), pa.int64()),
             }
         )
 
@@ -69,7 +67,6 @@ def mine_negatives(ds, k: int = 5, id_col: str = "doc_id",
                 "tr": pa.array(r, pa.int64()),
                 "anchor_id": pa.array(ids, pa.int64()),
                 "j": pa.array(np.full(ids.size, -1, np.int64), pa.int64()),
-                "tb": pa.array((r % n_buckets).astype(np.int64), pa.int64()),
             }
         )
 
@@ -97,9 +94,6 @@ def mine_negatives(ds, k: int = 5, id_col: str = "doc_id",
             }
         )
 
-    return (
-        ranked.map_batches(_requests, batch_format="pyarrow", batch_size=4096)
-        .union(ranked.map_batches(_own, batch_format="pyarrow", batch_size=4096))
-        .groupby("tb")
-        .map_groups(_join, batch_format="pyarrow")
-    )
+    both = ranked.map_batches(_requests, batch_format="pyarrow", batch_size=4096).union(
+        ranked.map_batches(_own, batch_format="pyarrow", batch_size=4096))
+    return co_shuffle(both, "tr", _join)

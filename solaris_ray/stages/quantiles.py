@@ -23,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._buckets import co_shuffle
+
 
 def exact_quantiles(ds, col: str, qs: list[float], n_buckets: int = 1024) -> pa.Table:
     """Exact quantiles of a numeric column, distributed.
@@ -221,16 +223,16 @@ def tdigest_aggregate(ds, col: str, qs: list[float], delta: int = 200) -> pa.Tab
     )
 
 
-def group_quantiles(ds, group_col: str, value_col: str, qs: list[float],
-                    n_buckets: int = 64):
+def group_quantiles(ds, group_col: str, value_col: str, qs: list[float]):
     """Per-group exact discrete quantiles (DuckDB ``quantile_disc``
     rank semantics: 0-based index ``ceil(q*n) - 1`` of the ascending
     group values — always an element of the group).
 
-    One ``groupby(hash-bucket(group))`` co-shuffle of (group, value)
-    rows; inside a bucket every group's order statistics are gathered
-    from ONE lexsort (segment starts + per-q offsets) — vectorized
-    across all groups and quantiles at once.
+    One ``co_shuffle`` on the group of (group, value) rows; inside a
+    bucket every group's order statistics are gathered from ONE lexsort
+    (segment starts + per-q offsets) — vectorized across all groups and
+    quantiles at once.  A null group is refused with ``co_shuffle``'s
+    named ``ValueError``.
 
     Scale contract: a single group's rows must fit one worker (the
     usual ``map_groups`` contract; per-source/per-language profiling
@@ -241,7 +243,6 @@ def group_quantiles(ds, group_col: str, value_col: str, qs: list[float],
     Output: one row per (group, q): (group_col, q, value).
     """
     import math
-    import zlib
 
     # int64 rank semantics only: a float column would be silently
     # truncated by the int64 cast below — fail loudly instead (use
@@ -255,30 +256,13 @@ def group_quantiles(ds, group_col: str, value_col: str, qs: list[float],
             "t-digest aggregate for float values"
         )
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        g = batch[group_col].to_numpy(zero_copy_only=False)
-        gb = np.array(
-            [zlib.crc32(str(x).encode("utf-8")) % n_buckets for x in g],
-            np.int64,
-        )
-        return pa.table(
-            {
-                "g": batch[group_col],
-                "v": pa.array(
-                    batch[value_col].to_numpy(zero_copy_only=False).astype(np.int64),
-                    pa.int64(),
-                ),
-                "gb": pa.array(gb, pa.int64()),
-            }
-        )
-
     out_schema = pa.schema(
         [(group_col, pa.string()), ("q", pa.float64()), ("value", pa.int64())]
     )
 
     def _stats(group: pa.Table) -> pa.Table:
-        g = group["g"].to_numpy(zero_copy_only=False)
-        v = group["v"].to_numpy(zero_copy_only=False)
+        g = group[group_col].to_numpy(zero_copy_only=False)
+        v = group[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if g.size == 0:
             return out_schema.empty_table()
         order = np.lexsort((v, g))
@@ -303,46 +287,26 @@ def group_quantiles(ds, group_col: str, value_col: str, qs: list[float],
             }
         )
 
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(_stats, batch_format="pyarrow")
-    )
+    return co_shuffle(ds.select_columns([group_col, value_col]), group_col, _stats)
 
 
-def grouped_mad(ds, group_col: str, value_col: str, k: int = 5,
-                n_buckets: int = 64):
+def grouped_mad(ds, group_col: str, value_col: str, k: int = 5):
     """Per-group robust outlier screen: median, MAD (both
     ``quantile_disc`` rank semantics — exact integers), and the count
-    of rows with ``|v − med| > k·MAD``.  One group-bucketed
-    co-shuffle; both order statistics come from two lexsorts inside
-    the kernel, vectorized across every group in the bucket (the
-    ``group_quantiles`` contract: one group fits one worker).
+    of rows with ``|v − med| > k·MAD``.  One ``co_shuffle`` on the
+    group; both order statistics come from two lexsorts inside the
+    kernel, vectorized across every group in the bucket (the
+    ``group_quantiles`` contract: one group fits one worker, and a
+    null group is refused).
 
     -> (grp, n, med, mad, n_out) per group.
     """
-    import zlib
-
     sch = ds.schema()
     vt = dict(zip(sch.names, sch.types)).get(value_col)
     if vt is not None and not pa.types.is_integer(vt):
         raise TypeError(
             f"grouped_mad: value column {value_col!r} must be integer-typed"
         )
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        g = batch[group_col].to_numpy(zero_copy_only=False)
-        gb = np.array(
-            [zlib.crc32(str(x).encode("utf-8")) % n_buckets for x in g],
-            np.int64,
-        )
-        return pa.table({
-            "g": pc.cast(batch[group_col], pa.string()),
-            "v": pa.array(
-                batch[value_col].to_numpy(zero_copy_only=False)
-                .astype(np.int64), pa.int64()),
-            "gb": pa.array(gb, pa.int64()),
-        })
 
     out_schema = pa.schema([
         ("grp", pa.string()), ("n", pa.int64()), ("med", pa.int64()),
@@ -352,8 +316,9 @@ def grouped_mad(ds, group_col: str, value_col: str, k: int = 5,
     def _kernel(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
             return out_schema.empty_table()
-        g = group["g"].to_numpy(zero_copy_only=False).astype(object)
-        v = group["v"].to_numpy()
+        g = pc.cast(group[group_col], pa.string()).to_numpy(zero_copy_only=False)
+        g = g.astype(object)
+        v = group[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         uniq, seg = np.unique(g, return_inverse=True)
         order = np.lexsort((v, seg))
         sv, ss = v[order], seg[order]
@@ -375,7 +340,4 @@ def grouped_mad(ds, group_col: str, value_col: str, k: int = 5,
             "n_out": pa.array(n_out, pa.int64()),
         })
 
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow", batch_size=16384)
-        .groupby("gb").map_groups(_kernel, batch_format="pyarrow")
-    )
+    return co_shuffle(ds.select_columns([group_col, value_col]), group_col, _kernel)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ._buckets import co_shuffle
+
 
 def global_rank(ds, sort_cols: list[str], pct: bool = True):
     """Rank all rows by ``sort_cols`` ascending (1-based, dense total
@@ -70,7 +72,7 @@ def reciprocal_micro(k: int) -> np.ndarray:
     return np.rint(1e6 / np.arange(1, k + 1, dtype=np.float64)).astype(np.int64)
 
 
-def retrieval_metrics(runs, k: int = 10, n_buckets: int = 64,
+def retrieval_metrics(runs, k: int = 10,
                       qid_col: str = "query_id", doc_col: str = "doc_id",
                       score_col: str = "score", rel_col: str = "rel"):
     """TREC-style ranked-retrieval eval: per query NDCG@k, MRR@k,
@@ -90,16 +92,16 @@ def retrieval_metrics(runs, k: int = 10, n_buckets: int = 64,
     - mrr6 = round-micro reciprocal of the first relevant rank <= k
     - recall6 = round(hits_in_top_k / n_rel, 6); 0.0 when n_rel = 0
 
-    Shape: one ``groupby(hash-bucket(query_id))`` co-shuffle; inside a
-    bucket every query is scored vectorized via lexsort segments (the
-    stages/components.py idiom) — no per-query Python dispatch, no
-    driver-side sort.  Output: one row per query, all-integer working
-    columns plus the rounded metrics.
+    Shape: one ``co_shuffle`` on query_id; inside a bucket every query
+    is scored vectorized via lexsort segments (the stages/components.py
+    idiom) — no per-query Python dispatch, no driver-side sort.
+    Output: one row per query, all-integer working columns plus the
+    rounded metrics.
     """
     du = discount_micro(k)
     ru = reciprocal_micro(k)
 
-    def _tag(batch: pa.Table) -> pa.Table:
+    def _project(batch: pa.Table) -> pa.Table:
         q = batch[qid_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
@@ -116,7 +118,6 @@ def retrieval_metrics(runs, k: int = 10, n_buckets: int = 64,
                     batch[rel_col].to_numpy(zero_copy_only=False).astype(np.int64),
                     pa.int64(),
                 ),
-                "qb": pa.array(q % n_buckets, pa.int64()),
             }
         )
 
@@ -183,8 +184,4 @@ def retrieval_metrics(runs, k: int = 10, n_buckets: int = 64,
             }
         )
 
-    return (
-        runs.map_batches(_tag, batch_format="pyarrow")
-        .groupby("qb")
-        .map_groups(_score, batch_format="pyarrow")
-    )
+    return co_shuffle(runs.map_batches(_project, batch_format="pyarrow"), "q", _score)

@@ -4,13 +4,13 @@ co-shuffle, vectorized per-bucket merge.
 Relational completeness for the engine: the spatial joins
 (stages/joins.py) and the semi/anti joins (bloom, matchkeys) cover
 their domains; this is the general two-table equi-join a reference
-user reaches for first.  Shape: both sides keyed by ``hash(key) % B``
-in ONE union co-shuffle; inside a bucket the merge is a sorted
-searchsorted expansion (handles many-to-many), all numpy.  Unmatched
-rows surface with nulls per the join mode.  Only the projected columns
-shuffle — prune before calling.
+user reaches for first.  Shape: both sides in ONE union ``co_shuffle``
+on the key; inside a bucket the merge is a sorted searchsorted
+expansion (handles many-to-many), all numpy.  Unmatched rows surface
+with nulls per the join mode.  Only the projected columns shuffle —
+prune before calling.
 
-Scale notes: hot keys salt naturally through B; a single degenerate
+Scale notes: hot keys spread over the buckets; a single degenerate
 key (one value on both sides) degrades to one big bucket — the same
 contract as every bucketed join in this engine, with the max_bucket
 logging pattern available if a corpus needs it.
@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._buckets import co_shuffle
+
 
 BROADCAST_LIMIT = 2_000_000  # right-side rows below this fit one object
 
@@ -32,7 +34,6 @@ def hash_join(
     left_key: str,
     right_key: str,
     how: str = "inner",
-    n_buckets: int = 128,
     strategy: str = "shuffle",
 ):
     """Join two Datasets on int64-comparable keys.
@@ -41,7 +42,7 @@ def hash_join(
     right columns (key columns kept from both sides; unmatched side
     nulled).  Column names must not collide.
 
-    ``strategy``: ``shuffle`` (bucketed co-shuffle — both sides any
+    ``strategy``: ``shuffle`` (``co_shuffle`` on the key — both sides any
     size), ``broadcast`` (right side shipped once via ``ray.put``,
     probe inside ``map_batches`` — NO shuffle; right side must fit one
     object; ``outer`` not supported, right-unmatched rows need a
@@ -72,11 +73,6 @@ def hash_join(
         def _f(batch: pa.Table) -> pa.Table:
             k = pc.cast(batch[key], pa.int64()).to_numpy(zero_copy_only=False)
             cols = {
-                "__b": pa.array(
-                    ((k * np.int64(2654435761)) % np.int64(n_buckets)).astype(
-                        np.int64),
-                    pa.int64(),
-                ),
                 "__side": pa.array(np.full(k.size, side, np.int64), pa.int64()),
                 "__k": pa.array(k, pa.int64()),
             }
@@ -96,7 +92,7 @@ def hash_join(
 
     # align column ORDER between the two union branches
     def _reorder(batch: pa.Table) -> pa.Table:
-        order = ["__b", "__side", "__k"] + [f"__0_{n}" for n in l_names] + [
+        order = ["__side", "__k"] + [f"__0_{n}" for n in l_names] + [
             f"__1_{n}" for n in r_names
         ]
         return batch.select(order)
@@ -164,7 +160,7 @@ def hash_join(
         # placeholder columns — cast so every block matches out_schema
         return pa.table(cols).cast(out_schema)
 
-    return both.groupby("__b").map_groups(_merge, batch_format="pyarrow")
+    return co_shuffle(both, "__k", _merge)
 
 
 def _broadcast_join(left, right, left_key: str, right_key: str, how: str):

@@ -5,18 +5,18 @@ quality filtering by term distinctiveness); the reference has no text
 stack.  Tokenization = whitespace split of trimmed text, the corpus
 convention shared with stages.text and every SQL oracle.
 
-Shape (two bucketed co-shuffles, everything vectorized):
+Shape (two ``co_shuffle`` passes, everything vectorized):
   1. ``map_batches``: explode tokens with Arrow C++
      (``split_pattern_regex`` -> ``list_flatten`` +
      ``list_parent_indices``), per-batch (doc, term) counts via
      ``pa.Table.group_by`` — rows leaving the stage are (doc_id, term,
-     tf, bucket=crc32(term)%B), already combined per batch.
-  2. ``groupby(bucket)``: all rows of a term land in one bucket; df =
-     per-term row count (exact — (doc, term) is unique), attached by
-     ``np.unique(return_inverse)``.  Bucketing by hash instead of
-     ``groupby(term)`` keeps group count bounded at B instead of
-     vocabulary-size (millions of tiny Python group calls at scale).
-  3. ``groupby(doc_id % B)``: score = round(tf * ln(N/df), 6), per-doc
+     tf), already combined per batch.
+  2. ``co_shuffle`` on the term: all rows of a term land in one bucket;
+     df = per-term row count (exact — (doc, term) is unique), attached
+     by ``np.unique(return_inverse)``.  One kernel call per bucket,
+     not per term, keeps the call count at the shuffle width instead
+     of vocabulary-size (millions of tiny Python group calls at scale).
+  3. ``co_shuffle`` on doc_id: score = round(tf * ln(N/df), 6), per-doc
      rank by (score desc, term asc), keep top k.
 
 Only (id, term, two ints) rows shuffle — never document bodies.
@@ -24,21 +24,15 @@ Only (id, term, two ints) rows shuffle — never document bodies.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._buckets import co_shuffle
 from .text import WORD_SPLIT
 
 _TF_SCHEMA = pa.schema(
-    [("doc_id", pa.int64()), ("term", pa.string()),
-     ("tf", pa.int64()), ("bucket", pa.int64())]
-)
-_DF_SCHEMA = pa.schema(
-    [("doc_id", pa.int64()), ("term", pa.string()),
-     ("tf", pa.int64()), ("df", pa.int64()), ("dbucket", pa.int64())]
+    [("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64())]
 )
 _OUT_SCHEMA = pa.schema(
     [("doc_id", pa.int64()), ("rank", pa.int64()), ("term", pa.string()),
@@ -46,14 +40,13 @@ _OUT_SCHEMA = pa.schema(
 )
 
 
-def vocab_topk(ds, k: int = 100, n_buckets: int = 256,
-               text_col: str = "text", id_col: str = "doc_id"):
+def vocab_topk(ds, k: int = 100, text_col: str = "text", id_col: str = "doc_id"):
     """Global heavy-hitters: top-k terms by total occurrence count,
     ties broken by term asc.  Per-batch combine (Arrow group_by) ->
-    hash-bucketed exact totals with a per-bucket top-k prune (safe: a
-    term's rows all land in one bucket) -> tiny global sort + limit."""
-    part_schema = pa.schema([("term", pa.string()), ("cnt", pa.int64()),
-                             ("bucket", pa.int64())])
+    ``co_shuffle`` on the term for exact totals with a per-bucket top-k
+    prune (safe: a term's rows all land in one bucket) -> tiny global
+    sort + limit."""
+    part_schema = pa.schema([("term", pa.string()), ("cnt", pa.int64())])
 
     def _count(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -63,17 +56,7 @@ def vocab_topk(ds, k: int = 100, n_buckets: int = 256,
         if len(flat) == 0:
             return part_schema.empty_table()
         t = pa.table({"term": flat}).group_by(["term"]).aggregate([([], "count_all")])
-        uniq = t["term"].to_numpy(zero_copy_only=False)
-        ub = np.array(
-            [zlib.crc32(u.encode("utf-8")) % n_buckets for u in uniq], np.int64
-        )
-        return pa.table(
-            {
-                "term": t["term"],
-                "cnt": pc.cast(t["count_all"], pa.int64()),
-                "bucket": pa.array(ub, pa.int64()),
-            }
-        )
+        return pa.table({"term": t["term"], "cnt": pc.cast(t["count_all"], pa.int64())})
 
     def _bucket_topk(group: pa.Table) -> pa.Table:
         terms = group["term"].to_numpy(zero_copy_only=False)
@@ -89,17 +72,15 @@ def vocab_topk(ds, k: int = 100, n_buckets: int = 256,
             }
         )
 
+    counts = ds.map_batches(_count, batch_format="pyarrow", batch_size=1024)
     return (
-        ds.map_batches(_count, batch_format="pyarrow", batch_size=1024)
-        .groupby("bucket")
-        .map_groups(_bucket_topk, batch_format="pyarrow")
+        co_shuffle(counts, "term", _bucket_topk)
         .sort(["cnt", "term"], descending=[True, False])
         .limit(k)
     )
 
 
-def tfidf_topk(ds, k: int = 5, n_buckets: int = 256,
-               text_col: str = "text", id_col: str = "doc_id"):
+def tfidf_topk(ds, k: int = 5, text_col: str = "text", id_col: str = "doc_id"):
     """documents -> (doc_id, rank, term, tf, df, score6), top-k terms
     per document by tf * ln(N/df), rank ties broken by term asc."""
     n_docs = ds.count()
@@ -118,35 +99,18 @@ def tfidf_topk(ds, k: int = 5, n_buckets: int = 256,
             .group_by(["doc_id", "term"])
             .aggregate([([], "count_all")])
         )
-        terms = tf["term"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(terms, return_inverse=True)
-        ub = np.array(
-            [zlib.crc32(u.encode("utf-8")) % n_buckets for u in uniq], np.int64
-        )
         return pa.table(
             {
                 "doc_id": tf["doc_id"],
                 "term": tf["term"],
                 "tf": pc.cast(tf["count_all"], pa.int64()),
-                "bucket": pa.array(ub[inv], pa.int64()),
             }
         )
 
     def _df(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _DF_SCHEMA.empty_table()
         terms = group["term"].to_numpy(zero_copy_only=False)
         _, inv, cnt = np.unique(terms, return_inverse=True, return_counts=True)
-        doc = group["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": group["doc_id"],
-                "term": group["term"],
-                "tf": group["tf"],
-                "df": pa.array(cnt[inv].astype(np.int64), pa.int64()),
-                "dbucket": pa.array((doc % n_buckets).astype(np.int64), pa.int64()),
-            }
-        )
+        return group.append_column("df", pa.array(cnt[inv].astype(np.int64), pa.int64()))
 
     def _topk(group: pa.Table) -> pa.Table:
         m = group.num_rows
@@ -177,10 +141,5 @@ def tfidf_topk(ds, k: int = 5, n_buckets: int = 256,
             }
         )
 
-    return (
-        ds.map_batches(_explode, batch_format="pyarrow", batch_size=1024)
-        .groupby("bucket")
-        .map_groups(_df, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(_topk, batch_format="pyarrow")
-    )
+    tf = ds.map_batches(_explode, batch_format="pyarrow", batch_size=1024)
+    return co_shuffle(co_shuffle(tf, "term", _df), "doc_id", _topk)

@@ -12,8 +12,8 @@ the item; ties break to the LEXICOGRAPHICALLY SMALLEST label.  Output
 per item: winner label, its vote count, total votes, distinct label
 count, and the winner share rounded to 6 dp.
 
-Shape: one ``groupby(hash-bucket(item))`` co-shuffle of (item, label)
-rows; inside a bucket, labels are factorized (``np.unique`` codes are
+Shape: one ``co_shuffle`` on the item of (item, label) rows; inside a
+bucket, labels are factorized (``np.unique`` codes are
 assigned in sorted order, so code order IS lexicographic order), votes
 are counted on integer (item, code) keys, and the per-item argmax with
 tie-break runs as one lexsort-segment pass — no per-item Python
@@ -25,21 +25,16 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ._buckets import co_shuffle
 
-def resolve_labels(votes, item_col: str = "item_id", label_col: str = "label",
-                   n_buckets: int = 64):
+
+def resolve_labels(votes, item_col: str = "item_id", label_col: str = "label"):
     """votes Dataset (item_col, label_col) -> one row per item:
     (item_col, label, votes, total, n_labels, share6)."""
 
-    def _tag(batch: pa.Table) -> pa.Table:
+    def _project(batch: pa.Table) -> pa.Table:
         item = batch[item_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "item": pa.array(item, pa.int64()),
-                "lab": batch[label_col],
-                "ib": pa.array(item % n_buckets, pa.int64()),
-            }
-        )
+        return pa.table({"item": pa.array(item, pa.int64()), "lab": batch[label_col]})
 
     out_schema = pa.schema(
         [(item_col, pa.int64()), (label_col, pa.string()),
@@ -86,8 +81,4 @@ def resolve_labels(votes, item_col: str = "item_id", label_col: str = "label",
             }
         )
 
-    return (
-        votes.map_batches(_tag, batch_format="pyarrow")
-        .groupby("ib")
-        .map_groups(_resolve, batch_format="pyarrow")
-    )
+    return co_shuffle(votes.map_batches(_project, batch_format="pyarrow"), "item", _resolve)

@@ -41,8 +41,7 @@ def test_alignment_matches_python(ray_session):
              "kappa", "lambda mu nu xi omicron pi"]
     V = rng.normal(size=(5, dim)).astype(np.float32)
     docs, emb = _mk(texts, V)
-    got = caption_alignment(docs, emb, dim=dim, tau=0.0,
-                            n_buckets=4).to_pandas().sort_values("doc_id")
+    got = caption_alignment(docs, emb, dim=dim, tau=0.0).to_pandas().sort_values("doc_id")
     for i, row in enumerate(got.itertuples(index=False)):
         F = _py_feat(texts[i], dim)
         E = V[i].astype(np.float64)

@@ -6,19 +6,30 @@ import pytest
 
 from solaris_ray.stages._buckets import bucket_of, distinct_reduce
 from solaris_ray.stages.actives import rolling_actives
+from solaris_ray.stages.align import caption_alignment
 from solaris_ray.stages.autocorr import lag_autocorr
 from solaris_ray.stages.cdc import merge_changes, scd2_intervals, scd2_lookup
+from solaris_ray.stages.components import connected_components
 from solaris_ray.stages.cooccur import type_cooccurrence
 from solaris_ray.stages.corpus import paragraph_dedup, source_overlap
 from solaris_ray.stages.dbscan import dbscan
+from solaris_ray.stages.dissolve import overlap_pairs
+from solaris_ray.stages.divergence import source_kl
+from solaris_ray.stages.dupspan import duplicate_spans
 from solaris_ray.stages.editdist import editdist1_pairs, editdist_pairs
 from solaris_ray.stages.hull import group_convex_hull
 from solaris_ray.stages.moran import getis_ord, moran_i
+from solaris_ray.stages.negatives import mine_negatives
 from solaris_ray.stages.ntile import group_ntile, group_percent_rank
 from solaris_ray.stages.profile import profile_table
+from solaris_ray.stages.quantiles import group_quantiles, grouped_mad
+from solaris_ray.stages.rank import retrieval_metrics
 from solaris_ray.stages.ranktest import mann_whitney, spearman
+from solaris_ray.stages.relational import hash_join
 from solaris_ray.stages.ripley import ripley_pair_counts
 from solaris_ray.stages.setjoin import jaccard_set_join
+from solaris_ray.stages.tfidf import tfidf_topk, vocab_topk
+from solaris_ray.stages.votes import resolve_labels
 from solaris_ray.stages.cohorts import retention_cohorts
 from solaris_ray.stages.cusum import cusum_alarms
 from solaris_ray.stages.ema import ema_final
@@ -162,6 +173,9 @@ _PORTED = (
     paragraph_dedup, dbscan, editdist1_pairs, editdist_pairs, group_convex_hull,
     moran_i, getis_ord, group_ntile, group_percent_rank, profile_table,
     mann_whitney, spearman, ripley_pair_counts, jaccard_set_join,
+    caption_alignment, mine_negatives, source_kl, hash_join, resolve_labels,
+    retrieval_metrics, vocab_topk, tfidf_topk, group_quantiles, grouped_mad,
+    overlap_pairs, duplicate_spans, connected_components,
 )
 
 # the event family on co_shuffle: entry point -> a call on _event_ds
@@ -248,3 +262,120 @@ def test_bucket_of_importers_only_shrink():
                     and any(a.name == "bucket_of" for a in node.names)):
                 users.add(path.stem)
     assert users <= _BUCKET_OF_ALLOWLIST, sorted(users - _BUCKET_OF_ALLOWLIST)
+
+
+# the stages whose old tag hashed crc32(str(group)): entry point -> a call
+# on a table with a group column "g", an int column "v" and a "text"
+_CRC_TAGGED = {
+    group_quantiles: lambda ds: group_quantiles(ds, "g", "v", [0.5]),
+    grouped_mad: lambda ds: grouped_mad(ds, "g", "v"),
+    source_kl: lambda ds: source_kl(ds, "g", "text"),
+}
+
+
+def test_crc_tagged_stages_keep_crc_twins_apart(ray_session):
+    # the twins share one bucket, never one group: each stage segments
+    # on the key itself, as group, as source and as term
+    t = pa.table({"g": _CRC_TWINS * 2, "v": [1, 2, 3, 4],
+                  "text": ["plumless plumless", "buckeroo", "buckeroo", "x"]})
+    q = _CRC_TAGGED[group_quantiles](_ds(t)).to_pandas()
+    assert dict(zip(q.g, q.value)) == {"plumless": 1, "buckeroo": 2}
+    mad = _CRC_TAGGED[grouped_mad](_ds(t)).to_pandas()
+    assert dict(zip(mad.grp, mad.n)) == {"plumless": 2, "buckeroo": 2}
+    kl = _CRC_TAGGED[source_kl](_ds(t)).to_pandas()
+    # q = (2/5 plumless, 2/5 buckeroo, 1/5 x); source plumless has
+    # p = (2/3 plumless, 1/3 buckeroo), source buckeroo p = (1/2 buckeroo, 1/2 x)
+    want = {"plumless": 2 / 3 * np.log(5 / 3) + 1 / 3 * np.log(5 / 6),
+            "buckeroo": 0.5 * np.log(5 / 4) + 0.5 * np.log(5 / 2)}
+    assert dict(zip(kl.g, kl.kl6)) == pytest.approx(want, abs=1e-6)
+    assert dict(zip(kl.g, kl.n_tokens)) == {"plumless": 3, "buckeroo": 2}
+    top = vocab_topk(_ds(t), k=5).to_pandas()
+    assert dict(zip(top.term, top.cnt)) == {"plumless": 2, "buckeroo": 2, "x": 1}
+
+
+@pytest.mark.parametrize("groups", [["a", None, "b", "a"], ["a", None, "a", None]],
+                         ids=["one-null", "two-nulls"])
+@pytest.mark.parametrize("stage", list(_CRC_TAGGED), ids=lambda f: f.__name__)
+def test_crc_tagged_stages_refuse_null_groups(ray_session, stage, groups):
+    # crc32(str(None)) tagged a null group as "None": one null row came
+    # back as a null group, two raised an unnamed TypeError
+    t = pa.table({"g": pa.array(groups, pa.string()), "v": [1, 2, 3, 4],
+                  "text": ["a b", "b", "c", "a"]})
+    with pytest.raises(Exception, match="ValueError: null in key column 'g'"):
+        _CRC_TAGGED[stage](_ds(t)).materialize()
+
+
+def test_vocab_topk_null_text_has_no_terms(ray_session):
+    # vocab_topk's key is a token, never null: a null text adds none
+    t = pa.table({"text": pa.array(["a b", None, "b"])})
+    top = vocab_topk(_ds(t), k=5).to_pandas()
+    assert dict(zip(top.term, top.cnt)) == {"b": 2, "a": 1}
+
+
+# stage functions that may still fix a width, each for a reason of its
+# own: feature-hash dimensions (text, corpus), the quantile histogram's
+# resolution, pca's float fan-in (it fixes summation order, it is not a
+# key shuffle) and the cell join (ROADMAP item 4).  The graph family
+# computes its width (see _BUCKET_OF_ALLOWLIST).  This set may only shrink.
+_LITERAL_WIDTH_ALLOWLIST = {
+    "text.feature_hash_counts", "corpus.dsir_weights",
+    "quantiles.exact_quantiles", "quantiles.exact_rank_select",
+    "pca.covariance_partials", "joins.cell_partitioned_join",
+}
+
+
+def _literal_widths(path) -> set:
+    """``module.function`` for each function of ``path`` with an int
+    literal default for ``n_buckets``/``nbuckets``, or that assigns an
+    int literal to ``n_buckets``/``_N_BUCKETS`` (``module.<module>`` at
+    module level)."""
+    import ast
+
+    def _is_int(node) -> bool:
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    def _assigns(nodes) -> bool:
+        for n in nodes:
+            targets = (n.targets if isinstance(n, ast.Assign)
+                       else [n.target] if isinstance(n, ast.AnnAssign) else [])
+            if _is_int(getattr(n, "value", None)) and any(
+                    isinstance(t, ast.Name) and t.id in ("n_buckets", "_N_BUCKETS")
+                    for t in targets):
+                return True
+        return False
+
+    tree = ast.parse(path.read_text())
+    found = {f"{path.stem}.<module>"} if _assigns(tree.body) else set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        defaults = list(zip(pos[len(pos) - len(a.defaults):], a.defaults))
+        defaults += [(k, d) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        if (any(k.arg in ("n_buckets", "nbuckets") and _is_int(d) for k, d in defaults)
+                or _assigns(ast.walk(fn))):
+            found.add(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_literal_shuffle_widths_only_shrink():
+    import pathlib
+
+    import solaris_ray.stages as stages
+
+    found = set()
+    for path in pathlib.Path(stages.__file__).parent.glob("*.py"):
+        found |= _literal_widths(path)
+    assert found <= _LITERAL_WIDTH_ALLOWLIST, sorted(found - _LITERAL_WIDTH_ALLOWLIST)
+
+
+def test_literal_width_scan_sees_each_form(tmp_path):
+    # the scan must flag every form it polices, or the ratchet is empty
+    src = tmp_path / "fake.py"
+    src.write_text("_N_BUCKETS: int = 1024\n"
+                   "def a(ds, n_buckets: int = 64): pass\n"
+                   "def b(ds, *, nbuckets=8): pass\n"
+                   "def c(ds):\n    n_buckets = 256\n"
+                   "def d(ds, n_buckets=None):\n    n_buckets = n_buckets or 4.0\n")
+    assert _literal_widths(src) == {"fake.<module>", "fake.a", "fake.b", "fake.c"}

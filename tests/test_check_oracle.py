@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import SF_DIR
+
 REPO = Path(__file__).resolve().parents[1]
 
 _LOAD = """
@@ -29,3 +31,58 @@ def test_check_oracle_imports_the_package_of_its_own_tree(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
                          check=True)
     assert Path(out.stdout.strip()).resolve() == (tree / "solaris_ray" / "__init__.py").resolve()
+
+
+# a gate registry whose first gate fails in a Ray worker with
+# ModuleNotFoundError, as a worker that cannot import solaris_ray does
+_ENTRY = """
+import pandas as pd
+import ray.data
+
+
+def _needs_absent_module(batch):
+    import absent_codec  # noqa: F401
+    return batch
+
+
+def queries():
+    return {"broken": lambda sf: ray.data.range(4).map_batches(_needs_absent_module),
+            "fine": lambda sf: pd.DataFrame({"a": [1]})}
+
+
+def oracle_sql():
+    return {"broken": "SELECT 1 AS id", "fine": "SELECT 1 AS a"}
+"""
+
+# with the context flag the worker's error reaches the sweep as
+# RayTaskError(ModuleNotFoundError), an ImportError, as it does from a
+# plain Ray task; without it Ray Data wraps a UDF's error in
+# UserCodeException
+_SWEEP = """
+import importlib.util, sys
+import ray
+from ray.data import DataContext
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().raise_original_map_exception = True
+spec = importlib.util.spec_from_file_location("check_oracle", sys.argv[1])
+mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mod)
+sys.argv = ["check_oracle", "--sf-dir", sys.argv[2]]
+raise SystemExit(mod.main())
+"""
+
+
+def test_worker_import_error_fails_its_gate_and_the_sweep_goes_on(tmp_path):
+    tree = tmp_path / "copy"
+    (tree / "scripts").mkdir(parents=True)
+    shutil.copy(REPO / "scripts" / "check_oracle.py", tree / "scripts")
+    (tree / "__ray_entry__.py").write_text(_ENTRY)
+    # the workers import the fake registry from the environment they inherit
+    env = {**os.environ, "PYTHONPATH": str(tree)}
+    out = subprocess.run([sys.executable, "-c", _SWEEP, str(tree / "scripts" / "check_oracle.py"),
+                          SF_DIR],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    log = out.stdout + out.stderr
+    assert "FAIL broken: engine raised RayTaskError(ModuleNotFoundError)" in out.stdout, log
+    assert "PASS fine: 1 rows" in out.stdout, log
+    assert out.returncode == 1, log
