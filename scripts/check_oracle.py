@@ -4,6 +4,9 @@ Runs each __ray_entry__.queries() callable at --sf-dir, runs the
 matching oracle_sql() in DuckDB over the same parquet (views
 pre-registered), and compares row count, sorted schema names, and an
 order-insensitive value hash (columns sorted by name, rows sorted).
+Each PASS/FAIL line and the summary also count Ray Data's "different
+schema" warnings: a shuffle partition that left a block with no
+columns logs one.
 
 Usage: python scripts/check_oracle.py [--sf-dir /root/testdata/sf0.01] [names...]
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import logging
 import os
 import sys
 import time
@@ -40,6 +44,18 @@ def to_pandas(obj) -> pd.DataFrame:
     if isinstance(obj, pa.Table):
         obj = obj.to_pandas()
     return obj
+
+
+class SchemaWarnings(logging.Handler):
+    """Counts log records that contain "different schema"."""
+
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if "different schema" in record.getMessage():
+            self.count += 1
 
 
 def value_hash(df: pd.DataFrame) -> str:
@@ -81,23 +97,31 @@ def main() -> int:
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{args.sf_dir}/{t}.parquet')")
 
-    n_fail = 0
+    import ray.data  # its import configures the logger, dropping earlier handlers
+
+    warned = SchemaWarnings()
+    logging.getLogger("ray.data").addHandler(warned)
+    n_pass = n_rows_only = n_fail = 0
     for name in names:
         t0 = time.time()
+        before = warned.count
         try:
             mine = to_pandas(qs[name](args.sf_dir))
         except Exception as e:
-            print(f"FAIL {name}: engine raised {type(e).__name__}: {e}")
+            print(f"FAIL {name}: engine raised {type(e).__name__}: {e} "
+                  f"[{warned.count - before} schema warnings]")
             n_fail += 1
             continue
         dt = time.time() - t0
+        warns = f"[{warned.count - before} schema warnings]"
         if name not in oracles:
-            print(f"ok?  {name}: rows-only check, {len(mine)} rows ({dt:.1f}s)")
+            print(f"ok?  {name}: rows-only check, {len(mine)} rows ({dt:.1f}s) {warns}")
+            n_rows_only += 1
             continue
         try:
             oracle = con.execute(oracles[name]).df()
         except Exception as e:
-            print(f"FAIL {name}: oracle SQL raised {type(e).__name__}: {e}")
+            print(f"FAIL {name}: oracle SQL raised {type(e).__name__}: {e} {warns}")
             n_fail += 1
             continue
         problems = []
@@ -108,7 +132,7 @@ def main() -> int:
         elif value_hash(mine) != value_hash(oracle):
             problems.append("value-hash mismatch")
         if problems:
-            print(f"FAIL {name}: {'; '.join(problems)} ({dt:.1f}s)")
+            print(f"FAIL {name}: {'; '.join(problems)} ({dt:.1f}s) {warns}")
             n_fail += 1
             # show a diff sample
             if sorted(mine.columns) == sorted(oracle.columns) and len(mine) and len(oracle):
@@ -121,7 +145,10 @@ def main() -> int:
                     print(f"   mine:   {a.iloc[i].to_dict()}")
                     print(f"   oracle: {b.iloc[i].to_dict()}")
         else:
-            print(f"PASS {name}: {len(mine)} rows ({dt:.1f}s)")
+            print(f"PASS {name}: {len(mine)} rows ({dt:.1f}s) {warns}")
+            n_pass += 1
+    print(f"SUMMARY {n_pass} PASS, {n_rows_only} rows-only, {n_fail} FAIL, "
+          f"{warned.count} schema warnings")
     ray.shutdown()
     return 1 if n_fail else 0
 

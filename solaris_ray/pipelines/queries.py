@@ -4520,8 +4520,8 @@ def q_search_and(sf_dir: str):
 def q_triangles(sf_dir: str):
     """Per-node triangle counts on a deterministic ring-with-chords
     graph over customer keys (edges i -> (i+d) % N, d = 1..3).
-    Degree-ordered node-iterator: five id-only co-shuffles, wedge work
-    bounded by arboricity."""
+    Degree-ordered node-iterator: five id-only ``co_shuffle`` passes
+    (four plus the per-node count), wedge work bounded by arboricity."""
     from ..stages.triangles import triangle_counts
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
@@ -4549,9 +4549,9 @@ def q_pagerank(sf_dir: str):
     """Integer micro-unit damped PageRank (5 rounds, scale 1e9) over a
     deterministic directed chord graph on customer keys (edge
     i -> (i+d) % N for d = 1..3, kept when (i*d) % 7 < 5, so in/out
-    degrees vary and ranks are asymmetric).  Two id-only bucketed
-    co-shuffles per round; all arithmetic is exact int64 so every
-    per-node sum is order-free and hash-identical to the SQL twin."""
+    degrees vary and ranks are asymmetric).  Two id-only ``co_shuffle``
+    passes per round; all arithmetic is exact int64 so every per-node
+    sum is order-free and hash-identical to the SQL twin."""
     from ..stages.pagerank import pagerank
 
     cust = _read(sf_dir, "customer", ["c_custkey"])

@@ -1,4 +1,5 @@
-"""The one bucket co-shuffle, its key hash and its width.
+"""The one bucket co-shuffle, its key hash and its width; the one
+single-task runner.
 
 ``co_shuffle`` is the one shuffle that brings every row of a key
 together: each row is tagged with ``bucket_of(mix, n)`` over its mixed
@@ -17,27 +18,30 @@ Only the tag pass hashes: a string key column is tagged by the
 salted ``hash()``).  Keys that collide there share a bucket, never a
 group: the kernel segments on the key itself.
 
-``bucket_of`` is the Knuth multiplicative bucket key; numpy's
-Python-style ``%`` keeps it non-negative even when the int64 product
-wraps.  ``shuffle_width`` is the one sizing policy: it follows the
-session and the input, never a fixed count.  ``co_shuffle`` takes its
-bucket count from it for every keyed stage outside the graph family:
-the mask and event families, ``distinct_reduce``, ``align``, ``cdc``,
-``components`` (the isolated-node anti-join), ``cooccur``, ``corpus``,
-``dbscan``, ``dissolve``, ``divergence``, ``dupspan``, ``editdist``,
-``hull``, ``moran``, ``negatives``, ``ntile``, ``profile``,
-``quantiles`` (``group_quantiles``, ``grouped_mad``), ``rank``
-(``retrieval_metrics``), ``ranktest``, ``relational`` (``hash_join``),
-``ripley``, ``setjoin``, ``tfidf``, ``votes`` and the keyed gates of
-``pipelines/queries.py``.  The graph family (``bfs_hops``, ``sssp_dist``, ``pagerank``, ``kcore``,
-``triangle_counts``, ``link_prediction_scores``) tags with
-``bucket_of`` itself and repartitions once per round; it computes the
-width once from its input before the first round: the block count of
-unioned per-round state grows every round (NOTES round 4i).
+``bucket_of`` is the Knuth multiplicative bucket key, used only as
+``co_shuffle``'s tag hash; numpy's Python-style ``%`` keeps it
+non-negative even when the int64 product wraps.  ``shuffle_width`` is
+the one sizing policy: it follows the session and the input, never a
+fixed count.  Every keyed stage runs on ``co_shuffle``: the mask, event
+and graph families, ``distinct_reduce``, the keyed stages of
+``stages/`` and the keyed gates of ``pipelines/queries.py``.  Most take
+the width from ``shuffle_width`` of the input they shuffle.  The graph
+family (``sssp_dist`` and ``bfs_hops``, ``pagerank``, ``kcore``,
+``triangle_counts``, ``link_prediction_scores`` and the star rounds of
+``connected_components``) computes it once from its input, before the
+first round, and passes it to every round: the block count of unioned
+per-round state grows every round (NOTES round 4i), and a width read
+from it would grow too.  ``co_shuffle`` repartitions to that width, so
+no round repartitions again.
+
+``one_task`` is the small-input plan of the graph family: one remote
+task over the whole of each dataset.  ``SMALL_EDGE_LIMIT`` is the one
+default edge count at or below which those stages take it.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 
 import numpy as np
@@ -47,6 +51,10 @@ import pyarrow.compute as pc
 from ..runtime import session_cpus
 
 _TAG = "__bucket"
+
+# edges at or below which a graph stage runs in ``one_task``: 8 MB of
+# (src, dst) int64 pairs, where per-round shuffles are pure latency
+SMALL_EDGE_LIMIT = 500_000
 
 
 def bucket_of(x: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -117,6 +125,41 @@ def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
         .groupby(_TAG)
         .map_groups(lambda g: fn(g.drop_columns([_TAG])), batch_format="pyarrow")
     )
+
+
+def one_task(fn, *datasets):
+    """Run ``fn`` once, in one remote task, over the whole of each of
+    ``datasets`` -> a one-block dataset of the table ``fn`` returns.
+    ``fn`` gets one ``pa.Table`` per dataset: its blocks concatenated,
+    blocks without columns (empty shuffle partitions) dropped, and a
+    table with no columns when none is left (read it through
+    ``int_column``).  Blocks travel as object-store refs; the caller
+    never holds them."""
+    import ray
+    import ray.data
+
+    refs = [ds.to_arrow_refs() for ds in datasets]
+
+    @ray.remote
+    def _run(counts, *blocks):
+        tables, at = [], 0
+        for n in counts:
+            kept = [b for b in blocks[at:at + n] if b.num_columns]
+            tables.append(pa.concat_tables(kept, promote_options="permissive")
+                          if kept else pa.table({}))
+            at += n
+        return fn(*tables)
+
+    ref = _run.remote([len(r) for r in refs], *itertools.chain.from_iterable(refs))
+    return ray.data.from_arrow_refs([ref])
+
+
+def int_column(t: pa.Table, col: str) -> np.ndarray:
+    """Column ``col`` of a ``one_task`` table as int64; empty when the
+    table has no such column."""
+    if col not in t.column_names:
+        return np.empty(0, np.int64)
+    return t[col].to_numpy().astype(np.int64)
 
 
 def per_key(key: str, fn):

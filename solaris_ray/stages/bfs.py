@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ._buckets import SMALL_EDGE_LIMIT
 from .sssp import sssp_dist
 
 _OUT_SCHEMA = pa.schema([("node", pa.int64()), ("hops", pa.int64())])
@@ -34,7 +35,7 @@ def bfs_hops(
     dst_col: str = "dst",
     seed_col: str = "node",
     max_rounds: int = 256,
-    small_edge_limit: int = 500_000,
+    small_edge_limit: int = SMALL_EDGE_LIMIT,
     stats_out: dict | None = None,
 ):
     """Directed ``edges`` + ``seeds`` datasets -> (node, hops): the

@@ -9,21 +9,21 @@ Components in MapReduce and Beyond", SoCC'14) as an iterated pair of
 Ray Data co-shuffles:
 
 per round (all rows are 2 int64 columns — edge ids only, never
-payloads):
-  1. LARGE-STAR: ``groupby(hash-bucket(node))`` over the symmetrized
-     edge set; each node links its strictly-LARGER neighbors to
-     m = min(neighbors ∪ self) — emit (m, v) for v > node.
-  2. SMALL-STAR: ``groupby(hash-bucket(larger endpoint))``; each node
-     links its smaller neighbors (and itself) to their minimum — emit
-     (m, v) for v in smaller ∪ {node}, v ≠ m.
+payloads), two ``co_shuffle`` passes at one width, computed once from
+the canonical edge set before the first round:
+  1. LARGE-STAR: on ``node`` over the symmetrized edge set; each node
+     links its strictly-LARGER neighbors to m = min(neighbors ∪ self)
+     — emit (m, v) for v > node.
+  2. SMALL-STAR: on the larger endpoint ``eb``; each node links its
+     smaller neighbors (and itself) to their minimum — emit (m, v) for
+     v in smaller ∪ {node}, v ≠ m.
 
-Both stars group on a BUCKET of the key, not the key itself: all rows
-of a node land in one group (bucket is a function of the node), and
-the per-node reductions run as sorted segment operations (lexsort +
-``reduceat``-style boundary indexing) over the whole bucket at once —
-one vectorized numpy pass per bucket instead of one Python call per
-node (the per-node ``map_groups`` variant spent its time in ~14k
-group-dispatch calls per round at sf0.1).
+``co_shuffle`` hands each kernel a whole BUCKET: all rows of a node
+land in one call, and the per-node reductions run as sorted segment
+operations (lexsort + ``reduceat``-style boundary indexing) over the
+whole bucket at once — one vectorized numpy pass per bucket instead of
+one Python call per node (the per-node ``map_groups`` variant spent
+its time in ~14k group-dispatch calls per round at sf0.1).
 
 The edge set converges to stars rooted at each component's minimum id
 in O(log) rounds — a diameter-112 percolation graph resolves in ~8
@@ -49,71 +49,55 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ._buckets import (SMALL_EDGE_LIMIT, co_shuffle, distinct_reduce, int_column,
+                       one_task, shuffle_width)
 
-_MSG_SCHEMA = pa.schema([("node", pa.int64()), ("label", pa.int64())])
 
 
-def _unionfind_task_labels(E):
-    """Canonical edge Dataset -> (node, label) Dataset via ONE remote
-    task running union-find with path halving (labels = per-component
-    min ORIGINAL id).  Engine-side: edge blocks move object-store ->
-    task; the driver only passes refs."""
-    import ray
-
-    @ray.remote
-    def _uf(*blocks):
-        # normalize per block (schema metadata can differ across the
-        # operators that produced them; empty partitions may carry a
-        # fieldless schema — drop them; values are always int64 ea/eb)
-        blocks = [b for b in blocks if "ea" in b.schema.names]
-        a = np.concatenate(
-            [b["ea"].to_numpy(zero_copy_only=False) for b in blocks]
-        ).astype(np.int64) if blocks else np.empty(0, np.int64)
-        b = np.concatenate(
-            [blk["eb"].to_numpy(zero_copy_only=False) for blk in blocks]
-        ).astype(np.int64) if blocks else np.empty(0, np.int64)
-        uniq, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-        n = uniq.size
-        ia = inv[: a.size].tolist()
-        ib = inv[a.size:].tolist()
-        parent = list(range(n))
-        for x, y in zip(ia, ib):
-            # find with path halving
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                # attach by dense index order (uniq ascends, so smaller
-                # index = smaller original id; keeps trees shallow-ish
-                # and makes the root the min id of the merged pair)
-                if x < y:
-                    parent[y] = x
-                else:
-                    parent[x] = y
-        roots = np.empty(n, np.int64)
-        for i in range(n):
-            x = i
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            roots[i] = x
-        # root index is the min dense index of its component ONLY under
-        # the attach rule above when merges always keep the smaller
-        # root; guarantee exactly via a per-root min reduction
-        lab = np.full(n, np.iinfo(np.int64).max, np.int64)
-        np.minimum.at(lab, roots, uniq)
-        return pa.table(
-            {
-                "node": pa.array(uniq, pa.int64()),
-                "label": pa.array(lab[roots], pa.int64()),
-            }
-        )
-
-    ref = _uf.remote(*E.to_arrow_refs())
-    return ray.data.from_arrow_refs([ref])
+def _union_find(edges: pa.Table) -> pa.Table:
+    """Canonical edge table -> (node, label), run by ``one_task``:
+    union-find with path halving (labels = per-component min ORIGINAL
+    id)."""
+    a, b = int_column(edges, "ea"), int_column(edges, "eb")
+    uniq, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    n = uniq.size
+    ia = inv[: a.size].tolist()
+    ib = inv[a.size:].tolist()
+    parent = list(range(n))
+    for x, y in zip(ia, ib):
+        # find with path halving
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            # attach by dense index order (uniq ascends, so smaller
+            # index = smaller original id; keeps trees shallow-ish
+            # and makes the root the min id of the merged pair)
+            if x < y:
+                parent[y] = x
+            else:
+                parent[x] = y
+    roots = np.empty(n, np.int64)
+    for i in range(n):
+        x = i
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        roots[i] = x
+    # root index is the min dense index of its component ONLY under
+    # the attach rule above when merges always keep the smaller
+    # root; guarantee exactly via a per-root min reduction
+    lab = np.full(n, np.iinfo(np.int64).max, np.int64)
+    np.minimum.at(lab, roots, uniq)
+    return pa.table(
+        {
+            "node": pa.array(uniq, pa.int64()),
+            "label": pa.array(lab[roots], pa.int64()),
+        }
+    )
 
 
 def connected_components(
@@ -124,7 +108,7 @@ def connected_components(
     node_col: str = "doc_id",
     max_rounds: int = 50,
     stats_out: dict | None = None,
-    small_edge_limit: int = 500_000,
+    small_edge_limit: int = SMALL_EDGE_LIMIT,
 ):
     """(edges Dataset, nodes Dataset) -> Dataset (node, component).
 
@@ -136,9 +120,8 @@ def connected_components(
     Two physical plans, chosen by the CANONICAL edge count (known after
     the one-pass dedup/canonicalization, never from the corpus size):
 
-    - ``<= small_edge_limit`` edges: ONE remote task runs vectorized
-      union-find over the edge blocks (path-halving; labels = per-root
-      min id).  A dedup pair graph is tiny relative to its corpus —
+    - ``<= small_edge_limit`` edges: ``one_task`` runs union-find over
+      the edge blocks (path-halving; labels = per-root min id).  A dedup pair graph is tiny relative to its corpus —
        at 16 bytes/edge the default limit is an 8 MB object — and the
       star rounds' per-round fixed cost (2 groupby shuffles) is pure
       latency at that size (measured flat 11 s at 4 AND 16 cpus on a
@@ -151,8 +134,6 @@ def connected_components(
     {"rounds": int, "edge_rows": [per-round counts], "converged": bool,
     "path": "union-find-task" | "star-rounds"}.
     """
-    import ray  # noqa: F401  (Dataset ops only)
-
     edge_schema = pa.schema([("ea", pa.int64()), ("eb", pa.int64())])
 
     # canonical (ea < eb) distinct-ish edge list, materialized once
@@ -187,8 +168,6 @@ def connected_components(
             }
         )
 
-    from ._buckets import co_shuffle, distinct_reduce
-
     # node-id distinct via the bucketed vectorized reduce (Ray's
     # per-group aggregate costs ~100us CPU per distinct node)
     touched = distinct_reduce(
@@ -197,7 +176,7 @@ def connected_components(
 
     use_small = has_edges and n_edges <= small_edge_limit
     if use_small:
-        lab = _unionfind_task_labels(E)
+        lab = one_task(_union_find, E)
         if stats_out is not None:
             stats_out.update(rounds=0, edge_rows=[n_edges], converged=True,
                              path="union-find-task")
@@ -206,18 +185,16 @@ def connected_components(
             batch_format="pyarrow",
         )
     else:
-        star_buckets = 64
+        width = shuffle_width(E)
 
         def _sym(batch: pa.Table) -> pa.Table:
-            # symmetrize + tag with the grouping bucket of the OWNING node
+            # symmetrize: each edge once per endpoint, as the OWNING node
             a = batch["ea"].to_numpy(zero_copy_only=False)
             b = batch["eb"].to_numpy(zero_copy_only=False)
-            node = np.concatenate([a, b])
             return pa.table(
                 {
-                    "node": pa.array(node, pa.int64()),
+                    "node": pa.array(np.concatenate([a, b]), pa.int64()),
                     "dst": pa.array(np.concatenate([b, a]), pa.int64()),
-                    "kb": pa.array(node % star_buckets, pa.int64()),
                 }
             )
 
@@ -255,7 +232,7 @@ def connected_components(
             )
 
         def _small(group: pa.Table) -> pa.Table:
-            # group key = bucket of the LARGER endpoint; per larger node u:
+            # rows meet on the LARGER endpoint; per larger node u:
             # link its smaller neighbors (and u itself) to their minimum
             u = group["eb"].to_numpy(zero_copy_only=False)
             small = group["ea"].to_numpy(zero_copy_only=False)
@@ -284,12 +261,6 @@ def connected_components(
             s = ds.map_batches(_h, batch_format="pyarrow").sum(["a", "b", "h"])
             return (s["sum(a)"], s["sum(b)"], s["sum(h)"])
 
-        def _tag_eb(batch: pa.Table) -> pa.Table:
-            eb = batch["eb"].to_numpy(zero_copy_only=False)
-            return batch.append_column(
-                "kb", pa.array(eb % star_buckets, pa.int64())
-            )
-
         # lazy convergence check: count() on a MATERIALIZED dataset is
         # metadata-only (free); the sum signature (one extra execution)
         # runs only once the count has stabilized across rounds — early
@@ -299,17 +270,9 @@ def connected_components(
         converged = not has_edges
         edge_rows = [prev_count]
         for _ in range(max_rounds if has_edges else 0):
-            large = (
-                E.map_batches(_sym, batch_format="pyarrow")
-                .groupby("kb")
-                .map_groups(_large, batch_format="pyarrow")
-            )
-            E = (
-                large.map_batches(_tag_eb, batch_format="pyarrow")
-                .groupby("kb")
-                .map_groups(_small, batch_format="pyarrow")
-                .materialize()
-            )
+            sym = E.map_batches(_sym, batch_format="pyarrow")
+            large = co_shuffle(sym, "node", _large, width)
+            E = co_shuffle(large, "eb", _small, width).materialize()
             cur_count = E.count()
             edge_rows.append(cur_count)
             if cur_count != prev_count:
@@ -427,7 +390,7 @@ def fuzzy_dedup(
     text_col: str = "text",
     id_col: str = "doc_id",
     cc_stats: dict | None = None,
-    small_edge_limit: int = 500_000,
+    small_edge_limit: int = SMALL_EDGE_LIMIT,
 ):
     """documents -> (doc_id, component, keep): full fuzzy-dedup resolve.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import co_shuffle
+from ._buckets import SMALL_EDGE_LIMIT, co_shuffle
 
 
 def overlap_pairs(rects, cell: float = 256.0, id_col: str = "fid",
@@ -246,7 +246,7 @@ def overlap_pairs(rects, cell: float = 256.0, id_col: str = "fid",
 
 def dissolve(rects, cell: float = 256.0, id_col: str = "fid",
              max_rounds: int = 50, cc_stats: dict | None = None,
-             small_edge_limit: int = 500_000):
+             small_edge_limit: int = SMALL_EDGE_LIMIT):
     """rects -> (fid, component): transitive-overlap dissolve groups.
 
     Uses ``overlap_pairs(spanning=True)``: dense cells emit O(m)

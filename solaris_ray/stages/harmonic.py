@@ -9,10 +9,10 @@ source) so the SQL twin reproduces them bit-for-bit.
 Two plans, the ``sssp.sssp_dist`` idiom (small graphs in one task,
 large ones in frontier rounds):
 
-- Small graphs (``<= small_edge_limit`` edges): ONE remote task builds
-  a CSR once (``sssp._csr``, unit weights) and runs all k source
-  sweeps over it with the relaxation of ``sssp_dist``'s single-task
-  plan (``sssp._relax``); the caller never holds the graph.
+- Small graphs (``<= small_edge_limit`` edges): ``one_task`` builds a
+  CSR once (``sssp._csr``, unit weights) and runs all k source sweeps
+  over it with the relaxation of ``sssp_dist``'s single-task plan
+  (``sssp._relax``); the caller never holds the graph.
 - Larger graphs: k ``bfs_hops`` runs (``sssp_dist`` over unit
   weights, whose scale-safe two-co-shuffle rounds take over above
   its own edge limit), each tagged with its source and unioned into
@@ -26,14 +26,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .sssp import _INF, _concat, _csr, _relax
+from ._buckets import SMALL_EDGE_LIMIT, int_column, one_task
+from .sssp import _INF, _csr, _relax
 
 _MICRO = 1_000_000
 
 
 def harmonic_centrality(edges, sources: list[int],
                         src_col: str = "src", dst_col: str = "dst",
-                        small_edge_limit: int = 500_000):
+                        small_edge_limit: int = SMALL_EDGE_LIMIT):
     """-> (node, n_reached, h_micro): for every node reached by at
     least one sampled source, the number of sources reaching it and
     the exact micro-unit harmonic mass Σ 1_000_000 // d."""
@@ -50,7 +51,7 @@ def harmonic_centrality(edges, sources: list[int],
 
     edges = edges.materialize()
     if edges.count() <= small_edge_limit:
-        return _single_task(edges, sources, src_col, dst_col)
+        return one_task(lambda e: _sweeps(e, sources, src_col, dst_col), edges)
 
     per_src = []
     for s in sources:
@@ -86,30 +87,22 @@ def _micro_rows(b: pa.Table) -> pa.Table:
     })
 
 
-def _single_task(edges, sources, src_col, dst_col):
-    import ray
-    import ray.data
-
-    @ray.remote
-    def _sweeps(srcs, *blocks):
-        eb = [b for b in blocks if b.num_rows]
-        src, dst = _concat(eb, src_col), _concat(eb, dst_col)
-        uniq, indptr, adj, aw, sdi = _csr(
-            src, dst, np.ones(src.size, np.int64), np.asarray(srcs, np.int64)
-        )
-        reached = np.zeros(uniq.size, np.int64)
-        harm = np.zeros(uniq.size, np.int64)
-        for s0 in sdi:
-            dist = _relax(indptr, adj, aw, np.array([s0]))
-            hit = (dist > 0) & (dist < _INF)
-            reached[hit] += 1
-            harm[hit] += _MICRO // dist[hit]
-        out = reached > 0
-        return pa.table({
-            "node": pa.array(uniq[out], pa.int64()),
-            "n_reached": pa.array(reached[out], pa.int64()),
-            "h_micro": pa.array(harm[out], pa.int64()),
-        })
-
-    refs = edges.to_arrow_refs()
-    return ray.data.from_arrow_refs([_sweeps.remote(sources, *refs)])
+def _sweeps(edges: pa.Table, sources, src_col, dst_col) -> pa.Table:
+    """Small-graph plan, run by ``one_task``: one CSR, k sweeps."""
+    src, dst = int_column(edges, src_col), int_column(edges, dst_col)
+    uniq, indptr, adj, aw, sdi = _csr(
+        src, dst, np.ones(src.size, np.int64), np.asarray(sources, np.int64)
+    )
+    reached = np.zeros(uniq.size, np.int64)
+    harm = np.zeros(uniq.size, np.int64)
+    for s0 in sdi:
+        dist = _relax(indptr, adj, aw, np.array([s0]))
+        hit = (dist > 0) & (dist < _INF)
+        reached[hit] += 1
+        harm[hit] += _MICRO // dist[hit]
+    out = reached > 0
+    return pa.table({
+        "node": pa.array(uniq[out], pa.int64()),
+        "n_reached": pa.array(reached[out], pa.int64()),
+        "h_micro": pa.array(harm[out], pa.int64()),
+    })

@@ -14,20 +14,23 @@ and equals the sequential algorithm's result — and a SQL twin exists
 (one generated CTE level per peel round).
 
 Input edges are DIRECTED rows; the kernel symmetrizes and dedupes
-internally (degree = distinct undirected neighbours, self-loops
-dropped).  Two physical plans (the bfs.py idiom):
+internally (one ``co_shuffle`` on the source ``k``: degree = distinct
+undirected neighbours, self-loops dropped).  Two physical plans (the
+bfs.py idiom):
 
-- small graphs: ONE remote task, CSR + vectorized alive-mask peeling
-  (a peel loop at 45k edges is milliseconds of work — never worth
-  per-round Ray barriers);
-- large graphs: per round TWO bucketed co-shuffles of id-only int64
-  rows — (1) groupby(src bucket): per-src degree is a segment count,
-  under-k srcs become this round's removal set (complete, because the
-  edge set is symmetrized) and their rows die in place; (2)
-  groupby(dst bucket): removal markers meet surviving edges and kill
-  the dst side.  Edge volume only ever shrinks; rounds = peel depth
-  (O(1) on dense cores; pathological path graphs peel O(n) — the
-  documented worst case of every synchronous peeler).
+- small graphs (at most ``SMALL_EDGE_LIMIT`` edges by default):
+  ``one_task``, CSR + vectorized alive-mask peeling (a peel loop at 45k
+  edges is milliseconds of work — never worth per-round Ray barriers);
+- large graphs: per round TWO ``co_shuffle`` passes of id-only int64
+  rows, both at the width computed once from the input — (1) on the
+  source ``k``: per-src degree is a segment count, under-k srcs become
+  this round's removal set (complete, because the edge set is
+  symmetrized) and their rows die in place; (2) on ``to``, the dst of
+  an edge row and the node of a removal marker: removal markers meet
+  surviving edges and kill the dst side.  Edge volume only ever
+  shrinks; rounds = peel depth (O(1) on dense cores; pathological path
+  graphs peel O(n) — the documented worst case of every synchronous
+  peeler).
 
 Partitioning assumption: non-negative int64 node ids (dst = -1 marks
 removal rows in shuffle 2).
@@ -37,52 +40,35 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ._buckets import bucket_of, shuffle_width
+from ._buckets import SMALL_EDGE_LIMIT, co_shuffle, int_column, one_task, shuffle_width
 
 _OUT = pa.schema([("node", pa.int64()), ("deg", pa.int64())])
 
 
-def _kcore_single_task(edge_side, k: int):
-    import ray
-
-    @ray.remote
-    def _peel(*blocks):
-        ebs = [b for b in blocks if b.num_rows]
-        if not ebs:
-            return _OUT.empty_table()
-        src = np.concatenate(
-            [b["k"].to_numpy(zero_copy_only=False) for b in ebs]
-        )
-        dst = np.concatenate(
-            [b["dst"].to_numpy(zero_copy_only=False) for b in ebs]
-        )
-        uniq, inv = np.unique(np.concatenate([src, dst]), return_inverse=True)
-        si, di = inv[: src.size], inv[src.size :]
-        n = uniq.size
-        alive = np.ones(n, bool)
-        while True:
-            m = alive[si] & alive[di]
-            deg = np.bincount(si[m], minlength=n)
-            drop = alive & (deg < k)
-            if not drop.any():
-                break
-            alive[drop] = False
+def _peel(edges: pa.Table, k: int) -> pa.Table:
+    """Small-graph plan, run by ``one_task``: alive-mask peeling."""
+    src, dst = int_column(edges, "k"), int_column(edges, "dst")
+    uniq, inv = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    si, di = inv[: src.size], inv[src.size :]
+    n = uniq.size
+    alive = np.ones(n, bool)
+    while True:
         m = alive[si] & alive[di]
         deg = np.bincount(si[m], minlength=n)
-        keep = alive & (deg > 0)
-        return pa.table(
-            {
-                "node": pa.array(uniq[keep], pa.int64()),
-                "deg": pa.array(deg[keep].astype(np.int64), pa.int64()),
-            }
-        )
-
-    import ray.data
-
-    refs = edge_side.to_arrow_refs()
-    return ray.data.from_arrow_refs([_peel.remote(*refs)])
+        drop = alive & (deg < k)
+        if not drop.any():
+            break
+        alive[drop] = False
+    m = alive[si] & alive[di]
+    deg = np.bincount(si[m], minlength=n)
+    keep = alive & (deg > 0)
+    return pa.table(
+        {
+            "node": pa.array(uniq[keep], pa.int64()),
+            "deg": pa.array(deg[keep].astype(np.int64), pa.int64()),
+        }
+    )
 
 
 def kcore(
@@ -91,7 +77,7 @@ def kcore(
     src_col: str = "src",
     dst_col: str = "dst",
     max_rounds: int = 10_000,
-    small_edge_limit: int = 2_000_000,
+    small_edge_limit: int = SMALL_EDGE_LIMIT,
     stats_out: dict | None = None,
 ):
     """Directed ``edges`` -> (node, deg): every node of the k-core of
@@ -114,7 +100,6 @@ def kcore(
             {
                 "k": pa.array(a, pa.int64()),
                 "dst": pa.array(b, pa.int64()),
-                "kb": pa.array(bucket_of(a, width), pa.int64()),
             }
         )
 
@@ -126,22 +111,15 @@ def kcore(
         s, d = s[order], d[order]
         keep = np.ones(s.size, bool)
         keep[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
-        s, d = s[keep], d[keep]
         return pa.table(
             {
-                "k": pa.array(s, pa.int64()),
-                "dst": pa.array(d, pa.int64()),
-                "kb": pa.array(bucket_of(s, width), pa.int64()),
+                "k": pa.array(s[keep], pa.int64()),
+                "dst": pa.array(d[keep], pa.int64()),
             }
         )
 
-    state = (
-        edges.map_batches(_sym, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_dedupe, batch_format="pyarrow")
-        .repartition(width)
-        .materialize()
-    )
+    sym = edges.map_batches(_sym, batch_format="pyarrow")
+    state = co_shuffle(sym, "k", _dedupe, width).materialize()
 
     n_edges = state.count()
     if stats_out is not None:
@@ -153,14 +131,14 @@ def kcore(
     if n_edges <= small_edge_limit:
         if stats_out is not None:
             stats_out["plan"] = "single-task"
-        return _kcore_single_task(state, k)
+        return one_task(lambda e: _peel(e, k), state)
     if stats_out is not None:
         stats_out["plan"] = "peel-rounds"
 
     def _peel_src(group: pa.Table) -> pa.Table:
         # src-bucket kernel: segment degree per src; under-k srcs emit
-        # one removal marker (dst = -1, re-bucketed BY NODE for the dst
-        # pass) and their edges die here
+        # one removal marker (dst = -1, routed BY NODE for the dst pass)
+        # and their edges die here
         s = group["k"].to_numpy(zero_copy_only=False)
         d = group["dst"].to_numpy(zero_copy_only=False)
         order = np.argsort(s, kind="stable")
@@ -176,13 +154,13 @@ def kcore(
         kd = d[~badmask]
         out_k = np.concatenate([ks, rm])
         out_d = np.concatenate([kd, np.full(rm.size, -1, np.int64)])
-        # survivors bucket by DST for the kill pass; markers by node
-        out_b = bucket_of(np.where(out_d >= 0, out_d, out_k), width)
         return pa.table(
             {
                 "k": pa.array(out_k, pa.int64()),
                 "dst": pa.array(out_d, pa.int64()),
-                "kb": pa.array(out_b, pa.int64()),
+                # survivors meet the kill pass at their DST; markers at
+                # their node
+                "to": pa.array(np.where(out_d >= 0, out_d, out_k), pa.int64()),
             }
         )
 
@@ -201,7 +179,6 @@ def kcore(
             {
                 "k": pa.array(es, pa.int64()),
                 "dst": pa.array(ed, pa.int64()),
-                "kb": pa.array(bucket_of(es, width), pa.int64()),
             }
         )
 
@@ -213,14 +190,8 @@ def kcore(
                 f"kcore: still peeling after max_rounds={max_rounds}"
             )
         rounds += 1
-        state = (
-            state.groupby("kb")
-            .map_groups(_peel_src, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(_kill_dst, batch_format="pyarrow")
-            .repartition(width)
-            .materialize()
-        )
+        peeled = co_shuffle(state, "k", _peel_src, width)
+        state = co_shuffle(peeled, "to", _kill_dst, width).materialize()
         cur = state.count()  # metadata-only: free convergence check
         if cur == prev_edges:
             break

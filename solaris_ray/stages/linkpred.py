@@ -12,12 +12,13 @@ least one neighbor but has no direct edge, emit
   no 1/log floats anywhere).
 
 Shape (100 TB audit): wedges are generated per CENTER node — the
-symmetrized adjacency co-shuffles once on the center id, each center's
-pair triangle is enumerated closed-form in-bucket, and the resulting
-(u, w, contrib) rows plus the original edges co-shuffle once more on
-the pair key where edges anti-join the candidates and contributions
-reduce with a lexsort-segment pass.  Total exchange: 2 id-only
-shuffles; wedge volume is sum(deg^2), bounded by ``max_center_degree``
+symmetrized adjacency co-shuffles once on the center id ``z``, each
+center's pair triangle is enumerated closed-form in-bucket, and the
+resulting (u, w, contrib) rows plus the original edges co-shuffle once
+more on the pair ``["u", "w"]``, where edges anti-join the candidates
+and contributions reduce with a lexsort-segment pass.  Total exchange:
+2 id-only ``co_shuffle`` passes at one width, computed once from the
+input; wedge volume is sum(deg^2), bounded by ``max_center_degree``
 (raise — silent truncation would change scores)."""
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of, shuffle_width
+from ._buckets import co_shuffle, shuffle_width
 from ._pairs import segment_pairs
 
 
@@ -45,37 +46,25 @@ def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
             {
                 "z": pa.array(z, pa.int64()),
                 "nb": pa.array(nb, pa.int64()),
-                "kb": pa.array(bucket_of(z, width), pa.int64()),
             }
         )
 
     sym = edges.map_batches(_sym, batch_format="pyarrow", batch_size=16384)
 
-    wedge_schema = pa.schema(
-        [("u", pa.int64()), ("w", pa.int64()), ("contrib", pa.int64()),
-         ("is_edge", pa.int8()), ("pb", pa.int64())]
-    )
-
     def _pair_rows(lo, hi, contrib, is_edge: int) -> pa.Table:
-        # wedge and edge rows meet in the bucket of their (lo, hi) pair
+        # wedge and edge rows meet on their (lo, hi) pair
         return pa.table(
             {
                 "u": pa.array(lo, pa.int64()),
                 "w": pa.array(hi, pa.int64()),
                 "contrib": pa.array(contrib, pa.int64()),
                 "is_edge": pa.array(np.full(lo.size, is_edge, np.int8)),
-                "pb": pa.array(
-                    bucket_of(lo * np.int64(1_000_003) + hi, width),
-                    pa.int64(),
-                ),
             }
         )
 
     def _wedges(group: pa.Table) -> pa.Table:
         z = group["z"].to_numpy(zero_copy_only=False)
         nb = group["nb"].to_numpy(zero_copy_only=False)
-        if z.size == 0:
-            return wedge_schema.empty_table()
         o = np.lexsort((nb, z))
         z, nb = z[o], nb[o]
         # set semantics: drop duplicate (z, nb) rows
@@ -96,7 +85,7 @@ def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
         u, w = nb[ia], nb[ib]
         return _pair_rows(np.minimum(u, w), np.maximum(u, w), contrib[segp], 0)
 
-    wedges = sym.groupby("kb").map_groups(_wedges, batch_format="pyarrow")
+    wedges = co_shuffle(sym, "z", _wedges, width)
 
     def _edge_rows(batch: pa.Table) -> pa.Table:
         a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -104,13 +93,8 @@ def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         return _pair_rows(lo, hi, np.zeros(lo.size, np.int64), 1)
 
-    tagged = wedges.union(
+    pairs = wedges.union(
         edges.map_batches(_edge_rows, batch_format="pyarrow", batch_size=16384)
-    )
-
-    out_schema = pa.schema(
-        [("u", pa.int64()), ("w", pa.int64()), ("cn", pa.int64()),
-         ("ra_e9", pa.int64())]
     )
 
     def _score(group: pa.Table) -> pa.Table:
@@ -118,8 +102,6 @@ def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
         w = group["w"].to_numpy(zero_copy_only=False)
         contrib = group["contrib"].to_numpy(zero_copy_only=False)
         is_e = group["is_edge"].to_numpy(zero_copy_only=False)
-        if u.size == 0:
-            return out_schema.empty_table()
         o = np.lexsort((w, u))
         u, w, contrib, is_e = u[o], w[o], contrib[o], is_e[o]
         new = np.r_[True, (u[1:] != u[:-1]) | (w[1:] != w[:-1])]
@@ -140,4 +122,4 @@ def link_prediction_scores(edges, a_col: str = "a", b_col: str = "b",
             }
         )
 
-    return tagged.groupby("pb").map_groups(_score, batch_format="pyarrow")
+    return co_shuffle(pairs, ["u", "w"], _score, width)

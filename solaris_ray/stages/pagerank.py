@@ -17,19 +17,22 @@ Dangling nodes (outdeg 0) simply contribute nothing — the standard
 mass-leak simplification; their own rank still receives teleport plus
 in-links.
 
-Per round: TWO bucketed co-shuffles of id-only int64 rows.
-  1. rank rows + (src, dst, outdeg) edge rows meet in ``groupby``
-     (bucket of the SOURCE node); a vectorized searchsorted lookup
-     emits one (dst, contribution) row per edge plus one zero-valued
-     anchor row per rank node (so nodes with no in-links survive with
-     pure teleport — no third node-list shuffle needed);
-  2. ``groupby`` (bucket of dst) segment-sums contributions and
-     applies the damping recurrence.
-Out-degrees are computed INSIDE the initial edge shuffle (all rows of
-a source land in its bucket), so the degree-annotated edge table costs
-one shuffle and is materialized ONCE — it is consumed by every round,
-and the repo's fan-out rule (NOTES round-4d) says small id-only rows
-at a multi-consumer point must be materialized, not lazily re-derived.
+Per round: TWO ``co_shuffle`` passes of id-only int64 rows, both at
+the width computed once from the input (a width read from the unioned
+per-round state would grow with it, NOTES round 4i).
+  1. rank rows + (src, dst, outdeg) edge rows meet on the SOURCE node
+     ``k``; a vectorized searchsorted lookup emits one (dst,
+     contribution) row per edge plus one zero-valued anchor row per
+     rank node (so nodes with no in-links survive with pure teleport —
+     no third node-list shuffle needed);
+  2. contributions meet on ``dst``: a segment sum applies the damping
+     recurrence.
+Out-degrees are computed INSIDE the initial edge shuffle on ``k`` (all
+rows of a source land in its bucket), so the degree-annotated edge
+table costs one shuffle and is materialized ONCE — it is consumed by
+every round, and the repo's fan-out rule (NOTES round-4d) says small
+id-only rows at a multi-consumer point must be materialized, not
+lazily re-derived.
 
 Partitioning assumption (SURVEY custom-operator rule): node ids are
 non-negative int64 (the ``dst = -1`` rank-row marker relies on it) and
@@ -43,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of, shuffle_width
+from ._buckets import co_shuffle, shuffle_width
 
 
 def pagerank(
@@ -70,7 +73,7 @@ def pagerank(
 
     rank_schema = pa.schema([("node", pa.int64()), ("pr_micro", pa.int64())])
 
-    def _src_tag(batch: pa.Table) -> pa.Table:
+    def _src_rows(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
         d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if s.size and (s.min() < 0 or d.min() < 0):
@@ -88,7 +91,6 @@ def pagerank(
                 "dst": pa.array(dst, pa.int64()),
                 "g": pa.array(g, pa.int64()),
                 "r": pa.array(np.zeros(k.size, np.int64)),
-                "kb": pa.array(bucket_of(k, width), pa.int64()),
             }
         )
 
@@ -118,18 +120,13 @@ def pagerank(
                 "dst": pa.array(out_dst, pa.int64()),
                 "g": pa.array(out_g, pa.int64()),
                 "r": pa.array(np.zeros(out_k.size, np.int64)),
-                "kb": pa.array(bucket_of(out_k, width), pa.int64()),
             }
         )
 
-    # one shuffle: degree-annotated edges + distinct node rows, both
-    # already tagged with bucket(k).  Materialized: consumed per round.
-    base = (
-        edges.map_batches(_src_tag, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_degree, batch_format="pyarrow")
-        .materialize()
-    )
+    # one shuffle: degree-annotated edges + distinct node rows.
+    # Materialized: consumed per round.
+    src_rows = edges.map_batches(_src_rows, batch_format="pyarrow")
+    base = co_shuffle(src_rows, "k", _degree, width).materialize()
     if base.count() == 0:  # no edges; metadata-only on a materialized ds
         import ray.data
 
@@ -149,20 +146,10 @@ def pagerank(
                 "dst": t["dst"],
                 "g": t["g"],
                 "r": pa.array(np.full(t.num_rows, scale, np.int64)),
-                "kb": t["kb"],
             }
         )
 
-    # coalesce to a bounded block count: Ray's sort-based groupby makes
-    # output blocks = input blocks, so without this every round's union
-    # grows the block count by edge_side's and the all-to-all degrades
-    # quadratically in round number (measured 45 s -> 12 s at sf0.1).
-    # The width comes from the input, never from the per-round state.
-    edge_side = (
-        base.map_batches(_edge_rows, batch_format="pyarrow")
-        .repartition(width)
-        .materialize()
-    )
+    edge_side = base.map_batches(_edge_rows, batch_format="pyarrow").materialize()
     ranks = base.map_batches(_node_rows, batch_format="pyarrow")
 
     def _contrib(group: pa.Table) -> pa.Table:
@@ -188,7 +175,6 @@ def pagerank(
             {
                 "dst": pa.array(out_dst, pa.int64()),
                 "c": pa.array(out_c, pa.int64()),
-                "kb": pa.array(bucket_of(out_dst, width), pa.int64()),
             }
         )
 
@@ -209,24 +195,15 @@ def pagerank(
                 "dst": pa.array(np.full(nodes.size, -1, np.int64)),
                 "g": pa.array(np.zeros(nodes.size, np.int64)),
                 "r": pa.array(r_new, pa.int64()),
-                "kb": pa.array(bucket_of(nodes, width), pa.int64()),
             }
         )
 
     for _ in range(iters):
-        # materialize per round (components.py precedent) and re-bound
-        # the block count — rank rows are id-only, so the repartition
-        # moves bytes-per-node, keeping every round's two sort-shuffles
-        # constant-cost regardless of round number
-        ranks = (
-            ranks.union(edge_side)
-            .groupby("kb")
-            .map_groups(_contrib, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(_apply, batch_format="pyarrow")
-            .repartition(width)
-            .materialize()
-        )
+        # materialize per round (components.py precedent); each
+        # co_shuffle repartitions its union to ``width``, so every
+        # round's two sort-shuffles stay constant-cost
+        contribs = co_shuffle(ranks.union(edge_side), "k", _contrib, width)
+        ranks = co_shuffle(contribs, "dst", _apply, width).materialize()
 
     def _out(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

@@ -7,8 +7,10 @@ their domains; this is the general two-table equi-join a reference
 user reaches for first.  Shape: both sides in ONE union ``co_shuffle``
 on the key; inside a bucket the merge is a sorted searchsorted
 expansion (handles many-to-many), all numpy.  Unmatched rows surface
-with nulls per the join mode.  Only the projected columns shuffle —
-prune before calling.
+with nulls per the join mode.  A null key never matches, as in SQL:
+inner drops its row, left keeps a null-key left row unmatched, outer
+keeps the null-key rows of both sides unmatched.  Only the projected
+columns shuffle — prune before calling.
 
 Scale notes: hot keys spread over the buckets; a single degenerate
 key (one value on both sides) degrades to one big bucket — the same
@@ -71,9 +73,11 @@ def hash_join(
 
     def _tag(side: int, key: str):
         def _f(batch: pa.Table) -> pa.Table:
-            k = pc.cast(batch[key], pa.int64()).to_numpy(zero_copy_only=False)
+            k, null = _key(batch, key)
             cols = {
-                "__side": pa.array(np.full(k.size, side, np.int64), pa.int64()),
+                # a null-key row rides as side 2 (left) or 3 (right): it
+                # meets nothing and surfaces only as unmatched
+                "__side": pa.array(side + 2 * null.astype(np.int64), pa.int64()),
                 "__k": pa.array(k, pa.int64()),
             }
             names = l_names if side == 0 else r_names
@@ -129,13 +133,13 @@ def hash_join(
         r_idx = ri_s[offsets] if total else np.empty(0, np.int64)
         parts = [(l_idx, r_idx)]
         if how in ("left", "outer"):
-            lm = li[counts == 0]
+            lm = np.concatenate([li[counts == 0], np.flatnonzero(side == 2)])
             parts.append((lm, np.full(lm.size, -1, np.int64)))
         if how == "outer":
             matched_r = np.zeros(rk_s.size, bool)
             if total:
                 matched_r[offsets] = True
-            rm = ri_s[~matched_r]
+            rm = np.concatenate([ri_s[~matched_r], np.flatnonzero(side == 3)])
             parts.append((np.full(rm.size, -1, np.int64), rm))
         l_all = np.concatenate([p[0] for p in parts])
         r_all = np.concatenate([p[1] for p in parts])
@@ -163,6 +167,13 @@ def hash_join(
     return co_shuffle(both, "__k", _merge)
 
 
+def _key(batch: pa.Table, key: str):
+    """-> (int64 key with nulls as 0, null mask) of column ``key``."""
+    k = pc.cast(batch[key], pa.int64())
+    return (pc.fill_null(k, 0).to_numpy(zero_copy_only=False),
+            k.is_null().to_numpy(zero_copy_only=False))
+
+
 def _broadcast_join(left, right, left_key: str, right_key: str, how: str):
     """Small-right-side path: one ``ray.put`` of the sorted right
     table, searchsorted probe per left batch — zero shuffles."""
@@ -175,7 +186,8 @@ def _broadcast_join(left, right, left_key: str, right_key: str, how: str):
     # (documented engine-external quirk); drop them before the concat
     blocks = [t for t in ray.get(right.to_arrow_refs()) if t.num_rows]
     r_tbl = pa.concat_tables(blocks) if blocks else r_schema.empty_table()
-    rk = pc.cast(r_tbl[right_key], pa.int64()).to_numpy(zero_copy_only=False)
+    r_tbl = r_tbl.filter(pc.is_valid(r_tbl[right_key]))  # a null key never matches
+    rk, _ = _key(r_tbl, right_key)
     order = np.argsort(rk, kind="stable")
     r_sorted = r_tbl.take(pa.array(order))
     rk_s = rk[order]
@@ -189,10 +201,10 @@ def _broadcast_join(left, right, left_key: str, right_key: str, how: str):
 
     def _probe(batch: pa.Table) -> pa.Table:
         keys_s, rt = ray.get(bundle)
-        lk = pc.cast(batch[left_key], pa.int64()).to_numpy(zero_copy_only=False)
+        lk, null = _key(batch, left_key)
         lo = np.searchsorted(keys_s, lk, side="left")
         hi = np.searchsorted(keys_s, lk, side="right")
-        counts = hi - lo
+        counts = np.where(null, 0, hi - lo)
         total = int(counts.sum())
         l_idx = np.repeat(np.arange(lk.size, dtype=np.int64), counts)
         within = np.arange(total, dtype=np.int64) - np.repeat(

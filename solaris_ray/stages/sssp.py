@@ -18,28 +18,26 @@ edges without negative cycles, but termination would no longer be
 bounded by the hop length of shortest paths — refuse rather than
 maybe-spin).  A relaxed distance that overflows int64 raises too.
 
-Per round, TWO bucketed co-shuffles (the pagerank.py skeleton):
-  1. frontier rows + (src, dst, w) edge rows meet in ``groupby``
-     (bucket of the SOURCE node); a vectorized searchsorted lookup
-     emits one (dst, dist + w) candidate per out-edge of a frontier
-     node;
-  2. candidates + current label rows meet in ``groupby`` (bucket of
-     the node); a segment min computes the new label and the IMPROVED
-     subset becomes the next frontier.
+Per round, TWO ``co_shuffle`` passes (the pagerank.py skeleton):
+  1. frontier rows + (src, dst, w) edge rows meet on the SOURCE node
+     ``k``; a vectorized searchsorted lookup emits one (dst, dist + w)
+     candidate per out-edge of a frontier node;
+  2. candidates + current label rows meet on the node ``k``; a segment
+     min computes the new label and the IMPROVED subset becomes the
+     next frontier.
 Rounds run until the frontier empties — bounded by the maximum HOP
 COUNT of any shortest path, not by total weight.  The edge side is
-tagged and materialized once (consumed every round — the NOTES
-round-4d fan-out rule).  Every bucket key and every repartition uses
-one width, ``shuffle_width(edges)``, fixed before the first round:
-state is repartitioned to it per round (the round-4i block-growth
-lesson), and a width read from the unioned per-round state would grow
-with it.
+materialized once (consumed every round — the NOTES round-4d fan-out
+rule).  Every shuffle uses one width, ``shuffle_width(edges)``, fixed
+before the first round: a width read from the unioned per-round state
+would grow with it (the round-4i block-growth lesson).
 
-Small graphs route to ONE remote task running the same
-label-correcting loop over CSR with fully vectorized per-round
-relaxation (scatter-min via np.minimum.at): a 15-round frontier loop
-at 45k edges is ~20 s of fixed per-round Ray Data overhead for ~50 ms
-of real work.  Both plans are parity-tested bit-identical.
+Small graphs (at most ``SMALL_EDGE_LIMIT`` edges by default) route to
+``one_task``: ONE remote task running the same label-correcting loop
+over CSR with fully vectorized per-round relaxation (scatter-min via
+np.minimum.at): a 15-round frontier loop at 45k edges is ~20 s of
+fixed per-round Ray Data overhead for ~50 ms of real work.  Both plans
+are parity-tested bit-identical.
 
 Partitioning assumption (SURVEY custom-operator rule): node ids are
 non-negative int64 (dst = -1 marks frontier rows in shuffle 1);
@@ -53,7 +51,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import bucket_of, shuffle_width
+from ._buckets import SMALL_EDGE_LIMIT, co_shuffle, int_column, one_task, shuffle_width
 
 _OUT_SCHEMA = pa.schema([("node", pa.int64()), ("dist", pa.int64())])
 _INF = np.iinfo(np.int64).max
@@ -63,15 +61,6 @@ def _check_overflow(d: np.ndarray, w: np.ndarray) -> None:
     # d, w >= 0, so a sum that wrapped past int64 max comes out below w
     if (d < w).any():
         raise ValueError("sssp_dist: a distance overflows int64")
-
-
-def _concat(tabs, col) -> np.ndarray:
-    """int64 concatenation of column ``col`` over arrow ``tabs``."""
-    if not tabs:
-        return np.empty(0, np.int64)
-    return np.concatenate(
-        [t[col].to_numpy(zero_copy_only=False) for t in tabs]
-    ).astype(np.int64)
 
 
 def _csr(src, dst, w, seeds):
@@ -109,31 +98,20 @@ def _relax(indptr, adj, aw, seed_idx):
     return dist
 
 
-def _sssp_single_task(edge_side, state):
-    """Small-graph plan: one remote task, CSR + ``_relax``.  Blocks
-    travel as object-store refs; the caller never holds the graph."""
-    import ray
-    import ray.data
-
-    @ray.remote
-    def _sssp(n_edge_blocks, *blocks):
-        eb = [b for b in blocks[:n_edge_blocks] if "dst" in b.schema.names]
-        sb = [b for b in blocks[n_edge_blocks:] if "k" in b.schema.names]
-        src, dst, w = _concat(eb, "k"), _concat(eb, "dst"), _concat(eb, "d")
-        uniq, indptr, adj, aw, sdi = _csr(src, dst, w, _concat(sb, "k"))
-        dist = _relax(indptr, adj, aw, sdi)
-        hit = dist < _INF
-        return pa.table(
-            {
-                "node": pa.array(uniq[hit], pa.int64()),
-                "dist": pa.array(dist[hit], pa.int64()),
-            }
-        )
-
-    e_refs = edge_side.to_arrow_refs()
-    s_refs = state.to_arrow_refs()
-    ref = _sssp.remote(len(e_refs), *e_refs, *s_refs)
-    return ray.data.from_arrow_refs([ref])
+def _single_task(edges: pa.Table, seeds: pa.Table) -> pa.Table:
+    """Small-graph plan, run by ``one_task``: CSR + ``_relax``."""
+    uniq, indptr, adj, aw, sdi = _csr(
+        int_column(edges, "k"), int_column(edges, "dst"), int_column(edges, "d"),
+        int_column(seeds, "k"),
+    )
+    dist = _relax(indptr, adj, aw, sdi)
+    hit = dist < _INF
+    return pa.table(
+        {
+            "node": pa.array(uniq[hit], pa.int64()),
+            "dist": pa.array(dist[hit], pa.int64()),
+        }
+    )
 
 
 def sssp_dist(
@@ -144,7 +122,7 @@ def sssp_dist(
     w_col: str = "w",
     seed_col: str = "node",
     max_rounds: int = 256,
-    small_edge_limit: int = 500_000,
+    small_edge_limit: int = SMALL_EDGE_LIMIT,
     stats_out: dict | None = None,
 ):
     """Directed weighted ``edges`` + ``seeds`` -> (node, dist): exact
@@ -156,7 +134,7 @@ def sssp_dist(
     converged one)."""
     width = shuffle_width(edges)
 
-    def _tag_edges(batch: pa.Table) -> pa.Table:
+    def _edge_rows(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
         d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
         w = batch[w_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -169,17 +147,18 @@ def sssp_dist(
                 "k": pa.array(s, pa.int64()),
                 "dst": pa.array(d, pa.int64()),
                 "d": pa.array(w, pa.int64()),  # edge rows: d carries w
-                "kb": pa.array(bucket_of(s, width), pa.int64()),
             }
         )
 
+    # coalesced once to the width: every round tags and repartitions
+    # the whole edge side again, so its block count is a per-round cost
     edge_side = (
-        edges.map_batches(_tag_edges, batch_format="pyarrow")
+        edges.map_batches(_edge_rows, batch_format="pyarrow")
         .repartition(width)
         .materialize()
     )
 
-    def _tag_seeds(batch: pa.Table) -> pa.Table:
+    def _seed_rows(batch: pa.Table) -> pa.Table:
         n = batch[seed_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if n.size and n.min() < 0:
             raise ValueError("sssp_dist requires non-negative node ids")
@@ -190,15 +169,10 @@ def sssp_dist(
                 "k": pa.array(k2, pa.int64()),
                 "d": pa.array(np.zeros(k2.size, np.int64)),
                 "f": pa.array(np.repeat(np.array([0, 1], np.int64), n.size)),
-                "kb": pa.array(bucket_of(k2, width), pa.int64()),
             }
         )
 
-    state = (
-        seeds.map_batches(_tag_seeds, batch_format="pyarrow")
-        .repartition(width)
-        .materialize()
-    )
+    state = seeds.map_batches(_seed_rows, batch_format="pyarrow").materialize()
 
     n_edges = edge_side.count()
     if stats_out is not None:
@@ -206,7 +180,7 @@ def sssp_dist(
     if n_edges <= small_edge_limit:
         if stats_out is not None:
             stats_out["plan"] = "single-task"
-        return _sssp_single_task(edge_side, state)
+        return one_task(_single_task, edge_side, state)
     if stats_out is not None:
         stats_out["plan"] = "frontier-rounds"
 
@@ -217,7 +191,6 @@ def sssp_dist(
                 "k": t["k"],
                 "dst": pa.array(np.full(t.num_rows, -1, np.int64)),
                 "d": t["d"],
-                "kb": t["kb"],
             }
         )
 
@@ -246,7 +219,6 @@ def sssp_dist(
                 "k": pa.array(out_n, pa.int64()),
                 "d": pa.array(out_d, pa.int64()),
                 "f": pa.array(np.ones(out_n.size, np.int64)),
-                "kb": pa.array(bucket_of(out_n, width), pa.int64()),
             }
         )
 
@@ -277,7 +249,6 @@ def sssp_dist(
                 "k": pa.array(out_k, pa.int64()),
                 "d": pa.array(out_d, pa.int64()),
                 "f": pa.array(out_f, pa.int64()),
-                "kb": pa.array(bucket_of(out_k, width), pa.int64()),
             }
         )
 
@@ -297,18 +268,9 @@ def sssp_dist(
                 f"max_rounds={max_rounds}"
             )
         rounds += 1
-        cands = (
-            front.union(edge_side)
-            .groupby("kb")
-            .map_groups(_expand, batch_format="pyarrow")
-        )
-        state = (
-            cands.union(state.map_batches(_labels_only, batch_format="pyarrow"))
-            .groupby("kb")
-            .map_groups(_combine, batch_format="pyarrow")
-            .repartition(width)
-            .materialize()
-        )
+        cands = co_shuffle(front.union(edge_side), "k", _expand, width)
+        labels = state.map_batches(_labels_only, batch_format="pyarrow")
+        state = co_shuffle(cands.union(labels), "k", _combine, width).materialize()
 
     if stats_out is not None:
         stats_out["rounds"] = rounds

@@ -9,22 +9,22 @@ wedges against the canonical edge set.  Degree ordering bounds
 per-node wedge work by arboricity (out-degree <= O(sqrt(m))), so no
 single group explodes even on power-law graphs.
 
-Four bucketed co-shuffles of id-only int64 rows (plus the final
-per-node count):
-  1. both endpoint-keyed copies of every edge — degrees are computed
-     INSIDE this shuffle (all rows of a node land in its bucket), no
-     separate degree pass or degree-attach joins;
-  2. pair-keyed merge of the two halves -> (edge, deg_a, deg_b),
-     orient;
-  3. wedge generation (``groupby(src bucket)``, per-node pair
-     expansion inside a vectorized bucket kernel);
-  4. wedge-close against the canonical edge set, emitting the three
-     triangle-corner node ids.
+Four ``co_shuffle`` passes of id-only int64 rows, all at the width
+computed once from the input (plus the final per-node count):
+  1. both endpoint-keyed copies of every edge, on the node ``k`` —
+     degrees are computed INSIDE this shuffle (all rows of a node land
+     in its bucket), no separate degree pass or degree-attach joins;
+  2. the two halves merge on the pair ``["a", "b"]`` -> (edge, deg_a,
+     deg_b), orient;
+  3. wedge generation on ``src`` (per-node pair expansion inside a
+     vectorized bucket kernel);
+  4. wedge-close against the canonical edge set on the pair
+     ``["u", "v"]``, emitting the three triangle-corner node ids.
 
 Partitioning assumption (documented per SURVEY custom-operator rule):
 node ids are >= 0 and fit 32 bits for the packed (u, v) bucket-local
-match key; a 10^12-node deployment would widen to 64-bit pair hashing
-with salt splits.  Input edges must be canonical (a < b) and distinct.
+match key of the close pass.  Input edges must be canonical (a < b)
+and distinct.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import bucket_of, distinct_reduce, shuffle_width
+from ._buckets import co_shuffle, distinct_reduce, shuffle_width
 
 
 def triangle_counts(edges, a_col: str = "a", b_col: str = "b"):
@@ -41,8 +41,7 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b"):
     width = shuffle_width(edges)
 
     dual_schema = pa.schema(
-        [("k", pa.int64()), ("peer", pa.int64()), ("side", pa.int64()),
-         ("kb", pa.int64())]
+        [("k", pa.int64()), ("peer", pa.int64()), ("side", pa.int64())]
     )
 
     def _dual(batch: pa.Table) -> pa.Table:
@@ -60,22 +59,14 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b"):
                 "k": pa.array(k, pa.int64()),
                 "peer": pa.array(peer, pa.int64()),
                 "side": pa.array(side, pa.int64()),
-                "kb": pa.array(bucket_of(k, width), pa.int64()),
             }
         )
-
-    half_schema = pa.schema(
-        [("a", pa.int64()), ("b", pa.int64()), ("side", pa.int64()),
-         ("degk", pa.int64()), ("pb", pa.int64())]
-    )
 
     def _deg_attach(group: pa.Table) -> pa.Table:
         # every row incident to node k is in k's bucket: degree = count
         k = group["k"].to_numpy(zero_copy_only=False)
         peer = group["peer"].to_numpy(zero_copy_only=False)
         side = group["side"].to_numpy(zero_copy_only=False)
-        if k.size == 0:
-            return half_schema.empty_table()
         uniq, inv, cnt = np.unique(k, return_inverse=True, return_counts=True)
         degk = cnt[inv].astype(np.int64)
         a = np.where(side == 0, k, peer)
@@ -86,21 +77,14 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b"):
                 "b": pa.array(b, pa.int64()),
                 "side": pa.array(side, pa.int64()),
                 "degk": pa.array(degk, pa.int64()),
-                "pb": pa.array(bucket_of(a * 31 + b, width), pa.int64()),
             }
         )
-
-    orient_schema = pa.schema(
-        [("src", pa.int64()), ("dst", pa.int64()), ("sb", pa.int64())]
-    )
 
     def _orient(group: pa.Table) -> pa.Table:
         a = group["a"].to_numpy(zero_copy_only=False)
         b = group["b"].to_numpy(zero_copy_only=False)
         side = group["side"].to_numpy(zero_copy_only=False)
         degk = group["degk"].to_numpy(zero_copy_only=False)
-        if a.size == 0:
-            return orient_schema.empty_table()
         # pair the two halves of each edge: sort by (a, b, side) —
         # consecutive rows are side 0 (deg of a) then side 1 (deg of b)
         o = np.lexsort((side, b, a))
@@ -114,20 +98,12 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b"):
             {
                 "src": pa.array(src, pa.int64()),
                 "dst": pa.array(dst, pa.int64()),
-                "sb": pa.array(bucket_of(src, width), pa.int64()),
             }
         )
-
-    wedge_schema = pa.schema(
-        [("u", pa.int64()), ("v", pa.int64()), ("apex", pa.int64()),
-         ("is_edge", pa.int64()), ("pb", pa.int64())]
-    )
 
     def _wedges(group: pa.Table) -> pa.Table:
         src = group["src"].to_numpy(zero_copy_only=False)
         dst = group["dst"].to_numpy(zero_copy_only=False)
-        if src.size == 0:
-            return wedge_schema.empty_table()
         o = np.argsort(src, kind="stable")
         src, dst = src[o], dst[o]
         starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
@@ -162,7 +138,6 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b"):
                 "v": pa.array(v, pa.int64()),
                 "apex": pa.array(apex, pa.int64()),
                 "is_edge": pa.array(is_edge, pa.int64()),
-                "pb": pa.array(bucket_of(u * 31 + v, width), pa.int64()),
             }
         )
 
@@ -196,18 +171,12 @@ def triangle_counts(edges, a_col: str = "a", b_col: str = "b"):
             "tri_cnt": pa.array(np.ones(batch.num_rows, np.int64)),
         })
 
-    return distinct_reduce(
-        # per-node count via the bucketed vectorized sum-reduce (Ray's
-        # per-group aggregate costs ~100us CPU per node)
-        edges.map_batches(_dual, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(_deg_attach, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(_orient, batch_format="pyarrow")
-        .groupby("sb")
-        .map_groups(_wedges, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(_close, batch_format="pyarrow")
-        .map_batches(_ones, batch_format="pyarrow"),
-        ["node"], aggs={"tri_cnt": "sum"},
-    )
+    halves = co_shuffle(edges.map_batches(_dual, batch_format="pyarrow"), "k",
+                        _deg_attach, width)
+    oriented = co_shuffle(halves, ["a", "b"], _orient, width)
+    wedges = co_shuffle(oriented, "src", _wedges, width)
+    corners = co_shuffle(wedges, ["u", "v"], _close, width)
+    # per-node count via the bucketed vectorized sum-reduce (Ray's
+    # per-group aggregate costs ~100us CPU per node)
+    return distinct_reduce(corners.map_batches(_ones, batch_format="pyarrow"),
+                           ["node"], aggs={"tri_cnt": "sum"})

@@ -125,14 +125,16 @@ def test_distinct_float_keys(ray_session):
 
 
 def test_graph_rounds_keep_block_count_at_width(ray_session):
-    # iterative graph stages repartition their state to the width of the
+    # iterative graph stages co-shuffle their state at the width of the
     # INPUT every round; a width read from the unioned per-round state
     # (or a fixed count) lets the result's block count drift above it
     import ray.data
 
     from solaris_ray.stages._buckets import shuffle_width
     from solaris_ray.stages.bfs import bfs_hops
+    from solaris_ray.stages.kcore import kcore
     from solaris_ray.stages.pagerank import pagerank
+    from solaris_ray.stages.sssp import sssp_dist
 
     pairs = [(i, (i * 3 + 1) % 50) for i in range(50)]
     pairs += [(i, (i + 7) % 50) for i in range(0, 50, 2)]
@@ -144,6 +146,51 @@ def test_graph_rounds_keep_block_count_at_width(ray_session):
     assert pagerank(edges, iters=8).materialize().num_blocks() <= width
     hops = bfs_hops(edges, seeds, small_edge_limit=0).materialize()
     assert hops.num_blocks() <= width
+    weighted = edges.map_batches(
+        lambda b: b.append_column("w", pa.array(np.full(b.num_rows, 2, np.int64))),
+        batch_format="pyarrow")
+    stats = {}
+    dist = sssp_dist(weighted, seeds, small_edge_limit=0, stats_out=stats).materialize()
+    assert stats["plan"] == "frontier-rounds" and stats["rounds"] > 2
+    assert dist.num_blocks() <= width
+    stats = {}
+    core = kcore(edges, 2, small_edge_limit=0, stats_out=stats).materialize()
+    assert stats["plan"] == "peel-rounds" and core.count() > 0
+    # kcore's output is a Ray groupby over the peeled state; the state
+    # of the peel rounds is what the width bounds
+    assert core.num_blocks() <= width
+
+
+def test_star_rounds_shuffle_at_the_input_width(ray_session, monkeypatch):
+    # connected_components' star rounds co-shuffle at the width of the
+    # canonical edge set, computed once, never at a fixed 64 buckets
+    import ray.data
+
+    import solaris_ray.stages.components as components
+    from solaris_ray.stages._buckets import co_shuffle, shuffle_width
+
+    widths = []
+
+    def _spy(ds, keys, fn, n_buckets=None):
+        widths.append(n_buckets)
+        return co_shuffle(ds, keys, fn, n_buckets)
+
+    monkeypatch.setattr(components, "co_shuffle", _spy)
+    pairs = [(i, i + 1) for i in range(60) if i % 10 != 9]
+    t = pa.table({"doc_a": pa.array([p[0] for p in pairs], pa.int64()),
+                  "doc_b": pa.array([p[1] for p in pairs], pa.int64())})
+    edges = ray.data.from_arrow(t).repartition(5).materialize()
+    nodes = ray.data.from_arrow(pa.table({"doc_id": pa.array(range(70), pa.int64())}))
+    stats = {}
+    out = connected_components(edges, nodes, stats_out=stats, small_edge_limit=0).to_pandas()
+    assert stats["path"] == "star-rounds" and stats["converged"]
+    assert dict(zip(out.doc_id, out.component)) == {
+        n: n - n % 10 if n < 60 else n for n in range(70)}
+    # two passes per round at the input's width, then the isolated-node
+    # anti-join at its own default width
+    rounds = widths[:-1]
+    assert len(rounds) == 2 * stats["rounds"]
+    assert set(rounds) == {shuffle_width(edges)} and widths[-1] is None
 
 
 def test_graph_family_takes_no_fixed_width():
@@ -242,9 +289,9 @@ def test_distinct_reduce_refuses_string_keys(ray_session):
         distinct_reduce(_ds(t), ["k"], {"v": "sum"}).materialize()
 
 
-# the graph family tags rows with bucket_of itself, once per round; every
-# other keyed shuffle is a co_shuffle, and no module may be added
-_BUCKET_OF_ALLOWLIST = {"kcore", "linkpred", "pagerank", "sssp", "triangles"}
+# every keyed shuffle is a co_shuffle: no stage tags rows with bucket_of
+# itself, and none may start again
+_BUCKET_OF_ALLOWLIST = set()
 
 
 def test_bucket_of_importers_only_shrink():
@@ -261,6 +308,7 @@ def test_bucket_of_importers_only_shrink():
             if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_buckets")
                     and any(a.name == "bucket_of" for a in node.names)):
                 users.add(path.stem)
+    assert not _BUCKET_OF_ALLOWLIST
     assert users <= _BUCKET_OF_ALLOWLIST, sorted(users - _BUCKET_OF_ALLOWLIST)
 
 
@@ -316,7 +364,7 @@ def test_vocab_topk_null_text_has_no_terms(ray_session):
 # own: feature-hash dimensions (text, corpus), the quantile histogram's
 # resolution, pca's float fan-in (it fixes summation order, it is not a
 # key shuffle) and the cell join (ROADMAP item 4).  The graph family
-# computes its width (see _BUCKET_OF_ALLOWLIST).  This set may only shrink.
+# computes its width once from its input.  This set may only shrink.
 _LITERAL_WIDTH_ALLOWLIST = {
     "text.feature_hash_counts", "corpus.dsir_weights",
     "quantiles.exact_quantiles", "quantiles.exact_rank_select",

@@ -86,3 +86,45 @@ def test_worker_import_error_fails_its_gate_and_the_sweep_goes_on(tmp_path):
     assert "FAIL broken: engine raised RayTaskError(ModuleNotFoundError)" in out.stdout, log
     assert "PASS fine: 1 rows" in out.stdout, log
     assert out.returncode == 1, log
+
+
+# one gate logs Ray Data's schema warning once, as the streaming executor
+# does when a shuffle partition leaves a block with no columns
+_WARN_ENTRY = """
+import logging
+
+import pandas as pd
+
+
+def _warns(sf):
+    logging.getLogger("ray.data._internal.execution.streaming_executor_state").warning(
+        "Operator produced a RefBundle with a different schema than the previous one.")
+    return pd.DataFrame({"a": [1]})
+
+
+def queries():
+    return {"warns": _warns, "quiet": lambda sf: pd.DataFrame({"a": [1]})}
+
+
+def oracle_sql():
+    return {"warns": "SELECT 1 AS a", "quiet": "SELECT 1 AS a"}
+"""
+
+
+def test_schema_warnings_are_counted_per_gate_and_in_the_summary(tmp_path):
+    tree = tmp_path / "copy"
+    (tree / "scripts").mkdir(parents=True)
+    shutil.copy(REPO / "scripts" / "check_oracle.py", tree / "scripts")
+    (tree / "__ray_entry__.py").write_text(_WARN_ENTRY)
+    env = {**os.environ, "PYTHONPATH": str(tree)}
+    out = subprocess.run([sys.executable, "-c", _SWEEP, str(tree / "scripts" / "check_oracle.py"),
+                          SF_DIR],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    log = out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert any(l.startswith("PASS warns:") and l.endswith("[1 schema warnings]")
+               for l in lines), log
+    assert any(l.startswith("PASS quiet:") and l.endswith("[0 schema warnings]")
+               for l in lines), log
+    assert "SUMMARY 2 PASS, 0 rows-only, 0 FAIL, 1 schema warnings" in out.stdout, log
+    assert out.returncode == 0, log

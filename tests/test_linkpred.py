@@ -43,19 +43,24 @@ def test_triangle_has_no_candidates(ray_session):
     assert _rows(link_prediction_scores(e)) == {}
 
 
-def test_matches_bruteforce_random(ray_session):
-    rng = np.random.RandomState(3)
-    n = 40
+def _random_pairs(seed: int, n: int, m: int) -> set:
+    rng = np.random.RandomState(seed)
     pairs = set()
-    while len(pairs) < 80:
+    while len(pairs) < m:
         a, b = rng.randint(0, n, 2)
         if a != b:
             pairs.add((min(a, b), max(a, b)))
-    a = np.array([p[0] for p in pairs], np.int64)
-    b = np.array([p[1] for p in pairs], np.int64)
-    got = _rows(link_prediction_scores(
-        _ds(pa.table({"a": pa.array(a), "b": pa.array(b)}))))
+    return pairs
 
+
+def _pairs_ds(pairs, n_blocks=1):
+    a = np.array([p[0] for p in sorted(pairs)], np.int64)
+    b = np.array([p[1] for p in sorted(pairs)], np.int64)
+    d = _ds(pa.table({"a": pa.array(a), "b": pa.array(b)}))
+    return d.repartition(n_blocks) if n_blocks > 1 else d
+
+
+def _brute(pairs, n):
     adj = {i: set() for i in range(n)}
     for x, y in pairs:
         adj[x].add(y)
@@ -71,7 +76,24 @@ def test_matches_bruteforce_random(ray_session):
                     len(common),
                     sum(1_000_000_000 // len(adj[z]) for z in common),
                 )
-    assert got == want
+    return want
+
+
+def test_matches_bruteforce_random(ray_session):
+    pairs = _random_pairs(3, 40, 80)
+    assert _rows(link_prediction_scores(_pairs_ds(pairs))) == _brute(pairs, 40)
+
+
+def test_width_invariance(ray_session):
+    # the shuffle width follows the input's block count; the scores do not
+    from solaris_ray.stages._buckets import shuffle_width
+
+    pairs = _random_pairs(5, 60, 150)
+    want = _brute(pairs, 60)
+    narrow, wide = _pairs_ds(pairs, n_blocks=3), _pairs_ds(pairs, n_blocks=97)
+    assert shuffle_width(narrow) != shuffle_width(wide)
+    for edges in (narrow, wide):
+        assert _rows(link_prediction_scores(edges)) == want
 
 
 def test_hub_cap_raises(ray_session):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray
 
 from solaris_ray.stages.relational import hash_join
@@ -68,3 +70,26 @@ def test_broadcast_path_matches_shuffle(ray_session):
     l3, r3 = _mk(left, right)
     c = hash_join(l3, r3, "lk", "rk", how="inner", strategy="auto").to_pandas()
     assert _norm(c) == _norm(_pd(left, right, "inner"))
+
+
+_SQL_HOW = {"inner": "INNER", "left": "LEFT", "outer": "FULL OUTER"}
+
+
+@pytest.mark.parametrize("right_keys", [[1, 2], [None, 1, 2]], ids=["right-valid", "right-null"])
+@pytest.mark.parametrize("how,strategy", [
+    ("inner", "shuffle"), ("left", "shuffle"), ("outer", "shuffle"),
+    ("inner", "broadcast"), ("left", "broadcast"),
+])
+def test_null_key_never_matches(ray_session, how, strategy, right_keys):
+    # SQL semantics: a null key matches nothing, not even a null key;
+    # left and outer keep such rows unmatched, inner drops them
+    left = pa.table({"lk": pa.array([1, None, 2], pa.int64()), "lv": ["a", "b", "c"]})
+    right = pa.table({"rk": pa.array(right_keys, pa.int64()),
+                      "rv": [f"r{i}" for i in range(len(right_keys))]})
+    got = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right), "lk", "rk",
+                    how=how, strategy=strategy).to_pandas()
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    want = con.execute(f"SELECT * FROM l {_SQL_HOW[how]} JOIN r ON lk = rk").df()
+    assert _norm(got) == _norm(want)

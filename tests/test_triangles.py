@@ -63,3 +63,19 @@ def test_triangles_none(ray_session):
     # bipartite graph: no triangles -> empty output
     pairs = [(i, 10 + j) for i in range(5) for j in range(5)]
     assert _run(pairs) == {}
+
+
+def test_triangles_width_invariance(ray_session):
+    # the shuffle width follows the input's block count; the counts do not
+    from solaris_ray.stages._buckets import shuffle_width
+
+    rng = np.random.default_rng(8)
+    pairs = sorted(
+        {tuple(sorted(p)) for p in rng.integers(0, 30, (200, 2)) if p[0] != p[1]}
+    )
+    want = _brute(pairs)
+    narrow, wide = _edges_ds(pairs, n_blocks=3), _edges_ds(pairs, n_blocks=97)
+    assert shuffle_width(narrow) != shuffle_width(wide)
+    for edges in (narrow, wide):
+        got = triangle_counts(edges).to_pandas()
+        assert dict(zip(got["node"], got["tri_cnt"])) == want
