@@ -13,8 +13,11 @@ exists in this environment, so:
   PSNR ≥ 40 dB acceptance check (BASELINE.json input_hint) is a real
   check: 5-bit quantization yields PSNR ≈ 41 dB on natural-ish data.
 
-All functions are per-image; batch stages loop over rows of the binary
-column (decode cost dominates, the loop is not the bottleneck).
+All functions are per-image.  Batch stages call them once per row of
+the binary column and keep every other per-pixel step whole-array: in
+the tile cutter, per-tile reductions and per-tile geometry around the
+codec calls once cost as much as the decode itself (NOTES.md, "One pass
+per image in the tile cutter").
 """
 
 from __future__ import annotations

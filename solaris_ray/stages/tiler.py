@@ -9,15 +9,23 @@ Reference semantics (/root/reference/solaris/tile/raster_tile.py):
 - tiles whose nodata fraction exceeds a threshold are dropped
   (raster_tile.py:189-204);
 - each tile is named by the geo coordinates of its top-left corner,
-  integer-formatted for metric CRS (save_tile, raster_tile.py:425-434)
-  — here that name is the ``tile_id`` column instead of a filename.
+  integer-formatted for metric CRS and rounded to 3 decimals for a
+  degree CRS (save_tile, raster_tile.py:425-434) — here that name is
+  the ``tile_id`` column instead of a filename.
 
-Ray-Data mapping: ONE stateless ``map_batches`` fan-out does
-decode + slice + encode per image row (no shuffle — image bytes never
-move between stages), emitting N tile rows per image.  A separate
-*plan-only* stage computes tile bounds without touching ``bytes`` (for
-the vector-side join, which only needs geometry): prune the read to
-metadata columns and the 100 TB of pixels stays in storage.
+Ray-Data mapping: ONE stateless ``map_batches`` fan-out decodes each
+image row once and emits its N tile rows (no shuffle — image bytes
+never move between stages).  A separate *plan-only* stage computes the
+same tile specs without touching ``bytes`` (for the vector-side join,
+which only needs geometry): prune the read to metadata columns and the
+100 TB of pixels stays in storage.
+
+Both stages share one vectorized grid pass (``_tile_grid``) and one
+spec builder (``_tile_specs``: cell, naming), so a planned tile and a
+cut tile carry the same id, cell and bounds.  The cutter works on whole
+images: it pads each decoded image once to the tile grid, builds one
+nodata mask and reduces it to every tile's ``nodata_frac`` in one
+``sum``; only the encode (and a ``dest_epsg`` warp) runs per tile.
 """
 
 from __future__ import annotations
@@ -46,6 +54,95 @@ def tile_grid_counts(w: np.ndarray, h: np.ndarray, tile_size: int) -> tuple[np.n
     return nx, ny
 
 
+PLAN_SCHEMA = pa.schema(
+    [
+        ("tile_id", pa.string()),
+        ("image_id", pa.string()),
+        ("cell", pa.int64()),
+        ("col", pa.int32()),
+        ("row", pa.int32()),
+        ("x0", pa.float64()),
+        ("y0", pa.float64()),
+        ("x1", pa.float64()),
+        ("y1", pa.float64()),
+    ]
+)
+TILE_SCHEMA = pa.schema(
+    list(PLAN_SCHEMA)
+    + [
+        ("w", pa.int32()),
+        ("h", pa.int32()),
+        ("fmt", pa.string()),
+        ("bytes", pa.binary()),
+        ("nodata_frac", pa.float64()),
+        ("caption", pa.string()),
+    ]
+)
+
+
+def _tile_grid(w, h, batch: pa.Table, tile_size: int):
+    """Every tile of every image in one pass -> (rep, col, row, bounds).
+
+    Tiles run image by image, column-major within an image; ``rep`` is
+    each tile's image row in ``batch`` (which supplies gt_a..gt_f) and
+    ``bounds`` = [minx, miny, maxx, maxy] float64 arrays.
+    """
+    nx, ny = tile_grid_counts(w, h, tile_size)
+    counts = nx * ny
+    rep = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(len(rep)) - (np.cumsum(counts) - counts)[rep]
+    col = local // ny[rep]
+    row = local % ny[rep]
+    a, c, e, f = (batch[k].to_numpy()[rep] for k in ("gt_a", "gt_c", "gt_e", "gt_f"))
+    ts = float(tile_size)
+    x0 = c + col * ts * a
+    x1 = c + (col + 1) * ts * a
+    ytop = f + row * ts * e
+    ybot = f + (row + 1) * ts * e
+    bounds = [
+        np.minimum(x0, x1), np.minimum(ytop, ybot), np.maximum(x0, x1), np.maximum(ytop, ybot)
+    ]
+    return rep, col, row, bounds
+
+
+def _degree_crs(batch: pa.Table) -> np.ndarray:
+    """Per image: is its CRS in degrees?  False for a null ``epsg`` and
+    for every image of a batch without the column."""
+    if "epsg" not in batch.column_names:
+        return np.zeros(batch.num_rows, bool)
+    return np.array(
+        [e is not None and projection_unit(int(e)) == "degree" for e in batch["epsg"].to_pylist()],
+        bool,
+    )
+
+
+def _tile_specs(batch: pa.Table, rep, col, row, bounds, degree, cell_res: int) -> dict:
+    """The PLAN_SCHEMA columns of tiles given their bounds.
+
+    save_tile naming (raster_tile.py:425-434): int-rounded top-left
+    geo coords where the image's ``degree`` flag is off (a metric CRS),
+    3-decimal rounding where it is on; ``tile_id`` replaces the filename.
+    """
+    ids = batch["image_id"].to_numpy(zero_copy_only=False)[rep]
+    minx, miny, maxx, maxy = bounds
+    cell = cells.cell_of_point((minx + maxx) * 0.5, (miny + maxy) * 0.5, cell_res)
+    tile_id = [
+        f"{i}_{round(x, 3)}_{round(y, 3)}" if d else f"{i}_{int(round(x))}_{int(round(y))}"
+        for i, x, y, d in zip(ids.tolist(), minx.tolist(), miny.tolist(), degree[rep].tolist())
+    ]
+    return {
+        "tile_id": tile_id,
+        "image_id": ids,
+        "cell": cell.astype(np.int64),
+        "col": col,
+        "row": row,
+        "x0": minx,
+        "y0": miny,
+        "x1": maxx,
+        "y1": maxy,
+    }
+
+
 def plan_tiles(
     batch: pa.Table,
     tile_size: int = DEFAULT_TILE_SIZE,
@@ -54,7 +151,8 @@ def plan_tiles(
 ) -> pa.Table:
     """Image metadata rows -> tile-spec rows (NO pixel decode).
 
-    Needs columns: image_id, w, h, gt_a..gt_f.  Pure arithmetic — the
+    Needs columns: image_id, w, h, gt_a..gt_f; an optional ``epsg``
+    column picks the naming unit per image.  Pure arithmetic — the
     same inputs produce identical tile ids and bounds at any
     parallelism (split_geom determinism, SURVEY.md §4).
 
@@ -63,72 +161,16 @@ def plan_tiles(
     (solaris/utils/geo.py:743-837 drops non-intersecting tiles;
     restrict_to_aoi, raster_tile.py:169-181).
     """
-    img_ids = batch["image_id"].to_numpy(zero_copy_only=False)
-    ws = batch["w"].to_numpy()
-    hs = batch["h"].to_numpy()
-    gt = {k: batch[k].to_numpy() for k in ("gt_a", "gt_b", "gt_c", "gt_d", "gt_e", "gt_f")}
-    nx, ny = tile_grid_counts(ws, hs, tile_size)
-    counts = nx * ny
-    total = int(counts.sum())
-    if total == 0:
-        return pa.table(
-            {
-                "tile_id": pa.array([], pa.string()),
-                "image_id": pa.array([], pa.string()),
-                "cell": pa.array([], pa.int64()),
-                "col": pa.array([], pa.int32()),
-                "row": pa.array([], pa.int32()),
-                "x0": pa.array([], pa.float64()),
-                "y0": pa.array([], pa.float64()),
-                "x1": pa.array([], pa.float64()),
-                "y1": pa.array([], pa.float64()),
-            }
-        )
-    rep = np.repeat(np.arange(len(img_ids)), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(total) - np.repeat(starts, counts)
-    ny_rep = np.repeat(ny, counts)
-    col = local // ny_rep
-    row = local % ny_rep
-    a = gt["gt_a"][rep]
-    e = gt["gt_e"][rep]
-    c = gt["gt_c"][rep]
-    f = gt["gt_f"][rep]
-    ts = float(tile_size)
-    x0 = c + col * ts * a
-    x1 = c + (col + 1) * ts * a
-    ytop = f + row * ts * e
-    ybot = f + (row + 1) * ts * e
-    minx = np.minimum(x0, x1)
-    maxx = np.maximum(x0, x1)
-    miny = np.minimum(ytop, ybot)
-    maxy = np.maximum(ytop, ybot)
+    w, h = batch["w"].to_numpy(), batch["h"].to_numpy()
+    rep, col, row, bounds = _tile_grid(w, h, batch, tile_size)
     if aoi is not None:
         ax0, ay0, ax1, ay1 = aoi
+        minx, miny, maxx, maxy = bounds
         keep = (minx < ax1) & (maxx > ax0) & (miny < ay1) & (maxy > ay0)
         rep, col, row = rep[keep], col[keep], row[keep]
-        minx, maxx, miny, maxy = minx[keep], maxx[keep], miny[keep], maxy[keep]
-        total = int(keep.sum())
-    cell = cells.cell_of_point((minx + maxx) * 0.5, (miny + maxy) * 0.5, cell_res)
-    ids = img_ids[rep]
-    # save_tile naming: int-rounded geo coords for metric CRS
-    # (raster_tile.py:425-434); tile_id replaces the filename.
-    tile_id = [
-        f"{ids[i]}_{int(round(minx[i]))}_{int(round(miny[i]))}" for i in range(total)
-    ]
-    return pa.table(
-        {
-            "tile_id": pa.array(tile_id, pa.string()),
-            "image_id": pa.array(ids, pa.string()),
-            "cell": pa.array(cell.astype(np.int64), pa.int64()),
-            "col": pa.array(col.astype(np.int32)),
-            "row": pa.array(row.astype(np.int32)),
-            "x0": pa.array(minx),
-            "y0": pa.array(miny),
-            "x1": pa.array(maxx),
-            "y1": pa.array(maxy),
-        }
-    )
+        bounds = [b[keep] for b in bounds]
+    specs = _tile_specs(batch, rep, col, row, bounds, _degree_crs(batch), cell_res)
+    return pa.Table.from_pydict(specs, schema=PLAN_SCHEMA)
 
 
 class TileCutter:
@@ -139,6 +181,14 @@ class TileCutter:
     equality is part of the acceptance gate).  Edge tiles are padded
     with ``nodata`` exactly like the reference's boundless window read
     (raster_tile.py:367-378 fill_value=nodata).
+
+    Per image: decode once, pad once to the (ny*ts, nx*ts) grid, build
+    one all-bands nodata mask and take every tile's ``nodata_frac``
+    from one block sum over it.  Tile geometry, cells and names come
+    from the batch-wide grid pass that ``plan_tiles`` uses; each kept
+    tile is one ``codec.encode`` of a view into the padded image.  A
+    ``dest_epsg`` warp stays per tile and takes its bounds from the
+    warped grid.
 
     A plain function would do (no state), but a callable class lets
     callers choose an actor pool when decode dominates; the class holds
@@ -177,170 +227,101 @@ class TileCutter:
         self.resampling = resampling
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return TILE_SCHEMA.empty_table()
         ts = self.tile_size
-        out: dict[str, list] = {
-            k: []
-            for k in (
-                "tile_id",
-                "image_id",
-                "cell",
-                "col",
-                "row",
-                "x0",
-                "y0",
-                "x1",
-                "y1",
-                "w",
-                "h",
-                "fmt",
-                "bytes",
-                "nodata_frac",
-                "caption",
-            )
-        }
         n = batch.num_rows
-        cols = {name: batch[name] for name in batch.column_names}
-        for i in range(n):
-            fmt = cols["fmt"][i].as_py()
-            buf = cols["bytes"][i].as_py()
-            img = codec.decode(buf, fmt)
+        fmts = batch["fmt"].to_pylist()
+        nodatas = batch["nodata"].to_pylist() if "nodata" in batch.column_names else [0.0] * n
+        epsgs = [None] * n
+        if "epsg" in batch.column_names:
+            epsgs = [None if e is None else int(e) for e in batch["epsg"].to_pylist()]
+        gts = zip(*(batch[f"gt_{k}"].to_pylist() for k in "abcdef"))
+        degree = _degree_crs(batch)
+        shapes, fracs, keep = [], [], []
+        tile_w, tile_h, data = [], [], []
+        warped, warped_bounds = [], []  # output positions and dst bounds of warped tiles
+        for i, (buf, gt) in enumerate(zip(batch["bytes"], gts)):
+            img = codec.decode(buf.as_py(), fmts[i])
             if img.ndim == 2:
                 img = img[:, :, None]
-            h, w = img.shape[:2]
-            nodata = cols["nodata"][i].as_py() if "nodata" in cols else 0.0
-            t = Affine(
-                *(cols[f"gt_{k}"][i].as_py() for k in ("a", "b", "c", "d", "e", "f"))
-            )
-            image_id = cols["image_id"][i].as_py()
-            caption = cols["caption"][i].as_py()
-            out_fmt = self.out_fmt or fmt
+            h, w, nb = img.shape
+            shapes.append((w, h))
+            nx, ny = -(-w // ts), -(-h // ts)
+            nodata, t = nodatas[i], Affine(*gt)
+            padded = img
+            if (ny * ts, nx * ts) != (h, w) or self.aoi is not None:
+                padded = np.full((ny * ts, nx * ts, nb), nodata, dtype=img.dtype)
+                padded[:h, :w] = img
             if self.aoi is not None:
                 # rasterize the AOI in this image's pixel frame and
                 # push everything outside to nodata
-                inv = invert_affine(t)
-                pxs, pys = apply_affine(inv, self.aoi[:, 0], self.aoi[:, 1])
+                pxs, pys = apply_affine(invert_affine(t), self.aoi[:, 0], self.aoi[:, 1])
                 ring = np.stack([pxs, pys], axis=1)
-                inside = rasterize_rings(
-                    ring, np.asarray([0, len(ring)]), (h, w), values=1
-                )
-                img = img.copy()
-                img[inside == 0] = nodata
-            nx = -(-w // ts)
-            ny = -(-h // ts)
-            for col in range(nx):
-                for row in range(ny):
-                    xs, ys = col * ts, row * ts
-                    tile = img[ys : ys + ts, xs : xs + ts]
-                    pad_frac = 0.0
-                    if tile.shape[0] < ts or tile.shape[1] < ts:
-                        full = np.full((ts, ts, img.shape[2]), nodata, dtype=img.dtype)
-                        full[: tile.shape[0], : tile.shape[1]] = tile
-                        pad_frac = 1.0 - (tile.shape[0] * tile.shape[1]) / (ts * ts)
-                        tile = full
-                    # nodata_frac: padded + source-nodata pixels (all bands)
-                    nodata_frac = float(
-                        np.mean(np.all(tile == nodata, axis=-1))
+                inside = rasterize_rings(ring, np.asarray([0, len(ring)]), (h, w), values=1)
+                padded[:h, :w][inside == 0] = nodata
+            # nodata_frac: padded + source-nodata pixels (all bands), one
+            # value per tile in grid order (column-major)
+            mask = padded[:, :, 0] == nodata
+            for band in range(1, nb):
+                mask &= padded[:, :, band] == nodata
+            frac = mask.reshape(ny, ts, nx, ts).sum((1, 3)).T.ravel() / (ts * ts)
+            kept = np.ones(len(frac), bool)
+            if self.nodata_threshold is not None:
+                kept = ~(frac >= self.nodata_threshold)  # raster_tile.py:189-204
+            fracs.append(frac)
+            keep.append(kept)
+            src_epsg = epsgs[i]
+            warp = self.dest_epsg is not None and src_epsg not in (None, self.dest_epsg)
+            if warp:
+                # per-tile warp (raster_tile.py:350-365); save_tile keys
+                # naming on the DEST CRS unit (raster_tile.py:425-434): a
+                # projected target gets int-rounded names even after a warp
+                fwd, inv = crs_transformer(src_epsg, self.dest_epsg)
+                degree[i] = projection_unit(self.dest_epsg) == "degree"
+            out_fmt = self.out_fmt or fmts[i]
+            for k in np.flatnonzero(kept).tolist():
+                xs, ys = (k // ny) * ts, (k % ny) * ts
+                tile = padded[ys : ys + ts, xs : xs + ts]
+                if warp:
+                    tile_t = Affine(
+                        t.a, t.b, t.c + xs * t.a + ys * t.b,
+                        t.d, t.e, t.f + xs * t.d + ys * t.e,
                     )
-                    if (
-                        self.nodata_threshold is not None
-                        and nodata_frac >= self.nodata_threshold
-                    ):
-                        continue  # raster_tile.py:189-204 threshold filter
-                    src_epsg = int(cols["epsg"][i].as_py()) if "epsg" in cols else None
-                    if (
-                        self.dest_epsg is not None
-                        and src_epsg is not None
-                        and src_epsg != self.dest_epsg
-                    ):
-                        # per-tile warp (raster_tile.py:350-365)
-                        tile_t = Affine(
-                            t.a, t.b, t.c + xs * t.a + ys * t.b,
-                            t.d, t.e, t.f + xs * t.d + ys * t.e,
-                        )
-                        fwd, inv = crs_transformer(src_epsg, self.dest_epsg)
-                        dst_t, dw, dh = calculate_default_transform(
-                            tile_t, ts, ts, fwd
-                        )
-                        tile = warp_affine(
-                            tile, tile_t, dst_t, (dh, dw),
-                            self.resampling, nodata, inv_fn=inv,
-                        )
-                        if tile.ndim == 2:
-                            tile = tile[:, :, None]
-                        gx0, gy1t = dst_t.c, dst_t.f
-                        gx1 = dst_t.c + dw * dst_t.a
-                        gy0 = dst_t.f + dh * dst_t.e
-                        gy1 = gy1t
-                        # save_tile keys naming on the DEST CRS unit
-                        # (raster_tile.py:425-434): a projected (metric)
-                        # target gets int-rounded names even after a warp
-                        metric = projection_unit(self.dest_epsg) != "degree"
-                    else:
-                        gx0 = t.c + xs * t.a
-                        gx1 = t.c + (xs + ts) * t.a
-                        gy0 = t.f + ys * t.e
-                        gy1 = t.f + (ys + ts) * t.e
-                        # naming keys on the (unchanged) source CRS unit
-                        metric = (
-                            projection_unit(src_epsg) != "degree"
-                            if src_epsg is not None
-                            else True
-                        )
-                    minx, maxx = min(gx0, gx1), max(gx0, gx1)
-                    miny, maxy = min(gy0, gy1), max(gy0, gy1)
-                    cell = int(
-                        cells.cell_of_point(
-                            np.array([(minx + maxx) * 0.5]),
-                            np.array([(miny + maxy) * 0.5]),
-                            self.cell_res,
-                        )[0]
+                    dst_t, dw, dh = calculate_default_transform(tile_t, ts, ts, fwd)
+                    tile = warp_affine(
+                        tile, tile_t, dst_t, (dh, dw), self.resampling, nodata, inv_fn=inv
                     )
-                    # save_tile naming (raster_tile.py:425-434): int for
-                    # metric CRS, 3-decimal rounding otherwise
-                    out["tile_id"].append(
-                        f"{image_id}_{int(round(minx))}_{int(round(miny))}"
-                        if metric
-                        else f"{image_id}_{round(minx, 3)}_{round(miny, 3)}"
+                    if tile.ndim == 2:
+                        tile = tile[:, :, None]
+                    gx0, gx1 = dst_t.c, dst_t.c + dw * dst_t.a
+                    gy0, gy1 = dst_t.f + dh * dst_t.e, dst_t.f
+                    warped.append(len(data))
+                    warped_bounds.append(
+                        (min(gx0, gx1), min(gy0, gy1), max(gx0, gx1), max(gy0, gy1))
                     )
-                    out["image_id"].append(image_id)
-                    out["cell"].append(cell)
-                    out["col"].append(col)
-                    out["row"].append(row)
-                    out["x0"].append(minx)
-                    out["y0"].append(miny)
-                    out["x1"].append(maxx)
-                    out["y1"].append(maxy)
-                    out["w"].append(tile.shape[1])
-                    out["h"].append(tile.shape[0])
-                    out["fmt"].append(out_fmt)
-                    out["bytes"].append(
-                        codec.encode(
-                            tile.squeeze(-1) if tile.shape[2] == 1 else tile,
-                            out_fmt,
-                            self.encode_level,
-                        )
-                    )
-                    out["nodata_frac"].append(nodata_frac)
-                    out["caption"].append(caption)
-        return pa.table(
-            {
-                "tile_id": pa.array(out["tile_id"], pa.string()),
-                "image_id": pa.array(out["image_id"], pa.string()),
-                "cell": pa.array(out["cell"], pa.int64()),
-                "col": pa.array(out["col"], pa.int32()),
-                "row": pa.array(out["row"], pa.int32()),
-                "x0": pa.array(out["x0"], pa.float64()),
-                "y0": pa.array(out["y0"], pa.float64()),
-                "x1": pa.array(out["x1"], pa.float64()),
-                "y1": pa.array(out["y1"], pa.float64()),
-                "w": pa.array(out["w"], pa.int32()),
-                "h": pa.array(out["h"], pa.int32()),
-                "fmt": pa.array(out["fmt"], pa.string()),
-                "bytes": pa.array(out["bytes"], pa.binary()),
-                "nodata_frac": pa.array(out["nodata_frac"], pa.float64()),
-                "caption": pa.array(out["caption"], pa.string()),
-            }
+                tile_w.append(tile.shape[1])
+                tile_h.append(tile.shape[0])
+                data.append(codec.encode(
+                    tile[:, :, 0] if tile.shape[2] == 1 else tile, out_fmt, self.encode_level
+                ))
+        w, h = np.array(shapes, np.int64).T
+        rep, col, row, bounds = _tile_grid(w, h, batch, ts)
+        keep = np.concatenate(keep)
+        rep, col, row = rep[keep], col[keep], row[keep]
+        bounds = [b[keep] for b in bounds]
+        for b, wb in zip(bounds, np.array(warped_bounds).reshape(-1, 4).T):
+            b[warped] = wb
+        specs = _tile_specs(batch, rep, col, row, bounds, degree, self.cell_res)
+        specs.update(
+            w=tile_w,
+            h=tile_h,
+            fmt=[self.out_fmt or fmts[i] for i in rep.tolist()],
+            bytes=data,
+            nodata_frac=np.concatenate(fracs)[keep],
+            caption=batch["caption"].to_numpy(zero_copy_only=False)[rep],
         )
+        return pa.Table.from_pydict(specs, schema=TILE_SCHEMA)
 
 
 def cut_tiles(
