@@ -232,7 +232,10 @@ class TileCutter:
         ts = self.tile_size
         n = batch.num_rows
         fmts = batch["fmt"].to_pylist()
-        nodatas = batch["nodata"].to_pylist() if "nodata" in batch.column_names else [0.0] * n
+        # a null nodata is "no nodata value", like a batch without the column
+        nodatas = [0.0] * n
+        if "nodata" in batch.column_names:
+            nodatas = [0.0 if v is None else v for v in batch["nodata"].to_pylist()]
         epsgs = [None] * n
         if "epsg" in batch.column_names:
             epsgs = [None if e is None else int(e) for e in batch["epsg"].to_pylist()]
@@ -337,9 +340,11 @@ def cut_tiles(
 ):
     """images Dataset -> tiles Dataset (the flagship fan-out).
 
-    ``batch_size`` is small because rows are megabyte-scale encoded
-    images and the fan-out multiplies bytes ~1x — keep
-    batch x concurrency within worker heaps (SURVEY.md §4 memory notes).
+    ``batch_size=None`` cuts each read block in one call; the reader
+    sizes blocks at about one shard file each, so the cut fuses with the
+    read and a task holds one shard's images and tiles.  Pass a row
+    count to bound that heap (rows are megabyte-scale encoded images and
+    the fan-out multiplies bytes ~1x; SURVEY.md §4 memory notes).
     ``dest_epsg`` triggers the per-tile warp path (raster_tile.py:350-365).
     """
     return images.map_batches(

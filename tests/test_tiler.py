@@ -397,3 +397,19 @@ def test_null_epsg_is_an_unknown_crs():
     plan = plan_tiles(nulls, 128)["tile_id"].to_pylist()
     assert plan[:4] == plan_tiles(batch.drop_columns(["epsg"]), 128)["tile_id"].to_pylist()[:4]
     assert plan[4] == "img1_-122.396_37.799"
+
+
+def test_null_nodata_is_no_nodata_value():
+    """A null ``nodata`` cuts like a batch without the column (nodata 0):
+    a 100 px image needs padding (the cutter raised a TypeError filling
+    it with None) and a 128 px one fills its grid (its 0 pixels were not
+    counted, ``nodata_frac`` read 0.0)."""
+    batch = _batch([(100, 100), (128, 128)], 3, holes=6)
+    nulls = batch.set_column(
+        batch.schema.get_field_index("nodata"), "nodata", pa.array([None, None], pa.float64())
+    )
+    cutter = TileCutter(tile_size=128)
+    got = cutter(nulls)
+    assert got.equals(cutter(batch.drop_columns(["nodata"])))
+    assert got.equals(cutter(batch))
+    assert got["nodata_frac"][1].as_py() > 0.0
