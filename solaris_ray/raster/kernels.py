@@ -23,18 +23,23 @@ per-run and per-pixel loops:
   ``rasterize_rings`` paints it; ``span_cover`` counts how many spans
   cover each pixel (the contact mask's cover, one pass per tile).
 - the RUN TABLE (``_run_table``): the row runs of a mask from one
-  ``np.diff``, overlapping runs of adjacent rows from ``searchsorted``,
-  components from min-label hooking with pointer jumping.
-  ``label_components`` paints it; ``polygonize_full`` takes each
-  component's pixel count from it, then traces every component's
-  boundary in one pass over the label image, as maximal straight
-  segments (one per ring vertex).
+  pass over its pixel transitions, overlapping runs of adjacent rows
+  from ``searchsorted``, components from min-label hooking with pointer
+  jumping.  ``label_components`` paints it.  ``polygonize_stack`` makes
+  one for a whole stack of masks, each zero-padded to the widest and
+  followed by a zero row so no component crosses between masks; it
+  takes each component's pixel count from the table, then traces every
+  component's boundary in one pass over the painted stack, as maximal
+  straight segments (one per ring vertex) chained into loops by pointer
+  jumping.  ``polygonize_full`` is its one-mask call.
 
 ``line_pixels`` samples every segment of every polyline in one pass;
 ``rasterize_lines`` burns its pixels.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +54,8 @@ __all__ = [
     "label_components",
     "polygonize",
     "polygonize_full",
+    "polygonize_stack",
+    "Polygons",
     "simplify_ring",
 ]
 
@@ -267,12 +274,25 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row runs of a boolean [H, W] mask in raster order: run k covers
     columns ``c0[k] <= col < c1[k]`` of row ``row[k]``."""
     h, w = mask.shape
-    flat = np.zeros((h, w + 1), dtype=np.int8)
-    flat[:, :w] = mask != 0
-    d = np.diff(flat.ravel(), prepend=np.int8(0))
-    row, c0 = np.divmod(np.flatnonzero(d == 1), w + 1)
-    c1 = np.flatnonzero(d == -1) - row * (w + 1)
-    return row, c0, c1
+    # rows laid end to end, each closed by a zero column, after one zero:
+    # runs alternate start, end among the pixels that differ from the
+    # one before
+    flat = np.zeros(h * (w + 1) + 1, dtype=bool)
+    flat[1:].reshape(h, w + 1)[:, :w] = mask
+    edge = np.flatnonzero(flat[1:] != flat[:-1])
+    row, c0 = np.divmod(edge[0::2], w + 1)
+    return row, c0, edge[1::2] - row * (w + 1)
+
+
+def _column_runs(col: np.ndarray, row: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column runs of the pixels ``(row[k], col[k])`` of an [h, W] grid,
+    as ``_runs`` of the transposed grid gives them: run k covers rows
+    ``r0[k] <= r < r1[k]`` of column ``c[k]``."""
+    key = np.sort(col * (h + 1) + row)
+    head = np.flatnonzero(np.diff(key, prepend=-2) != 1)
+    tail = np.flatnonzero(np.diff(key, append=-2) != 1)
+    c, r0 = np.divmod(key[head], h + 1)
+    return c, r0, key[tail] - c * (h + 1) + 1
 
 
 def _run_table(mask: np.ndarray):
@@ -313,10 +333,9 @@ def _run_table(mask: np.ndarray):
 def _paint_runs(shape, row, c0, c1, label) -> np.ndarray:
     """The int32 image of a run table: ``label[k]`` on run k, else 0."""
     h, w = shape
-    flat = np.zeros(h * (w + 1), dtype=np.int32)
-    flat[row * (w + 1) + c0] = label
-    flat[row * (w + 1) + c1] = -label
-    return np.ascontiguousarray(np.cumsum(flat, dtype=np.int32).reshape(h, w + 1)[:, :w])
+    out = np.zeros(h * w, dtype=np.int32)
+    out[_ranges(row * w + c0, c1 - c0)] = np.repeat(label, c1 - c0)
+    return out.reshape(h, w)
 
 
 def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -330,25 +349,31 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return _paint_runs(mask.shape, row, c0, c1, label), n
 
 
-def _trace_loops(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
+def _trace_loops(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ALL boundary loops of every component of a label image.
 
     Directed pixel-edge following with interior on the left.  The
     directed boundary-edge set of a 4-connected component decomposes
     into exactly one outer ring plus one loop per interior hole
     (rasterio ``features.shapes`` emits both —
-    solaris/vector/mask.py:776-797).  Returns ``(label, ring)`` pairs,
-    by label, each ring an open (N, 2) array of its corners in (x, y)
-    pixel-corner coordinates; a component's OUTER ring comes first (it
-    owns the component's lexicographically smallest boundary corner).
+    solaris/vector/mask.py:776-797).  Returns ``(label, offsets,
+    corners)``: loop i belongs to component ``label[i]`` and is the open
+    ring ``corners[offsets[i]:offsets[i + 1]]`` of int64 (x, y)
+    pixel-corner coordinates.  Loops are sorted by label; a component's
+    OUTER ring comes first (it owns the component's lexicographically
+    smallest boundary corner).
 
-    The four directed edge maps are merged into maximal straight
-    segments, so each ring vertex is one segment, and the segments are
-    chained once per vertex.  Each loop starts at its component's
-    smallest remaining corner.  At a pinch corner (two out-segments of
-    one component) the walk takes the sharpest left turn; with no
-    incoming direction it would take the first-inserted out-edge, in
-    (pixel row-major, side) order.
+    The four directed edge sets are merged into maximal straight
+    segments, so each ring vertex is one segment: the top and bottom
+    edges as row runs of shifted pixel maps, the left and right edges
+    as column runs of the row runs' first and last pixels.  Each loop
+    starts at its component's smallest remaining corner.  At a pinch
+    corner (two out-segments of one component) the walk takes the
+    sharpest left turn; with no incoming direction it would take the
+    first-inserted out-edge, in (pixel row-major, side) order.  The
+    successor of every segment is one permutation; its cycles are the
+    loops, found and walked by pointer jumping instead of one step per
+    vertex.
     """
     h, w = labels.shape
     p = np.zeros((h + 2, w + 2), dtype=bool)
@@ -358,10 +383,11 @@ def _trace_loops(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
     # right (c+1,r)->(c+1,r+1), bottom (c+1,r+1)->(c,r+1), left (c,r+1)->(c,r).
     # 4-neighbours in the mask share a label, so every run of edges
     # belongs to one component.
+    row, c0, c1 = _runs(fg)
     r_t, a_t, b_t = _runs(fg & ~p[:-2, 1:-1])
-    c_r, a_r, b_r = _runs((fg & ~p[1:-1, 2:]).T)
+    c_r, a_r, b_r = _column_runs(c1 - 1, row, h)
     r_b, a_b, b_b = _runs(fg & ~p[2:, 1:-1])
-    c_l, a_l, b_l = _runs((fg & ~p[1:-1, :-2]).T)
+    c_l, a_l, b_l = _column_runs(c0, row, h)
     sx = np.concatenate((a_t, c_r + 1, b_b, c_l))
     sy = np.concatenate((r_t, a_r, r_b + 1, b_l))
     ex = np.concatenate((b_t, c_r + 1, a_b, c_l))
@@ -382,22 +408,77 @@ def _trace_loops(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
     first = order[lo]
     second = order[np.minimum(lo + 1, len(order) - 1)]
     left = dx * dy[first] - dy * dx[first] > 0
-    succ = np.where(two & ~left, second, first).tolist()
-    # walking in key order starts every loop at its smallest corner
-    corners = np.stack([sx, sy], axis=1).astype(np.float64)
-    lab = lab.tolist()
-    seen = [False] * len(succ)
-    loops: list[tuple[int, np.ndarray]] = []
-    for s in order.tolist():
-        if seen[s]:
-            continue
-        ring = []
-        while not seen[s]:
-            seen[s] = True
-            ring.append(s)
-            s = succ[s]
-        loops.append((lab[ring[0]], corners[ring]))
-    return loops
+    succ = np.where(two & ~left, second, first)
+    # walking in key order starts every loop at its smallest corner: the
+    # loop's segment of lowest key rank (the minimum over a cycle, by
+    # doubling until no window grows the minimum)
+    low = np.empty(len(order), dtype=np.int64)
+    low[order] = np.arange(len(order))
+    hop = succ
+    while True:
+        nxt = np.minimum(low, low[hop])
+        if np.array_equal(nxt, low):
+            break
+        low, hop = nxt, hop[hop]
+    # steps from the loop's start: list ranking along predecessors, cut
+    # at the start
+    seg = np.arange(len(succ))
+    start = order[low]
+    back = np.empty_like(succ)
+    back[succ] = seg
+    back[start] = start
+    dist = (seg != start).astype(np.int64)
+    while not np.array_equal(back, start):
+        dist += dist[back]
+        back = back[back]
+    walk = np.lexsort((dist, low))
+    head = np.flatnonzero(dist[walk] == 0)
+    return lab[walk[head]], np.append(head, len(walk)), np.stack([sx, sy], axis=1)[walk]
+
+
+class Polygons(NamedTuple):
+    """The polygons of a stack of masks, flat.  Polygon i lies in mask
+    ``mask[i]``, covers ``area[i]`` pixels and owns rings
+    ``ring_offsets[i]:ring_offsets[i + 1]``, its outer ring first; ring
+    j is ``coords[vertex_offsets[j]:vertex_offsets[j + 1]]``, open, in
+    (x, y) pixel-corner coordinates of its mask."""
+
+    mask: np.ndarray
+    area: np.ndarray
+    ring_offsets: np.ndarray
+    vertex_offsets: np.ndarray
+    coords: np.ndarray
+
+
+def polygonize_stack(masks: Sequence[np.ndarray], min_area: float = 0.0) -> Polygons:
+    """Every mask > 0 of ``masks`` -> its polygons, in one pass.
+
+    The masks are stacked into one ``(n, h_max + 1, w_max)`` array, each
+    zero-padded on the right and followed by at least one zero row, and
+    one run table, one paint and one loop trace cover the stack: a
+    4-connected component cannot cross a zero row, so each lies in one
+    mask, numbered in that mask's raster order.  ``min_area`` filters on
+    the component pixel count from the run table.  Per mask the output
+    is ``polygonize_full``'s: components by first pixel, each outer ring
+    then its holes.
+    """
+    n = len(masks)
+    h = max((m.shape[0] for m in masks), default=0) + 1
+    w = max((m.shape[1] for m in masks), default=0)
+    stack = np.zeros((n, h, w), dtype=bool)
+    for i, m in enumerate(masks):
+        np.greater(m, 0, out=stack[i, : m.shape[0], : m.shape[1]])
+    flat = stack.reshape(n * h, w)
+    row, c0, c1, label, k = _run_table(flat)
+    area = np.bincount(label, weights=c1 - c0, minlength=k + 1)
+    label[(area < min_area)[label]] = 0
+    lab, offsets, corners = _trace_loops(_paint_runs(flat.shape, row, c0, c1, label))
+    outer = np.flatnonzero(np.diff(lab, prepend=0))
+    # the first corner of a loop lies in its mask's rows
+    ring_mask = corners[offsets[:-1], 1] // h
+    corners[:, 1] -= np.repeat(ring_mask * h, np.diff(offsets))
+    return Polygons(ring_mask[outer], area[lab[outer]], np.append(outer, len(lab)),
+                    offsets, corners.astype(np.float64))
 
 
 def polygonize_full(
@@ -410,22 +491,11 @@ def polygonize_full(
     becomes one polygon with its interior rings (holes).  ``min_area``
     filters on the component PIXEL count (net area), taken from the run
     table.  Output order is deterministic: components sorted by (min
-    row, min col).
+    row, min col).  The one-mask call of ``polygonize_stack``.
     """
-    row, c0, c1, label, n = _run_table(mask > 0)
-    if n == 0:
-        return []
-    area = np.bincount(label, weights=c1 - c0, minlength=n + 1)
-    label[(area < min_area)[label]] = 0
-    polys: list[tuple[np.ndarray, list[np.ndarray]]] = []
-    last = 0
-    for i, ring in _trace_loops(_paint_runs(mask.shape, row, c0, c1, label)):
-        if i == last:
-            polys[-1][1].append(ring)
-        else:
-            polys.append((ring, []))
-            last = i
-    return polys
+    p = polygonize_stack([mask], min_area)
+    rings = np.split(p.coords, p.vertex_offsets[1:-1])
+    return [(rings[a], rings[a + 1 : b]) for a, b in zip(p.ring_offsets[:-1], p.ring_offsets[1:])]
 
 
 def polygonize(mask: np.ndarray, min_area: float = 0.0) -> list[np.ndarray]:

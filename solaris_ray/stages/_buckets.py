@@ -22,11 +22,16 @@ group: the kernel segments on the key itself.
 ``co_shuffle``'s tag hash; numpy's Python-style ``%`` keeps it
 non-negative even when the int64 product wraps.  ``shuffle_width`` is
 the one sizing policy: it follows the session and the input, never a
-fixed count.  Every keyed stage runs on ``co_shuffle``: the mask, event
-and graph families, ``distinct_reduce``, the keyed stages of
-``stages/`` and the keyed gates of ``pipelines/queries.py``.  Most take
-the width from ``shuffle_width`` of the input they shuffle.  The graph
-family (``sssp_dist`` and ``bfs_hops``, ``pagerank``, ``kcore``,
+fixed count.  ``co_shuffle`` runs the mask, event and graph families,
+``distinct_reduce`` and the once hand-hashed keyed shuffles of
+``stages/`` and ``pipelines/queries.py``.  It is not yet the only keyed
+exchange: other stages still call Ray's ``groupby(key).map_groups``
+themselves, among them ``evaluate.eval_scores`` and ``eval_matches``,
+``zonal``, ``windows``, ``dedup`` and ``export``.  ``tests/test_buckets.py``
+lists those modules; the list may only shrink.  Most ``co_shuffle``
+callers take the width from ``shuffle_width`` of the input they
+shuffle.  The graph family (``sssp_dist`` and ``bfs_hops``,
+``pagerank``, ``kcore``,
 ``triangle_counts``, ``link_prediction_scores`` and the star rounds of
 ``connected_components``) computes it once from its input, before the
 first round, and passes it to every round: the block count of unioned

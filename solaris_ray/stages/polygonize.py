@@ -9,10 +9,14 @@ Reference (/root/reference/solaris/vector/mask.py):
   (Douglas-Peucker), optional px->geo transform.
 
 Ray mapping: one mask row in -> N polygon rows out (flat-map shape via
-map_batches); the polygonize kernel is raster.kernels.polygonize
-(4-connected component tracing).  Output coords are pixel-space unless
-an affine struct is present on the row (then georegistered like
-convert_poly_coords, solaris/vector/polygon.py:17-89).
+map_batches).  ``MaskPolygonizer`` decodes a batch's masks and
+polygonizes them a chunk at a time with raster.kernels.polygonize_stack:
+one zero-separated stack per chunk, one run table, one paint and one
+loop trace over it (4-connected component tracing), and the chunk's
+rows built as Arrow list arrays straight from the kernel's offsets.
+Output coords are pixel-space; ``transforms.georegister_batch`` maps
+them to geo coordinates (convert_poly_coords,
+solaris/vector/polygon.py:17-89).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..raster import codec
-from ..raster.kernels import polygonize_full, simplify_ring
+from ..raster.kernels import Polygons, polygonize_stack, simplify_ring
 
 POLY_SCHEMA = pa.schema(
     [
@@ -65,8 +69,24 @@ def preds_to_binary_batch(
     )
 
 
+# Mask pixels per stack: the stacked kernel's sorts grow with the
+# stack, so a batch is polygonized a bounded chunk at a time, each mask
+# counted at the batch's largest size (2^20 px: 64 tiles of 128 px).
+CHUNK_PIXELS = 1 << 20
+
+
+def _lists(values: np.ndarray | pa.Array, lens: np.ndarray) -> pa.ListArray:
+    return pa.ListArray.from_arrays(pa.array(np.append(0, np.cumsum(lens)), pa.int32()), values)
+
+
 class MaskPolygonizer:
-    """map_batches body: mask rows -> polygon rows (1 -> N fan-out)."""
+    """map_batches body: mask rows -> polygon rows (1 -> N fan-out).
+
+    The masks of a batch are decoded, then polygonized ``CHUNK_PIXELS``
+    at a time by ``polygonize_stack``; each chunk's rows are built as
+    Arrow arrays straight from its offsets.  A null mask raises
+    ``ValueError`` naming its tile and the mask column.
+    """
 
     def __init__(self, min_area: float = 0.0, simplify_tol: float = 0.0,
                  mask_col: str = "mask", fmt: str = "png"):
@@ -76,30 +96,46 @@ class MaskPolygonizer:
         self.fmt = fmt
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {k: [] for k in POLY_SCHEMA.names}
-        for i in range(batch.num_rows):
-            tid = batch["tile_id"][i].as_py()
-            mask = codec.decode(batch[self.mask_col][i].as_py(), self.fmt)
-            if mask.ndim == 3:
-                mask = mask[:, :, 0]
-            polys = polygonize_full(mask, min_area=self.min_area)
-            for pi, (ring, holes) in enumerate(polys):
-                if self.simplify_tol > 0:
-                    ring = simplify_ring(ring, self.simplify_tol)
-                    holes = [simplify_ring(hh, self.simplify_tol) for hh in holes]
-                # net area = outer shoelace minus hole shoelaces
-                # (= the component's pixel count on rectilinear rings)
-                area = _shoelace(ring) - sum(_shoelace(hh) for hh in holes)
-                out["tile_id"].append(tid)
-                out["poly_id"].append(pi)
-                out["xs"].append(ring[:, 0].tolist())
-                out["ys"].append(ring[:, 1].tolist())
-                out["hxs"].append([hh[:, 0].tolist() for hh in holes])
-                out["hys"].append([hh[:, 1].tolist() for hh in holes])
-                out["area_px"].append(area)
-                out["n_verts"].append(len(ring))
-                out["n_holes"].append(len(holes))
-        return pa.table({k: pa.array(out[k], POLY_SCHEMA.field(k).type) for k in POLY_SCHEMA.names})
+        col = batch[self.mask_col]
+        if col.null_count:
+            i = int(np.argmax(col.is_null().to_numpy(zero_copy_only=False)))
+            raise ValueError(f"tile {batch['tile_id'][i].as_py()!r}: null mask in column {self.mask_col!r}")
+        masks = [codec.decode(b, self.fmt) for b in col.to_pylist()]
+        masks = [m[:, :, 0] if m.ndim == 3 else m for m in masks]
+        if not masks:
+            return POLY_SCHEMA.empty_table()
+        h, w = np.max([m.shape for m in masks], axis=0)
+        step = max(1, CHUNK_PIXELS // max(h * w, 1))
+        return pa.concat_tables([
+            self._rows(batch["tile_id"], a, polygonize_stack(masks[a : a + step], self.min_area))
+            for a in range(0, len(masks), step)])
+
+    def _rows(self, tile_id: pa.ChunkedArray, first: int, p: Polygons) -> pa.Table:
+        """One chunk's polygon rows; its masks start at batch row ``first``."""
+        area, vo, coords = p.area, p.vertex_offsets, p.coords
+        if self.simplify_tol > 0:
+            rings = [simplify_ring(coords[a:b], self.simplify_tol) for a, b in zip(vo[:-1], vo[1:])]
+            # net area = outer shoelace minus hole shoelaces
+            area = [_shoelace(rings[a]) - sum(_shoelace(hh) for hh in rings[a + 1 : b])
+                    for a, b in zip(p.ring_offsets[:-1], p.ring_offsets[1:])]
+            vo = np.cumsum([0] + [len(r) for r in rings])
+            coords = np.concatenate(rings) if rings else coords
+        lens = np.diff(vo)
+        outer = np.zeros(len(lens), dtype=bool)
+        outer[p.ring_offsets[:-1]] = True
+        on_outer = np.repeat(outer, lens)
+        n_holes = np.diff(p.ring_offsets) - 1
+        cols = {
+            "tile_id": tile_id.take(pa.array(p.mask + first)).cast(pa.string()),
+            "poly_id": np.arange(len(p.mask)) - np.searchsorted(p.mask, p.mask),
+            "area_px": area,
+            "n_verts": lens[outer],
+            "n_holes": n_holes,
+        }
+        for name, xy in (("x", coords[:, 0]), ("y", coords[:, 1])):
+            cols[f"{name}s"] = _lists(xy[on_outer], lens[outer])
+            cols[f"h{name}s"] = _lists(_lists(xy[~on_outer], lens[~outer]), n_holes)
+        return pa.table(cols, schema=POLY_SCHEMA)
 
 
 def masks_to_polygons(masks, mask_col: str = "footprint", min_area: float = 0.0,

@@ -360,6 +360,54 @@ def test_vocab_topk_null_text_has_no_terms(ray_session):
     assert dict(zip(top.term, top.cnt)) == {"b": 2, "a": 1}
 
 
+# modules that still run a keyed exchange on Ray's own
+# groupby(key).map_groups instead of co_shuffle.  Each move to co_shuffle
+# removes its module; this set may only shrink.
+_MAP_GROUPS_ALLOWLIST = {
+    "ann", "asof", "calibrate", "chips", "cluster", "compact", "dedup", "dominance",
+    "evaluate", "export", "fill", "focal", "graph", "joins", "knn", "pca", "pq",
+    "profile", "queries", "rangejoin", "segjoin", "sketch", "split", "stump",
+    "windows", "zonal",
+}
+
+
+def _map_groups_callers(paths) -> set:
+    """Stems of the modules among ``paths`` that call ``.map_groups``,
+    ``_buckets`` (``co_shuffle`` itself) excepted."""
+    import ast
+
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_groups" and path.stem != "_buckets"):
+                found.add(path.stem)
+    return found
+
+
+def test_map_groups_users_only_shrink():
+    import pathlib
+
+    import solaris_ray
+
+    paths = pathlib.Path(solaris_ray.__file__).parent.rglob("*.py")
+    users = _map_groups_callers(paths)
+    assert users <= _MAP_GROUPS_ALLOWLIST, sorted(users - _MAP_GROUPS_ALLOWLIST)
+
+
+def test_map_groups_scan_sees_each_form(tmp_path):
+    # the scan must flag every call form it polices, or the ratchet is empty
+    forms = {
+        "chained": "def f(ds):\n    return ds.groupby('k').map_groups(g)\n",
+        "split": "def f(ds):\n    grouped = ds.groupby(['a', 'b'])\n    return grouped.map_groups(\n        g, batch_format='pyarrow')\n",
+        "mention": "# groupby(k).map_groups in a comment\ns = 'x.map_groups(y)'\nmap_groups = 1\n",
+        "_buckets": "def co_shuffle(ds):\n    return ds.groupby('t').map_groups(g)\n",
+    }
+    for name, src in forms.items():
+        (tmp_path / f"{name}.py").write_text(src)
+    assert _map_groups_callers(tmp_path.glob("*.py")) == {"chained", "split"}
+
+
 # stage functions that may still fix a width, each for a reason of its
 # own: feature-hash dimensions (text, corpus), the quantile histogram's
 # resolution, pca's float fan-in (it fixes summation order, it is not a
