@@ -3,10 +3,11 @@ single-task runner.
 
 ``co_shuffle`` is the one shuffle that brings every row of a key
 together: each row is tagged with ``bucket_of(mix, n)`` over its mixed
-key, the input is repartitioned to ``n`` blocks and grouped on the tag,
-and ``fn`` runs once per BUCKET -- every row of every key that hashes
-there, tag column dropped.  A bucket kernel (lexsort + segment reduce)
-then handles many keys per call with no per-key Python dispatch.
+key, one sort with a range boundary between each two tags writes one
+block per tag, and ``fn`` runs once per BUCKET -- every row of every
+key that hashes there, tag column dropped.  A bucket kernel (lexsort +
+segment reduce) then handles many keys per call with no per-key Python
+dispatch.
 Callers whose kernel takes one key at a time wrap it in ``per_key``.
 
 ``key_i64`` turns one int or float64 key column into exact int64
@@ -23,8 +24,10 @@ group: the kernel segments on the key itself.
 non-negative even when the int64 product wraps.  ``shuffle_width`` is
 the one sizing policy: it follows the session and the input, never a
 fixed count.  ``co_shuffle`` runs the mask, event and graph families,
-``distinct_reduce`` and the once hand-hashed keyed shuffles of
-``stages/`` and ``pipelines/queries.py``.  It is not yet the only keyed
+``distinct_reduce``, the cell-partitioned spatial join
+(``joins.cell_partitioned_join``, keyed on the join cell) and the once
+hand-hashed keyed shuffles of ``stages/`` and
+``pipelines/queries.py``.  It is not yet the only keyed
 exchange: other stages still call Ray's ``groupby(key).map_groups``
 themselves, among them ``evaluate.eval_scores`` and ``eval_matches``,
 ``zonal``, ``windows``, ``dedup`` and ``export``.  ``tests/test_buckets.py``
@@ -36,8 +39,8 @@ shuffle.  The graph family (``sssp_dist`` and ``bfs_hops``,
 ``connected_components``) computes it once from its input, before the
 first round, and passes it to every round: the block count of unioned
 per-round state grows every round (NOTES round 4i), and a width read
-from it would grow too.  ``co_shuffle`` repartitions to that width, so
-no round repartitions again.
+from it would grow too.  ``co_shuffle`` writes exactly that many
+blocks, so no round repartitions.
 
 ``one_task`` is the small-input plan of the graph family: one remote
 task over the whole of each dataset.  ``SMALL_EDGE_LIMIT`` is the one
@@ -111,8 +114,9 @@ def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
     """Run ``fn`` once per bucket of ``ds`` hashed on ``keys`` (one
     column name or a list), over ``n_buckets`` blocks --
     ``shuffle_width(ds)`` by default.  Every row of a key arrives in the
-    same ``fn`` call.  The groupby sort keeps its input's block count,
-    so a ``repartition`` sets the width first."""
+    same ``fn`` call.  The sort is given its boundaries: a sampled range
+    partition (Ray's ``groupby``) can put two tags in one block and
+    leave another empty, and it keeps its input's block count."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     n = n_buckets or shuffle_width(ds)
 
@@ -124,11 +128,17 @@ def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
             mix = mix * np.int64(1000003) + _tag_i64(b, c)
         return b.append_column(_TAG, pa.array(bucket_of(mix, n), pa.int64()))
 
+    def _run(bucket: pa.Table):
+        if bucket.num_rows:
+            yield fn(bucket.drop_columns([_TAG]))
+
+    # a boundary between each two tags: one sorted block per bucket.  One
+    # bucket still takes a boundary: without any, Ray samples boundaries
+    # and writes as many blocks as its input has
     return (
         ds.map_batches(_tag, batch_format="pyarrow")
-        .repartition(n)
-        .groupby(_TAG)
-        .map_groups(lambda g: fn(g.drop_columns([_TAG])), batch_format="pyarrow")
+        .sort(_TAG, boundaries=[b + 0.5 for b in range(max(n - 1, 1))])
+        .map_batches(_run, batch_format="pyarrow", batch_size=None)
     )
 
 

@@ -12,7 +12,9 @@ clips each to the tile box, and annotates:
 - rows with ``partialDec < min_partial_perc`` are dropped (:296-300)
 
 ``spatial_join`` picks one of two physical plans (SURVEY.md §2.4) by
-the feature layer's size; both share the clip kernel ``clip_pairs``:
+the feature layer's size; both share the candidate harvest
+``_candidate_pairs`` and the clip kernel ``clip_pairs``, so both emit
+the same rows:
 
 1. **Broadcast join** (`broadcast_spatial_join_tasks`): when the layer
    fits ``BROADCAST_LIMIT_BYTES``, build one cell-bucketed index,
@@ -21,10 +23,9 @@ the feature layer's size; both share the clip kernel ``clip_pairs``:
    once.  No shuffle; this mirrors the reference's single global
    ``gdf.sindex`` (solaris/eval/base.py:46) but distributed.
 2. **Cell-partitioned join** (`cell_partitioned_join`): large layers.
-   Replicate each feature to every cell its bbox covers, tag tiles with
-   their cell, co-shuffle with ``groupby(cell)`` and join inside each
-   group.  Hot cells can be pre-split one resolution finer (see
-   ``cells.cell_children``).
+   Replicate features and tiles to every cell their bboxes cover, with
+   hot cells split finer first (a plan-only step), and join each
+   bucket of one ``_buckets.co_shuffle`` keyed on the cell.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from ..geom.poly import (
     ring_areas,
     ring_lengths,
 )
+from ._buckets import co_shuffle
 
 JOIN_SCHEMA = pa.schema(
     [
@@ -59,6 +61,23 @@ JOIN_SCHEMA = pa.schema(
         ("y0", pa.float64()),
         ("x1", pa.float64()),
         ("y1", pa.float64()),
+    ]
+)
+
+
+# the feature layer's columns: ``FeaturePack.from_arrow`` reads them, and
+# an empty layer without columns is read as this schema
+FEATURE_SCHEMA = pa.schema(
+    [
+        ("feature_id", pa.int64()),
+        ("image_id", pa.string()),
+        ("class", pa.string()),
+        ("xs", pa.list_(pa.float64())),
+        ("ys", pa.list_(pa.float64())),
+        ("minx", pa.float64()),
+        ("miny", pa.float64()),
+        ("maxx", pa.float64()),
+        ("maxy", pa.float64()),
     ]
 )
 
@@ -238,11 +257,12 @@ def join_tile_batch_to_pack(
 ) -> pa.Table:
     """Join a batch of tile-spec rows against a bucketed FeaturePack.
 
-    Two vectorized phases: (1) candidate harvesting per tile (bucket
-    lookups + bbox test), producing flat (tile, feature) pair arrays;
-    (2) one batched Sutherland–Hodgman clip of ALL polygon pairs at
-    once (geom.poly.clip_polys_to_boxes_batch) — the per-pair Python of
-    the naive kernel was the join's scaling bottleneck.  Line features
+    Two vectorized phases: (1) candidate harvesting over every cell
+    each tile covers (``_candidate_pairs``), then one dedup of the
+    pairs met through several cells, producing flat (tile, feature)
+    pair arrays; (2) one batched Sutherland–Hodgman clip of ALL polygon
+    pairs at once (geom.poly.clip_polys_to_boxes_batch) — the per-pair
+    Python of the naive kernel was the join's scaling bottleneck.  Line features
     (the minority class) keep the scalar Liang–Barsky path.
     """
     tid_arr = batch["tile_id"].combine_chunks() if isinstance(batch["tile_id"], pa.ChunkedArray) else batch["tile_id"]
@@ -253,38 +273,11 @@ def join_tile_batch_to_pack(
     x1 = batch["x1"].to_numpy()
     y1 = batch["y1"].to_numpy()
 
-    # --- phase 1: harvest candidate (tile, feature) pairs ----------------
-    # fully vectorized: all (tile, covered-cell) pairs at once, one
-    # batched searchsorted into the CSR bucket index, ragged candidate
-    # expansion, then a combined-key unique (a feature reachable via
-    # several cells of one tile must pair once) and the bbox test
-    trows, tcells_all = cells.cover_bboxes(x0, y0, x1, y1, cell_res)
-    key_cells = tcells_all.astype(np.int64)
-    pos = np.searchsorted(buckets.cells, key_cells)
-    pos_c = np.minimum(pos, max(len(buckets.cells) - 1, 0))
-    okc = (pos < len(buckets.cells)) & (
-        buckets.cells[pos_c] == key_cells if len(buckets.cells) else False
-    )
-    if not okc.any():
-        return _out_to_table(_empty_out())
-    bstart = buckets.starts[pos_c[okc]]
-    bend = buckets.ends[pos_c[okc]]
-    counts = (bend - bstart).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return _out_to_table(_empty_out())
-    offs = np.cumsum(counts) - counts
-    flat = np.arange(total, dtype=np.int64) - np.repeat(offs, counts) + np.repeat(bstart, counts)
-    cand_rows = buckets.rows[flat]
-    tile_rep = np.repeat(trows[okc], counts)
-    combined = np.unique(tile_rep * np.int64(len(pack)) + cand_rows)
-    pt = (combined // len(pack)).astype(np.int64)
-    pf = (combined % len(pack)).astype(np.int64)
-    b = pack.bbox
-    hit = (
-        (b[pf, 0] < x1[pt]) & (b[pf, 2] > x0[pt]) & (b[pf, 1] < y1[pt]) & (b[pf, 3] > y0[pt])
-    )
-    pt, pf = pt[hit], pf[hit]
+    trows, tcells = cells.cover_bboxes(x0, y0, x1, y1, cell_res)
+    pt, pf = _candidate_pairs(buckets, trows, tcells, pack.bbox, x0, y0, x1, y1)
+    # a feature reachable through several cells of one tile pairs once
+    pair = np.unique(pt * np.int64(len(pack)) + pf)
+    pt, pf = pair // len(pack), pair % len(pack)
     if len(pt) == 0:
         return _out_to_table(_empty_out())
     if cell_col is not None:
@@ -433,15 +426,70 @@ class CellBuckets:
 
 def build_buckets(pack: FeaturePack, cell_res: int) -> CellBuckets:
     """cell id -> feature indices whose bbox covers the cell (CSR)."""
-    rows, cc = cells.cover_bboxes(
+    return _csr(*cells.cover_bboxes(
         pack.bbox[:, 0], pack.bbox[:, 1], pack.bbox[:, 2], pack.bbox[:, 3], cell_res
-    )
+    ))
+
+
+def _csr(rows: np.ndarray, cc: np.ndarray) -> CellBuckets:
+    """The ``CellBuckets`` of (feature row, cell) pairs."""
     order = np.argsort(cc, kind="stable")
     cc = cc[order]
     rows = rows[order]
     uniq, starts = np.unique(cc, return_index=True)
     ends = np.append(starts[1:], len(cc))
     return CellBuckets(uniq, starts.astype(np.int64), ends.astype(np.int64), rows)
+
+
+# candidates one ``_candidate_pairs`` slice expands: 32 MiB per int64
+# array, however dense one tile batch or one cell is
+CANDIDATE_CHUNK = 1 << 22
+
+
+def _candidate_pairs(buckets: CellBuckets, trows: np.ndarray, tcells: np.ndarray,
+                     bbox: np.ndarray, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate harvest of both join plans: (tile row, feature row)
+    pairs whose bboxes overlap.
+
+    Each (tile row, cell) entry of ``trows``/``tcells`` (ascending in
+    tile row) pairs its tile with the feature rows ``buckets`` holds for
+    the cell; ``bbox`` holds the features' boxes and ``x0``..``y1`` the
+    tiles'.  The ragged expansion runs over slices of whole tile rows of
+    at most ``CANDIDATE_CHUNK`` candidates (a tile row with more is a
+    slice of its own), so memory stays bounded under any skew.  A
+    feature met through several cells of one tile comes back once per
+    cell, in ascending tile row order.
+    """
+    none = np.empty(0, np.int64)
+    if len(buckets.cells) == 0 or len(trows) == 0:
+        return none, none
+    key = tcells.astype(np.int64)
+    pos = np.minimum(np.searchsorted(buckets.cells, key), len(buckets.cells) - 1)
+    ok = buckets.cells[pos] == key
+    trows, pos = trows[ok], pos[ok]
+    if len(trows) == 0:
+        return none, none
+    start = buckets.starts[pos]
+    counts = buckets.ends[pos] - start
+    offs = np.cumsum(counts) - counts
+    tile_end = np.flatnonzero(np.r_[trows[1:] != trows[:-1], True])
+    through = offs[tile_end] + counts[tile_end]  # candidates up to each tile row
+    out_t, out_f = [], []
+    t0 = 0
+    while t0 < len(tile_end):
+        base = int(through[t0 - 1]) if t0 else 0
+        t1 = max(int(np.searchsorted(through, base + CANDIDATE_CHUNK, "right")), t0 + 1)
+        e = slice(int(tile_end[t0 - 1]) + 1 if t0 else 0, int(tile_end[t1 - 1]) + 1)
+        c = counts[e]
+        flat = np.arange(base, int(through[t1 - 1]), dtype=np.int64)
+        flat += np.repeat(start[e] - offs[e], c)
+        pt = np.repeat(trows[e], c)
+        pf = buckets.rows[flat]
+        hit = (bbox[pf, 0] < x1[pt]) & (bbox[pf, 2] > x0[pt]) & (bbox[pf, 1] < y1[pt]) & (bbox[pf, 3] > y0[pt])
+        out_t.append(pt[hit])
+        out_f.append(pf[hit])
+        t0 = t1
+    return np.concatenate(out_t), np.concatenate(out_f)
 
 
 class BroadcastJoiner:
@@ -525,7 +573,8 @@ def build_join_index(features: pa.Table, cell_res: int | None = None):
         # finer than the shuffle default: broadcast lookups pay per
         # CANDIDATE, so small buckets beat small replication — clustered
         # layers at target 64 left thousands of features per hot cell
-        # (measured 2.3x join slowdown vs target 8)
+        # (measured 2.3x join slowdown vs target 8); an empty layer has
+        # no extent, and any resolution finds none of its features
         cell_res = cells.choose_res(
             float(_pc.min(features["minx"]).as_py()),
             float(_pc.min(features["miny"]).as_py()),
@@ -533,7 +582,7 @@ def build_join_index(features: pa.Table, cell_res: int | None = None):
             float(_pc.max(features["maxy"]).as_py()),
             features.num_rows,
             target_per_cell=8,
-        )
+        ) if features.num_rows else 0
     pack = FeaturePack.from_arrow(features)
     return pack, build_buckets(pack, cell_res), cell_res
 
@@ -569,82 +618,158 @@ def spatial_join(
     cell_res: int | None = None,
     min_partial_perc: float = 0.0,
     broadcast_limit_bytes: int | None = None,
-    **kwargs,
+    out_columns: list[str] | None = None,
+    batch_size: int | None = 256,
 ):
     """Auto-selecting spatial join: broadcast when the feature layer
     fits the object-store budget, cell-partitioned co-shuffle otherwise.
 
-    Both physical paths share the same clip kernel, so outputs are
-    bit-identical (parity-tested) — the choice is purely a plan-time
-    size decision, mirroring the broadcast-small-side rule of
-    SURVEY.md §4.  ``features`` may be an in-memory ``pyarrow.Table``
-    or a ``ray.data.Dataset``.  ``kwargs`` (``out_columns``,
-    ``batch_size``) go to the broadcast plan, ``spatial_join_tasks``.
+    Both physical plans share the candidate harvest and the clip kernel,
+    so they emit the same rows, every ``JOIN_SCHEMA`` column bit for bit
+    (parity-tested) -- the choice is purely a plan-time size decision,
+    mirroring the broadcast-small-side rule of SURVEY.md §4.
+    ``features`` may be an in-memory ``pyarrow.Table`` or a
+    ``ray.data.Dataset``, empty or not.  ``out_columns`` projects the
+    join rows on both plans; ``batch_size`` is the broadcast plan's
+    tile-spec batch.
     """
     import ray
 
     limit = broadcast_limit_bytes if broadcast_limit_bytes is not None else BROADCAST_LIMIT_BYTES
     if isinstance(features, pa.Table):
-        if features.nbytes <= limit:
-            return spatial_join_tasks(
-                tile_specs, features, cell_res=cell_res,
-                min_partial_perc=min_partial_perc, **kwargs,
-            )
-        features = ray.data.from_arrow(features)
-        return cell_partitioned_join(
-            tile_specs, features, cell_res=cell_res or 13,
-            min_partial_perc=min_partial_perc,
-        )
-    size = features.size_bytes()
-    if size is not None and size <= limit:
-        tbl = pa.concat_tables(
-            [b for b in ray.get(features.to_arrow_refs()) if b.num_rows]
-        )
+        small = features.nbytes <= limit
+    else:
+        size = features.size_bytes()
+        small = size is not None and size <= limit
+        if small:
+            # an empty layer may come as blocks without columns, or none
+            blocks = [b for b in ray.get(features.to_arrow_refs()) if b.num_columns]
+            features = pa.concat_tables(blocks) if blocks else FEATURE_SCHEMA.empty_table()
+    if small:
         return spatial_join_tasks(
-            tile_specs, tbl, cell_res=cell_res,
-            min_partial_perc=min_partial_perc, **kwargs,
+            tile_specs, features, cell_res=cell_res, min_partial_perc=min_partial_perc,
+            out_columns=out_columns, batch_size=batch_size,
         )
-    return cell_partitioned_join(
-        tile_specs, features, cell_res=cell_res or 13,
-        min_partial_perc=min_partial_perc,
+    if isinstance(features, pa.Table):
+        features = ray.data.from_arrow(features)
+    joined = cell_partitioned_join(
+        tile_specs, features, cell_res=cell_res or 13, min_partial_perc=min_partial_perc,
     )
+    return joined.select_columns(out_columns) if out_columns else joined
 
 
 # --- cell-partitioned (both sides large) ---------------------------------
 
-def _tag_features_with_cells(batch: pa.Table, cell_res: int) -> pa.Table:
-    """Replicate features to every covered cell (the shuffle key)."""
-    rows, cc = cells.cover_bboxes(
-        batch["minx"].to_numpy(),
-        batch["miny"].to_numpy(),
-        batch["maxx"].to_numpy(),
-        batch["maxy"].to_numpy(),
-        cell_res,
-    )
-    rep = batch.take(pa.array(rows))
-    rep = rep.append_column("cell", pa.array(cc.astype(np.int64), pa.int64()))
-    return rep
+# the hot-cell plan: a deterministic 1 in 4 sample of each side counts
+# rows per cell; a cell is hot when its estimated features exceed
+# HOT_CELL_FACTOR x the median cell's or MAX_CELL_FEATS, or its
+# estimated tiles x features exceed MAX_CELL_PAIRS
+HIST_SAMPLE = 0.25
+HOT_CELL_FACTOR = 8.0
+MAX_CELL_FEATS = 512
+MAX_CELL_PAIRS = 1 << 15
+
+_TILE, _FEATURE = 0, 1
+
+# the shuffled rows of both sides: ``cell`` is the join cell a row was
+# replicated to, ``side`` says which side the row is; a tile row fills
+# the tile columns (``tile_cell`` is its own ``cell``), a feature row
+# the feature columns, and ``image_id`` is each row's own
+_SIDES_SCHEMA = pa.schema(
+    [
+        ("cell", pa.int64()),
+        ("side", pa.int8()),
+        ("tile_id", pa.string()),
+        ("tile_cell", pa.int64()),
+        ("x0", pa.float64()),
+        ("y0", pa.float64()),
+        ("x1", pa.float64()),
+        ("y1", pa.float64()),
+        *FEATURE_SCHEMA,
+    ]
+)
+
+
+def _sample_cells(batch: pa.Table, cell_res: int, side: int) -> pa.Table:
+    """Rows per cell in a deterministic ``HIST_SAMPLE`` sample of one
+    side's batch: features by a hash of ``feature_id``, counted in every
+    cell their bbox covers; tiles by a hash of their origin bits (tiles
+    sharing a cell sample independently), counted in their own cell."""
+    keep_below = np.uint64(int(HIST_SAMPLE * 1000))
+    if side == _FEATURE:
+        fid = batch["feature_id"].to_numpy().astype(np.uint64)
+        batch = batch.filter(pa.array((fid * np.uint64(2654435761)) % np.uint64(1000) < keep_below))
+        cc = cells.cover_bboxes(*(batch[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")),
+                                cell_res)[1]
+    else:
+        key = batch["x0"].to_numpy().view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        key ^= batch["y0"].to_numpy().view(np.uint64) * np.uint64(2654435761)
+        cc = batch["cell"].to_numpy()[key % np.uint64(1000) < keep_below].astype(np.uint64)
+    cell, n = np.unique(cc, return_counts=True)
+    return pa.table({"cell": pa.array(cell, pa.uint64()), "side": pa.array(np.full(len(cell), side, np.int8)),
+                     "n": pa.array(n, pa.int64())})
+
+
+def _hot_cells(tile_specs, features, cell_res: int) -> dict:
+    """Hot cell id -> split depth, from one sampled map-only pass over
+    each side; the driver sums the per-block counts.  (One execution
+    over the union of both sides measured 3-7x slower: NOTES.md "The
+    partitioned join on co_shuffle".)
+
+    A cell's work is its tiles x its features, so a cell dense in tiles
+    is as hot as one dense in features (a 24k-tile x 6k-feature cell made
+    151M candidate pairs at sf0.1 before the tile side was counted).
+    The relative trigger catches feature skew, the absolute one a
+    uniformly dense AOI (where the median test never fires), the pair
+    mass one a cell where neither side alone looks large.  One split
+    level quarters each side, so feature density heals at 4^d and pair
+    mass at 16^d; the deeper ask wins, capped at 6 levels.
+    """
+    blocks = [b for ds, side in ((tile_specs, _TILE), (features, _FEATURE))
+              for b in ds.map_batches(_sample_cells, fn_args=(cell_res, side), batch_format="pyarrow")
+              .iter_batches(batch_size=None, batch_format="pyarrow") if b.num_rows]
+    if not blocks:
+        return {}
+    t = pa.concat_tables(blocks)
+    side = t["side"].to_numpy()
+    cell = t["cell"].to_numpy()
+    n = t["n"].to_numpy()
+    cells_f, inv = np.unique(cell[side == _FEATURE], return_inverse=True)
+    if not len(cells_f):
+        return {}
+    scale = 1.0 / HIST_SAMPLE
+    est = np.bincount(inv, n[side == _FEATURE]) * scale
+    cells_t, inv = np.unique(cell[side == _TILE], return_inverse=True)
+    n_t = np.bincount(inv, n[side == _TILE]) * scale
+    est_t = np.zeros(len(est))
+    _, in_f, in_t = np.intersect1d(cells_f, cells_t, assume_unique=True, return_indices=True)
+    est_t[in_f] = n_t[in_t]
+    est_pairs = est * est_t
+    med = max(1.0, float(np.median(est)))
+    is_hot = (est > HOT_CELL_FACTOR * med) | (est > MAX_CELL_FEATS) | (est_pairs > MAX_CELL_PAIRS)
+    hot = {}
+    for c, e, p in zip(cells_f[is_hot], est[is_hot], est_pairs[is_hot]):
+        d_feat = np.ceil(np.log(max(e, 1.0) / MAX_CELL_FEATS) / np.log(4.0))
+        d_pair = np.ceil(np.log(max(p, 1.0) / MAX_CELL_PAIRS) / np.log(16.0))
+        hot[np.uint64(c)] = min(6, max(1, int(max(d_feat, d_pair))))
+    return hot
 
 
 def _retag_hot(rows_cells: tuple[np.ndarray, np.ndarray], minx, miny, maxx, maxy,
-               hot, cell_res: int) -> tuple[np.ndarray, np.ndarray]:
+               hot: dict, cell_res: int) -> tuple[np.ndarray, np.ndarray]:
     """Replace assignments to hot cells by finer child assignments.
 
-    ``hot`` maps cell id -> split depth (a frozenset is accepted as
-    depth-1 everywhere for backward compatibility).  Splits can go
-    MULTIPLE levels: a cell holding 100x the target density descends
-    log4(ratio) levels in one step, so a dense AOI can't leave a
-    monster group behind (one level only quarters it).  Exactly-once
-    emission survives mixed resolutions because the per-group owner
-    test derives the resolution from the group's own cell id: the pair
-    is emitted only by the group whose cell (at ITS resolution)
-    contains the intersection's min corner.
+    ``hot`` maps cell id -> split depth.  Splits can go MULTIPLE levels:
+    a cell holding 100x the target density descends log4(ratio) levels
+    in one step, so a dense AOI can't leave a monster group behind (one
+    level only quarters it).  Exactly-once emission survives mixed
+    resolutions because the owner test derives the resolution from the
+    pair's own join cell: the pair is emitted only in the cell (at ITS
+    resolution) that contains the intersection's min corner.
     """
     rows, cc = rows_cells
     if not hot:
         return rows, cc
-    if not isinstance(hot, dict):
-        hot = {c: 1 for c in hot}
     hc = np.fromiter(hot.keys(), dtype=np.uint64, count=len(hot))
     hl = np.fromiter(hot.values(), dtype=np.int64, count=len(hot))
     order = np.argsort(hc)
@@ -670,337 +795,86 @@ def _retag_hot(rows_cells: tuple[np.ndarray, np.ndarray], minx, miny, maxx, maxy
     return np.concatenate(out_r), np.concatenate(out_c)
 
 
+def _to_sides(batch: pa.Table, side: int, hot: dict, cell_res: int) -> pa.Table:
+    """One side's ``batch`` replicated to every join cell its rows' boxes
+    cover (hot cells split finer), in ``_SIDES_SCHEMA``."""
+    box = ("x0", "y0", "x1", "y1") if side == _TILE else ("minx", "miny", "maxx", "maxy")
+    minx, miny, maxx, maxy = (batch[c].to_numpy() for c in box)
+    rows, cc = _retag_hot(cells.cover_bboxes(minx, miny, maxx, maxy, cell_res),
+                          minx, miny, maxx, maxy, hot, cell_res)
+    rep = batch.take(pa.array(rows))
+    cols = dict(zip(rep.column_names, rep.columns))
+    if side == _TILE:
+        cols["tile_cell"] = cols["cell"]
+    cols["cell"] = pa.array(cc.astype(np.int64))
+    cols["side"] = pa.array(np.full(len(rows), side, np.int8))
+    return pa.Table.from_arrays(
+        [cols[f.name].cast(f.type) if f.name in cols else pa.nulls(len(rows), f.type)
+         for f in _SIDES_SCHEMA],
+        schema=_SIDES_SCHEMA,
+    )
+
+
 def cell_partitioned_join(
     tile_specs,
     features,
     cell_res: int = 13,
     min_partial_perc: float = 0.0,
-    hot_cell_factor: float = 8.0,
-    hist_sample: float = 0.25,
-    nbuckets: int = 64,
-    max_cell_feats: int = 512,
-    max_cell_pairs: int = 1 << 15,
 ):
-    """Both-sides-large spatial join via groupby(cell) co-shuffle.
+    """Both-sides-large spatial join: one ``co_shuffle`` keyed on the
+    join cell.
 
-    Features are replicated to covered cells (duplication factor =
-    replicated/count); tiles are replicated via bbox cover so
-    boundary-straddling tiles stay exact.  SKEW: a SAMPLED pre-pass
-    (deterministic hash of feature_id, ``hist_sample`` keep fraction)
-    counts features per cell; cells holding more than
-    ``hot_cell_factor`` x the median are split one resolution finer
-    (urban-density salting, SURVEY.md §4) before the shuffle — group
-    sizes stay bounded without changing RESULTS (owner-cell dedup is
-    resolution-aware; the hot set only shapes the physical plan, so
-    sampling error costs at most balance, never correctness).
+    Features are replicated to every cell their bbox covers and tiles
+    to every cell theirs covers, so boundary-straddling tiles stay
+    exact.  SKEW: ``_hot_cells`` counts a sample of both sides per cell,
+    and hot cells are split finer (urban-density salting, SURVEY.md §4)
+    before the shuffle.  The hot set only shapes the physical plan --
+    the owner test is resolution-aware -- so sampling error costs at
+    most balance, never correctness.
 
-    DISPATCH: groups shuffle by ``hash(cell) % nbuckets``, not by raw
-    cell — one Python call handles a whole bucket of cells, with pair
-    candidates generated vectorized across every cell segment at once
-    (the same block-granularity lesson as the mask family: per-cell
-    ``map_groups`` paid one dispatch + kernel setup per cell, which
-    dominated wall time once cells outnumbered cores by 100x).
+    Each bucket harvests its candidates with the broadcast plan's
+    ``_candidate_pairs``, looking up each tile row's own join cell, and
+    emits a (tile, feature) pair only in the cell that owns the
+    intersection's min corner, so replicated copies on both sides count
+    once.  Rows carry the tile's own ``cell``, as the broadcast plan's
+    do: the two plans' outputs are equal.
     """
-    # pass 0: sampled feature-count histogram -> hot-cell set (tiny,
-    # driver-side); deterministic hash sampling so plans are stable
-    from ray.data.aggregate import Count
-
-    def _sampled_cells(b: pa.Table) -> pa.Table:
-        if hist_sample < 1.0:
-            fid = b["feature_id"].to_numpy().astype(np.uint64)
-            keep = (fid * np.uint64(2654435761)) % np.uint64(1000) < np.uint64(
-                int(hist_sample * 1000)
-            )
-            b = b.filter(pa.array(keep))
-        return _tag_features_with_cells(b, cell_res).select(["cell"])
-
-    hist = (
-        features.map_batches(_sampled_cells, batch_format="pyarrow", batch_size=8192)
-        .groupby("cell")
-        .aggregate(Count())
-        .to_pandas()
-    )
-
-    # sampled TILE-side histogram: the group's work is t_cnt x f_cnt, so
-    # a cell dense in tiles is just as hot as one dense in features (a
-    # 24k-tile x 6k-feature cell = 151M candidate pairs observed at
-    # sf0.1 before this pass existed).  Sampling key hashes the tile's
-    # origin bits so tiles sharing a cell sample independently.
-    def _sampled_tile_cells(b: pa.Table) -> pa.Table:
-        t = b.select(["cell"])
-        if hist_sample < 1.0:
-            key = b["x0"].to_numpy().view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            key ^= b["y0"].to_numpy().view(np.uint64) * np.uint64(2654435761)
-            keep = key % np.uint64(1000) < np.uint64(int(hist_sample * 1000))
-            t = t.filter(pa.array(keep))
-        return t
-
-    t_hist = (
-        tile_specs.map_batches(_sampled_tile_cells, batch_format="pyarrow", batch_size=8192)
-        .groupby("cell")
-        .aggregate(Count())
-        .to_pandas()
-    )
-    # hot triggers: RELATIVE (feature skew vs the median cell), ABSOLUTE
-    # (more than max_cell_feats features — a uniformly dense AOI makes
-    # every cell a monster and the median test alone never fires), or
-    # PAIR MASS (est tiles x est feats > max_cell_pairs — either side
-    # alone can look modest while the product is a straggler).  Depth:
-    # one split level quarters each side, so feature density heals at
-    # 4^d and pair mass at 16^d; take whichever ask is deeper.
-    hot: dict = {}
-    if len(hist):
-        scale = 1.0 / max(1e-9, min(1.0, hist_sample))
-        est = hist["count()"].to_numpy() * scale
-        t_by_cell = {}
-        if len(t_hist):
-            t_by_cell = dict(
-                zip(
-                    t_hist["cell"].to_numpy().astype(np.uint64),
-                    t_hist["count()"].to_numpy() * scale,
-                )
-            )
-        cells_f = hist["cell"].to_numpy().astype(np.uint64)
-        est_t = np.array([t_by_cell.get(c, 0.0) for c in cells_f])
-        est_pairs = est * est_t
-        med = max(1.0, float(np.median(est)))
-        is_hot = (
-            (est > hot_cell_factor * med)
-            | (est > max_cell_feats)
-            | (est_pairs > max_cell_pairs)
-        )
-        for c, e, p in zip(cells_f[is_hot], est[is_hot], est_pairs[is_hot]):
-            d_feat = np.ceil(np.log(max(e, 1.0) / max_cell_feats) / np.log(4.0))
-            d_pair = np.ceil(np.log(max(p, 1.0) / max_cell_pairs) / np.log(16.0))
-            hot[np.uint64(c)] = min(6, max(1, int(max(d_feat, d_pair))))
-
-    def _tag_feats(batch: pa.Table) -> pa.Table:
-        minx = batch["minx"].to_numpy()
-        miny = batch["miny"].to_numpy()
-        maxx = batch["maxx"].to_numpy()
-        maxy = batch["maxy"].to_numpy()
-        rows, cc = _retag_hot(
-            cells.cover_bboxes(minx, miny, maxx, maxy, cell_res),
-            minx, miny, maxx, maxy, hot, cell_res,
-        )
-        rep = batch.take(pa.array(rows))
-        return rep.append_column("cell", pa.array(cc.astype(np.int64), pa.int64()))
-
-    feats_tagged = features.map_batches(_tag_feats, batch_format="pyarrow", batch_size=8192)
-
-    def _tag_tiles(batch: pa.Table) -> pa.Table:
-        x0 = batch["x0"].to_numpy()
-        y0 = batch["y0"].to_numpy()
-        x1 = batch["x1"].to_numpy()
-        y1 = batch["y1"].to_numpy()
-        rows, cc = _retag_hot(
-            cells.cover_bboxes(x0, y0, x1, y1, cell_res),
-            x0, y0, x1, y1, hot, cell_res,
-        )
-        rep = batch.take(pa.array(rows))
-        return rep.set_column(
-            rep.schema.get_field_index("cell"), "cell", pa.array(cc.astype(np.int64), pa.int64())
-        )
-
-    tiles_tagged = tile_specs.map_batches(_tag_tiles, batch_format="pyarrow", batch_size=8192)
-
-    # co-group: union with a side tag; schemas aligned with nulls.
-    # Shuffle key is hash(cell) % nbuckets so dispatch cost is per
-    # BUCKET; cells never split across buckets, so owner-cell dedup
-    # semantics are untouched.
-    t_side = tiles_tagged.map_batches(
-        lambda b: _add_bucket(_pad_side(b, 0), nbuckets),
-        batch_format="pyarrow", batch_size=8192,
-    )
-    f_side = feats_tagged.map_batches(
-        lambda b: _add_bucket(_pad_side(b, 1), nbuckets),
-        batch_format="pyarrow", batch_size=8192,
-    )
-    both = t_side.union(f_side)
-    # NOTE round 5: the repartition(nbuckets) that used to sit here
-    # (fanning a handful of tiny map blocks out for group-dispatch
-    # parallelism) was a full extra all-to-all costing more than the
-    # join's own shuffle; reads are now block-sized by file bytes
-    # (>=16 blocks), so the groupby inherits enough parallelism
-    # without it (cold gate 3.8 -> 2.1 s at sf0.1).
+    hot = _hot_cells(tile_specs, features, cell_res)
+    both = tile_specs.map_batches(
+        _to_sides, fn_args=(_TILE, hot, cell_res), batch_format="pyarrow"
+    ).union(features.map_batches(
+        _to_sides, fn_args=(_FEATURE, hot, cell_res), batch_format="pyarrow"
+    ))
 
     def _join_bucket(group: pa.Table) -> pa.Table:
         side = group["side"].to_numpy()
-        tiles = group.filter(pa.array(side == 0))
-        feats = group.filter(pa.array(side == 1))
+        tiles = group.filter(pa.array(side == _TILE))
+        feats = group.filter(pa.array(side == _FEATURE))
         if tiles.num_rows == 0 or feats.num_rows == 0:
             return _out_to_table(_empty_out())
-        # sort each side by cell; per-cell segments become slices
-        cell_t = tiles["cell"].to_numpy().astype(np.uint64)
-        cell_f = feats["cell"].to_numpy().astype(np.uint64)
-        ot = np.argsort(cell_t, kind="stable")
-        of = np.argsort(cell_f, kind="stable")
-        tiles = tiles.take(pa.array(ot))
-        feats = feats.take(pa.array(of))
-        cell_t, cell_f = cell_t[ot], cell_f[of]
-        uct, t_off, t_cnt = np.unique(cell_t, return_index=True, return_counts=True)
-        ucf, f_off, f_cnt = np.unique(cell_f, return_index=True, return_counts=True)
-        common, it, jf = np.intersect1d(uct, ucf, assume_unique=True,
-                                        return_indices=True)
-        if common.size == 0:
-            return _out_to_table(_empty_out())
-        t_off, t_cnt = t_off[it].astype(np.int64), t_cnt[it].astype(np.int64)
-        f_off, f_cnt = f_off[jf].astype(np.int64), f_cnt[jf].astype(np.int64)
-        ftbl = pa.table(
-            {
-                "feature_id": feats["feature_id"],
-                "image_id": feats["f_image_id"],
-                "class": feats["class"],
-                "xs": feats["xs"],
-                "ys": feats["ys"],
-                "minx": feats["minx"],
-                "miny": feats["miny"],
-                "maxx": feats["maxx"],
-                "maxy": feats["maxy"],
-            }
+        pack = FeaturePack.from_arrow(feats)
+        tcell = tiles["cell"].to_numpy()
+        x0, y0, x1, y1 = (tiles[c].to_numpy() for c in ("x0", "y0", "x1", "y1"))
+        pt, pf = _candidate_pairs(
+            _csr(np.arange(len(pack)), feats["cell"].to_numpy()),
+            np.arange(tiles.num_rows), tcell, pack.bbox, x0, y0, x1, y1,
         )
-        pack = FeaturePack.from_arrow(ftbl)
-        x0 = tiles["x0"].to_numpy()
-        y0 = tiles["y0"].to_numpy()
-        x1 = tiles["x1"].to_numpy()
-        y1 = tiles["y1"].to_numpy()
-        b = pack.bbox
-        # candidate generation, memory-bounded at ~CHUNK pairs live:
-        # small cells batch into flat vectorized chunks (int64 index
-        # math); a monster cell (dense AOI where salting wasn't enough)
-        # switches to a dense boolean slab scan — 1 byte per candidate
-        # instead of 5 int64 arrays, the same kernel the per-cell
-        # dispatch used, so worst-case memory is CHUNK bytes, not 40x.
-        CHUNK = 1 << 22
-        pairs_per = t_cnt * f_cnt
-        S = common.size
-        sur_pt, sur_pf, sur_pc = [], [], []
-        i = 0
-        while i < S:
-            if pairs_per[i] > CHUNK:
-                t0s, tcs = int(t_off[i]), int(t_cnt[i])
-                f0s, fcs = int(f_off[i]), int(f_cnt[i])
-                bb = b[f0s:f0s + fcs]
-                slab = max(1, CHUNK // max(1, fcs))
-                for s0 in range(0, tcs, slab):
-                    tt = slice(t0s + s0, t0s + min(s0 + slab, tcs))
-                    hit = (
-                        (bb[None, :, 0] < x1[tt][:, None])
-                        & (bb[None, :, 2] > x0[tt][:, None])
-                        & (bb[None, :, 1] < y1[tt][:, None])
-                        & (bb[None, :, 3] > y0[tt][:, None])
-                    )
-                    lt, lf = np.nonzero(hit)
-                    sur_pt.append(lt + (t0s + s0))
-                    sur_pf.append(lf + f0s)
-                    sur_pc.append(np.full(len(lt), common[i], dtype=np.uint64))
-                i += 1
-                continue
-            j, tot = i, 0
-            while j < S and pairs_per[j] <= CHUNK and tot + pairs_per[j] <= CHUNK:
-                tot += int(pairs_per[j])
-                j += 1
-            pp = pairs_per[i:j]
-            seg = np.repeat(np.arange(i, j), pp)
-            base = np.cumsum(pp) - pp
-            within = np.arange(int(pp.sum()), dtype=np.int64) - base[seg - i]
-            fcs = f_cnt[seg]
-            cpt = t_off[seg] + within // fcs
-            cpf = f_off[seg] + within % fcs
-            hit = (
-                (b[cpf, 0] < x1[cpt]) & (b[cpf, 2] > x0[cpt])
-                & (b[cpf, 1] < y1[cpt]) & (b[cpf, 3] > y0[cpt])
-            )
-            sur_pt.append(cpt[hit])
-            sur_pf.append(cpf[hit])
-            sur_pc.append(common[seg][hit])
-            i = j
-        if not sur_pt:
-            return _out_to_table(_empty_out())
-        pt = np.concatenate(sur_pt).astype(np.int64)
-        pf = np.concatenate(sur_pf).astype(np.int64)
-        pcell = np.concatenate(sur_pc)
-        if len(pt) == 0:
-            return _out_to_table(_empty_out())
-        # dedup guard: emit a (tile, feature) pair only in the cell that
-        # owns the intersection's min corner, so replicated copies on
-        # both sides can't double-count (res-aware for salted cells)
-        ix0 = np.maximum(b[pf, 0], x0[pt])
-        iy0 = np.maximum(b[pf, 1], y0[pt])
+        # owner test at each join cell's own resolution (salted or not)
+        pcell = tcell[pt].astype(np.uint64)
+        ix0 = np.maximum(pack.bbox[pf, 0], x0[pt])
+        iy0 = np.maximum(pack.bbox[pf, 1], y0[pt])
         res = (pcell >> np.uint64(58)).astype(np.int64)
         owner = np.empty(len(pt), dtype=np.uint64)
         for r in np.unique(res):
             m = res == r
             owner[m] = cells.cell_of_point(ix0[m], iy0[m], int(r))
         keep = owner == pcell
-        pt, pf, pcell = pt[keep], pf[keep], pcell[keep]
+        pt, pf = pt[keep], pf[keep]
         if len(pt) == 0:
             return _out_to_table(_empty_out())
-        tid_arr = tiles["tile_id"].combine_chunks()
-        iid_arr = tiles["t_image_id"].combine_chunks()
-        if isinstance(tid_arr, pa.ChunkedArray):
-            tid_arr = pa.concat_arrays(tid_arr.chunks)
-            iid_arr = pa.concat_arrays(iid_arr.chunks)
         return clip_pairs(
-            pack, pt, pf, tid_arr, iid_arr, x0, y0, x1, y1,
-            pcell.astype(np.int64), min_partial_perc,
+            pack, pt, pf, tiles["tile_id"].combine_chunks(), tiles["image_id"].combine_chunks(),
+            x0, y0, x1, y1, tiles["tile_cell"].to_numpy()[pt], min_partial_perc,
         )
 
-    return both.groupby("bucket").map_groups(_join_bucket, batch_format="pyarrow")
-
-
-def _add_bucket(batch: pa.Table, nbuckets: int) -> pa.Table:
-    """Shuffle-key column: Knuth hash of the cell id mod nbuckets."""
-    c = batch["cell"].to_numpy().astype(np.uint64)
-    bucket = ((c * np.uint64(2654435761)) % np.uint64(nbuckets)).astype(np.int32)
-    return batch.append_column("bucket", pa.array(bucket))
-
-
-def _pad_side(batch: pa.Table, side: int) -> pa.Table:
-    """Align tile-spec and feature schemas for union (null-padded)."""
-    n = batch.num_rows
-    nulls_f64 = pa.nulls(n, pa.float64())
-    nulls_str = pa.nulls(n, pa.string())
-    nulls_i64 = pa.nulls(n, pa.int64())
-    nulls_list = pa.nulls(n, pa.list_(pa.float64()))
-    if side == 0:
-        cols = {
-            "cell": batch["cell"],
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-            "tile_id": batch["tile_id"],
-            "t_image_id": batch["image_id"],
-            "x0": batch["x0"],
-            "y0": batch["y0"],
-            "x1": batch["x1"],
-            "y1": batch["y1"],
-            "feature_id": nulls_i64,
-            "f_image_id": nulls_str,
-            "class": nulls_str,
-            "xs": nulls_list,
-            "ys": nulls_list,
-            "minx": nulls_f64,
-            "miny": nulls_f64,
-            "maxx": nulls_f64,
-            "maxy": nulls_f64,
-        }
-    else:
-        cols = {
-            "cell": batch["cell"],
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-            "tile_id": nulls_str,
-            "t_image_id": nulls_str,
-            "x0": nulls_f64,
-            "y0": nulls_f64,
-            "x1": nulls_f64,
-            "y1": nulls_f64,
-            "feature_id": batch["feature_id"],
-            "f_image_id": batch["image_id"],
-            "class": batch["class"],
-            "xs": batch["xs"],
-            "ys": batch["ys"],
-            "minx": batch["minx"],
-            "miny": batch["miny"],
-            "maxx": batch["maxx"],
-            "maxy": batch["maxy"],
-        }
-    return pa.table(cols)
+    return co_shuffle(both, "cell", _join_bucket)

@@ -57,6 +57,26 @@ def test_bucket_of_nonnegative():
     assert ((b >= 0) & (b < 7)).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_co_shuffle_calls_fn_once_per_bucket(ray_session, n):
+    # every key's rows in one call, at most n calls with rows, none
+    # without: the sort cuts one block per tag and never splits a tag.
+    # Its block count follows n, not the input's 4 blocks (one bucket
+    # takes two: Ray's sort needs a boundary to keep to a count)
+    from solaris_ray.stages._buckets import co_shuffle
+
+    keys = np.repeat(np.arange(40, dtype=np.int64), 3)
+    ds = _ds(pa.table({"k": keys, "v": np.arange(keys.size)})).repartition(4)
+    out = co_shuffle(ds, "k", lambda b: pa.table({"keys": [sorted(set(b["k"].to_pylist()))],
+                                                  "rows": [b.num_rows]}), n).materialize()
+    assert out.num_blocks() <= max(n, 2)
+    calls = out.to_pandas()
+    assert 0 < len(calls) <= n
+    got = [k for ks in calls["keys"] for k in ks]
+    assert sorted(got) == list(range(40))
+    assert calls["rows"].sum() == keys.size
+
+
 def test_distinct_plain(ray_session):
     rng = np.random.default_rng(3)
     a = rng.integers(0, 50, 5000)
@@ -200,6 +220,7 @@ def test_graph_family_takes_no_fixed_width():
     import inspect
 
     from solaris_ray.stages.bfs import bfs_hops
+    from solaris_ray.stages.joins import cell_partitioned_join
     from solaris_ray.stages.kcore import kcore
     from solaris_ray.stages.linkpred import link_prediction_scores
     from solaris_ray.stages.pagerank import pagerank
@@ -207,10 +228,10 @@ def test_graph_family_takes_no_fixed_width():
     from solaris_ray.stages.triangles import triangle_counts
 
     for fn in (bfs_hops, sssp_dist, pagerank, kcore, triangle_counts,
-               link_prediction_scores, distinct_reduce, *_EVENT_FAMILY.values(),
-               *_PORTED):
+               link_prediction_scores, distinct_reduce, cell_partitioned_join,
+               *_EVENT_FAMILY.values(), *_PORTED):
         params = set(inspect.signature(fn).parameters)
-        knobs = {"n_buckets", "shuffle_blocks"} & params
+        knobs = {"n_buckets", "nbuckets", "shuffle_blocks"} & params
         assert not knobs, f"{fn.__name__} takes {sorted(knobs)}"
 
 
@@ -365,7 +386,7 @@ def test_vocab_topk_null_text_has_no_terms(ray_session):
 # removes its module; this set may only shrink.
 _MAP_GROUPS_ALLOWLIST = {
     "ann", "asof", "calibrate", "chips", "cluster", "compact", "dedup", "dominance",
-    "evaluate", "export", "fill", "focal", "graph", "joins", "knn", "pca", "pq",
+    "evaluate", "export", "fill", "focal", "graph", "knn", "pca", "pq",
     "profile", "queries", "rangejoin", "segjoin", "sketch", "split", "stump",
     "windows", "zonal",
 }
@@ -410,13 +431,13 @@ def test_map_groups_scan_sees_each_form(tmp_path):
 
 # stage functions that may still fix a width, each for a reason of its
 # own: feature-hash dimensions (text, corpus), the quantile histogram's
-# resolution, pca's float fan-in (it fixes summation order, it is not a
-# key shuffle) and the cell join (ROADMAP item 4).  The graph family
+# resolution and pca's float fan-in (it fixes summation order, it is not
+# a key shuffle).  No key shuffle is left in it.  The graph family
 # computes its width once from its input.  This set may only shrink.
 _LITERAL_WIDTH_ALLOWLIST = {
     "text.feature_hash_counts", "corpus.dsir_weights",
     "quantiles.exact_quantiles", "quantiles.exact_rank_select",
-    "pca.covariance_partials", "joins.cell_partitioned_join",
+    "pca.covariance_partials",
 }
 
 
@@ -475,3 +496,64 @@ def test_literal_width_scan_sees_each_form(tmp_path):
                    "def c(ds):\n    n_buckets = 256\n"
                    "def d(ds, n_buckets=None):\n    n_buckets = n_buckets or 4.0\n")
     assert _literal_widths(src) == {"fake.<module>", "fake.a", "fake.b", "fake.c"}
+
+
+# int-literal ``batch_size=`` arguments per module of ``solaris_ray/``
+# (ROADMAP item 3: a batch size follows the data, and it also sets the
+# block count downstream).  A count may only fall; so may the total.
+_LITERAL_BATCH_SIZES = {
+    "pipelines.builder": 1, "pipelines.queries": 157, "stages.align": 2, "stages.ann": 3,
+    "stages.bloom": 1, "stages.bm25": 2, "stages.bootstrap": 1, "stages.calibrate": 2,
+    "stages.cdc": 2, "stages.chips": 1, "stages.cluster": 2, "stages.compact": 1,
+    "stages.corpus": 6, "stages.dedup": 8, "stages.dissolve": 1, "stages.divergence": 1,
+    "stages.dominance": 5, "stages.dupspan": 1, "stages.edges": 3, "stages.ema": 1,
+    "stages.encode": 2, "stages.entropy": 1, "stages.evaluate": 2, "stages.export": 2,
+    "stages.fill": 1, "stages.focal": 2, "stages.graph": 2, "stages.histogram": 1,
+    "stages.knn": 3, "stages.linkpred": 2, "stages.masks": 1, "stages.negatives": 2,
+    "stages.normalize": 2, "stages.pca": 2, "stages.profile": 2, "stages.pyramid": 1,
+    "stages.quantiles": 2, "stages.ranktest": 3, "stages.relational": 1, "stages.ripley": 1,
+    "stages.rolling": 1, "stages.rollup": 1, "stages.segjoin": 2, "stages.sketch": 4,
+    "stages.split": 3, "stages.stretch": 3, "stages.stump": 1, "stages.text": 1,
+    "stages.tfidf": 2, "stages.tiler": 1, "stages.windows": 1,
+}
+
+
+def _literal_batch_sizes(root) -> dict:
+    """Dotted module path under ``root`` -> its count of calls passing an
+    int literal as ``batch_size=``."""
+    import ast
+    import pathlib
+
+    counts = {}
+    for path in sorted(pathlib.Path(root).rglob("*.py")):
+        n = sum(1 for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+                for k in node.keywords
+                if k.arg == "batch_size" and isinstance(k.value, ast.Constant)
+                and type(k.value.value) is int)
+        if n:
+            counts[".".join(path.relative_to(root).with_suffix("").parts)] = n
+    return counts
+
+
+def test_literal_batch_sizes_only_shrink():
+    import pathlib
+
+    import solaris_ray
+
+    found = _literal_batch_sizes(pathlib.Path(solaris_ray.__file__).parent)
+    grown = {m: n for m, n in found.items() if n > _LITERAL_BATCH_SIZES.get(m, 0)}
+    assert not grown, grown
+    assert sum(found.values()) <= sum(_LITERAL_BATCH_SIZES.values()) == 256
+
+
+def test_literal_batch_size_scan_sees_each_form(tmp_path):
+    # the scan must count every form it polices, or the ratchet is empty
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "m.py").write_text(
+        "def f(ds, bs, batch_size=64):\n"
+        "    ds.map_batches(g, batch_size=4096)\n"
+        "    ds.map_batches(g,\n        batch_size=16)\n"
+        "    ds.map_batches(g, batch_size=None)\n"
+        "    ds.map_batches(g, batch_size=bs)\n"
+        "    # ds.map_batches(g, batch_size=8)\n")
+    assert _literal_batch_sizes(tmp_path) == {"pkg.m": 2}

@@ -10,7 +10,10 @@ pairs — the same quadratic loop the reference effectively runs
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from solaris_ray.geom import cells
 from solaris_ray.geom.poly import clip_ring_to_box, clip_line_to_box, ring_areas, ring_lengths
 from solaris_ray.sources.synth import gen_shard
 from solaris_ray.stages.joins import (
@@ -171,30 +174,156 @@ class TestJoinOnRay:
     def test_cell_partitioned_equals_broadcast(self, corpus):
         import ray.data as rd
 
-        from solaris_ray.stages.joins import cell_partitioned_join
+        from solaris_ray.stages.joins import cell_partitioned_join, spatial_join_tasks
 
         imgs, feats, plan = corpus
-        ds = cell_partitioned_join(rd.from_arrow(plan), rd.from_arrow(feats))
-        got = ds.to_pandas()
+        got = _sorted_rows(cell_partitioned_join(rd.from_arrow(plan), rd.from_arrow(feats)))
         want = brute_force_join(plan, feats)
-        got_pairs = sorted(zip(got["tile_id"], got["feature_id"]))
+        got_pairs = list(zip(got["tile_id"].to_pylist(), got["feature_id"].to_pylist()))
         assert got_pairs == [(a, b) for a, b, _ in want]
+        # every column, the tile's own cell and the list geometry included
+        assert got.equals(_sorted_rows(spatial_join_tasks(rd.from_arrow(plan), feats)))
 
-    def test_cell_partitioned_with_salting_equals_broadcast(self, corpus):
+    def test_cell_partitioned_with_salting_equals_broadcast(self, corpus, monkeypatch):
         """Force hot-cell splitting on every cell: exactly-once emission
         must survive mixed resolutions (owner test is res-aware)."""
         import ray.data as rd
 
-        from solaris_ray.stages.joins import cell_partitioned_join
+        from solaris_ray.stages import joins
 
         imgs, feats, plan = corpus
-        ds = cell_partitioned_join(
-            rd.from_arrow(plan), rd.from_arrow(feats), hot_cell_factor=0.1
-        )
-        got = ds.to_pandas()
+        # the hot set is planned on the driver, so the constant reaches it
+        monkeypatch.setattr(joins, "HOT_CELL_FACTOR", 0.1)
+        specs, layer = rd.from_arrow(plan), rd.from_arrow(feats)
+        assert joins._hot_cells(specs, layer, 13)
+        got = _sorted_rows(joins.cell_partitioned_join(specs, layer))
         want = brute_force_join(plan, feats)
-        got_pairs = sorted(zip(got["tile_id"], got["feature_id"]))
+        got_pairs = list(zip(got["tile_id"].to_pylist(), got["feature_id"].to_pylist()))
         assert got_pairs == [(a, b) for a, b, _ in want]
+        assert got.equals(_sorted_rows(joins.spatial_join_tasks(specs, feats)))
+
+
+def _sorted_rows(ds) -> pa.Table:
+    """A join Dataset's rows as one table in (tile_id, feature_id) order."""
+    import ray
+
+    blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+    return pa.concat_tables(blocks).combine_chunks().sort_by(
+        [("tile_id", "ascending"), ("feature_id", "ascending")])
+
+
+@pytest.mark.parametrize("chunk", [1, 100])
+def test_candidate_slices_keep_the_rows(corpus, monkeypatch, chunk):
+    """Expanding candidates a few at a time (one tile row per slice at
+    chunk 1) emits the very table one slice does."""
+    from solaris_ray.stages import joins
+
+    imgs, feats, plan = corpus
+    pack = FeaturePack.from_arrow(feats)
+    buckets = build_buckets(pack, cell_res=13)
+    want = join_tile_batch_to_pack(plan, pack, buckets, 13, 0.0)
+    monkeypatch.setattr(joins, "CANDIDATE_CHUNK", chunk)
+    assert join_tile_batch_to_pack(plan, pack, buckets, 13, 0.0).equals(want)
+
+
+def test_spatial_join_empty_feature_layer(ray_session, corpus):
+    """An empty layer, as a table, as a Dataset of empty blocks or of
+    blocks without columns, joins to zero rows of the join schema; so do
+    zero tile specs."""
+    import ray.data as rd
+
+    from solaris_ray.stages.joins import JOIN_SCHEMA, cell_partitioned_join, spatial_join
+
+    imgs, feats, plan = corpus
+    empty = feats.slice(0, 0)
+    layers = {
+        "table": empty,
+        "empty blocks": rd.from_arrow(empty),
+        "no columns": rd.from_arrow(feats).filter(lambda r: False),
+    }
+    for name, layer in layers.items():
+        out = spatial_join(rd.from_arrow(plan), layer).materialize()
+        assert out.count() == 0 and out.schema().names == JOIN_SCHEMA.names, name
+    out = cell_partitioned_join(rd.from_arrow(plan), rd.from_arrow(empty)).materialize()
+    assert out.count() == 0 and out.schema().names == JOIN_SCHEMA.names
+    no_specs = rd.from_arrow(plan.slice(0, 0))
+    assert spatial_join(no_specs, feats).count() == 0
+    out = spatial_join(no_specs, feats, broadcast_limit_bytes=1).materialize()
+    assert out.count() == 0 and out.schema().names == JOIN_SCHEMA.names
+
+
+# cell edge at resolution 13: 2048 world units, cell edges on multiples
+_EDGE = 2048.0
+
+
+@st.composite
+def _join_world(draw):
+    """Tile specs over a 2 x 2-cell patch whose grid straddles the cell
+    edges, random rectangles and road lines, and 600 small rectangles in
+    one cell, enough to make it hot."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ts = draw(st.floats(300, 1500))
+    ox, oy = draw(st.floats(-ts, 0)), draw(st.floats(-ts, 0))
+    n = int(np.ceil((2 * _EDGE - ox) / ts))
+    gx, gy = np.meshgrid(np.arange(n), np.arange(n))
+    x0, y0 = ox + gx.ravel() * ts, oy + gy.ravel() * ts
+    tiles = pa.table({
+        "tile_id": [f"t{i}" for i in range(len(x0))],
+        "image_id": ["img"] * len(x0),
+        "cell": pa.array(cells.cell_of_point(x0 + ts / 2, y0 + ts / 2, 13).astype(np.int64)),
+        "x0": x0, "y0": y0, "x1": x0 + ts, "y1": y0 + ts,
+    })
+    n_rect, n_road = draw(st.integers(0, 40)), draw(st.integers(0, 12))
+    cx = np.r_[rng.uniform(0, 2 * _EDGE, n_rect), rng.uniform(_EDGE + 10, 2 * _EDGE - 10, 600)]
+    cy = np.r_[rng.uniform(0, 2 * _EDGE, n_rect), rng.uniform(10, _EDGE - 10, 600)]
+    hw = np.r_[rng.uniform(5, 700, n_rect), rng.uniform(1, 10, 600)]
+    hh = np.r_[rng.uniform(5, 700, n_rect), rng.uniform(1, 10, 600)]
+    xs = [[a - w, a + w, a + w, a - w] for a, w in zip(cx, hw)]
+    ys = [[b - h, b - h, b + h, b + h] for b, h in zip(cy, hh)]
+    for _ in range(n_road):
+        k = int(rng.integers(2, 6))
+        xs.append(rng.uniform(-200, 2 * _EDGE + 200, k).tolist())
+        ys.append(rng.uniform(-200, 2 * _EDGE + 200, k).tolist())
+    nf = len(xs)
+    feats = pa.table({
+        "feature_id": pa.array(np.arange(nf, dtype=np.int64)),
+        "image_id": [""] * nf,
+        "class": ["building"] * (nf - n_road) + ["road"] * n_road,
+        "xs": pa.array(xs, pa.list_(pa.float64())),
+        "ys": pa.array(ys, pa.list_(pa.float64())),
+        "minx": [min(v) for v in xs], "miny": [min(v) for v in ys],
+        "maxx": [max(v) for v in xs], "maxy": [max(v) for v in ys],
+    })
+    return tiles, feats
+
+
+@settings(max_examples=4, deadline=None)
+@given(_join_world())
+def test_cell_partitioned_parity_property(ray_session, world):
+    """The partitioned plan emits the broadcast plan's rows, every
+    column, with a hot cell salted, at two input block counts that
+    give two shuffle widths."""
+    import ray.data as rd
+
+    from solaris_ray.stages import joins
+    from solaris_ray.stages._buckets import co_shuffle, shuffle_width
+
+    tiles, feats = world
+    want = _sorted_rows(joins.spatial_join_tasks(rd.from_arrow(tiles), feats))
+    assert joins._hot_cells(rd.from_arrow(tiles), rd.from_arrow(feats), 13)
+    widths = []
+
+    def _spy(ds, keys, fn, n_buckets=None):
+        widths.append(shuffle_width(ds))
+        return co_shuffle(ds, keys, fn, n_buckets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(joins, "co_shuffle", _spy)
+        for blocks in (1, 3):
+            got = joins.cell_partitioned_join(
+                rd.from_arrow(tiles).repartition(blocks), rd.from_arrow(feats).repartition(blocks))
+            assert _sorted_rows(got).equals(want)
+    assert widths[0] != widths[1]
 
 
 def test_partitioned_knn_parity(ray_session):
@@ -277,15 +406,13 @@ def test_spatial_join_auto_select_parity(ray_session):
     meta = images.select(["image_id", "w", "h", "gt_a", "gt_b", "gt_c", "gt_d", "gt_e", "gt_f"])
     specs = tiler.plan_tiles_ds(ray.data.from_arrow(meta), tile_size=128)
     cols = ["tile_id", "feature_id", "origarea", "partialDec", "truncated"]
-    small = (
-        spatial_join(specs, features)  # broadcast path (fits budget)
-        .to_pandas()[cols].sort_values(["tile_id", "feature_id"]).reset_index(drop=True)
-    )
+    small = spatial_join(specs, features, out_columns=cols)  # broadcast path (fits budget)
     specs2 = tiler.plan_tiles_ds(ray.data.from_arrow(meta), tile_size=128)
-    forced = (
-        spatial_join(specs2, features, broadcast_limit_bytes=1)  # forced partitioned
-        .to_pandas()[cols].sort_values(["tile_id", "feature_id"]).reset_index(drop=True)
-    )
+    forced = spatial_join(specs2, features, broadcast_limit_bytes=1, out_columns=cols)  # forced partitioned
+    # out_columns projects the rows on both plans
+    assert small.schema().names == forced.schema().names == cols
+    small = small.to_pandas().sort_values(["tile_id", "feature_id"]).reset_index(drop=True)
+    forced = forced.to_pandas().sort_values(["tile_id", "feature_id"]).reset_index(drop=True)
     assert len(small) == len(forced) > 0
     assert (small["feature_id"].values == forced["feature_id"].values).all()
     assert np.allclose(small["partialDec"].values, forced["partialDec"].values, atol=0)
