@@ -5264,12 +5264,12 @@ def q_split_multi(sf_dir: str):
 def q_overviews(sf_dir: str):
     """COG-style overview pyramid (2x average-pooled levels, exact
     integer floor means): formula images -> levels 1 and 2 through the
-    actor-pool builder; per-level position-weighted checksums replay
+    builder's map tasks; per-level position-weighted checksums replay
     in SQL with the floor-div block mean stated verbatim twice."""
     from ..stages.multimodal import build_overviews
 
     images = _formula_gray_images(sf_dir, limit=150, fixed_size=64)
-    ov = build_overviews(images, levels=2, concurrency=2, batch_size=16)
+    ov = build_overviews(images, levels=2, batch_size=16)
 
     def _wsums(batch: pa.Table) -> pa.Table:
         from ..raster import codec as _codec

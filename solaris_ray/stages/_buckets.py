@@ -27,13 +27,14 @@ fixed count.  ``co_shuffle`` runs the mask, event and graph families,
 ``distinct_reduce``, the cell-partitioned spatial join
 (``joins.cell_partitioned_join``, keyed on the join cell) and the once
 hand-hashed keyed shuffles of ``stages/`` and
-``pipelines/queries.py``.  It is not yet the only keyed
-exchange: other stages still call Ray's ``groupby(key).map_groups``
+``pipelines/queries.py``, and every per-key top-k through ``top_k``.
+It is not yet the only keyed exchange: other stages still call Ray's ``groupby(key).map_groups``
 themselves, among them ``evaluate.eval_scores`` and ``eval_matches``,
-``zonal``, ``windows``, ``dedup`` and ``export``.  ``tests/test_buckets.py``
-lists those modules; the list may only shrink.  Most ``co_shuffle``
-callers take the width from ``shuffle_width`` of the input they
-shuffle.  The graph family (``sssp_dist`` and ``bfs_hops``,
+``zonal``, ``windows``, ``export``, the LSH buckets of ``dedup`` and the
+``(band, key)`` candidates of ``ann.hamming_topk_banded``.
+``tests/test_buckets.py`` lists those modules; the list may only shrink.
+Most ``co_shuffle`` callers take the width from ``shuffle_width`` of
+the input they shuffle.  The graph family (``sssp_dist`` and ``bfs_hops``,
 ``pagerank``, ``kcore``,
 ``triangle_counts``, ``link_prediction_scores`` and the star rounds of
 ``connected_components``) computes it once from its input, before the
@@ -41,6 +42,15 @@ first round, and passes it to every round: the block count of unioned
 per-round state grows every round (NOTES round 4i), and a width read
 from it would grow too.  ``co_shuffle`` writes exactly that many
 blocks, so no round repartitions.
+
+``top_k`` is the one per-key top-k: one Arrow sort per bucket on the
+key and the caller's order columns, then the first ``k`` rows of each
+run of equal keys, ranked from 1.  It merges the per-batch partial
+cuts of ``ann``'s brute, filtered and Hamming searches, of ``knn``'s
+straggler pass and ``haversine_topk``, of ``pq.pq_adc_topk`` and of
+``split.stratified_sample``, ranks ``tfidf_topk``'s terms and picks
+``dedup``'s exact-vector representatives (k = 1 by id).  A caller
+that wants another ``rank`` dtype or column order selects or casts.
 
 ``one_task`` is the small-input plan of the graph family: one remote
 task over the whole of each dataset.  ``SMALL_EDGE_LIMIT`` is the one
@@ -189,6 +199,28 @@ def per_key(key: str, fn):
                                  for s, e in zip(cuts[:-1], cuts[1:])])
 
     return _run
+
+
+def top_k(ds, key: str, order: list, k: int):
+    """The ``k`` first rows of each ``key`` under ``order`` -- a list of
+    ``(column, "ascending" | "descending")`` pairs -- with a 1-based
+    int64 ``rank`` column appended: one ``co_shuffle`` on ``key`` and
+    one Arrow sort per bucket.  Rows tied on every ``order`` column come
+    in no fixed order, so a caller that needs one ends ``order`` with a
+    unique column.  Float keys group as in ``key_i64`` (-0.0 is +0.0)."""
+
+    def _cut(bucket: pa.Table) -> pa.Table:
+        bucket = bucket.take(pc.sort_indices(bucket, [(key, "ascending"), *order]))
+        keys = bucket[key].combine_chunks()
+        n = len(keys)
+        new = np.ones(n, bool)
+        new[1:] = pc.not_equal(keys[1:], keys[:-1]).to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(new)
+        rank = np.arange(1, n + 1) - starts[np.cumsum(new) - 1]
+        keep = rank <= k
+        return bucket.filter(pa.array(keep)).append_column("rank", pa.array(rank[keep]))
+
+    return co_shuffle(ds, key, _cut)
 
 
 def distinct_reduce(ds, key_cols: list[str], aggs: dict[str, str] | None = None):

@@ -5,8 +5,8 @@ paths:
 
 - ``brute_topk``: exact cosine top-k — the queries (a small matrix)
   are broadcast with ``ray.put``; every batch computes a (q x batch)
-  float64 matmul and emits its *local* top-k candidate rows; a final
-  ``groupby(query_id)`` merges the partials.  This is the scalable
+  float64 matmul and emits its *local* top-k candidate rows; one
+  ``_buckets.top_k`` on query_id merges the partials.  This is the scalable
   partial-topk/combine shape: the full corpus streams, only q*k rows
   per block shuffle.
 - ``lsh_topk``: random-hyperplane LSH — vectors bucketed by a seeded
@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from ._buckets import distinct_reduce, top_k
 
 TOPK_SCHEMA = pa.schema(
     [
@@ -118,21 +120,11 @@ class BruteScorer:
         )
 
 
-def _final_topk(k: int):
-    def _merge(group: pa.Table) -> pa.Table:
-        sims = group["sim6"].to_numpy()
-        vids = group["vec_id"].to_numpy()
-        order = np.lexsort((vids, -sims))[:k]
-        return pa.table(
-            {
-                "query_id": group["query_id"].take(pa.array(order)),
-                "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int32), pa.int32()),
-                "vec_id": pa.array(vids[order], pa.int64()),
-                "sim6": pa.array(sims[order], pa.float64()),
-            }
-        )
-
-    return _merge
+def _final_topk(partial, k: int):
+    """Merge the per-batch candidates: (sim6 desc, vec_id asc) per query."""
+    out = top_k(partial, "query_id", [("sim6", "descending"), ("vec_id", "ascending")], k)
+    return out.map_batches(lambda b: b.select(TOPK_SCHEMA.names).cast(TOPK_SCHEMA),
+                           batch_format="pyarrow")
 
 
 def brute_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
@@ -149,7 +141,7 @@ def brute_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
         {"queries_ref": ref, "k": k, "id_col": id_col, "vec_col": vec_col},
         batch_size=batch_size, concurrency=concurrency,
     )
-    return partial.groupby("query_id").map_groups(_final_topk(k), batch_format="pyarrow")
+    return _final_topk(partial, k)
 
 
 def filtered_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray,
@@ -184,7 +176,7 @@ def filtered_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray,
          "vec_col": vec_col, "group_col": group_col},
         batch_size=batch_size, concurrency=concurrency,
     )
-    return partial.groupby("query_id").map_groups(_final_topk(k), batch_format="pyarrow")
+    return _final_topk(partial, k)
 
 
 # --- LSH-bucketed variant (scale path) ----------------------------------
@@ -421,22 +413,7 @@ def hamming_topk(ds, queries_ids: np.ndarray, queries_hashes: np.ndarray,
         batch_size=batch_size, concurrency=concurrency,
     )
 
-    def _merge(group: pa.Table) -> pa.Table:
-        dist = group["dist"].to_numpy()
-        items = group["item_id"].to_numpy()
-        order = np.lexsort((items, dist))[:k]
-        return pa.table(
-            {
-                "query_id": group["query_id"].take(pa.array(order)),
-                "rank": pa.array(np.arange(1, len(order) + 1,
-                                           dtype=np.int64), pa.int64()),
-                "item_id": pa.array(items[order], pa.int64()),
-                "dist": pa.array(dist[order], pa.int64()),
-            }
-        )
-
-    return partial.groupby("query_id").map_groups(_merge,
-                                                  batch_format="pyarrow")
+    return _hamming_merge(partial, k)
 
 
 def hamming_topk_banded(corpus, queries, k: int = 5, radius: int = 3,
@@ -528,24 +505,15 @@ def hamming_topk_banded(corpus, queries, k: int = 5, radius: int = 3,
         _bucket, batch_format="pyarrow")
     # a pair can surface from several agreeing bands: distinct first
     # (bucketed vectorized min-reduce, not Ray's per-group aggregate)
-    from ._buckets import distinct_reduce
-
     cands = distinct_reduce(cands, ["query_id", "item_id"],
                             aggs={"dist": "min"})
 
-    def _merge(group: pa.Table) -> pa.Table:
-        dist = group["dist"].to_numpy()
-        items = group["item_id"].to_numpy()
-        order = np.lexsort((items, dist))[:k]
-        return pa.table(
-            {
-                "query_id": group["query_id"].take(pa.array(order)),
-                "rank": pa.array(np.arange(1, len(order) + 1,
-                                           dtype=np.int64), pa.int64()),
-                "item_id": pa.array(items[order], pa.int64()),
-                "dist": pa.array(dist[order].astype(np.int64), pa.int64()),
-            }
-        )
+    return _hamming_merge(cands, k)
 
-    return cands.groupby("query_id").map_groups(_merge,
-                                                batch_format="pyarrow")
+
+def _hamming_merge(cands, k: int):
+    """(query_id, rank, item_id, dist): the k first candidates of each
+    query by (dist asc, item_id asc)."""
+    out = top_k(cands, "query_id", [("dist", "ascending"), ("item_id", "ascending")], k)
+    return out.map_batches(lambda b: b.select(["query_id", "rank", "item_id", "dist"]),
+                           batch_format="pyarrow")

@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._buckets import distinct_reduce, top_k
 from .text import WORD_SPLIT
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -332,8 +333,6 @@ def minhash_candidate_pairs(
             }
         )
 
-    from ._buckets import distinct_reduce
-
     cand = distinct_reduce(
         # cross-band distinct BEFORE the sig joins (a pair colliding in
         # k bands would otherwise join its signatures k times)
@@ -513,7 +512,7 @@ def embedding_neardup_pairs_bucketed(ds, tau: float = 0.4, n_planes: int = 8,
     bucket BY DESIGN, so the bucket emitter must be bounded):
 
     - ``collapse_exact``: bitwise-identical vectors are collapsed to one
-      representative (min id) BEFORE LSH bucketing via a digest groupby;
+      representative (min id) BEFORE LSH bucketing via a digest top_k;
       each duplicate class emits star pairs (rep, member, sim=1.0)
       instead of the O(k^2) clique — 1 M identical vectors cost 1 M-1
       rows, not 5*10^11.  Member-to-other pairs are derivable
@@ -606,8 +605,6 @@ def embedding_neardup_pairs_bucketed(ds, tau: float = 0.4, n_planes: int = 8,
     pairs = tagged.groupby(["t", "bucket"]).map_groups(_bucket, batch_format="pyarrow")
     if star_pairs is not None:
         pairs = pairs.union(star_pairs)
-    from ._buckets import distinct_reduce
-
     # bucketed vectorized max-reduce (Ray's hash aggregate costs
     # ~100us CPU per pair group); output schema kept identical
     return distinct_reduce(
@@ -625,9 +622,9 @@ def _collapse_exact_vectors(ds, id_col: str, vec_col: str):
     Returns ``(reps, star_pairs)``: ``reps`` has the input schema with
     one row (min id) per distinct vector value; ``star_pairs`` is a
     (doc_a, doc_b, sim6=1.0) Dataset linking each representative to its
-    duplicate class members.  Two independent lazy groupby pipelines:
-    the star-pair side shuffles only (digest, id) — tiny rows — while
-    the rep side carries vectors.  No materialization; with no exact
+    duplicate class members.  Two independent lazy pipelines: the
+    star-pair side groups only (digest, id) — tiny rows — while the rep
+    side (a k = 1 ``top_k`` on the digest, by id) carries vectors.  No materialization; with no exact
     duplicates ``reps`` re-emits every input row and ``star_pairs`` is
     empty, so downstream output is unchanged.
     """
@@ -642,11 +639,8 @@ def _collapse_exact_vectors(ds, id_col: str, vec_col: str):
 
     keyed = ds.map_batches(_digest, batch_format="pyarrow", batch_size=4096)
 
-    def _rep(group: pa.Table) -> pa.Table:
-        ids = group[id_col].to_numpy()
-        return group.take([int(np.argmin(ids))]).drop_columns(["dkey"])
-
-    reps = keyed.groupby("dkey").map_groups(_rep, batch_format="pyarrow")
+    reps = top_k(keyed, "dkey", [(id_col, "ascending")], 1).map_batches(
+        lambda b: b.drop_columns(["dkey", "rank"]), batch_format="pyarrow")
 
     star_empty = pa.schema(
         [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("sim6", pa.float64())]
@@ -797,8 +791,6 @@ def hamming_neardup_pairs(
         )
 
     pairs = banded.groupby(["band", "key"]).map_groups(_bucket, batch_format="pyarrow")
-    from ._buckets import distinct_reduce
-
     return distinct_reduce(
         pairs, ["id_a", "id_b"], aggs={"dist": "min"}
     ).map_batches(

@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..geom import cells
+from ._buckets import co_shuffle, per_key, top_k
 
 KNN_SCHEMA = pa.schema(
     [
@@ -31,6 +32,10 @@ KNN_SCHEMA = pa.schema(
         ("d2", pa.float64()),
     ]
 )
+
+# cells of the (stragglers x features) float64 distance matrix the
+# streaming brute pass holds per batch: 128 MiB
+_D2_CELLS = 1 << 24
 
 
 class CentroidIndex:
@@ -196,7 +201,7 @@ def cell_partitioned_knn_join(
     max_halo_passes: int = 3,
     brute_cutoff: int = 2048,
 ):
-    """Both-sides-large kNN: groupby(cell) co-shuffle with feature halo
+    """Both-sides-large kNN: a ``co_shuffle`` on the cell with feature halo
     replication (the cell-partitioned twin of ``broadcast_knn_join``,
     mirroring ``joins.cell_partitioned_join``'s owner-cell pattern).
 
@@ -207,7 +212,7 @@ def cell_partitioned_knn_join(
     R*edge away); unresolved points re-shuffle in the next pass with
     R *= 3.  After ``max_halo_passes`` the (tiny) residual straggler
     set switches to a STREAMING brute-force pass: stragglers broadcast,
-    features stream through partial top-k + groupby(point_id) merge
+    features stream through partial top-k + one ``top_k`` merge
     (ann.brute_topk shape) — exact at any sparsity without halo blowup.
     Output is bit-identical to the broadcast path (parity-tested).
 
@@ -281,8 +286,8 @@ def cell_partitioned_knn_join(
                 }
             )
 
-        f_side = features.map_batches(_tag_feats, batch_format="pyarrow", batch_size=8192)
-        p_side = pts.map_batches(_tag_pts, batch_format="pyarrow", batch_size=8192)
+        f_side = features.map_batches(_tag_feats, batch_format="pyarrow")
+        p_side = pts.map_batches(_tag_pts, batch_format="pyarrow")
 
         out_schema = pa.schema(
             [
@@ -336,12 +341,8 @@ def cell_partitioned_knn_join(
                 }
             return pa.table({kk_: pa.array(vv) for kk_, vv in out.items()}, schema=out_schema)
 
-        pass_out = (
-            p_side.union(f_side)
-            .groupby("cell")
-            .map_groups(_group, batch_format="pyarrow")
-            .materialize()  # blocks stay in the object store
-        )
+        pass_out = co_shuffle(p_side.union(f_side), "cell",
+                              per_key("cell", _group)).materialize()
         done = pass_out.filter(lambda r: r["resolved"] == 1 and r["rank"] >= 1)
         results.append(
             done.map_batches(
@@ -353,19 +354,12 @@ def cell_partitioned_knn_join(
         n_todo = todo.count()
         if n_todo == 0:
             break
-        # next pass: only unresolved points, bigger halo
+        # next pass: only unresolved points (one row each: every row of a
+        # point carries its coordinates), bigger halo
         pts = (
-            todo.groupby("point_id")
-            .map_groups(
-                lambda g: pa.table(
-                    {
-                        id_col: pa.array([g["point_id"][0].as_py()], pa.int64()),
-                        x_col: pa.array([g["px"][0].as_py()], pa.float64()),
-                        y_col: pa.array([g["py"][0].as_py()], pa.float64()),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
+            top_k(todo.select_columns(["point_id", "px", "py"]), "point_id", [], 1)
+            .map_batches(lambda b: pa.table({id_col: b["point_id"], x_col: b["px"],
+                                             y_col: b["py"]}), batch_format="pyarrow")
             .materialize()
         )
         if n_todo <= brute_cutoff:
@@ -398,11 +392,37 @@ def cell_partitioned_knn_join(
     return out
 
 
+class _StragglerScorer:
+    """Per-batch partial top-k of a broadcast point set against a batch
+    of features (``_topk_rows``' (d2, feature_id) order)."""
+
+    def __init__(self, points_ref, k: int, fx_col: str, fy_col: str):
+        import ray
+
+        self.pid, self.px, self.py = ray.get(points_ref)
+        self.k, self.fx_col, self.fy_col = k, fx_col, fy_col
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        fx = batch[self.fx_col].to_numpy().astype(np.float64)
+        fy = batch[self.fy_col].to_numpy().astype(np.float64)
+        fid = batch["feature_id"].to_numpy().astype(np.int64)
+        rp, rf, _, rd, _ = _topk_rows(self.pid, self.px, self.py, fx, fy, fid, self.k)
+        return pa.table(
+            {
+                "point_id": pa.array(rp, pa.int64()),
+                "feature_id": pa.array(rf, pa.int64()),
+                "d2": pa.array(rd, pa.float64()),
+            }
+        )
+
+
 def _brute_knn_stream(pts, features, k, fx_col, fy_col, id_col, x_col, y_col):
     """Exact kNN for a SMALL broadcast point set against a STREAMING
-    feature Dataset: per-batch partial top-k, then groupby(point_id)
-    merge — the ann.brute_topk shape applied to coordinates."""
+    feature Dataset: per-batch partial top-k, then one ``top_k`` merge
+    on point_id -- the ann.brute_topk shape applied to coordinates."""
     import ray
+
+    from ..runtime import stateful_map
 
     q = pts.to_pandas()  # stragglers are tiny by construction
     if len(q) == 0:
@@ -414,43 +434,14 @@ def _brute_knn_stream(pts, features, k, fx_col, fy_col, id_col, x_col, y_col):
             q[y_col].to_numpy().astype(np.float64),
         )
     )
-
-    class _Partial:
-        def __init__(self):
-            self.pid, self.px, self.py = ray.get(qref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            fx = batch[fx_col].to_numpy().astype(np.float64)
-            fy = batch[fy_col].to_numpy().astype(np.float64)
-            fid = batch["feature_id"].to_numpy().astype(np.int64)
-            rp, rf, rr, rd, _ = _topk_rows(self.pid, self.px, self.py, fx, fy, fid, k)
-            return pa.table(
-                {
-                    "point_id": pa.array(rp, pa.int64()),
-                    "feature_id": pa.array(rf, pa.int64()),
-                    "d2": pa.array(rd, pa.float64()),
-                }
-            )
-
-    partial = features.map_batches(_Partial, batch_format="pyarrow",
-                                   batch_size=8192, concurrency=(1, 4))
-
-    def _merge(group: pa.Table) -> pa.Table:
-        pid = group["point_id"][0].as_py()
-        fid = group["feature_id"].to_numpy()
-        d2 = group["d2"].to_numpy()
-        o = np.lexsort((fid, d2))[:k]
-        return pa.table(
-            {
-                "point_id": pa.array(np.full(len(o), pid, dtype=np.int64)),
-                "feature_id": pa.array(fid[o], pa.int64()),
-                "rank": pa.array(np.arange(1, len(o) + 1, dtype=np.int32)),
-                "d2": pa.array(d2[o], pa.float64()),
-            },
-            schema=KNN_SCHEMA,
-        )
-
-    return partial.groupby("point_id").map_groups(_merge, batch_format="pyarrow")
+    partial = stateful_map(
+        features, _StragglerScorer,
+        {"points_ref": qref, "k": k, "fx_col": fx_col, "fy_col": fy_col},
+        batch_size=max(1, _D2_CELLS // len(q)),
+    )
+    return top_k(partial, "point_id", [("d2", "ascending"), ("feature_id", "ascending")],
+                 k).map_batches(lambda b: b.select(KNN_SCHEMA.names).cast(KNN_SCHEMA),
+                                batch_format="pyarrow")
 
 
 class BroadcastKNNJoiner:
@@ -552,7 +543,7 @@ def haversine_topk(points, q_ids: np.ndarray, q_lon: np.ndarray,
     Streaming shape = ann.brute_topk: queries broadcast once via
     ``ray.put``, every corpus batch emits its LOCAL top-k candidate
     rows per query (q x k rows per batch, never the batch itself),
-    one ``groupby(query_id)`` merge finishes.  Ordering is
+    one ``top_k`` merge on query_id finishes.  Ordering is
     (mm-rounded distance, point id) on BOTH sides of the oracle so
     float ties can never reorder ranks.  Output
     (query_id, rank, point_id, dist_mm).
@@ -592,26 +583,8 @@ def haversine_topk(points, q_ids: np.ndarray, q_lon: np.ndarray,
             "dist_mm": pa.array(np.concatenate(out_d), pa.int64()),
         })
 
-    out_schema = pa.schema([
-        ("query_id", pa.int64()), ("rank", pa.int64()),
-        ("point_id", pa.int64()), ("dist_mm", pa.int64()),
-    ])
-
-    def _merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return out_schema.empty_table()
-        pid = group["point_id"].to_numpy(zero_copy_only=False)
-        dmm = group["dist_mm"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((pid, dmm))[:k]
-        return pa.table({
-            "query_id": group["query_id"].take(pa.array(order)),
-            "rank": pa.array(np.arange(1, order.size + 1, dtype=np.int64),
-                             pa.int64()),
-            "point_id": pa.array(pid[order], pa.int64()),
-            "dist_mm": pa.array(dmm[order], pa.int64()),
-        })
-
     partial = points.map_batches(_partial, batch_format="pyarrow",
                                  batch_size=batch_size)
-    return partial.groupby("query_id").map_groups(_merge,
-                                                  batch_format="pyarrow")
+    out = top_k(partial, "query_id", [("dist_mm", "ascending"), ("point_id", "ascending")], k)
+    return out.map_batches(lambda b: b.select(["query_id", "rank", "point_id", "dist_mm"]),
+                           batch_format="pyarrow")

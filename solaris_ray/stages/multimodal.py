@@ -406,7 +406,7 @@ class ImageQuality:
 
 
 class OverviewBuilder:
-    """Actor-pool stage: 2x average-pooled overview levels (the COG /
+    """Map stage: 2x average-pooled overview levels (the COG /
     GeoTIFF overview pyramid; GDAL's ``BuildOverviews('AVERAGE')``).
 
     Each level halves both dims with an exact integer block mean
@@ -456,15 +456,8 @@ class OverviewBuilder:
         })
 
 
-def build_overviews(images, levels: int = 2, concurrency=None,
-                    batch_size: int = 16, out_fmt: str = "png"):
-    from ..runtime import auto_concurrency
-
-    return images.map_batches(
-        OverviewBuilder,
-        fn_constructor_kwargs={"levels": levels, "out_fmt": out_fmt},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or auto_concurrency(),
-        num_cpus=1,
-    )
+def build_overviews(images, levels: int = 2, batch_size: int = 16, out_fmt: str = "png"):
+    # plain map tasks: the builder holds three scalars, nothing an
+    # actor pool would amortize, and a pool of 2 cannot start on 1 CPU
+    return images.map_batches(OverviewBuilder(levels, out_fmt), batch_format="pyarrow",
+                              batch_size=batch_size)

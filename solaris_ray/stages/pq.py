@@ -20,7 +20,7 @@ hash-identical to the DuckDB twin.
 Scale shape: codebooks are tiny (m * ksub * dsub ints) and ride to
 every task as a broadcast; encode is one streaming ``map_batches``
 (vectorized einsum per subspace); search is per-batch partial top-k
-(q x k id-only rows) + one small per-query merge co-shuffle — the
+(q x k id-only rows) + one ``_buckets.top_k`` merge on query_id — the
 corpus itself never shuffles.  At 100 TB the codes table is the only
 thing scanned per query batch, ~1/64th of the raw bytes.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ._buckets import top_k
 from .ann import hash_sample_table, kmeans_centroids, list_col_to_matrix
 
 
@@ -138,7 +139,7 @@ def pq_adc_topk(
 ):
     """ADC top-k over a PQ codes dataset: per-query int64 lookup table
     (m x ksub squared distances to the query's quantized subvectors),
-    per-batch partial top-k, one small merge co-shuffle on query_id.
+    per-batch partial top-k, one ``top_k`` merge on query_id.
     Ties break to the lower vec_id, pinned through every partial cut.
     ``exclude_self`` drops corpus rows whose id equals the query id
     (the house ANN-gate convention)."""
@@ -186,29 +187,5 @@ def pq_adc_topk(
             }
         )
 
-    def _merge(group: pa.Table) -> pa.Table:
-        q = group["query_id"].to_numpy(zero_copy_only=False)
-        i = group[id_col].to_numpy(zero_copy_only=False)
-        d = group["dist"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((i, d, q))
-        q, i, d = q[order], i[order], d[order]
-        new = np.ones(q.size, bool)
-        new[1:] = q[1:] != q[:-1]
-        seg = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        rank = np.arange(q.size) - starts[seg] + 1
-        keep = rank <= k
-        return pa.table(
-            {
-                "query_id": pa.array(q[keep], pa.int64()),
-                id_col: pa.array(i[keep], pa.int64()),
-                "dist": pa.array(d[keep], pa.int64()),
-                "rank": pa.array(rank[keep], pa.int64()),
-            }
-        )
-
-    return (
-        codes_ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(_merge, batch_format="pyarrow")
-    )
+    partial = codes_ds.map_batches(_partial, batch_format="pyarrow")
+    return top_k(partial, "query_id", [("dist", "ascending"), (id_col, "ascending")], k)

@@ -13,11 +13,12 @@ Shape (two ``co_shuffle`` passes, everything vectorized):
      tf), already combined per batch.
   2. ``co_shuffle`` on the term: all rows of a term land in one bucket;
      df = per-term row count (exact — (doc, term) is unique), attached
-     by ``np.unique(return_inverse)``.  One kernel call per bucket,
-     not per term, keeps the call count at the shuffle width instead
-     of vocabulary-size (millions of tiny Python group calls at scale).
-  3. ``co_shuffle`` on doc_id: score = round(tf * ln(N/df), 6), per-doc
-     rank by (score desc, term asc), keep top k.
+     by ``np.unique(return_inverse)``, and score6 = round(tf * ln(N/df),
+     6) beside it.  One kernel call per bucket, not per term, keeps the
+     call count at the shuffle width instead of vocabulary-size
+     (millions of tiny Python group calls at scale).
+  3. ``top_k`` on doc_id: per-doc rank by (score6 desc, term asc), keep
+     top k.
 
 Only (id, term, two ints) rows shuffle — never document bodies.
 """
@@ -28,7 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import co_shuffle
+from ._buckets import co_shuffle, top_k
 from .text import WORD_SPLIT
 
 _TF_SCHEMA = pa.schema(
@@ -107,39 +108,17 @@ def tfidf_topk(ds, k: int = 5, text_col: str = "text", id_col: str = "doc_id"):
             }
         )
 
-    def _df(group: pa.Table) -> pa.Table:
+    def _score(group: pa.Table) -> pa.Table:
+        # df = rows per term ((doc, term) is unique); score6 = round(tf * ln(N/df), 6)
         terms = group["term"].to_numpy(zero_copy_only=False)
         _, inv, cnt = np.unique(terms, return_inverse=True, return_counts=True)
-        return group.append_column("df", pa.array(cnt[inv].astype(np.int64), pa.int64()))
-
-    def _topk(group: pa.Table) -> pa.Table:
-        m = group.num_rows
-        if m == 0:
-            return _OUT_SCHEMA.empty_table()
-        doc = group["doc_id"].to_numpy(zero_copy_only=False)
-        term = group["term"].to_numpy(zero_copy_only=False)
+        df = cnt[inv].astype(np.int64)
         tf = group["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
-        df = group["df"].to_numpy(zero_copy_only=False).astype(np.float64)
-        score = np.round(tf * np.log(n_docs / df), 6)
-        # sort by (doc asc, score desc, term asc); lexsort: last key primary
-        order = np.lexsort((term, -score, doc))
-        doc_s = doc[order]
-        # per-doc positional rank over the sorted runs
-        starts = np.flatnonzero(np.r_[True, doc_s[1:] != doc_s[:-1]])
-        run_start = np.repeat(starts, np.diff(np.r_[starts, m]))
-        rank = np.arange(m, dtype=np.int64) - run_start + 1
-        keep = rank <= k
-        sel = order[keep]
-        return pa.table(
-            {
-                "doc_id": pa.array(doc[sel], pa.int64()),
-                "rank": pa.array(rank[keep], pa.int64()),
-                "term": pa.array(term[sel], pa.string()),
-                "tf": pa.array(tf[sel].astype(np.int64), pa.int64()),
-                "df": pa.array(df[sel].astype(np.int64), pa.int64()),
-                "score6": pa.array(score[sel], pa.float64()),
-            }
-        )
+        score = np.round(tf * np.log(n_docs / df.astype(np.float64)), 6)
+        return group.append_column("df", pa.array(df, pa.int64())).append_column(
+            "score6", pa.array(score, pa.float64()))
 
     tf = ds.map_batches(_explode, batch_format="pyarrow", batch_size=1024)
-    return co_shuffle(co_shuffle(tf, "term", _df), "doc_id", _topk)
+    scored = co_shuffle(tf, "term", _score)
+    out = top_k(scored, "doc_id", [("score6", "descending"), ("term", "ascending")], k)
+    return out.map_batches(lambda b: b.select(_OUT_SCHEMA.names), batch_format="pyarrow")

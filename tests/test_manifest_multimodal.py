@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from solaris_ray.raster import codec
 from solaris_ray.stages import multimodal
@@ -292,8 +293,7 @@ def test_overview_builder_exact_means(ray_session):
         "bytes": pa.array([codec.encode(img, "png")], pa.binary()),
         "fmt": pa.array(["png"], pa.string()),
     })
-    out = build_overviews(ray.data.from_arrow(tbl), levels=3,
-                          concurrency=1).to_pandas().sort_values("level")
+    out = build_overviews(ray.data.from_arrow(tbl), levels=3).to_pandas().sort_values("level")
     assert out.level.tolist() == [1, 2, 3]
     l1 = codec.decode(out.iloc[0].bytes, "png")
     want1 = img.astype(np.int64).reshape(4, 2, 4, 2).sum(axis=(1, 3)) // 4
@@ -301,9 +301,43 @@ def test_overview_builder_exact_means(ray_session):
     l3 = codec.decode(out.iloc[2].bytes, "png")
     assert l3.shape == (1, 1)
     # level stops when a dim hits zero: 3 levels from 8px is the max
-    out2 = build_overviews(ray.data.from_arrow(tbl), levels=5,
-                           concurrency=1).to_pandas()
+    out2 = build_overviews(ray.data.from_arrow(tbl), levels=5).to_pandas()
     assert out2.level.max() == 3
+
+
+def test_overviews_gate_finishes_on_one_cpu():
+    # the gate's builder ran as an actor pool of 2 one-CPU actors, which
+    # a 1-CPU session can never start: the gate sat idle until killed.
+    # A fresh session, since the suite's own has 4 CPUs
+    import os
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    from conftest import SF_DIR
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {repo!r})
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
+                 runtime_env={{"env_vars": {{"PYTHONPATH": {repo!r}}}}})
+        from solaris_ray.pipelines.queries import q_overviews
+        print("ROWS", q_overviews({SF_DIR!r}).count())
+        ray.shutdown()
+    """)
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the overviews gate did not finish in 180 s at num_cpus=1")
+    assert proc.returncode == 0, err[-4000:]
+    assert "ROWS 300" in out, out
 
 
 def test_overview_builder_odd_dims_truncate(ray_session):
@@ -318,8 +352,7 @@ def test_overview_builder_odd_dims_truncate(ray_session):
         "bytes": pa.array([codec.encode(img, "png")], pa.binary()),
         "fmt": pa.array(["png"], pa.string()),
     })
-    out = build_overviews(ray.data.from_arrow(tbl), levels=1,
-                          concurrency=1).to_pandas()
+    out = build_overviews(ray.data.from_arrow(tbl), levels=1).to_pandas()
     l1 = codec.decode(out.iloc[0].bytes, "png")
     want = img[:4, :6].astype(np.int64).reshape(2, 2, 3, 2).sum(axis=(1, 3)) // 4
     assert np.array_equal(l1, want.astype(np.uint8))
