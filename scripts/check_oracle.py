@@ -8,7 +8,11 @@ Each PASS/FAIL line and the summary also count Ray Data's "different
 schema" warnings: a shuffle partition that left a block with no
 columns logs one.
 
-Usage: python scripts/check_oracle.py [--sf-dir /root/testdata/sf0.01] [names...]
+Usage: python scripts/check_oracle.py [--sf-dir /root/testdata/sf0.01]
+       [--num-cpus 8] [names...]
+
+``--num-cpus`` sizes the Ray session the script starts (default 8); run
+it at the CPU count of the benchmark being checked.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ def value_hash(df: pd.DataFrame) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf-dir", default="/root/testdata/sf0.01")
+    ap.add_argument("--num-cpus", type=int, default=8)
     ap.add_argument("names", nargs="*")
     args = ap.parse_args()
 
@@ -83,7 +88,7 @@ def main() -> int:
     if not ray.is_initialized():
         path = os.pathsep.join(p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
         # workers import solaris_ray from this checkout whatever the cwd
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
+        ray.init(address="local", num_cpus=args.num_cpus, include_dashboard=False,
                  ignore_reinit_error=True, logging_level="ERROR",
                  runtime_env={"env_vars": {"PYTHONPATH": path}})
 

@@ -6,8 +6,13 @@ read path (solaris/utils/io.py:6-151 ``imread``,
 solaris/preproc/image.py:43-79 GDAL loader).  No PIL/imagecodecs wheel
 exists in this environment, so:
 
-- ``png``: a real, spec-compliant PNG codec (stdlib zlib; 8-bit gray /
-  RGB / RGBA, filter 0 on encode, filters 0-4 on decode).  Lossless.
+- ``png``: a real, spec-compliant PNG codec.  Lossless.  Encode writes
+  8-bit gray / gray+alpha / RGB / RGBA with filter 0 on every scanline
+  through stdlib zlib, so its bytes are the same on every machine.
+  Decode inflates such streams itself, with libdeflate where it loads
+  (``pnglib.inflate``), straight into a buffer of the declared size; any
+  other stream (filters 1-4, palette, 16-bit, interlaced) goes to
+  libpng (``pnglib.png_decode_fast``).
 - ``qnt``: a deliberately *lossy* format — 5-bit per-channel
   quantization then PNG — standing in for JPEG so the
   PSNR ≥ 40 dB acceptance check (BASELINE.json input_hint) is a real
@@ -92,30 +97,96 @@ def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
     return out
 
 
-def png_decode(buf: bytes) -> np.ndarray:
-    """PNG bytes -> [Y,X] (gray) or [Y,X,C] uint8."""
+_PNG_CHANNELS = {0: 1, 4: 2, 2: 3, 6: 4}  # color type -> channels
+# chunks that may sit between IHDR and IDAT without changing a sample;
+# any other (PLTE, tRNS, gAMA, sRGB, iCCP, ...) sends the stream to libpng
+_META_CHUNKS = frozenset({b"pHYs", b"tEXt", b"zTXt", b"iTXt", b"tIME"})
+# deflate's largest output per input byte: a 258-byte match in 2 bits
+_MAX_INFLATE_RATIO = 1032
+# libpng's default limit on either side (png_set_user_limits)
+_MAX_SIDE = 1_000_000
+
+
+def _plain_png(buf, crc32):
+    """``(h, w, channels, idat)`` of an 8-bit, non-interlaced gray,
+    gray+alpha, RGB or RGBA stream with no chunk that changes samples,
+    else None.
+
+    Checks the IHDR and IDAT CRCs, as libpng does, and raises
+    ``ValueError`` on a stream libpng refuses too: no signature, no
+    IHDR first, a chunk cut short before the image data ends, no IDAT.
+    ``idat`` is the IDAT payload as uint8, a view of ``buf`` when there
+    is one IDAT chunk.  ``crc32`` is ``pnglib.crc32``.  Like libpng, it
+    reads nothing after the run of IDAT chunks, so a missing or damaged
+    IEND is tolerated.
+    """
     if buf[:8] != _PNG_SIG:
         raise ValueError("not a PNG")
-    pos = 8
-    w = h = None
-    color_type = None
-    idat = b""
-    while pos < len(buf):
-        (length,) = struct.unpack_from(">I", buf, pos)
-        tag = buf[pos + 4 : pos + 8]
-        payload = buf[pos + 8 : pos + 8 + length]
-        pos += 12 + length
-        if tag == b"IHDR":
-            w, h, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
-            if depth != 8 or interlace != 0:
-                raise ValueError("only 8-bit non-interlaced PNG supported")
-        elif tag == b"IDAT":
-            idat += payload
-        elif tag == b"IEND":
+    src = np.frombuffer(buf, np.uint8)
+    pos, color_type, idat = 8, None, []
+    while pos + 8 <= len(buf):
+        length, tag = struct.unpack_from(">I4s", buf, pos)
+        if idat and tag != b"IDAT":
             break
-    c = {0: 1, 4: 2, 2: 3, 6: 4}[color_type]
-    stride = w * c
-    raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8).reshape(h, stride + 1)
+        end = pos + 12 + length
+        if end > len(buf):
+            raise ValueError(f"truncated PNG: {tag!r} chunk cut short")
+        if color_type is None or tag == b"IDAT":
+            (crc,) = struct.unpack_from(">I", buf, end - 4)
+            if crc32(src[pos + 4:end - 4]) != crc:
+                raise ValueError(f"PNG {tag!r} CRC error")
+        if color_type is None:
+            if tag != b"IHDR" or length != 13:
+                raise ValueError("PNG does not start with an IHDR chunk")
+            w, h, depth, color_type, comp, filt, interlace = struct.unpack_from(
+                ">IIBBBBB", buf, pos + 8)
+            if (depth, comp, filt, interlace) != (8, 0, 0, 0) or color_type not in _PNG_CHANNELS \
+                    or not (0 < w <= _MAX_SIDE and 0 < h <= _MAX_SIDE):
+                return None
+        elif tag == b"IDAT":
+            idat.append(src[pos + 8:end - 4])
+        elif tag not in _META_CHUNKS:
+            return None
+        pos = end
+    if not idat:
+        raise ValueError("truncated PNG: no IDAT chunk")
+    return h, w, _PNG_CHANNELS[color_type], idat[0] if len(idat) == 1 else np.concatenate(idat)
+
+
+def png_decode(buf) -> np.ndarray:
+    """PNG bytes -> [Y,X] (gray) or [Y,X,C] uint8, writable.
+
+    An 8-bit, non-interlaced gray / gray+alpha / RGB / RGBA stream (see
+    ``_plain_png``) is inflated into one buffer of exactly
+    ``h * (stride + 1)`` bytes; when every scanline has filter 0 the
+    result is a row-strided view of it, past the filter bytes.  Any
+    other stream is decoded by libpng, whose arrays this path equals;
+    without libpng, filters 1-4 are undone by ``_unfilter``.  A stream
+    that is truncated, fails a CRC or its Adler-32, or inflates to fewer
+    or more bytes than the IHDR declares raises ``ValueError``, as does
+    an IHDR larger than the IDAT bytes could inflate to, before anything
+    is allocated.
+    """
+    # pnglib (like webp) holds ctypes state that cannot be pickled by
+    # value, so it is imported here, on the worker
+    from . import pnglib
+
+    plain = _plain_png(buf, pnglib.crc32)
+    if plain is not None:
+        h, w, c, idat = plain
+        stride = w * c
+        n = h * (stride + 1)
+        if n > _MAX_INFLATE_RATIO * idat.size:
+            raise ValueError(f"PNG IHDR declares {w}x{h} px, more than "
+                             f"{idat.size} IDAT bytes can inflate to")
+        raw = pnglib.inflate(idat, n).reshape(h, stride + 1)
+        if not raw[:, 0].any():
+            out = raw[:, 1:]
+            return out if c == 1 else out.reshape(h, w, c)
+    if pnglib.available():
+        return pnglib.png_decode_fast(bytes(buf))
+    if plain is None:
+        raise ValueError("only 8-bit non-interlaced gray/RGB(A) PNG decodes without libpng")
     out = _unfilter(raw, h, stride, c).reshape(h, w, c)
     return out[:, :, 0] if c == 1 else out
 
@@ -135,7 +206,7 @@ def qnt_encode(arr: np.ndarray, level: int = 4) -> bytes:
 def qnt_decode(buf: bytes) -> np.ndarray:
     if buf[:4] != b"QNT0":
         raise ValueError("not a QNT buffer")
-    return decode(buf[4:], "png")
+    return png_decode(memoryview(buf)[4:])
 
 
 def f64_encode(arr: np.ndarray) -> bytes:
@@ -176,7 +247,7 @@ def encode(arr: np.ndarray, fmt: str, level: int = 4) -> bytes:
     if fmt in ("jpeg", "jpg"):
         return jpeg_encode(arr, quality=95)
     if fmt == "webp":
-        from .webp import webp_encode  # ctypes module: see decode
+        from .webp import webp_encode  # ctypes module: see png_decode
 
         return webp_encode(arr, lossless=True)
     if fmt == "gif":
@@ -199,16 +270,6 @@ def encode(arr: np.ndarray, fmt: str, level: int = 4) -> bytes:
 
 def decode(buf: bytes, fmt: str) -> np.ndarray:
     if fmt == "png":
-        # libpng fast path when the system library exists (3x on our
-        # own filter-0 streams; required for foreign filtered /
-        # 16-bit / palette / interlaced PNGs, which the pure decoder
-        # rejects or unfilters per-byte in Python).  pnglib and webp hold
-        # ctypes state that cannot be pickled by value, so they are
-        # imported here, on the worker.
-        from . import pnglib
-
-        if pnglib.available():
-            return pnglib.png_decode_fast(bytes(buf))
         return png_decode(bytes(buf))
     if fmt == "qnt":
         return qnt_decode(bytes(buf))

@@ -1,20 +1,27 @@
-"""libpng binding (simplified ``png_image`` API, stdlib ctypes).
+"""libpng and libdeflate bindings (stdlib ctypes).
 
-Decode-side upgrade for the PNG codec: the system ``libpng16`` reads
-the FULL PNG space (filters 1-4 at C speed, 16-bit depth, palette,
-interlaced) where the pure-Python decoder in ``codec.py`` supports the
-8-bit non-interlaced subset and unfilters per-byte in Python.  Encode
-stays pure-Python (numpy rows + stdlib zlib are already C-speed and
-byte-deterministic across boxes).
+``codec.png_decode`` takes every 8-bit, non-interlaced gray, gray+alpha,
+RGB or RGBA stream with filter 0 on every scanline (every stream
+``codec.png_encode`` writes, and the PNG inside ``qnt``) through
+libdeflate: ``crc32`` checks the IHDR and IDAT CRCs and ``inflate``
+writes the zlib stream into one buffer of exactly the declared size.
+Without libdeflate, stdlib zlib does both under the same checks.
 
-The ``png_image`` struct is the stable flat ABI added in libpng 1.6
-precisely for foreign-function use — no version-dependent opaque
-structs touched.
+Every other stream goes to libpng (``png_decode_fast``): adaptive
+filters 1-4, palette, 16-bit and interlaced streams, and streams with a
+transparency or colour-space chunk.  Encode stays in ``codec``, on
+stdlib zlib, so its bytes are the same on every machine.
+
+libpng is read through the ``png_image`` struct, the stable flat ABI
+added in libpng 1.6 for foreign-function use; no version-dependent
+opaque struct is touched.  The libraries are loaded where this module
+is imported, which for ``codec.decode`` is the worker.
 """
 
 from __future__ import annotations
 
 import ctypes
+import zlib
 
 import numpy as np
 
@@ -67,8 +74,84 @@ if _lib is not None:
     _lib.png_image_free.argtypes = [ctypes.POINTER(_PngImage)]
 
 
+_deflate = None
+try:  # pragma: no cover - environment probe
+    _deflate = ctypes.CDLL("libdeflate.so.0")
+except OSError:
+    _deflate = None
+
+if _deflate is not None:
+    _deflate.libdeflate_alloc_decompressor.restype = ctypes.c_void_p
+    _deflate.libdeflate_alloc_decompressor.argtypes = []
+    _deflate.libdeflate_free_decompressor.restype = None
+    _deflate.libdeflate_free_decompressor.argtypes = [ctypes.c_void_p]
+    _deflate.libdeflate_zlib_decompress.restype = ctypes.c_int
+    _deflate.libdeflate_zlib_decompress.argtypes = [
+        ctypes.c_void_p,  # decompressor
+        ctypes.c_void_p,  # in
+        ctypes.c_size_t,
+        ctypes.c_void_p,  # out
+        ctypes.c_size_t,
+        ctypes.c_void_p,  # actual_out_nbytes_ret: NULL demands exactly out_nbytes_avail
+    ]
+    _deflate.libdeflate_crc32.restype = ctypes.c_uint32
+    _deflate.libdeflate_crc32.argtypes = [ctypes.c_uint32, ctypes.c_void_p, ctypes.c_size_t]
+
+# enum libdeflate_result, after LIBDEFLATE_SUCCESS = 0
+_INFLATE_ERRORS = {
+    1: "corrupt zlib stream (bad data or Adler-32)",
+    2: "zlib stream inflates to fewer bytes than the IHDR declares",
+    3: "zlib stream inflates to more bytes than the IHDR declares",
+}
+
+
 def available() -> bool:
     return _lib is not None
+
+
+def crc32(data: np.ndarray) -> int:
+    """CRC-32 of a contiguous uint8 array, as ``zlib.crc32``."""
+    if _deflate is None:
+        return zlib.crc32(data)
+    data = np.ascontiguousarray(data, np.uint8)
+    return _deflate.libdeflate_crc32(0, data.ctypes.data, data.size)
+
+
+def inflate(data: np.ndarray, n: int) -> np.ndarray:
+    """Inflate the zlib stream ``data`` into a new writable uint8 array
+    of exactly ``n`` bytes.
+
+    A corrupt stream (a bad Adler-32 included), one that ends short of
+    ``n`` bytes and one that holds more raise ``ValueError``.  One
+    decompressor per call (0.6 us) leaves no state shared between
+    threads; ctypes drops the GIL for the call.
+    """
+    if _deflate is None:
+        d = zlib.decompressobj()
+        try:
+            # room for one byte more: a stream of exactly n bytes then
+            # also reads its Adler-32 and reaches eof
+            out = d.decompress(data, n + 1)
+        except zlib.error as e:
+            raise ValueError(f"{_INFLATE_ERRORS[1]}: {e}") from None
+        if len(out) > n:
+            raise ValueError(_INFLATE_ERRORS[3])
+        if len(out) < n or not d.eof:
+            raise ValueError(_INFLATE_ERRORS[2])
+        return np.frombuffer(out, np.uint8).copy()
+    data = np.ascontiguousarray(data, np.uint8)
+    out = np.empty(n, np.uint8)
+    dec = _deflate.libdeflate_alloc_decompressor()
+    if not dec:
+        raise MemoryError("libdeflate_alloc_decompressor failed")
+    try:
+        res = _deflate.libdeflate_zlib_decompress(
+            dec, data.ctypes.data, data.size, out.ctypes.data, n, None)
+    finally:
+        _deflate.libdeflate_free_decompressor(dec)
+    if res:
+        raise ValueError(_INFLATE_ERRORS.get(res, f"libdeflate error {res}"))
+    return out
 
 
 def png_decode_fast(buf: bytes) -> np.ndarray:

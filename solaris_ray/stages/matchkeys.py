@@ -78,8 +78,12 @@ def broadcast_anti_join(left, right: pa.Table, key: str = "match_str",
     """Left rows whose key has NO match on the right — the
     label-mismatch dedup of utils/data.py:133-139 (images without
     labels are dropped/reported).  Right side broadcast as a sorted
-    key array; membership via searchsorted."""
+    key array; membership via searchsorted.  Task mode, not an actor
+    pool: the constructor only gets that array, and a pool of one-CPU
+    actors cannot start while a one-CPU session runs its input."""
     import ray
+
+    from ..runtime import stateful_map
 
     rk = np.unique(right[key].to_numpy(zero_copy_only=False))
     ref = ray.put(rk)
@@ -95,5 +99,4 @@ def broadcast_anti_join(left, right: pa.Table, key: str = "match_str",
             found = (len(self.keys) > 0) & (self.keys[pos_c] == lk)
             return batch.filter(pa.array(~found))
 
-    return left.map_batches(AntiJoiner, fn_constructor_kwargs={"ref": ref},
-                            batch_format="pyarrow", batch_size=batch_size, concurrency=2)
+    return stateful_map(left, AntiJoiner, {"ref": ref}, batch_size=batch_size)

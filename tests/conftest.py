@@ -1,5 +1,8 @@
 import os
+import signal
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -28,3 +31,34 @@ def ray_session():
 
 
 SF_DIR = "/root/testdata/sf0.001"
+
+
+def gate_rows_on_one_cpu(query: str, sf_dir: str = SF_DIR, timeout: float = 180) -> int:
+    """Row count of ``queries.<query>(sf_dir)`` run in a fresh
+    ``num_cpus=1`` Ray session (the suite's own session has 4 CPUs).
+
+    Fails the calling test when the gate does not finish within
+    ``timeout`` seconds, as one whose actor pool the session cannot
+    start never does.
+    """
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {repo!r})
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
+                 runtime_env={{"env_vars": {{"PYTHONPATH": {repo!r}}}}})
+        from solaris_ray.pipelines import queries
+        print("ROWS", queries.{query}({sf_dir!r}).count())
+        ray.shutdown()
+    """)
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{query} did not finish in {timeout:.0f} s at num_cpus=1")
+    assert proc.returncode == 0, err[-4000:]
+    return int(out.split("ROWS", 1)[1].split()[0])

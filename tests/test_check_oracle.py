@@ -128,3 +128,32 @@ def test_schema_warnings_are_counted_per_gate_and_in_the_summary(tmp_path):
                for l in lines), log
     assert "SUMMARY 2 PASS, 0 rows-only, 0 FAIL, 1 schema warnings" in out.stdout, log
     assert out.returncode == 0, log
+
+
+# one gate reports the CPUs of the session the script started
+_CPU_ENTRY = """
+import pandas as pd
+import ray
+
+
+def queries():
+    return {"cpus": lambda sf: pd.DataFrame({"cpus": [int(ray.cluster_resources()["CPU"])]})}
+
+
+def oracle_sql():
+    return {"cpus": "SELECT 1 AS cpus"}
+"""
+
+
+def test_num_cpus_sizes_the_session(tmp_path):
+    tree = tmp_path / "copy"
+    (tree / "scripts").mkdir(parents=True)
+    shutil.copy(REPO / "scripts" / "check_oracle.py", tree / "scripts")
+    (tree / "__ray_entry__.py").write_text(_CPU_ENTRY)
+    env = {**os.environ, "PYTHONPATH": str(tree)}
+    out = subprocess.run([sys.executable, str(tree / "scripts" / "check_oracle.py"),
+                          "--sf-dir", SF_DIR, "--num-cpus", "1"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    log = out.stdout + out.stderr
+    assert "PASS cpus: 1 rows" in out.stdout, log
+    assert out.returncode == 0, log

@@ -59,6 +59,21 @@ def test_extract_key_and_join(ray_session):
     ]
 
 
+def test_anti_join_gate_finishes_on_one_cpu():
+    # the anti-joiner ran as a fixed pool of 2 one-CPU actors, which a
+    # 1-CPU session can never start: the gate sat idle until killed
+    import pyarrow.parquet as pq
+    from conftest import SF_DIR, gate_rows_on_one_cpu
+
+    sf_dir = SF_DIR.replace("sf0.001", "sf0.01")  # sf0.001 labels every part
+    parts = pq.read_table(f"{sf_dir}/part.parquet")["p_partkey"].to_pylist()
+    orders = pq.read_table(f"{sf_dir}/orders.parquet")["o_orderkey"].to_pylist()
+    labelled = {k % 2000 for k in orders if k < 1000}
+    want = sum(k not in labelled for k in parts)
+    assert want > 0
+    assert gate_rows_on_one_cpu("q_anti_join", sf_dir) == want
+
+
 def test_write_tile_geojsons(ray_session, tmp_path):
     import json
 

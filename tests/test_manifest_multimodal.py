@@ -307,37 +307,10 @@ def test_overview_builder_exact_means(ray_session):
 
 def test_overviews_gate_finishes_on_one_cpu():
     # the gate's builder ran as an actor pool of 2 one-CPU actors, which
-    # a 1-CPU session can never start: the gate sat idle until killed.
-    # A fresh session, since the suite's own has 4 CPUs
-    import os
-    import signal
-    import subprocess
-    import sys
-    import textwrap
+    # a 1-CPU session can never start: the gate sat idle until killed
+    from conftest import gate_rows_on_one_cpu
 
-    from conftest import SF_DIR
-
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    script = textwrap.dedent(f"""
-        import sys
-        sys.path.insert(0, {repo!r})
-        import ray
-        ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
-                 runtime_env={{"env_vars": {{"PYTHONPATH": {repo!r}}}}})
-        from solaris_ray.pipelines.queries import q_overviews
-        print("ROWS", q_overviews({SF_DIR!r}).count())
-        ray.shutdown()
-    """)
-    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True, start_new_session=True)
-    try:
-        out, err = proc.communicate(timeout=180)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("the overviews gate did not finish in 180 s at num_cpus=1")
-    assert proc.returncode == 0, err[-4000:]
-    assert "ROWS 300" in out, out
+    assert gate_rows_on_one_cpu("q_overviews") == 300
 
 
 def test_overview_builder_odd_dims_truncate(ray_session):
