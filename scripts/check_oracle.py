@@ -12,7 +12,9 @@ Usage: python scripts/check_oracle.py [--sf-dir /root/testdata/sf0.01]
        [--num-cpus 8] [names...]
 
 ``--num-cpus`` sizes the Ray session the script starts (default 8); run
-it at the CPU count of the benchmark being checked.
+it at the CPU count of the benchmark being checked.  A gate that runs
+longer than ``GATE_TIMEOUT_S`` fails with ``timeout``; the script then
+restarts the Ray session at the same CPU count and grades the next gate.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import hashlib
 import logging
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -34,6 +37,29 @@ ROOT = str(Path(__file__).resolve().parents[1])
 sys.path.insert(0, ROOT)
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+
+# seconds one gate may run; the slowest sf0.01 gate takes under 10 s
+# on one CPU, and a gate that cannot get its resources never finishes
+GATE_TIMEOUT_S = 300
+
+
+class GateTimeout(BaseException):
+    """Raised in the main thread when a gate passes GATE_TIMEOUT_S
+    (a BaseException, so that no ``except Exception`` in Ray keeps it)."""
+
+
+def _on_alarm(signum, frame):
+    raise GateTimeout
+
+
+def start_session(num_cpus: int) -> None:
+    import ray
+
+    path = os.pathsep.join(p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+    # workers import solaris_ray from this checkout whatever the cwd
+    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
+             ignore_reinit_error=True, logging_level="ERROR",
+             runtime_env={"env_vars": {"PYTHONPATH": path}})
 
 
 def to_pandas(obj) -> pd.DataFrame:
@@ -86,11 +112,7 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        path = os.pathsep.join(p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
-        # workers import solaris_ray from this checkout whatever the cwd
-        ray.init(address="local", num_cpus=args.num_cpus, include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR",
-                 runtime_env={"env_vars": {"PYTHONPATH": path}})
+        start_session(args.num_cpus)
 
     import __ray_entry__ as E
 
@@ -107,16 +129,28 @@ def main() -> int:
     warned = SchemaWarnings()
     logging.getLogger("ray.data").addHandler(warned)
     n_pass = n_rows_only = n_fail = 0
+    signal.signal(signal.SIGALRM, _on_alarm)
     for name in names:
         t0 = time.time()
         before = warned.count
         try:
+            signal.setitimer(signal.ITIMER_REAL, GATE_TIMEOUT_S)
             mine = to_pandas(qs[name](args.sf_dir))
+        except GateTimeout:
+            print(f"FAIL {name}: timeout ({GATE_TIMEOUT_S}s) "
+                  f"[{warned.count - before} schema warnings]")
+            n_fail += 1
+            # the gate's tasks and actors still hold the session's CPUs
+            ray.shutdown()
+            start_session(args.num_cpus)
+            continue
         except Exception as e:
             print(f"FAIL {name}: engine raised {type(e).__name__}: {e} "
                   f"[{warned.count - before} schema warnings]")
             n_fail += 1
             continue
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
         dt = time.time() - t0
         warns = f"[{warned.count - before} schema warnings]"
         if name not in oracles:

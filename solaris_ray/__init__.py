@@ -12,7 +12,7 @@ file:line in docstrings) expressed as ``ray.data.Dataset`` pipelines:
 - inference chipping / stitching (solaris/nets/datagen.py, raster/image.py) -> stages.infer
 
 Everything runs over zero-copy Arrow batches (``batch_format="pyarrow"``
-or numpy), with actor pools for stateful stages and explicit
+or numpy), with ``runtime.stateful_map`` for stateful stages and explicit
 cell-partitioned shuffles for the wide spatial joins.  No GDAL, no
 shapely: geometry kernels are pure numpy (geom/), raster kernels are
 pure numpy (raster/), image codecs are stdlib zlib PNG (raster/codec.py).

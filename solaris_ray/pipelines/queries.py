@@ -2350,7 +2350,7 @@ def q_webp_roundtrip(sf_dir: str):
 
 def q_jpeg_stats(sf_dir: str):
     """image_stats/image_resize recall over REAL jpeg rows (the decode
-    path that was stubbed until round 4): ImageStats actor stage means
+    path that was stubbed until round 4): ImageStats map stage means
     must sit within 1.0 of the pre-encode reference mean, and
     ImageResizer over jpeg input must emit decodable 32x32 PNGs.
     Output (image_id, stats_ok, resize_ok); oracle emits the pass
@@ -2805,7 +2805,7 @@ def q_eval_concave(sf_dir: str):
 
 
 def q_image_stats(sf_dir: str):
-    """Per-image pixel stats (actor-pool decode stage), SQL-oracled:
+    """Per-image pixel stats (map-task decode stage), SQL-oracled:
     min/max/mean are exact (integer sums / exact counts); mean and std
     rounded to 6 dp on both sides (the only float-summation-order
     sensitivity, bounded ~1e-12)."""
@@ -2883,7 +2883,7 @@ def q_trajectory(sf_dir: str):
 
 
 def q_image_resize(sf_dir: str):
-    """Nearest-neighbor resize 128 -> 32 (actor-pool decode/encode),
+    """Nearest-neighbor resize 128 -> 32 (map-task decode/encode),
     SQL-oracled via the integer source-index formula yi = i*128//32."""
     from ..stages import multimodal
 
@@ -2930,9 +2930,10 @@ def q_frame_sample(sf_dir: str):
 
 
 def q_embed_extract_ann(sf_dir: str):
-    """Composition: formula image corpus -> actor-pool embedding
-    extractor (seeded random projection, the model-scorer shape) ->
-    brute-force cosine top-k.  SQL-oracled end to end: the projection
+    """Composition: formula image corpus -> embedding extractor (seeded
+    random projection, the model-scorer shape, loaded once per worker
+    process by ``stateful_map``) -> brute-force cosine top-k.
+    SQL-oracled end to end: the projection
     matrix is inlined into the DuckDB twin and the downsampled pixel
     features are closed-form, so the whole scorer+ANN pipeline is
     hash-checked (sims rounded to 6 dp on both sides)."""
@@ -2942,7 +2943,7 @@ def q_embed_extract_ann(sf_dir: str):
     from ..stages import multimodal
 
     images = _formula_gray_images(sf_dir, limit=40, fixed_size=64)
-    emb = multimodal.extract_embeddings(images, dim=8, pool=8, concurrency=2, dtype=np.float64)
+    emb = multimodal.extract_embeddings(images, dim=8, pool=8, dtype=np.float64)
     tbl = pa.concat_tables(
         [b for b in ray.get(emb.to_arrow_refs()) if b.num_rows]
     )
@@ -2957,7 +2958,7 @@ def q_embed_extract_ann(sf_dir: str):
 
 def q_model_score(sf_dir: str):
     """Weights-file model scorer: the full zoo lifecycle (registry ->
-    cache-dir .npz -> fetch-on-miss -> load once per actor,
+    cache-dir .npz -> fetch-on-miss -> load once per worker process,
     model_io.py:12-137 semantics) feeding an integer MLP forward pass
     (16 block-sum features -> 8 relu -> 1).  Every step is int64-exact,
     so the generated SQL twin restates the weights and the ReLU
@@ -2965,7 +2966,7 @@ def q_model_score(sf_dir: str):
     from ..stages.model import score_images
 
     images = _formula_gray_images(sf_dir, limit=120, fixed_size=64)
-    return score_images(images, batch_size=16, concurrency=2)
+    return score_images(images, batch_size=16)
 
 
 def _model_score_oracle() -> str:
@@ -4013,7 +4014,7 @@ def q_pixel_eval(sf_dir: str):
 
     # grouped pairing (no driver materialization of mask bytes): each
     # side's mask table is materialized (blocks stay in the object
-    # store) so only one join actor pool is live at a time, then the
+    # store) so only one join is live at a time, then the
     # pairing is a co-shuffle on tile_id feeding both metric passes
     pairs_ds = evaluate.pair_masks(
         truth.materialize(), pred.materialize(), key_col="tile_id"
@@ -4395,7 +4396,7 @@ def q_cms_sketch(sf_dir: str):
 
 
 def q_patchify(sf_dir: str):
-    """ViT-style patch extraction (actor pool, decode once per image):
+    """ViT-style patch extraction (map tasks, decode once per image):
     200 formula PNGs -> 16 patches each, integer-exact patch sums the
     oracle reproduces in closed form."""
     from ..stages import multimodal
@@ -5509,7 +5510,7 @@ def _saw_audio_rows(sf_dir: str, limit: int = 60):
 
 def q_wav_stats(sf_dir: str):
     """Real WAV/PCM decode (stages/audio.py — the audio stub closed for
-    the pure-struct container): sawtooth WAVs -> AudioStats actor stage
+    the pure-struct container): sawtooth WAVs -> AudioStats map stage
     -> exact n_samples/rate/peak + 6-dp duration and RMS the DuckDB
     oracle reproduces from the closed form."""
     from ..stages import audio
@@ -6108,7 +6109,7 @@ def q_media_shards(sf_dir: str):
 
 def q_speech_prep(sf_dir: str):
     """End-to-end ASR corpus prep: FLAC decode -> polyphase resample
-    8k->16k -> energy VAD segmentation, chained through three actor
+    8k->16k -> energy VAD segmentation, chained through three map
     stages.  Planted constant-amplitude segments aligned to frame
     boundaries keep every output column closed-form despite the
     resampler (unity DC gain in segment interiors; sinc edge smear

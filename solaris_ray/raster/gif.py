@@ -19,7 +19,7 @@ one table assignment ahead, grows when its counter EXCEEDS 2^cs.  The
 roundtrip test pins both against each other and against hand-built
 streams.
 
-Per-image functions; the actor-pool decode stages loop over binary
+Per-image functions; the decode map stages loop over binary
 column rows (decode cost dominates the loop).
 """
 
@@ -207,7 +207,7 @@ def gif_decode(buf: bytes) -> np.ndarray:
     """GIF bytes -> first frame as [Y,X,3] uint8 RGB.
 
     Truncated streams raise ValueError (the codec-registry contract),
-    never IndexError — actor-pool decode loops classify per-row errors.
+    never IndexError — decode map loops classify per-row errors.
     """
     if buf[:6] not in (b"GIF87a", b"GIF89a"):
         raise ValueError("not a GIF stream")

@@ -179,8 +179,8 @@ def warp_affine(
 class RasterReprojector:
     """map_batches body: decode -> warp to dst CRS -> encode, per row.
 
-    Stateless config holder (callable class so callers can pick an
-    actor pool when decode dominates).  Expects columns: image_id,
+    Stateless config holder (a callable class that ships with each
+    task).  Expects columns: image_id,
     bytes, fmt, epsg, gt_a..gt_f, w, h [, nodata].
     """
 

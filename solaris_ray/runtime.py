@@ -1,13 +1,18 @@
 """Runtime/session helpers (no ray.init here — sessions belong to callers).
 
+Every stage runs as plain Ray Data map tasks; a stage that holds state
+(a broadcast index, model weights) goes through ``stateful_map``, which
+builds its instance once per worker process on first use.  There is no
+actor pool and no pool size to choose.
+
 ``ensure_shippable()`` makes the package's stage classes deserializable
 on Ray workers even when the driver's cwd is not the repo root: workers
-inherit the raylet's cwd, not the driver's ``sys.path``, so a
-``map_batches(TileCutter, ...)`` pickle would fail to import
-``solaris_ray`` there.  On a real multi-node cluster the package would
-be installed (or shipped via ``runtime_env={"py_modules": [...]}`` on
-``ray job submit``); in a local session the portable fix is cloudpickle
-by-value registration of the package.
+inherit the raylet's cwd, not the driver's ``sys.path``, so a task
+closing over ``TileCutter`` would fail to import ``solaris_ray`` there.
+On a real multi-node cluster the package would be installed (or
+shipped via ``runtime_env={"py_modules": [...]}`` on ``ray job
+submit``); in a local session the portable fix is cloudpickle by-value
+registration of the package.
 """
 
 from __future__ import annotations
@@ -51,33 +56,13 @@ def session_cpus() -> int:
         return 8
 
 
-def auto_concurrency(cap: int = 16) -> int:
-    """Actor-pool sizing that follows the session's CPU budget.
-
-    Fixed pool sizes are a scaling bug: the same code must saturate an
-    8-cpu and a 32-cpu session (the N vs 4N criterion).  A FIXED pool
-    of size ~num_cpus beats a (1, N) autoscaling pool here: autoscale
-    ramps up too slowly for short bursts (measured 2x wall), and
-    broadcast-index actors are cheap to start once the index is
-    prebuilt and ``ray.put`` (see the joiner stages).  The default cap
-    (16) bounds pool spin-up cost for short jobs; callers with long
-    scans pass a higher cap explicitly.
-    """
-    cpus = session_cpus()
-    # 3/4 of the budget: leaves slots for the upstream task operators
-    # feeding the pool (pinning EVERY cpu deadlocks them with resource
-    # reservation disabled) AND keeps pool size PROPORTIONAL to the
-    # session budget, so an N-cpu and a 4N-cpu session compare fairly
-    # in the scaling criterion (cpus-2 gave 2 vs 14 actors at 4 vs 16)
-    return max(2, min(cap, (cpus * 3) // 4))
-
-
-# Per-worker-process instance cache for task-mode broadcast stages
-# (keyed by class + ctor args, ObjectRefs by hex).  Broadcast
-# artifacts here are Arrow/numpy — zero-copy out of plasma — so plain
-# TASKS with a first-use ray.get beat an actor pool: pool spin-up
-# (process start + module imports x pool size) is a 3-5 s fixed cost
-# per run while the stage __init__ does no real work beyond the get.
+# Per-worker-process instance cache for stateful stages (keyed by
+# class + ctor args, ObjectRefs by hex).  Broadcast artifacts are
+# Arrow/numpy — zero-copy out of plasma — and model weights come from
+# a cached .npz, so a first-use construction per worker is cheap.  An
+# actor pool would add 3-5 s of spin-up (process start + module
+# imports x pool size), and a one-CPU session cannot start a pool
+# while the pool's input holds the CPU.
 _TASK_STATE: dict = {}
 
 
@@ -90,23 +75,16 @@ def _state_key(cls, kwargs: dict) -> str:
     return "|".join(parts)
 
 
-def stateful_map(ds, cls, ctor_kwargs: dict, *, batch_size: int,
-                 concurrency: int | None = None, **mb_kwargs):
-    """``map_batches`` over a stage class holding broadcast state.
+def stateful_map(ds, cls, ctor_kwargs: dict, *, batch_size: int, **mb_kwargs):
+    """``map_batches`` over a stage class that holds state.
 
-    Default (``concurrency=None``): TASK mode — per-worker lazy
-    instance construction memoized in ``_TASK_STATE`` (the ctor's
-    ``ray.get`` of an Arrow/numpy broadcast is zero-copy, so first-use
-    init costs ~nothing and the stage scales elastically with no pool
-    spin-up).  An explicit ``concurrency`` selects the classic actor
-    pool — right when the ctor does real work (model load, index
-    build from raw parts) that a long scan amortizes.
+    Each worker process builds ``cls(**ctor_kwargs)`` on its first
+    batch and keeps it in ``_TASK_STATE``; later batches, and later
+    calls with equal ctor args, reuse it.  The ctor may ``ray.get`` a
+    broadcast (zero-copy for Arrow/numpy) or load weights from disk:
+    either happens once per worker, and the stage scales with the
+    session's CPUs like any other map task.
     """
-    if concurrency:
-        return ds.map_batches(
-            cls, fn_constructor_kwargs=ctor_kwargs, batch_format="pyarrow",
-            batch_size=batch_size, concurrency=concurrency, **mb_kwargs,
-        )
     key = _state_key(cls, ctor_kwargs)
 
     def _fn(batch):

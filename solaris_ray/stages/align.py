@@ -8,7 +8,7 @@ token -> md5 low-8-bytes -> sign = low bit, bucket = (h // 2) % dim —
 exactly reproducible in SQL via the repo's md5-hex-expansion idiom, so
 the whole pipeline is hash-exact oracled.  The image tower is the
 precomputed embedding column (what a real deployment has after the
-scorer actor pool, cf. stages.multimodal.EmbedExtractor).
+scorer stage, cf. stages.multimodal.EmbeddingExtractor).
 
 Shape: one token-explode map_batches (text features never leave the
 batch — the stage emits (doc_id, feat[dim])), then ONE ``co_shuffle``

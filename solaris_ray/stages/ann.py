@@ -129,7 +129,7 @@ def _final_topk(partial, k: int):
 
 def brute_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
                id_col: str = "vec_id", vec_col: str = "embedding",
-               concurrency=None, batch_size: int = 4096):
+               batch_size: int = 4096):
     """Exact cosine top-k of each query over the whole Dataset."""
     import ray
 
@@ -139,7 +139,7 @@ def brute_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
     partial = stateful_map(
         ds, BruteScorer,
         {"queries_ref": ref, "k": k, "id_col": id_col, "vec_col": vec_col},
-        batch_size=batch_size, concurrency=concurrency,
+        batch_size=batch_size,
     )
     return _final_topk(partial, k)
 
@@ -147,8 +147,7 @@ def brute_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
 def filtered_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray,
                   queries_groups: np.ndarray, k: int = 5,
                   id_col: str = "vec_id", vec_col: str = "embedding",
-                  group_col: str = "label",
-                  concurrency=None, batch_size: int = 4096):
+                  group_col: str = "label", batch_size: int = 4096):
     """Metadata-filtered exact ANN: each query's top-k is restricted to
     corpus rows whose ``group_col`` equals the query's group id — the
     search-within-category / predicate-constrained retrieval pattern.
@@ -174,7 +173,7 @@ def filtered_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray,
         ds, BruteScorer,
         {"queries_ref": ref, "k": k, "id_col": id_col,
          "vec_col": vec_col, "group_col": group_col},
-        batch_size=batch_size, concurrency=concurrency,
+        batch_size=batch_size,
     )
     return _final_topk(partial, k)
 
@@ -197,8 +196,7 @@ def add_lsh_bucket(batch: pa.Table, planes: np.ndarray, vec_col: str = "embeddin
 
 def lsh_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
              n_planes: int = 12, n_probe_flips: int = 2, seed: int = 42,
-             id_col: str = "vec_id", vec_col: str = "embedding", concurrency=None,
-             n_tables: int = 1):
+             id_col: str = "vec_id", vec_col: str = "embedding", n_tables: int = 1):
     """LSH-bucketed approximate top-k.
 
     Vectors tagged with their bucket per hash table; each query probes
@@ -242,7 +240,7 @@ def lsh_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
         return b.filter(keep)
 
     filtered = ds.map_batches(_filter, batch_format="pyarrow", batch_size=4096)
-    return brute_topk(filtered, queries_ids, queries_mat, k, id_col, vec_col, concurrency)
+    return brute_topk(filtered, queries_ids, queries_mat, k, id_col, vec_col)
 
 
 # --- IVF variant (k-means inverted lists, the other scale path) ----------
@@ -308,7 +306,7 @@ def seeded_centroids(dim: int, n_lists: int, seed: int = 7) -> np.ndarray:
 def ivf_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
              n_lists: int = 16, nprobe: int = 4, sample_size: int = 2048,
              seed: int = 42, id_col: str = "vec_id", vec_col: str = "embedding",
-             concurrency=None, centroids: np.ndarray | None = None,
+             centroids: np.ndarray | None = None,
              sample_mode: str = "hash"):
     """IVF approximate top-k: k-means inverted lists + nprobe probing.
 
@@ -352,7 +350,7 @@ def ivf_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
         return b.filter(pc.is_in(pa.array(lists, pa.int64()), value_set=probe_set))
 
     filtered = ds.map_batches(_filter, batch_format="pyarrow", batch_size=4096)
-    return brute_topk(filtered, queries_ids, queries_mat, k, id_col, vec_col, concurrency)
+    return brute_topk(filtered, queries_ids, queries_mat, k, id_col, vec_col)
 
 
 class _HammingScorer:
@@ -395,8 +393,7 @@ class _HammingScorer:
 
 def hamming_topk(ds, queries_ids: np.ndarray, queries_hashes: np.ndarray,
                  k: int = 5, id_col: str = "image_id",
-                 hash_col: str = "phash", concurrency=None,
-                 batch_size: int = 8192):
+                 hash_col: str = "phash", batch_size: int = 8192):
     """Exact Hamming top-k of each query hash over the whole Dataset —
     binary-hash retrieval (the query twin of the phash dedup path).
     Deterministic (dist asc, item_id asc) tie order; corpus streams,
@@ -410,7 +407,7 @@ def hamming_topk(ds, queries_ids: np.ndarray, queries_hashes: np.ndarray,
     partial = stateful_map(
         ds, _HammingScorer,
         {"queries_ref": ref, "k": k, "id_col": id_col, "hash_col": hash_col},
-        batch_size=batch_size, concurrency=concurrency,
+        batch_size=batch_size,
     )
 
     return _hamming_merge(partial, k)

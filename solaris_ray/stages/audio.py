@@ -1,7 +1,7 @@
-"""Audio columns — WAV/PCM codec + actor-pool analysis stages.
+"""Audio columns — WAV/PCM codec + map-stage analysis classes.
 
 The driver mandate treats audio as opaque ``binary`` + typed metadata
-with decode / feature-extract as actor-pool ``map_batches`` stages.
+with decode / feature-extract as ``map_batches`` stages.
 No audio library exists in this container, but RIFF/WAVE PCM is a
 pure-struct container (same discipline as ``raster/gtiff.py`` and
 ``raster/jpeg.py``), so WAV decodes for REAL here:
@@ -348,7 +348,7 @@ def audio_decode(buf: bytes) -> tuple[np.ndarray, int]:
 
 
 class AudioStats:
-    """Actor-pool stage: (media_id, bytes) -> per-row audio stats.
+    """Map stage: (media_id, bytes) -> per-row audio stats.
 
     Output: media_id, n_samples (per channel), channels, rate,
     duration6 (s), rms6 (int16 units), peak (max |sample|).  RMS uses
@@ -383,7 +383,7 @@ class AudioStats:
 
 
 class AudioClips:
-    """Actor-pool stage: window fan-out (1 row -> n standalone clips).
+    """Map stage: window fan-out (1 row -> n standalone clips).
 
     ``clip_s`` seconds per clip, ``hop_s`` hop (defaults to clip_s —
     tumbling); ragged tail kept iff >= ``min_frac`` of a clip.  Each
@@ -492,7 +492,7 @@ def resample_audio(s: np.ndarray, src_rate: int, dst_rate: int,
 
 
 class AudioResample:
-    """Actor-pool stage: re-encode every row's audio at ``dst_rate``.
+    """Map stage: re-encode every row's audio at ``dst_rate``.
 
     Output: media_id, src_rate, n_in, n_out, rms_ratio6 (decoded-RMS
     preservation check — ~1.0 for band-limited content), bytes (WAV
@@ -554,7 +554,7 @@ def _framed_power(mono: np.ndarray, win: int, hop: int):
 
 
 class AudioSpectrogram:
-    """Actor-pool stage: framed FFT features, one output row per frame.
+    """Map stage: framed FFT features, one output row per frame.
 
     Rectangular window (win, hop), np.fft.rfft over the whole [frames,
     win] matrix at once.  Output per frame: time_energy (EXACT integer
@@ -602,7 +602,7 @@ class AudioSpectrogram:
 
 
 class AudioFingerprint:
-    """Actor-pool stage: (media_id, bytes) -> 64-bit acoustic fingerprint.
+    """Map stage: (media_id, bytes) -> 64-bit acoustic fingerprint.
 
     Haitsma-Kalker-style: framed rfft -> 17 log-spaced band energies ->
     sign of the time-frequency double difference
@@ -663,7 +663,7 @@ class AudioFingerprint:
 
 
 class SilenceSegments:
-    """Actor-pool stage: energy-threshold voice-activity segmentation.
+    """Map stage: energy-threshold voice-activity segmentation.
 
     Frames of ``win`` samples (non-overlapping), EXACT integer frame
     energy; frames with energy >= ``threshold`` are active.  Runs of
@@ -754,7 +754,7 @@ def _mel_filterbank(n_mels: int, n_bins: int, rate: int) -> np.ndarray:
 
 
 class AudioMelBands:
-    """Actor-pool stage: mel filterbank energies per frame (the ASR
+    """Map stage: mel filterbank energies per frame (the ASR
     feature-extraction front end).
 
     Framed rfft -> Parseval-weighted power -> [n_mels] triangular

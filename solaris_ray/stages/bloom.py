@@ -100,7 +100,6 @@ def bloom_semi_join(
     ref_key_col: str | None = None,
     m: int = 4096,
     k: int = 3,
-    concurrency: int | None = None,
 ):
     """Keep probe rows whose key passes the reference Bloom filter
     (true matches + deterministic false positives)."""
@@ -113,5 +112,5 @@ def bloom_semi_join(
     return stateful_map(
         probe_ds, _BloomProbe,
         dict(bits_ref=bits_ref, key_col=key_col, m=m, k=k),
-        batch_size=8192, concurrency=concurrency,
+        batch_size=8192,
     )

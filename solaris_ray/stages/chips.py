@@ -12,7 +12,7 @@ Reference (/root/reference/solaris):
   (first writer wins), 'confidence' (max |p - 0.5| wins).
 
 Ray mapping (SURVEY.md §3.3): images -> ``map_batches`` chip fan-out
-(1 row -> N chip rows with (y0, x0) columns) -> actor-pool scorer ->
+(1 row -> N chip rows with (y0, x0) columns) -> scorer map stage ->
 ``groupby(image_id).map_groups(stitch)``.
 """
 

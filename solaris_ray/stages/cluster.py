@@ -6,7 +6,7 @@ corpus curation (cluster-balanced sampling).  Classic scalable Lloyd:
 
 per iteration (one streaming pass over the corpus, NO shuffle of
 vectors):
-  1. broadcast centroids (``ray.put`` once, read per actor),
+  1. broadcast centroids (``ray.put`` once, read per task),
   2. ``map_batches``: assign each vector by raw-dot argmax (tie ->
      lowest cluster, matching the SQL oracle's ``ORDER BY dp DESC, l``)
      and emit k PARTIAL rows ``(cluster, n, ssum[dim])`` per batch —

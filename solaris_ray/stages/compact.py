@@ -192,7 +192,7 @@ def collect_compact_set(compact_ds) -> pa.Table:
 
 
 class AoiCellFilter:
-    """Actor-pool stage: keep points whose cell (at ANY of the compact
+    """Map stage: keep points whose cell (at ANY of the compact
     set's resolutions) is in the broadcast AOI set.
 
     Membership against a compact set = compute the point's cell id at
@@ -228,8 +228,7 @@ class AoiCellFilter:
         return batch.filter(pa.array(keep))
 
 
-def aoi_cell_filter(points_ds, compact_ds, x_col: str = "x", y_col: str = "y",
-                    concurrency: int | None = None):
+def aoi_cell_filter(points_ds, compact_ds, x_col: str = "x", y_col: str = "y"):
     """Filter a point Dataset to those inside a compact AOI cell set."""
     import ray
 
@@ -239,5 +238,5 @@ def aoi_cell_filter(points_ds, compact_ds, x_col: str = "x", y_col: str = "y",
     return stateful_map(
         points_ds, AoiCellFilter,
         dict(aoi_ref=aoi_ref, x_col=x_col, y_col=y_col),
-        batch_size=8192, concurrency=concurrency,
+        batch_size=8192,
     )

@@ -96,7 +96,7 @@ def benchmark_gram_set(bench_ds, k: int = 20, text_col: str = "text") -> pa.Arra
 
 
 class _Decontaminator:
-    """Actor-pool stage: broadcast gram set in __init__, count overlaps
+    """Map stage: broadcast gram set in __init__, count overlaps
     per batch via Arrow ``is_in`` (exact strings, C++ hash set)."""
 
     def __init__(self, gram_set_ref, k: int, text_col: str, id_col: str):
@@ -142,7 +142,6 @@ def decontaminate(
     k: int = 20,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
 ):
     """Benchmark n-gram decontamination: for each candidate doc, count
     its distinct char-k-grams and how many appear in the benchmark
@@ -160,7 +159,7 @@ def decontaminate(
     return stateful_map(
         docs_ds, _Decontaminator,
         dict(gram_set_ref=gram_ref, k=k, text_col=text_col, id_col=id_col),
-        batch_size=1024, concurrency=concurrency,
+        batch_size=1024,
     )
 
 
@@ -224,7 +223,7 @@ def train_bigram_counts(docs_ds, min_count: int = 3, text_col: str = "text") -> 
 
 
 class _BigramScorer:
-    """Actor-pool stage: vocab broadcast once, per-batch index_in lookup."""
+    """Map stage: vocab broadcast once, per-batch index_in lookup."""
 
     def __init__(self, vocab_ref, text_col: str, id_col: str):
         import ray
@@ -263,7 +262,6 @@ def bigram_lm_scores(
     text_col: str = "text",
     id_col: str = "doc_id",
     train_ds=None,
-    concurrency: int | None = None,
 ):
     """Two-pass corpus-familiarity scoring.
 
@@ -284,7 +282,7 @@ def bigram_lm_scores(
     return stateful_map(
         docs_ds, _BigramScorer,
         dict(vocab_ref=vocab_ref, text_col=text_col, id_col=id_col),
-        batch_size=1024, concurrency=concurrency,
+        batch_size=1024,
     )
 
 

@@ -668,8 +668,7 @@ def _collapse_exact_vectors(ds, id_col: str, vec_col: str):
 
 
 def embedding_neardup_pairs(ds, embeddings_table: pa.Table, tau: float = 0.4,
-                            id_col: str = "vec_id", vec_col: str = "embedding",
-                            concurrency=None):
+                            id_col: str = "vec_id", vec_col: str = "embedding"):
     import ray
 
     from ..runtime import stateful_map
@@ -683,7 +682,7 @@ def embedding_neardup_pairs(ds, embeddings_table: pa.Table, tau: float = 0.4,
     return stateful_map(
         ds, CosinePairFinder,
         {"mat_ref": ref, "tau": tau, "id_col": id_col, "vec_col": vec_col},
-        batch_size=2048, concurrency=concurrency,
+        batch_size=2048,
     )
 
 
@@ -800,6 +799,36 @@ def hamming_neardup_pairs(
     )
 
 
+class _CentroidAssign:
+    """Nearest centroid of each vector by raw dot product (argmax tie
+    -> lowest cluster id); carries the vector on as ``emb``."""
+
+    def __init__(self, centroids_ref, id_col: str, vec_col: str):
+        import ray
+
+        self.C = ray.get(centroids_ref)
+        self.id_col = id_col
+        self.vec_col = vec_col
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        from .ann import list_col_to_matrix
+
+        V = list_col_to_matrix(batch[self.vec_col], np.float64)
+        if V.shape[0] == 0:
+            return pa.schema(
+                [(self.id_col, pa.int64()), ("cluster", pa.int64()),
+                 ("emb", pa.list_(pa.float64()))]
+            ).empty_table()
+        cl = np.argmax(V @ self.C.T, axis=1).astype(np.int64)
+        return pa.table(
+            {
+                self.id_col: pc.cast(batch[self.id_col], pa.int64()),
+                "cluster": pa.array(cl, pa.int64()),
+                "emb": pa.array(V.tolist(), pa.list_(pa.float64())),
+            }
+        )
+
+
 def semantic_dedup(ds, centroids: np.ndarray, tau: float = 0.95,
                    id_col: str = "vec_id", vec_col: str = "embedding",
                    chunk: int = 2048, precollapse: bool = False):
@@ -829,38 +858,18 @@ def semantic_dedup(ds, centroids: np.ndarray, tau: float = 0.95,
     """
     import ray
 
-    from .ann import list_col_to_matrix
+    from ..runtime import stateful_map
 
-    C = np.asarray(centroids, dtype=np.float64)
-    C_ref = ray.put(C)
+    C_ref = ray.put(np.asarray(centroids, dtype=np.float64))
 
     stars = None
     if precollapse:
         ds, stars = _collapse_exact_vectors(ds, id_col, vec_col)
 
-    class _Assign:
-        def __init__(self, cref):
-            self.C = ray.get(cref) if not isinstance(cref, np.ndarray) else cref
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            V = list_col_to_matrix(batch[vec_col], np.float64)
-            if V.shape[0] == 0:
-                return pa.schema(
-                    [(id_col, pa.int64()), ("cluster", pa.int64()),
-                     ("emb", pa.list_(pa.float64()))]
-                ).empty_table()
-            cl = np.argmax(V @ self.C.T, axis=1).astype(np.int64)
-            return pa.table(
-                {
-                    id_col: pc.cast(batch[id_col], pa.int64()),
-                    "cluster": pa.array(cl, pa.int64()),
-                    "emb": pa.array(V.tolist(), pa.list_(pa.float64())),
-                }
-            )
-
-    assigned = ds.map_batches(
-        _Assign, fn_constructor_args=(C_ref,), batch_format="pyarrow",
-        batch_size=4096, concurrency=(1, 8),
+    assigned = stateful_map(
+        ds, _CentroidAssign,
+        {"centroids_ref": C_ref, "id_col": id_col, "vec_col": vec_col},
+        batch_size=4096,
     )
 
     out_schema = pa.schema(

@@ -6,7 +6,7 @@ ImageQuality (cf. the reference's preprocessing ops,
 separates textured scenes from flat fill, and Otsu's method gives the
 canonical binarization threshold that feeds mask/footprint heuristics.
 
-Both are pure map stages over an actor-pool decode — no shuffle.
+Both are pure map stages over a per-task decode — no shuffle.
 Float discipline: none needed; every statistic is exact integer
 arithmetic (Otsu's between-class variance is compared as a
 micro-unit-scaled integer fraction so engine and SQL rank thresholds
@@ -22,7 +22,7 @@ _SOBEL_EDGE_THRESH = 128
 
 
 class SobelStats:
-    """Actor-pool stage: (image rows) -> per-image gradient stats.
+    """Map stage: (image rows) -> per-image gradient stats.
 
     ``g = |gx| + |gy|`` over interior pixels (valid 3x3 window);
     emits the exact integer gradient mass, max, and the count of
@@ -71,7 +71,7 @@ class SobelStats:
 
 
 class OtsuThreshold:
-    """Actor-pool stage: per-image Otsu threshold, exact.
+    """Map stage: per-image Otsu threshold, exact.
 
     Maximizes the between-class variance over the 256-bin histogram.
     With N pixels, total sum S, and class-0 cumulatives (n0, s0) at
@@ -129,7 +129,7 @@ class OtsuThreshold:
 
 
 class GlcmStats:
-    """Actor-pool stage: gray-level co-occurrence texture features.
+    """Map stage: gray-level co-occurrence texture features.
 
     Horizontal offset-(1,0) co-occurrence (the classic Haralick
     setup): per image, over all horizontal neighbor pairs, emits the
@@ -178,7 +178,6 @@ def glcm_stats(images, strict: bool = False):
     """-> (image_id, contrast, energy, n_pairs) per image."""
     return images.map_batches(
         GlcmStats(strict), batch_format="pyarrow", batch_size=8,
-        concurrency=4,
     )
 
 
@@ -186,7 +185,6 @@ def sobel_stats(images, thresh: int = _SOBEL_EDGE_THRESH, strict: bool = False):
     """-> (image_id, g_sum, g_max, edge_px) per image."""
     return images.map_batches(
         SobelStats(thresh, strict), batch_format="pyarrow", batch_size=8,
-        concurrency=4,
     )
 
 
@@ -194,5 +192,4 @@ def otsu_threshold(images, strict: bool = False):
     """-> (image_id, otsu_t, n_below, sum_below) per image."""
     return images.map_batches(
         OtsuThreshold(strict), batch_format="pyarrow", batch_size=8,
-        concurrency=4,
     )

@@ -6,7 +6,7 @@ nodata fill, ocean) carry low entropy and waste training tokens;
 them from textured scenes.  Complements ImageQuality's blur metrics
 (stages/multimodal.py) with a histogram-shape measure.
 
-Actor-pool decode (state-free but batch-amortized), O(256) kernel per
+Map-task decode (state-free, batch-amortized), O(256) kernel per
 image, no shuffle at all — a pure map stage.  Float discipline:
 identical division/ln expression on engine and SQL sides, 6-dp round
 (the per-image sum is 256 terms, error ~1e-13).
@@ -19,7 +19,7 @@ import pyarrow as pa
 
 
 class ImageEntropy:
-    """Actor-pool stage: (image rows) -> (image_id, n_px, h6)."""
+    """Map stage: (image rows) -> (image_id, n_px, h6)."""
 
     def __init__(self, strict: bool = False):
         self.strict = strict
@@ -58,5 +58,4 @@ def image_entropy(images, strict: bool = False):
     """-> (image_id, n_px, h6) per image."""
     return images.map_batches(
         ImageEntropy(strict), batch_format="pyarrow", batch_size=8,
-        concurrency=4,
     )

@@ -445,7 +445,7 @@ def _brute_knn_stream(pts, features, k, fx_col, fy_col, id_col, x_col, y_col):
 
 
 class BroadcastKNNJoiner:
-    """Actor-pool map_batches body: points × broadcast centroid index."""
+    """``stateful_map`` body: points × broadcast centroid index."""
 
     def __init__(self, features_ref, k: int = 3, cell_res: int = 13, max_ring: int = 512,
                  id_col: str = "point_id", x_col: str = "x", y_col: str = "y",
@@ -493,7 +493,6 @@ def broadcast_knn_join(
     features: pa.Table,
     k: int = 3,
     cell_res: int | None = None,
-    concurrency=None,
     batch_size: int = 2048,
     **col_kwargs,
 ):
@@ -517,7 +516,7 @@ def broadcast_knn_join(
     return stateful_map(
         points, BroadcastKNNJoiner,
         {"features_ref": ref, "k": k, "cell_res": cell_res, **col_kwargs},
-        batch_size=batch_size, concurrency=concurrency,
+        batch_size=batch_size,
     )
 
 

@@ -26,7 +26,7 @@ def extract_key(batch: pa.Table, col: str, pattern: str, out_col: str = "match_s
 
 
 def broadcast_equi_join(left, right: pa.Table, key: str = "match_str",
-                        concurrency=None, batch_size: int = 8192):
+                        batch_size: int = 8192):
     """Inner equi-join: left Dataset x small right table on ``key``.
 
     Duplicate right keys fan out (1:N), like pandas inner merge in the
@@ -69,7 +69,7 @@ def broadcast_equi_join(left, right: pa.Table, key: str = "match_str",
 
     return stateful_map(
         left, Joiner, {"ref": ref},
-        batch_size=batch_size, concurrency=concurrency,
+        batch_size=batch_size,
     )
 
 

@@ -8,14 +8,15 @@ on a miss invokes the registered fetcher (the ``_download_weights``
 analogue — the sandbox has no network, so fetchers synthesize their
 deterministic payload and write it through the same
 fetch -> cache-file -> load path a remote download would take; the
-write is atomic so concurrent actors on one node race safely).
+write is atomic so concurrent workers on one node race safely).
 
 Models are plain ``.npz`` arrays and the forward pass is numpy — no
 torch/keras in this environment, and none needed: a linear projection
 or a small MLP is one/two matmuls per batch, which is exactly the
 batched-inference shape of the reference's ``infer.py:80-102``.
-Actor-pool stages load weights ONCE per actor in ``__init__`` and run
-``__call__`` per batch.
+Scorer classes load weights in ``__init__`` and run ``__call__`` per
+batch; ``runtime.stateful_map`` builds one instance per worker process,
+so the weights load once per worker.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ WEIGHTS_DIR = os.environ.get(
 
 def _fetch_rproj(dim: int, seed: int, pool: int):
     """Deterministic random-projection weights (the EmbeddingExtractor
-    stand-in matrix, now a cached artifact instead of per-actor RNG).
+    stand-in matrix, now a cached artifact instead of per-instance RNG).
     Stored at full float64 — consumers downcast at load so every
     working dtype sees exactly the values the seeded RNG produced."""
     rng = np.random.default_rng(seed)
@@ -99,7 +100,7 @@ def get_weights(model_name: str, model_path: str | None = None,
         raise FileNotFoundError(f"{path} doesn't exist.")
     os.makedirs(wdir, exist_ok=True)
     payload = fetch()
-    # atomic publish: concurrent actors may fetch at once; last writer
+    # atomic publish: concurrent workers may fetch at once; last writer
     # wins with identical bytes, readers never see a partial file
     fd, tmp = tempfile.mkstemp(dir=wdir, suffix=".npz.tmp")
     try:
@@ -114,9 +115,9 @@ def get_weights(model_name: str, model_path: str | None = None,
 
 
 class IntMLPScorer:
-    """Actor-pool scorer: decode -> 4x4 block-sum features -> integer
-    MLP forward pass.  Weights resolve through ``get_weights`` ONCE
-    per actor; every step is int64-exact so the gate's SQL twin
+    """Image scorer: decode -> 4x4 block-sum features -> integer MLP
+    forward pass.  Weights resolve through ``get_weights`` once per
+    instance; every step is int64-exact so the gate's SQL twin
     reproduces scores bit-for-bit."""
 
     def __init__(self, model_name: str = "int_mlp_16x8",
@@ -151,18 +152,13 @@ class IntMLPScorer:
         })
 
 
-def score_images(images, model_name: str = "int_mlp_16x8",
-                 concurrency=None, batch_size: int = 32,
+def score_images(images, model_name: str = "int_mlp_16x8", batch_size: int = 32,
                  weights_dir: str | None = None):
-    """Distributed model scoring: weights load once per actor."""
-    from ..runtime import auto_concurrency
+    """Distributed model scoring: weights load once per worker process."""
+    from ..runtime import stateful_map
 
-    return images.map_batches(
-        IntMLPScorer,
-        fn_constructor_kwargs={"model_name": model_name,
-                               "weights_dir": weights_dir},
-        batch_format="pyarrow",
+    return stateful_map(
+        images, IntMLPScorer,
+        {"model_name": model_name, "weights_dir": weights_dir},
         batch_size=batch_size,
-        concurrency=concurrency or auto_concurrency(),
-        num_cpus=1,
     )

@@ -2,7 +2,7 @@
 
 Driver mandate: treat multimodal payloads as ``binary`` columns with
 typed metadata and implement decode / resize / feature-extract /
-frame-sample as actor-pool ``map_batches`` stages.  The container has
+frame-sample as ``map_batches`` stages.  The container has
 no image/audio libraries, so:
 
 - formats this repo's own codec handles (``png``, ``qnt``, ``jpeg`` —
@@ -27,12 +27,13 @@ no image/audio libraries, so:
   through a clearly marked STUB: ``strict=True`` raises NotImplementedError,
   ``strict=False`` produces a deterministic fake decode (seeded from
   the payload digest) so the Ray-side plumbing — schema, batch sizing,
-  actor signature, output layout — is real and testable end-to-end.
+  stage signature, output layout — is real and testable end-to-end.
 
-All stages are callable CLASSES for ``map_batches(Cls, concurrency=N)``
-— in production the ``__init__`` holds the codec context / model
-weights (the reference loads models once per process the same way,
-/root/reference/solaris/nets/model_io.py:12-40).
+All stages are callable classes whose ``__init__`` holds the codec
+settings or model weights; a stateless one is passed to ``map_batches``
+as an instance, one with weights goes through ``runtime.stateful_map``,
+which builds it once per worker process (the reference loads models
+once per process the same way, /root/reference/solaris/nets/model_io.py:12-40).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def decode_any(buf: bytes, fmt: str, w: int, h: int, strict: bool = False) -> np
 
 
 class ImageResizer:
-    """Actor-pool stage: decode -> nearest-neighbor resize -> encode.
+    """Map stage: decode -> nearest-neighbor resize -> encode.
 
     Nearest-neighbor keeps the kernel dependency-free; output rows
     carry the new dims so downstream stages never re-sniff bytes.
@@ -130,7 +131,7 @@ class ImageResizer:
 
 
 class ImageStats:
-    """Actor-pool stage: per-band min/max/mean/std (+ phash check cols).
+    """Map stage: per-band min/max/mean/std (+ phash check cols).
 
     The preproc ``ImageStats`` analogue
     (/root/reference/solaris/preproc/image.py:230-270) as a per-row map;
@@ -164,7 +165,7 @@ class ImageStats:
 
 
 class FrameSampler:
-    """Actor-pool stage for video rows: sample every k-th frame.
+    """Map stage for video rows: sample every k-th frame.
 
     Expects ``(media_id, bytes, fmt, n_frames, w, h)``; emits one row
     per sampled frame.  ``fmt`` in {"avi", "mjpeg"} decodes for REAL
@@ -234,14 +235,14 @@ class FrameSampler:
 
 
 class EmbeddingExtractor:
-    """Actor-pool scorer: image bytes -> feature vector.
+    """Image scorer: image bytes -> feature vector.
 
-    The model-scorer stage (model loaded once per actor,
+    The model-scorer stage (model loaded once per worker process,
     /root/reference/solaris/nets/model_io.py + infer.py:80-102).  The
     "model" is a fixed random projection of downsampled pixels whose
     matrix now arrives through the full weights-file lifecycle
     (``stages/model.get_weights``: registry -> cache-dir .npz ->
-    fetch-on-miss), loaded ONCE per actor here in ``__init__`` —
+    fetch-on-miss), loaded once per instance here in ``__init__`` —
     deterministic, batchable, and shaped exactly like a real encoder:
     swap ``self.proj @ x`` for a forward pass and nothing else changes.
     """
@@ -287,22 +288,18 @@ class EmbeddingExtractor:
         )
 
 
-def extract_embeddings(images, dim: int = 64, concurrency=None, batch_size: int = 32,
+def extract_embeddings(images, dim: int = 64, batch_size: int = 32,
                        pool: int = 16, dtype=np.float32):
-    from ..runtime import auto_concurrency
+    from ..runtime import stateful_map
 
-    return images.map_batches(
-        EmbeddingExtractor,
-        fn_constructor_kwargs={"dim": dim, "pool": pool, "dtype": dtype},
-        batch_format="pyarrow",
+    return stateful_map(
+        images, EmbeddingExtractor, {"dim": dim, "pool": pool, "dtype": dtype},
         batch_size=batch_size,
-        concurrency=concurrency or auto_concurrency(),
-        num_cpus=1,
     )
 
 
 class Patchify:
-    """Actor-pool stage: ViT-style patch extraction.
+    """Map stage: ViT-style patch extraction.
 
     Decodes each image once and emits one row per PxP patch (row-major
     patch grid), the layout step before patch-embedding a vision
@@ -355,7 +352,7 @@ class Patchify:
 
 
 class ImageQuality:
-    """Actor-pool stage: per-image sharpness metrics for corpus
+    """Map stage: per-image sharpness metrics for corpus
     filtering (the LAION-style blur gate).
 
     - ``lap_var6``: variance of the 4-neighbor Laplacian over interior
@@ -457,7 +454,5 @@ class OverviewBuilder:
 
 
 def build_overviews(images, levels: int = 2, batch_size: int = 16, out_fmt: str = "png"):
-    # plain map tasks: the builder holds three scalars, nothing an
-    # actor pool would amortize, and a pool of 2 cannot start on 1 CPU
     return images.map_batches(OverviewBuilder(levels, out_fmt), batch_format="pyarrow",
                               batch_size=batch_size)

@@ -9,7 +9,7 @@ arithmetic + the O(d^3) eigendecomposition (d is small by contract;
 the corpus never shuffles, vectors never leave their blocks).
 
 Projection is then a broadcast matmul ``map_batches`` — identical
-shape to stages.multimodal.EmbedExtractor.
+shape to stages.multimodal.EmbeddingExtractor.
 
 Eigenvector sign is fixed deterministically (largest-|component|
 coordinate made positive) so projections are reproducible across runs

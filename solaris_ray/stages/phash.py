@@ -85,7 +85,7 @@ def compute_phash(px: np.ndarray) -> int:
 
 
 class PhashImages:
-    """Actor-pool stage: (image_id, bytes, fmt) -> (image_id, phash).
+    """Map stage: (image_id, bytes, fmt) -> (image_id, phash).
 
     Decodes through the raster codec registry (png/jpeg/webp/tiff/qnt
     are real), then DCT pHash.  Rows whose format can't decode here

@@ -13,7 +13,7 @@ points are grouped by cell once per batch and each candidate feature is
 tested against the whole point group at once.
 
 Physical strategy: broadcast (``ray.put`` the feature layer once, each
-actor builds its bucket index in ``__init__``).  For a both-sides-large
+worker builds its bucket index in ``__init__``).  For a both-sides-large
 join, reuse ``joins.cell_partitioned_join``'s co-shuffle with this
 module's predicate kernels.
 """
@@ -176,10 +176,10 @@ def _pip_cell_chunk(index, cand, b, rows, point_id, px, py, exact,
 
 
 class BroadcastPIPJoiner:
-    """Actor-pool map_batches body: point rows × broadcast polygon layer.
+    """``stateful_map`` body: point rows × broadcast polygon layer.
 
-    The feature table is ``ray.put`` once; each actor fetches it and
-    builds the cell-bucket index in ``__init__`` (once per actor, the
+    The feature table is ``ray.put`` once; each worker fetches it and
+    builds the cell-bucket index in ``__init__`` (once per worker, the
     Pool-initializer broadcast pattern of
     /root/reference/solaris/vector/graph.py:341-349).
     """
@@ -208,7 +208,6 @@ def broadcast_pip_join(
     features: pa.Table,
     cell_res: int | None = None,
     exact: bool = False,
-    concurrency=None,
     batch_size: int = 2048,
     id_col: str = "point_id",
     x_col: str = "x",
@@ -237,5 +236,5 @@ def broadcast_pip_join(
         points, BroadcastPIPJoiner,
         {"features_ref": ref, "cell_res": cell_res, "exact": exact,
          "id_col": id_col, "x_col": x_col, "y_col": y_col},
-        batch_size=batch_size, concurrency=concurrency,
+        batch_size=batch_size,
     )

@@ -13,7 +13,7 @@ pure struct:
   of walking millions).
 - ``ogg_probe``: OggS page walk — Vorbis/Opus identification header
   (channels, rate) + last-page granule position -> duration.
-- ``MediaProbe``: actor-pool stage sniffing RIFF/FLAC/MP3/OGG/AVI and
+- ``MediaProbe``: map stage sniffing RIFF/FLAC/MP3/OGG/AVI and
   emitting one uniform metadata row per input.
 
 Every branch is HEADER-ONLY — a probe over a 100-TB corpus must not
@@ -275,7 +275,7 @@ def media_probe(buf: bytes) -> dict:
 
 
 class MediaProbe:
-    """Actor-pool stage: (media_id, bytes) -> one metadata row each."""
+    """Map stage: (media_id, bytes) -> one metadata row each."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = {"media_id": [], "container": [], "codec": [],

@@ -6,7 +6,7 @@ every image so the corpus-wide [q_lo, q_hi] pixel percentiles map to
 [0, 255].  Unlike per-image stretch, the percentiles are GLOBAL — a
 genuinely distributed statistic over every pixel of every image.
 
-Scale plan: pass 1 decodes per batch (actor pool) and emits a 256-bin
+Scale plan: pass 1 decodes per batch (map tasks) and emits a 256-bin
 integer histogram partial — O(256) rows per batch regardless of image
 size, pre-combined in-batch, one tiny groupby to the global
 histogram.  The discrete percentiles (DuckDB ``quantile_disc`` rank
@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 
 
 class _HistPartial:
-    """Actor-pool stage: decode a batch, emit its 256-bin histogram."""
+    """Map stage: decode a batch, emit its 256-bin histogram."""
 
     def __init__(self, strict: bool = False):
         self.strict = strict
@@ -56,7 +56,7 @@ class _HistPartial:
 
 
 class _Stretch:
-    """Actor-pool stage: rescale with the broadcast (lo, hi) window."""
+    """Map stage: rescale with the broadcast (lo, hi) window."""
 
     def __init__(self, lo: int, hi: int, strict: bool = False):
         self.lo = int(lo)
@@ -100,7 +100,6 @@ def global_percentiles(images, q_lo: float, q_hi: float,
     hist_rows = (
         images.map_batches(
             _HistPartial(strict), batch_format="pyarrow", batch_size=8,
-            concurrency=4,
         )
         .groupby("bin")
         .sum("cnt")
@@ -127,7 +126,6 @@ def contrast_stretch(images, q_lo: float = 0.02, q_hi: float = 0.98,
     lo, hi, _ = global_percentiles(images, q_lo, q_hi, strict)
     out = images.map_batches(
         _Stretch(lo, hi, strict), batch_format="pyarrow", batch_size=8,
-        concurrency=4,
     )
     return out.map_batches(
         lambda b: b.append_column(
@@ -140,7 +138,7 @@ def contrast_stretch(images, q_lo: float = 0.02, q_hi: float = 0.98,
 
 
 class _Equalize:
-    """Actor-pool stage: PER-IMAGE histogram equalization.
+    """Map stage: PER-IMAGE histogram equalization.
 
     Classic CDF remap with the standard cdf-min convention,
     integer-exact:  out(v) = (cdf(v) - cdf_min) * 255 // (N - cdf_min)
@@ -190,8 +188,7 @@ class _Equalize:
 
 def hist_equalize(images, strict: bool = False):
     """-> (image_id, eq_sum, eq_min, eq_max) after per-image histogram
-    equalization — decode-once actor pool, O(256) state per image."""
+    equalization — decode once per image, O(256) state per image."""
     return images.map_batches(
         _Equalize(strict), batch_format="pyarrow", batch_size=8,
-        concurrency=4,
     )

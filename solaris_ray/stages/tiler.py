@@ -190,9 +190,8 @@ class TileCutter:
     ``dest_epsg`` warp stays per tile and takes its bounds from the
     warped grid.
 
-    A plain function would do (no state), but a callable class lets
-    callers choose an actor pool when decode dominates; the class holds
-    only config (cheap to ship either way).
+    A plain function would do (no state); the callable class holds
+    only config, which ships with each task.
     """
 
     def __init__(

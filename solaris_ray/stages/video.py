@@ -1,7 +1,7 @@
-"""Video columns — MJPEG-AVI codec + actor-pool frame stages.
+"""Video columns — MJPEG-AVI codec + map-stage frame classes.
 
 The driver mandate treats video as an opaque ``binary`` column with
-typed metadata and frame-sampling as an actor-pool ``map_batches``
+typed metadata and frame-sampling as a ``map_batches``
 stage.  No video library exists in this container, but AVI is a
 pure-struct RIFF container (same discipline as ``stages/audio.py``)
 and Motion-JPEG stores each frame as a standalone baseline JPEG —
@@ -163,7 +163,7 @@ def avi_decode(buf: bytes) -> list[np.ndarray]:
 
 
 class VideoStats:
-    """Actor-pool stage: (media_id, bytes) -> exact container metadata.
+    """Map stage: (media_id, bytes) -> exact container metadata.
 
     Header parse only — n_frames / w / h / fps / duration come from the
     avih chunk and the frame index; zero pixel decode, so this runs at
@@ -197,7 +197,7 @@ class VideoStats:
 
 
 class SceneChanges:
-    """Actor-pool stage: shot-boundary detection over MJPEG-AVI rows.
+    """Map stage: shot-boundary detection over MJPEG-AVI rows.
 
     Decodes consecutive frames through the seek index and computes the
     mean absolute pixel difference (MAD) to the previous frame; a

@@ -83,7 +83,7 @@ class ZonalPartials:
 
 
 def zonal_stats(tiles, features: pa.Table, cell_res: int | None = None,
-                concurrency=None, batch_size: int = 8):
+                batch_size: int = 8):
     """tiles Dataset (with bytes) x features -> per-feature band means.
 
     Returns (feature_id, n_px, mean_b0..mean_bN).
@@ -105,7 +105,7 @@ def zonal_stats(tiles, features: pa.Table, cell_res: int | None = None,
     partials = stateful_map(
         tiles, ZonalPartials,
         {"index_ref": ref, "cell_res": cell_res},
-        batch_size=batch_size, concurrency=concurrency,
+        batch_size=batch_size,
     )
 
     def _combine(group: pa.Table) -> pa.Table:

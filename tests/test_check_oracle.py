@@ -157,3 +157,49 @@ def test_num_cpus_sizes_the_session(tmp_path):
     log = out.stdout + out.stderr
     assert "PASS cpus: 1 rows" in out.stdout, log
     assert out.returncode == 0, log
+
+
+# the first gate outlives the per-gate timeout; the second reports the
+# CPUs of the session it runs in
+_SLOW_ENTRY = """
+import time
+
+import pandas as pd
+import ray
+
+
+def queries():
+    return {"sleeps": lambda sf: time.sleep(600),
+            "after": lambda sf: pd.DataFrame({"cpus": [int(ray.cluster_resources()["CPU"])]})}
+
+
+def oracle_sql():
+    return {"sleeps": "SELECT 1 AS a", "after": "SELECT 1 AS cpus"}
+"""
+
+_SHORT_TIMEOUT_SWEEP = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("check_oracle", sys.argv[1])
+mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mod)
+mod.GATE_TIMEOUT_S = 3
+sys.argv = ["check_oracle", "--sf-dir", sys.argv[2], "--num-cpus", "1"]
+raise SystemExit(mod.main())
+"""
+
+
+def test_gate_past_the_timeout_fails_and_the_sweep_goes_on(tmp_path):
+    tree = tmp_path / "copy"
+    (tree / "scripts").mkdir(parents=True)
+    shutil.copy(REPO / "scripts" / "check_oracle.py", tree / "scripts")
+    (tree / "__ray_entry__.py").write_text(_SLOW_ENTRY)
+    env = {**os.environ, "PYTHONPATH": str(tree)}
+    out = subprocess.run([sys.executable, "-c", _SHORT_TIMEOUT_SWEEP,
+                          str(tree / "scripts" / "check_oracle.py"), SF_DIR],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    log = out.stdout + out.stderr
+    assert "FAIL sleeps: timeout (3s)" in out.stdout, log
+    # graded in a fresh session of the same size
+    assert "PASS after: 1 rows" in out.stdout, log
+    assert "SUMMARY 1 PASS, 0 rows-only, 1 FAIL" in out.stdout, log
+    assert out.returncode == 1, log

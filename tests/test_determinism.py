@@ -57,7 +57,7 @@ def test_knn_batch_size_invariant(ray_session):
     outs = []
     for bs in (16, 500):
         ds = broadcast_knn_join(
-            ray.data.from_arrow(pts), feats, k=3, batch_size=bs, concurrency=2
+            ray.data.from_arrow(pts), feats, k=3, batch_size=bs
         )
         outs.append(_canon(ds.to_pandas()))
     pd.testing.assert_frame_equal(outs[0], outs[1], check_exact=True)

@@ -47,7 +47,7 @@ def test_extract_key_and_join(ray_session):
     right = pa.table({"label": pa.array(["lbl_2.geojson", "lbl_1.geojson", "lbl_1_v2.geojson"])})
     right = matchkeys.extract_key(right, "label", r"(?P<k>[0-9]+)")
     out = (
-        matchkeys.broadcast_equi_join(ray.data.from_arrow(left), right, concurrency=2)
+        matchkeys.broadcast_equi_join(ray.data.from_arrow(left), right)
         .to_pandas()
         .sort_values(["file", "label"])
     )

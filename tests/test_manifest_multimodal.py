@@ -199,12 +199,23 @@ def test_embedding_extractor_deterministic(ray_session):
     import ray
 
     ds = ray.data.from_arrow(_images_tbl())
-    e1 = multimodal.extract_embeddings(ds, dim=16, concurrency=2).to_pandas()
-    e2 = multimodal.extract_embeddings(ray.data.from_arrow(_images_tbl()), dim=16, concurrency=2).to_pandas()
+    e1 = multimodal.extract_embeddings(ds, dim=16).to_pandas()
+    e2 = multimodal.extract_embeddings(ray.data.from_arrow(_images_tbl()), dim=16).to_pandas()
     assert len(e1) == 6 and len(e1.iloc[0]["embedding"]) == 16
     a = np.stack(e1.sort_values("image_id")["embedding"].values)
     b = np.stack(e2.sort_values("image_id")["embedding"].values)
     assert np.allclose(a, b)
+
+
+def test_embedding_extractors_of_different_dim_do_not_share_an_instance(ray_session):
+    # both calls run in the same worker processes; the instance cache
+    # keys on every ctor kwarg, so the second call builds its own model
+    import ray
+
+    e8 = multimodal.extract_embeddings(ray.data.from_arrow(_images_tbl()), dim=8).to_pandas()
+    e16 = multimodal.extract_embeddings(ray.data.from_arrow(_images_tbl()), dim=16).to_pandas()
+    assert {len(v) for v in e8["embedding"]} == {8}
+    assert {len(v) for v in e16["embedding"]} == {16}
 
 
 def test_image_stats(ray_session):
@@ -303,6 +314,15 @@ def test_overview_builder_exact_means(ray_session):
     # level stops when a dim hits zero: 3 levels from 8px is the max
     out2 = build_overviews(ray.data.from_arrow(tbl), levels=5).to_pandas()
     assert out2.level.max() == 3
+
+
+def test_embed_extract_ann_gate_finishes_on_one_cpu():
+    # the extractor ran as a pool of 2 one-CPU actors, which a 1-CPU
+    # session can never start: the gate sat idle until killed.  Its
+    # output is 4 queries x top 3
+    from conftest import gate_rows_on_one_cpu
+
+    assert gate_rows_on_one_cpu("q_embed_extract_ann") == 12
 
 
 def test_overviews_gate_finishes_on_one_cpu():

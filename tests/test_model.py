@@ -81,14 +81,26 @@ def test_int_mlp_scorer_matches_manual(tmp_path):
         assert out["score"][i].as_py() == want
 
 
-def test_score_images_actor_pool(ray_session, tmp_path):
+def test_score_images_matches_in_process_scorer(ray_session, tmp_path):
     import ray.data
 
     ds = ray.data.from_arrow(_img_batch(list(range(8))))
-    out = score_images(ds, batch_size=4, concurrency=2,
+    out = score_images(ds, batch_size=4,
                        weights_dir=str(tmp_path)).to_pandas()
     assert len(out) == 8
     ref = IntMLPScorer(weights_dir=str(tmp_path))(_img_batch(list(range(8))))
     want = dict(zip(ref["image_id"].to_pylist(), ref["score"].to_pylist()))
     got = dict(zip(out.image_id, out.score))
     assert got == want
+
+
+def test_model_score_gate_finishes_on_one_cpu():
+    # the scorer ran as a pool of 2 one-CPU actors, which a 1-CPU session
+    # can never start: the gate sat idle until killed
+    import pyarrow.parquet as pq
+    from conftest import SF_DIR, gate_rows_on_one_cpu
+
+    parts = pq.read_table(f"{SF_DIR}/part.parquet")["p_partkey"].to_pylist()
+    want = sum(k < 120 for k in parts)  # the gate scores images p < 120
+    assert want > 0
+    assert gate_rows_on_one_cpu("q_model_score") == want

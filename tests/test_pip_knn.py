@@ -61,7 +61,7 @@ def test_pip_bbox_matches_oracle(ray_session):
 
     pts, boxes = _points(), _boxes()
     out = pip.broadcast_pip_join(
-        ray.data.from_arrow(pts), boxes, cell_res=14, exact=False, concurrency=2
+        ray.data.from_arrow(pts), boxes, cell_res=14, exact=False
     ).to_pandas()
     got = set(map(tuple, out[["point_id", "feature_id"]].values.tolist()))
     px, py = pts["x"].to_numpy(), pts["y"].to_numpy()
@@ -80,7 +80,7 @@ def test_pip_exact_triangles(ray_session):
 
     pts, tris = _points(), _tri_rings()
     out = pip.broadcast_pip_join(
-        ray.data.from_arrow(pts), tris, cell_res=14, exact=True, concurrency=2
+        ray.data.from_arrow(pts), tris, cell_res=14, exact=True
     ).to_pandas()
     got = set(map(tuple, out[["point_id", "feature_id"]].values.tolist()))
     px, py = pts["x"].to_numpy(), pts["y"].to_numpy()
@@ -112,7 +112,7 @@ def test_knn_matches_bruteforce(ray_session):
     )
     k = 4
     out = (
-        knn.broadcast_knn_join(ray.data.from_arrow(pts), feats, k=k, cell_res=14, concurrency=2)
+        knn.broadcast_knn_join(ray.data.from_arrow(pts), feats, k=k, cell_res=14)
         .to_pandas()
         .sort_values(["point_id", "rank"])
     )
@@ -145,7 +145,7 @@ def test_knn_sparse_world_expands_rings(ray_session):
         }
     )
     out = (
-        knn.broadcast_knn_join(ray.data.from_arrow(pts), feats, k=2, cell_res=16, concurrency=1)
+        knn.broadcast_knn_join(ray.data.from_arrow(pts), feats, k=2, cell_res=16)
         .to_pandas()
         .sort_values("rank")
     )

@@ -89,3 +89,14 @@ def test_precollapse_mass_duplicates():
     assert out_df[out_df["vec_id"] == 0]["keep"].iloc[0] == 1
     # the kernel only ever saw 4 vectors (1 rep + 3 distinct)
     assert len(out_df) == 4
+
+
+def test_semantic_dedup_gate_finishes_on_one_cpu():
+    # the centroid assigner ran as a (1, 8) actor pool, whose one actor
+    # a 1-CPU session running its input could not start
+    import pyarrow.parquet as pq
+    from conftest import SF_DIR, gate_rows_on_one_cpu
+
+    want = pq.read_metadata(f"{SF_DIR}/embeddings.parquet").num_rows  # one row per vector
+    assert want > 0
+    assert gate_rows_on_one_cpu("q_semantic_dedup") == want

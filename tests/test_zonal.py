@@ -67,7 +67,7 @@ def test_zonal_constant_tiles(ray_session):
         schema=FEATURE_SCHEMA,
     )
     out = (
-        zonal.zonal_stats(ray.data.from_arrow(tiles), feats, concurrency=2)
+        zonal.zonal_stats(ray.data.from_arrow(tiles), feats)
         .to_pandas()
         .set_index("feature_id")
     )
@@ -85,5 +85,5 @@ def test_zonal_outside_feature_absent(ray_session):
     feats = pa.Table.from_pylist(
         [_feature(9, 500.0, 500.0, 10.0)], schema=FEATURE_SCHEMA
     )
-    out = zonal.zonal_stats(ray.data.from_arrow(tiles), feats, concurrency=2).to_pandas()
+    out = zonal.zonal_stats(ray.data.from_arrow(tiles), feats).to_pandas()
     assert len(out) == 0
