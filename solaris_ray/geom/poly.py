@@ -32,6 +32,7 @@ __all__ = [
     "iou_matrix",
     "intersection_area",
     "box_iou",
+    "pair_box_iou",
     "polygon_iou",
 ]
 
@@ -685,16 +686,23 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    ix0 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy0 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix1 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy1 = np.minimum(a[:, None, 3], b[None, :, 3])
+    return pair_box_iou(a[:, None], b[None, :])
+
+
+def pair_box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of boxes ``a[..., :4]`` and ``b[..., :4]`` broadcast against
+    each other: (k,4) x (k,4) -> (k,) row by row, the same arithmetic
+    as ``box_iou``."""
+    ix0 = np.maximum(a[..., 0], b[..., 0])
+    iy0 = np.maximum(a[..., 1], b[..., 1])
+    ix1 = np.minimum(a[..., 2], b[..., 2])
+    iy1 = np.minimum(a[..., 3], b[..., 3])
     iw = np.clip(ix1 - ix0, 0.0, None)
     ih = np.clip(iy1 - iy0, 0.0, None)
     inter = iw * ih
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         iou = np.where(union > 0, inter / union, 0.0)
     return iou

@@ -5,9 +5,10 @@ single-task runner.
 together: each row is tagged with ``bucket_of(mix, n)`` over its mixed
 key, one sort with a range boundary between each two tags writes one
 block per tag, and ``fn`` runs once per BUCKET -- every row of every
-key that hashes there, tag column dropped.  A bucket kernel (lexsort +
-segment reduce) then handles many keys per call with no per-key Python
-dispatch.
+key that hashes there, tag column dropped.  At width 1 there is no tag
+and no sort: one map task runs ``fn`` once over every row of the input.
+A bucket kernel (lexsort + segment reduce) then handles many keys per
+call with no per-key Python dispatch.
 Callers whose kernel takes one key at a time wrap it in ``per_key``.
 
 ``key_i64`` turns one int or float64 key column into exact int64
@@ -27,10 +28,11 @@ fixed count.  ``co_shuffle`` runs the mask, event and graph families,
 ``distinct_reduce``, the cell-partitioned spatial join
 (``joins.cell_partitioned_join``, keyed on the join cell) and the once
 hand-hashed keyed shuffles of ``stages/`` and
-``pipelines/queries.py``, and every per-key top-k through ``top_k``.
-It is not yet the only keyed exchange: other stages still call Ray's ``groupby(key).map_groups``
-themselves, among them ``evaluate.eval_scores`` and ``eval_matches``,
-``zonal``, ``windows``, ``export``, the LSH buckets of ``dedup`` and the
+``pipelines/queries.py``, the eval matcher of ``evaluate`` (keyed on
+the image), and every per-key top-k through ``top_k``.  It is not yet
+the only keyed exchange: other stages still call Ray's
+``groupby(key).map_groups`` themselves, among them ``zonal``,
+``windows``, ``export``, the LSH buckets of ``dedup`` and the
 ``(band, key)`` candidates of ``ann.hamming_topk_banded``.
 ``tests/test_buckets.py`` lists those modules; the list may only shrink.
 Most ``co_shuffle`` callers take the width from ``shuffle_width`` of
@@ -124,9 +126,12 @@ def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
     """Run ``fn`` once per bucket of ``ds`` hashed on ``keys`` (one
     column name or a list), over ``n_buckets`` blocks --
     ``shuffle_width(ds)`` by default.  Every row of a key arrives in the
-    same ``fn`` call.  The sort is given its boundaries: a sampled range
-    partition (Ray's ``groupby``) can put two tags in one block and
-    leave another empty, and it keeps its input's block count."""
+    same ``fn`` call, and no call gets zero rows.  The sort is given its
+    boundaries: a sampled range partition (Ray's ``groupby``) can put
+    two tags in one block and leave another empty, and it keeps its
+    input's block count.  One bucket needs neither tag nor sort: one map
+    task over all of ``ds`` makes the one ``fn`` call, or none when
+    ``ds`` has no rows."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     n = n_buckets or shuffle_width(ds)
 
@@ -140,14 +145,16 @@ def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
 
     def _run(bucket: pa.Table):
         if bucket.num_rows:
-            yield fn(bucket.drop_columns([_TAG]))
+            yield fn(bucket.drop_columns([_TAG]) if n > 1 else bucket)
 
-    # a boundary between each two tags: one sorted block per bucket.  One
-    # bucket still takes a boundary: without any, Ray samples boundaries
-    # and writes as many blocks as its input has
+    if n == 1:
+        # a batch size that no input reaches bundles every block into
+        # one task and one batch
+        return ds.map_batches(_run, batch_format="pyarrow", batch_size=1 << 62)
+    # a boundary between each two tags: one sorted block per bucket
     return (
         ds.map_batches(_tag, batch_format="pyarrow")
-        .sort(_TAG, boundaries=[b + 0.5 for b in range(max(n - 1, 1))])
+        .sort(_TAG, boundaries=[b + 0.5 for b in range(n - 1)])
         .map_batches(_run, batch_format="pyarrow", batch_size=None)
     )
 

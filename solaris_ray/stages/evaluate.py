@@ -1,5 +1,5 @@
 """Proposal-vs-ground-truth evaluation — Solaris eval.base re-expressed
-as grouped Ray Data stages.
+as bucketed Ray Data stages.
 
 Reference semantics (/root/reference/solaris/eval/base.py):
 
@@ -14,19 +14,27 @@ Reference semantics (/root/reference/solaris/eval/base.py):
 - pixel scores: mask-pair TP/FP/FN counts -> global ratios
   (eval/pixel.py:8-201).
 
-Distribution: groups (image_id, or image_id x class) are independent;
-matching is sequential only *within* a group (SURVEY.md §2.4), so
-``groupby(image_id).map_groups`` preserves reference results exactly
-provided the within-group total order is pinned: (-conf, proposal_id).
+Distribution: images (or image x class) are independent; matching is
+sequential only *within* an image (SURVEY.md §2.4).  ``eval_scores``
+and ``eval_matches`` are one ``_buckets.co_shuffle`` of the unioned
+sides on ``image_id`` with one bucket kernel, ``_match_bucket``: it
+sorts the bucket by (image_id, side), pairs each image's proposal and
+GT rows whose boxes share area, scores every pair of the bucket in one
+``pair_overlaps`` call, and runs ``_greedy_match`` per image on that
+image's IoU rows in the pinned order (-conf, proposal_id).
+``greedy_match_group`` is the same matcher for one image's rings.
+mAP (keyed on class) and SCOT (keyed on AOI) are ``co_shuffle`` with a
+``per_key`` kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..geom.assign import linear_sum_assignment
-from ..geom.poly import iou_matrix, pack_rings
+from ..geom.poly import iou_matrix, pack_rings, pair_box_iou, pair_overlaps, ring_bboxes
 from ..raster import codec
 from ..raster.kernels import dilate_square
 from ._buckets import co_shuffle, per_key
@@ -138,34 +146,78 @@ def _packed(tbl: pa.Table, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords.astype(np.float64, copy=False), offsets - offsets[0]
 
 
-def _group_ious(tbl: pa.Table, prows: np.ndarray, grows: np.ndarray) -> np.ndarray:
-    return iou_matrix(*_packed(tbl, prows), *_packed(tbl, grows))
+def _prf(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray):
+    """Precision, recall and F1 of count arrays; 0 where undefined."""
+    tp, fp, fn = (np.asarray(v, np.float64) for v in (tp, fp, fn))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prec = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        rec = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        f1 = np.where(prec + rec > 0, 2 * prec * rec / (prec + rec), 0.0)
+    return prec, rec, f1
 
 
-def _score_row(image_id: str, tp: int, fp: int, fn: int) -> pa.Table:
-    prec = tp / (tp + fp) if tp + fp else 0.0
-    rec = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-    return pa.table(
-        {
-            "image_id": pa.array([image_id], pa.string()),
-            "tp": pa.array([tp], pa.int64()),
-            "fp": pa.array([fp], pa.int64()),
-            "fn": pa.array([fn], pa.int64()),
-            "precision": pa.array([prec], pa.float64()),
-            "recall": pa.array([rec], pa.float64()),
-            "f1": pa.array([f1], pa.float64()),
-        }
-    )
+def _match_bucket(bucket: pa.Table, miniou: float) -> tuple[pa.Table, pa.Table]:
+    """The eval bucket kernel: every image of a ``_pad_eval_side``
+    bucket matched at once -> (MATCH_SCHEMA rows, one per proposal;
+    SCORE_SCHEMA rows, one per image on either side).
+
+    A stable sort by (image_id, side) keeps each side's input order
+    inside an image.  Each image's (proposal, GT) pairs are laid out
+    proposal-major, so image i owns one contiguous (n_p[i], n_g[i])
+    block of ``iou``; the pairs whose boxes share area are scored in
+    one ``pair_overlaps`` call, the rest stay 0."""
+    bucket = bucket.take(pc.sort_indices(bucket, [("image_id", "ascending"),
+                                                  ("side", "ascending")]))
+    ids = bucket["image_id"].combine_chunks()
+    new = np.ones(len(ids), bool)
+    new[1:] = pc.not_equal(ids[1:], ids[:-1]).to_numpy(zero_copy_only=False)
+    img = np.cumsum(new) - 1
+    side = bucket["side"].to_numpy(zero_copy_only=False)
+    prows, grows = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+    n_p = np.bincount(img[prows], minlength=img[-1] + 1)
+    n_g = np.bincount(img[grows], minlength=img[-1] + 1)
+    p_at, g_at, pair_at = (np.cumsum(c) - c for c in (n_p, n_g, n_p * n_g))
+
+    # proposal j's pairs: (j, each GT of its image in order), contiguous
+    per_p = n_g[img[prows]]
+    first = np.cumsum(per_p) - per_p
+    ia = np.repeat(np.arange(len(prows)), per_p)
+    ib = np.arange(len(ia)) - np.repeat(first - g_at[img[prows]], per_p)
+    iou = np.zeros(len(ia))
+    if len(ia):
+        a, b = _packed(bucket, prows), _packed(bucket, grows)
+        hit = np.flatnonzero(pair_box_iou(ring_bboxes(*a)[ia], ring_bboxes(*b)[ib]) > 0)
+        iou[hit] = pair_overlaps(*a, *b, ia[hit], ib[hit])[1]
+
+    pid = bucket["pid"].to_numpy(zero_copy_only=False).astype(np.int64)
+    conf = bucket["conf"].to_numpy(zero_copy_only=False).astype(np.float64)[prows]
+    pid, gid = pid[prows], pid[grows]
+    matched = np.full(len(prows), -1, np.int64)
+    ious = np.zeros(len(prows))
+    is_tp = np.zeros(len(prows), np.int8)
+    for i in np.flatnonzero(n_p * n_g).tolist():
+        ps, gs = slice(p_at[i], p_at[i] + n_p[i]), slice(g_at[i], g_at[i] + n_g[i])
+        rows = iou[pair_at[i]:pair_at[i] + n_p[i] * n_g[i]].reshape(n_p[i], n_g[i])
+        matched[ps], ious[ps], is_tp[ps] = _greedy_match(pid[ps], conf[ps], rows, gid[gs], miniou)
+
+    image_id = ids.cast(pa.string())
+    matches = pa.table([image_id.take(prows), pid, conf, matched, ious, is_tp],
+                       schema=MATCH_SCHEMA)
+    tp = np.bincount(img[prows], weights=is_tp, minlength=len(n_p)).astype(np.int64)
+    fp, fn = n_p - tp, n_g - tp
+    scores = pa.table([image_id.filter(pa.array(new)), tp, fp, fn, *_prf(tp, fp, fn)],
+                      schema=SCORE_SCHEMA)
+    return matches, scores
 
 
 def eval_scores(proposals, ground_truth, miniou: float = 0.5, by_class: bool = False):
     """proposals x GT Datasets -> per-image TP/FP/FN/P/R/F1 rows.
 
     Both sides are tagged, unioned and co-shuffled by image_id (the
-    eval shuffle of SURVEY.md §7.3); the greedy matcher runs per group.
-    Images present on only one side still score (fp-only / fn-only),
-    matching the GT ∪ proposals id-union of base.py:97-102.
+    eval shuffle of SURVEY.md §7.3); ``_match_bucket`` matches every
+    image of a bucket in one call.  Images present on only one side
+    still score (fp-only / fn-only), matching the GT ∪ proposals
+    id-union of base.py:97-102.
 
     ``by_class=True`` keys the groups by (image_id, class) — the
     class-aware matching of eval/vector.py:160-180 (a proposal can only
@@ -176,68 +228,20 @@ def eval_scores(proposals, ground_truth, miniou: float = 0.5, by_class: bool = F
     def _with_key(b: pa.Table, side: int) -> pa.Table:
         t = _pad_eval_side(b, side)
         if by_class:
-            import pyarrow.compute as pc
-
             key = pc.binary_join_element_wise(b["image_id"], b["class"], "|")
             t = t.set_column(t.schema.get_field_index("image_id"), "image_id", key)
         return t
 
     p = proposals.map_batches(lambda b: _with_key(b, 0), batch_format="pyarrow")
     g = ground_truth.map_batches(lambda b: _with_key(b, 1), batch_format="pyarrow")
-    both = p.union(g)
-
-    def _group(group: pa.Table) -> pa.Table:
-        image_id = group["image_id"][0].as_py()
-        side = group["side"].to_numpy()
-        prows = np.nonzero(side == 0)[0]
-        grows = np.nonzero(side == 1)[0]
-        if len(prows) == 0:
-            return _score_row(image_id, 0, 0, len(grows))
-        if len(grows) == 0:
-            return _score_row(image_id, 0, len(prows), 0)
-        pid = group["pid"].to_numpy(zero_copy_only=False)[prows].astype(np.int64)
-        conf = group["conf"].to_numpy(zero_copy_only=False)[prows].astype(np.float64)
-        _, _, is_tp = _greedy_match(
-            pid, conf, _group_ious(group, prows, grows),
-            group["pid"].to_numpy(zero_copy_only=False)[grows].astype(np.int64), miniou,
-        )
-        tp = int(is_tp.sum())
-        return _score_row(image_id, tp, len(prows) - tp, len(grows) - tp)
-
-    return both.groupby("image_id").map_groups(_group, batch_format="pyarrow")
+    return co_shuffle(p.union(g), "image_id", lambda b: _match_bucket(b, miniou)[1])
 
 
 def eval_matches(proposals, ground_truth, miniou: float = 0.5):
     """Per-proposal match detail (matched GT id, IoU, is_tp)."""
     p = proposals.map_batches(lambda b: _pad_eval_side(b, 0), batch_format="pyarrow")
     g = ground_truth.map_batches(lambda b: _pad_eval_side(b, 1), batch_format="pyarrow")
-    both = p.union(g)
-
-    def _group(group: pa.Table) -> pa.Table:
-        image_id = group["image_id"][0].as_py()
-        side = group["side"].to_numpy()
-        prows = np.nonzero(side == 0)[0]
-        grows = np.nonzero(side == 1)[0]
-        if len(prows) == 0:
-            return MATCH_SCHEMA.empty_table()
-        pid = group["pid"].to_numpy(zero_copy_only=False)[prows].astype(np.int64)
-        conf = group["conf"].to_numpy(zero_copy_only=False)[prows].astype(np.float64)
-        gid = group["pid"].to_numpy(zero_copy_only=False)[grows].astype(np.int64)
-        matched, ious, is_tp = _greedy_match(
-            pid, conf, _group_ious(group, prows, grows), gid, miniou
-        )
-        return pa.table(
-            {
-                "image_id": pa.array([image_id] * len(pid), pa.string()),
-                "proposal_id": pa.array(pid, pa.int64()),
-                "conf": pa.array(conf, pa.float64()),
-                "matched_feature_id": pa.array(matched, pa.int64()),
-                "iou": pa.array(ious, pa.float64()),
-                "is_tp": pa.array(is_tp, pa.int8()),
-            }
-        )
-
-    return both.groupby("image_id").map_groups(_group, batch_format="pyarrow")
+    return co_shuffle(p.union(g), "image_id", lambda b: _match_bucket(b, miniou)[0])
 
 
 def rollup_scores(scores, key_fn=None, key_col: str = "aoi"):
@@ -258,23 +262,10 @@ def rollup_scores(scores, key_fn=None, key_col: str = "aoi"):
     )
 
     def _final(b: pa.Table) -> pa.Table:
-        tp = b["sum(tp)"].to_numpy().astype(np.float64)
-        fp = b["sum(fp)"].to_numpy().astype(np.float64)
-        fn = b["sum(fn)"].to_numpy().astype(np.float64)
-        prec = np.where(tp + fp == 0, 0.0, tp / np.where(tp + fp == 0, 1, tp + fp))
-        rec = np.where(tp + fn == 0, 0.0, tp / np.where(tp + fn == 0, 1, tp + fn))
-        f1 = np.where(prec + rec == 0, 0.0, 2 * prec * rec / np.where(prec + rec == 0, 1, prec + rec))
-        return pa.table(
-            {
-                key_col: b[key_col],
-                "tp": pa.array(tp.astype(np.int64)),
-                "fp": pa.array(fp.astype(np.int64)),
-                "fn": pa.array(fn.astype(np.int64)),
-                "precision": pa.array(prec),
-                "recall": pa.array(rec),
-                "f1": pa.array(f1),
-            }
-        )
+        tp, fp, fn = (b[f"sum({c})"].to_numpy().astype(np.int64) for c in ("tp", "fp", "fn"))
+        prec, rec, f1 = _prf(tp, fp, fn)
+        return pa.table({key_col: b[key_col], "tp": tp, "fp": fp, "fn": fn,
+                         "precision": prec, "recall": rec, "f1": f1})
 
     return summed.map_batches(_final, batch_format="pyarrow")
 
@@ -304,8 +295,8 @@ def mean_average_precision(matches, gt_counts: dict[str, int], class_of_image=No
     AP is defined over CONF-DESCENDING proposal order (vector.py:473-474),
     ties broken by proposal_id ascending; ``conf`` is carried through
     MATCH_SCHEMA for exactly this.  Per-class AP runs distributed
-    (``groupby(klass).map_groups`` — one group per class); only the tiny
-    per-class AP table reaches the driver for the final mean.
+    (``co_shuffle`` on ``klass``, one ``per_key`` call per class); only
+    the tiny per-class AP table reaches the driver for the final mean.
     """
 
     def _tag(batch: pa.Table) -> pa.Table:
@@ -329,12 +320,8 @@ def mean_average_precision(matches, gt_counts: dict[str, int], class_of_image=No
         )
         return pa.table({"klass": pa.array([k], pa.string()), "ap": pa.array([ap], pa.float64())})
 
-    per_class = (
-        matches.map_batches(_tag, batch_format="pyarrow")
-        .groupby("klass")
-        .map_groups(_ap_group, batch_format="pyarrow")
-        .to_pandas()
-    )
+    tagged = matches.map_batches(_tag, batch_format="pyarrow")
+    per_class = co_shuffle(tagged, "klass", per_key("klass", _ap_group)).to_pandas()
     aps = dict(zip(per_class["klass"], per_class["ap"]))
     return float(np.mean(list(aps.values()))), aps
 
@@ -366,7 +353,7 @@ def scot_group(group: pa.Table, miniou: float = 0.25) -> pa.Table:
     TPs; a ground-truth building matched to a DIFFERENT proposal track
     than in an earlier timestep counts as a tracking mismatch.  The
     timestep loop is sequential *within* the AOI group — AOIs are the
-    parallel unit (groupby(aoi), SURVEY.md §2.4).
+    parallel unit (``co_shuffle`` on aoi, SURVEY.md §2.4).
     """
     side = group["side"].to_numpy()
     ts_all = group["timestep"].to_numpy(zero_copy_only=False)
@@ -385,7 +372,7 @@ def scot_group(group: pa.Table, miniou: float = 0.25) -> pa.Table:
         if len(grows) == 0:
             fp += len(prows)
             continue
-        iou = _group_ious(group, prows, grows)
+        iou = iou_matrix(*_packed(group, prows), *_packed(group, grows))
         ri, ci = linear_sum_assignment(iou, maximize=True)
         matched = iou[ri, ci] > miniou
         t = int(matched.sum())
@@ -442,7 +429,8 @@ def pc_cast_i64(arr):
 
 
 def scot_scores(proposals, ground_truth, miniou: float = 0.25):
-    """Multi-AOI SCOT: groupby(aoi).map_groups of the temporal matcher.
+    """Multi-AOI SCOT: the temporal matcher per AOI, one ``co_shuffle``
+    on aoi with a ``per_key`` kernel.
 
     proposals: (aoi, timestep, track_id, xs, ys); ground_truth:
     (aoi, timestep, gt_id, xs, ys).  Final multi-AOI mean stays on the
@@ -450,9 +438,7 @@ def scot_scores(proposals, ground_truth, miniou: float = 0.25):
     """
     p = proposals.map_batches(lambda b: _pad_scot_side(b, 0), batch_format="pyarrow")
     g = ground_truth.map_batches(lambda b: _pad_scot_side(b, 1), batch_format="pyarrow")
-    return p.union(g).groupby("aoi").map_groups(
-        lambda grp: scot_group(grp, miniou), batch_format="pyarrow"
-    )
+    return co_shuffle(p.union(g), "aoi", per_key("aoi", lambda grp: scot_group(grp, miniou)))
 
 
 # --- pixel metrics (eval/pixel.py) ---------------------------------------

@@ -24,7 +24,8 @@ co-locates a tile's features in one bucket, and ``tile_masks`` makes
 the masks of every tile of the bucket in one call (SURVEY.md §2.9).
 The shuffle is as wide as ``_buckets.shuffle_width`` says (the
 session's CPUs or the input's blocks, whichever is more), never a fixed
-count.  Masks are emitted as PNG-compressed binary columns (wide fixed
+count; at width 1 it is one map task over the whole join, with no tag
+and no sort.  Masks are emitted as PNG-compressed binary columns (wide fixed
 lists would blow up block sizes).
 
 The bucket kernel stacks ``CHUNK_PIXELS`` worth of whole tiles at a

@@ -4,7 +4,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from solaris_ray.stages._buckets import bucket_of, distinct_reduce
+from solaris_ray.stages._buckets import bucket_of, distinct_reduce, top_k
 from solaris_ray.stages.actives import rolling_actives
 from solaris_ray.stages.align import caption_alignment
 from solaris_ray.stages.autocorr import lag_autocorr
@@ -17,7 +17,9 @@ from solaris_ray.stages.dissolve import overlap_pairs
 from solaris_ray.stages.divergence import source_kl
 from solaris_ray.stages.dupspan import duplicate_spans
 from solaris_ray.stages.editdist import editdist1_pairs, editdist_pairs
+from solaris_ray.stages.evaluate import eval_scores
 from solaris_ray.stages.hull import group_convex_hull
+from solaris_ray.stages.masks import masks_from_join
 from solaris_ray.stages.moran import getis_ord, moran_i
 from solaris_ray.stages.negatives import mine_negatives
 from solaris_ray.stages.ntile import group_ntile, group_percent_rank
@@ -61,20 +63,89 @@ def test_bucket_of_nonnegative():
 def test_co_shuffle_calls_fn_once_per_bucket(ray_session, n):
     # every key's rows in one call, at most n calls with rows, none
     # without: the sort cuts one block per tag and never splits a tag.
-    # Its block count follows n, not the input's 4 blocks (one bucket
-    # takes two: Ray's sort needs a boundary to keep to a count)
+    # Its block count follows n, not the input's 4 blocks.  One bucket
+    # is one map task over all 4 blocks: one block out and no sort
     from solaris_ray.stages._buckets import co_shuffle
 
     keys = np.repeat(np.arange(40, dtype=np.int64), 3)
     ds = _ds(pa.table({"k": keys, "v": np.arange(keys.size)})).repartition(4)
     out = co_shuffle(ds, "k", lambda b: pa.table({"keys": [sorted(set(b["k"].to_pylist()))],
                                                   "rows": [b.num_rows]}), n).materialize()
-    assert out.num_blocks() <= max(n, 2)
+    assert out.num_blocks() <= n
+    if n == 1:
+        assert out.num_blocks() == 1 and "Sort" not in out.stats()
     calls = out.to_pandas()
     assert 0 < len(calls) <= n
     got = [k for ks in calls["keys"] for k in ks]
     assert sorted(got) == list(range(40))
     assert calls["rows"].sum() == keys.size
+
+
+def _masks_input() -> pa.Table:
+    # two 64 px tiles, three footprints between them
+    rects = [("t0", 5.0, 5.0, 20.0, 18.0), ("t0", 30.0, 22.0, 50.0, 40.0),
+             ("t1", 70.0, 10.0, 90.0, 30.0)]
+    return pa.table({
+        "tile_id": [r[0] for r in rects],
+        "image_id": ["i0"] * 3,
+        "feature_id": pa.array([0, 1, 2], pa.int64()),
+        "class": ["building"] * 3,
+        "xs": pa.array([[r[1], r[3], r[3], r[1]] for r in rects], pa.list_(pa.float64())),
+        "ys": pa.array([[r[2], r[2], r[4], r[4]] for r in rects], pa.list_(pa.float64())),
+        "x0": [0.0, 0.0, 64.0], "y0": [0.0] * 3, "x1": [64.0, 64.0, 128.0], "y1": [64.0] * 3,
+    })
+
+
+def _eval_side(id_col: str, shift: np.ndarray, **extra) -> pa.Table:
+    # 12 images of 4 unit-10 squares each, x shifted by ``shift``
+    n = len(shift)
+    x = np.arange(n) // 12 * 20.0 + shift
+    return pa.table({
+        id_col: pa.array(np.arange(n), pa.int64()),
+        "image_id": [f"img{i % 12}" for i in range(n)],
+        "xs": pa.array([[v, v + 10, v + 10, v] for v in x], pa.list_(pa.float64())),
+        "ys": pa.array([[0.0, 0.0, 10.0, 10.0]] * n, pa.list_(pa.float64())),
+        **extra,
+    })
+
+
+def _width_case(case: str):
+    rows = np.arange(300)
+    if case == "top_k":
+        t = pa.table({"k": rows % 7, "v": rows * 37 % 101})
+        return top_k(_ds(t).repartition(3), "k", [("v", "descending")], 3)
+    if case == "distinct_reduce":
+        t = pa.table({"a": rows % 7, "b": rows % 5, "v": rows})
+        return distinct_reduce(_ds(t).repartition(3), ["a", "b"], {"v": "sum"})
+    if case == "masks_from_join":
+        return masks_from_join(_ds(_masks_input()).repartition(2), tile_size=64)
+    rng = np.random.default_rng(5)
+    props = _eval_side("proposal_id", rng.integers(0, 4, 48) * 1.0, conf=rng.choice([0.5, 0.9], 48))
+    gt = _eval_side("feature_id", np.zeros(40))
+    return eval_scores(_ds(props).repartition(2), _ds(gt))
+
+
+@pytest.mark.parametrize("case", ["top_k", "distinct_reduce", "masks_from_join", "eval_scores"])
+def test_one_bucket_plan_matches_four_buckets(ray_session, monkeypatch, case):
+    # the width-1 plan (no tag, no sort) gives the rows of a 4-bucket shuffle
+    import ray
+
+    from solaris_ray.stages import _buckets
+
+    out = {}
+    for n in (1, 4):
+        monkeypatch.setattr(_buckets, "shuffle_width", lambda ds, n=n: n)
+        t = pa.concat_tables(b for b in ray.get(_width_case(case).to_arrow_refs()) if b.num_rows)
+        out[n] = t.sort_by([(c, "ascending") for c in t.column_names])
+    assert out[1].num_rows > 0
+    assert out[1].equals(out[4])
+
+
+def test_one_bucket_plan_of_no_rows_is_no_rows(ray_session):
+    from solaris_ray.stages._buckets import co_shuffle
+
+    empty = _ds(pa.table({"k": pa.array([], pa.int64())}))
+    assert co_shuffle(empty, "k", lambda b: b.slice(0, 1), 1).count() == 0
 
 
 def test_distinct_plain(ray_session):
@@ -386,7 +457,7 @@ def test_vocab_topk_null_text_has_no_terms(ray_session):
 # removes its module; this set may only shrink.
 _MAP_GROUPS_ALLOWLIST = {
     "ann", "asof", "calibrate", "chips", "cluster", "compact", "dedup", "dominance",
-    "evaluate", "export", "fill", "focal", "graph", "pca",
+    "export", "fill", "focal", "graph", "pca",
     "profile", "queries", "rangejoin", "segjoin", "sketch", "stump",
     "windows", "zonal",
 }
