@@ -135,16 +135,21 @@ def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
     keys = [keys] if isinstance(keys, str) else list(keys)
     n = n_buckets or shuffle_width(ds)
 
-    def _tag(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column(_TAG, pa.array([], pa.int64()))
+    def _mix(b: pa.Table) -> np.ndarray:
         mix = _tag_i64(b, keys[0])
         for c in keys[1:]:
             mix = mix * np.int64(1000003) + _tag_i64(b, c)
-        return b.append_column(_TAG, pa.array(bucket_of(mix, n), pa.int64()))
+        return mix
+
+    def _tag(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0:
+            return b.append_column(_TAG, pa.array([], pa.int64()))
+        return b.append_column(_TAG, pa.array(bucket_of(_mix(b), n), pa.int64()))
 
     def _run(bucket: pa.Table):
         if bucket.num_rows:
+            if n == 1:
+                _mix(bucket)  # no tag, but the same named errors for null and NaN keys
             yield fn(bucket.drop_columns([_TAG]) if n > 1 else bucket)
 
     if n == 1:

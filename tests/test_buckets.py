@@ -148,6 +148,16 @@ def test_one_bucket_plan_of_no_rows_is_no_rows(ray_session):
     assert co_shuffle(empty, "k", lambda b: b.slice(0, 1), 1).count() == 0
 
 
+@pytest.mark.parametrize("bad", ["null", "NaN"])
+def test_one_bucket_plan_refuses_null_and_nan_keys(ray_session, bad):
+    # no tag pass at width 1, but the same named error as at any width
+    from solaris_ray.stages._buckets import co_shuffle
+
+    ds = _ds(pa.table({"k": _BAD_KEYS[bad]}))
+    with pytest.raises(Exception, match=f"ValueError: {bad} in key column 'k'"):
+        co_shuffle(ds, "k", lambda b: b, 1).materialize()
+
+
 def test_distinct_plain(ray_session):
     rng = np.random.default_rng(3)
     a = rng.integers(0, 50, 5000)
