@@ -551,8 +551,14 @@ def pair_overlaps(
             break
         P, nv = _clip_halfplane(P, nv, C[:, e], C[:, e + 1])
 
+    # the shoelace sum runs column by column, not in numpy's pairwise
+    # order, which rounds a row by the width of the widest: the zero
+    # padding then adds nothing, and a pair's area is the same in any call
     x, y = P[:, :, 0], P[:, :, 1]
-    rows = np.abs((x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1]).sum(axis=1)) * 0.5
+    rows = np.zeros(len(P))
+    for c in range(P.shape[1] - 1):
+        rows += x[:, c] * y[:, c + 1] - x[:, c + 1] * y[:, c]
+    rows = np.abs(rows) * 0.5
     inter = np.bincount(pair, weights=rows, minlength=K)
     union = area_a[ia] + area_b[ib] - inter
     ok = (inter > 0) & (union > 0)

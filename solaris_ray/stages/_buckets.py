@@ -148,14 +148,17 @@ def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
 
     def _run(bucket: pa.Table):
         if bucket.num_rows:
-            if n == 1:
-                _mix(bucket)  # no tag, but the same named errors for null and NaN keys
-            yield fn(bucket.drop_columns([_TAG]) if n > 1 else bucket)
+            yield fn(bucket.drop_columns([_TAG]))
+
+    def _all(b: pa.Table):
+        if b.num_rows:
+            _mix(b)  # no tag, but the same named errors for null and NaN keys
+            yield fn(b)
 
     if n == 1:
         # a batch size that no input reaches bundles every block into
         # one task and one batch
-        return ds.map_batches(_run, batch_format="pyarrow", batch_size=1 << 62)
+        return ds.map_batches(_all, batch_format="pyarrow", batch_size=1 << 62)
     # a boundary between each two tags: one sorted block per bucket
     return (
         ds.map_batches(_tag, batch_format="pyarrow")

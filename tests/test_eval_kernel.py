@@ -12,13 +12,15 @@ from solaris_ray.stages import evaluate
 
 # unit-grid rings: IoU(square, lower half) = 1/2 and IoU(big, square) =
 # 1/4 exactly, so both ``miniou`` values below are hit on the nose; the
-# L and the U are concave
+# L and the U are concave.  The 20-gon's float vertices pad the rows of
+# a bucket's one IoU call wider than a lone image's would be
 _SHAPES = (
     [(0, 0), (2, 0), (2, 2), (0, 2)],
     [(0, 0), (2, 0), (2, 1), (0, 1)],
     [(0, 0), (4, 0), (4, 4), (0, 4)],
     [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)],
     [(0, 0), (6, 0), (6, 4), (4, 4), (4, 2), (2, 2), (2, 4), (0, 4)],
+    [(2 + 2 * np.cos(t), 2 + 2 * np.sin(t)) for t in np.linspace(0, 2 * np.pi, 20, endpoint=False)],
 )
 
 

@@ -220,6 +220,27 @@ def test_pair_overlaps_degenerate_inputs():
     assert polygon_iou(np.zeros((0, 2)), sq) == 0.0 and polygon_iou(sq, segment) == 0.0
 
 
+def test_pair_overlaps_of_a_pair_does_not_depend_on_the_call():
+    # a wide ring elsewhere in the call pads every row to its width; the
+    # pair's area and IoU keep every bit (eval buckets batch many images)
+    from solaris_ray.geom.poly import pack_rings, pair_overlaps
+
+    rng = np.random.default_rng(0)
+
+    def ring(n, c):
+        t = np.sort(rng.uniform(0, 2 * np.pi, n))
+        r = 10 * rng.uniform(0.8, 1.2, n)
+        return np.stack([c + r * np.cos(t), c + r * np.sin(t)], 1)
+
+    zero = np.zeros(1, np.int64)
+    for _ in range(50):
+        a, b, wide_a, wide_b = ring(12, 0.0), ring(10, 1.0), ring(60, 100.0), ring(60, 101.0)
+        alone = pair_overlaps(*pack_rings([a]), *pack_rings([b]), zero, zero)
+        both = pair_overlaps(*pack_rings([a, wide_a]), *pack_rings([b, wide_b]),
+                             np.array([0, 1]), np.array([0, 1]))
+        assert alone[0][0] == both[0][0] and alone[1][0] == both[1][0]
+
+
 def test_internal_intersection_pairs_on_concave_rings():
     from solaris_ray.geom.poly import internal_intersection_pairs, pack_rings
 
