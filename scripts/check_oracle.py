@@ -4,9 +4,10 @@ Runs each __ray_entry__.queries() callable at --sf-dir, runs the
 matching oracle_sql() in DuckDB over the same parquet (views
 pre-registered), and compares row count, sorted schema names, and an
 order-insensitive value hash (columns sorted by name, rows sorted).
-Each PASS/FAIL line and the summary also count Ray Data's "different
-schema" warnings: a shuffle partition that left a block with no
-columns logs one.
+Each PASS/FAIL line and the summary also count the Ray Data
+executions the gate started (each pays a fixed cost of its own) and
+Ray Data's "different schema" warnings: a shuffle partition that left a
+block with no columns logs one.
 
 Usage: python scripts/check_oracle.py [--sf-dir /root/testdata/sf0.01]
        [--num-cpus 8] [names...]
@@ -88,6 +89,25 @@ class SchemaWarnings(logging.Handler):
             self.count += 1
 
 
+class Executions:
+    """Counts the Ray Data executions this process starts: runs of the
+    streaming executor over a plan that is not already materialized."""
+
+    def __init__(self):
+        from ray.data._internal.execution.operators.input_data_buffer import InputDataBuffer
+        from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+        self.count = 0
+        run = StreamingExecutor.execute
+
+        def execute(executor, dag, *args, **kwargs):
+            if not isinstance(dag, InputDataBuffer):
+                self.count += 1
+            return run(executor, dag, *args, **kwargs)
+
+        StreamingExecutor.execute = execute
+
+
 def value_hash(df: pd.DataFrame) -> str:
     df = df[sorted(df.columns)].copy()
     # canonicalize dtypes: ints -> int64, floats -> float64
@@ -128,39 +148,43 @@ def main() -> int:
 
     warned = SchemaWarnings()
     logging.getLogger("ray.data").addHandler(warned)
+    runs = Executions()
     n_pass = n_rows_only = n_fail = 0
     signal.signal(signal.SIGALRM, _on_alarm)
     for name in names:
         t0 = time.time()
-        before = warned.count
+        before, runs_before = warned.count, runs.count
+
+        def counts() -> str:
+            return (f"[{runs.count - runs_before} executions] "
+                    f"[{warned.count - before} schema warnings]")
+
         try:
             signal.setitimer(signal.ITIMER_REAL, GATE_TIMEOUT_S)
             mine = to_pandas(qs[name](args.sf_dir))
         except GateTimeout:
-            print(f"FAIL {name}: timeout ({GATE_TIMEOUT_S}s) "
-                  f"[{warned.count - before} schema warnings]")
+            print(f"FAIL {name}: timeout ({GATE_TIMEOUT_S}s) {counts()}")
             n_fail += 1
             # the gate's tasks and actors still hold the session's CPUs
             ray.shutdown()
             start_session(args.num_cpus)
             continue
         except Exception as e:
-            print(f"FAIL {name}: engine raised {type(e).__name__}: {e} "
-                  f"[{warned.count - before} schema warnings]")
+            print(f"FAIL {name}: engine raised {type(e).__name__}: {e} {counts()}")
             n_fail += 1
             continue
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
         dt = time.time() - t0
-        warns = f"[{warned.count - before} schema warnings]"
+        tally = counts()
         if name not in oracles:
-            print(f"ok?  {name}: rows-only check, {len(mine)} rows ({dt:.1f}s) {warns}")
+            print(f"ok?  {name}: rows-only check, {len(mine)} rows ({dt:.1f}s) {tally}")
             n_rows_only += 1
             continue
         try:
             oracle = con.execute(oracles[name]).df()
         except Exception as e:
-            print(f"FAIL {name}: oracle SQL raised {type(e).__name__}: {e} {warns}")
+            print(f"FAIL {name}: oracle SQL raised {type(e).__name__}: {e} {tally}")
             n_fail += 1
             continue
         problems = []
@@ -171,7 +195,7 @@ def main() -> int:
         elif value_hash(mine) != value_hash(oracle):
             problems.append("value-hash mismatch")
         if problems:
-            print(f"FAIL {name}: {'; '.join(problems)} ({dt:.1f}s) {warns}")
+            print(f"FAIL {name}: {'; '.join(problems)} ({dt:.1f}s) {tally}")
             n_fail += 1
             # show a diff sample
             if sorted(mine.columns) == sorted(oracle.columns) and len(mine) and len(oracle):
@@ -184,10 +208,10 @@ def main() -> int:
                     print(f"   mine:   {a.iloc[i].to_dict()}")
                     print(f"   oracle: {b.iloc[i].to_dict()}")
         else:
-            print(f"PASS {name}: {len(mine)} rows ({dt:.1f}s) {warns}")
+            print(f"PASS {name}: {len(mine)} rows ({dt:.1f}s) {tally}")
             n_pass += 1
     print(f"SUMMARY {n_pass} PASS, {n_rows_only} rows-only, {n_fail} FAIL, "
-          f"{warned.count} schema warnings")
+          f"{warned.count} schema warnings, {runs.count} executions")
     ray.shutdown()
     return 1 if n_fail else 0
 

@@ -9,6 +9,9 @@ exists in this environment, so:
 - ``png``: a real, spec-compliant PNG codec.  Lossless.  Encode writes
   8-bit gray / gray+alpha / RGB / RGBA with filter 0 on every scanline
   through stdlib zlib, so its bytes are the same on every machine.
+  Binary masks have their own encoder, ``png_encode_masks``: one call
+  per stack of masks, each deflated with ``Z_RLE``, which on runs of
+  one value takes about half the time of level 4 for fewer bytes.
   Decode inflates such streams itself, with libdeflate where it loads
   (``pnglib.inflate``), straight into a buffer of the declared size; any
   other stream (filters 1-4, palette, 16-bit, interlaced) goes to
@@ -18,7 +21,7 @@ exists in this environment, so:
   PSNR ≥ 40 dB acceptance check (BASELINE.json input_hint) is a real
   check: 5-bit quantization yields PSNR ≈ 41 dB on natural-ish data.
 
-All functions are per-image.  Batch stages call them once per row of
+All other functions are per-image.  Batch stages call them once per row of
 the binary column and keep every other per-pixel step whole-array: in
 the tile cutter, per-tile reductions and per-tile geometry around the
 codec calls once cost as much as the decode itself (NOTES.md, "One pass
@@ -62,6 +65,39 @@ def png_encode(arr: np.ndarray, level: int = 4) -> bytes:
     raw[:, 1:] = arr.reshape(h, w * c)
     idat = zlib.compress(raw.tobytes(), level)
     return _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
+
+
+_IDAT_CRC = zlib.crc32(b"IDAT")
+
+
+def png_encode_masks(stack: np.ndarray) -> list[bytes]:
+    """(n, h, w) uint8 stack -> one 8-bit gray PNG per mask.
+
+    Binary masks are long runs of one value, so each is deflated with
+    ``Z_RLE`` (matches at distance 1 only): about half the time of
+    ``png_encode``'s level 4, and fewer bytes on masks.  The filter-0
+    raw buffer is built once per stack, the IHDR and IEND chunks once
+    per call, and every all-zero mask shares the first one's stream."""
+    stack = np.asarray(stack, dtype=np.uint8)
+    n, h, w = stack.shape
+    raw = np.zeros((n, h, w + 1), dtype=np.uint8)  # filter byte 0 per scanline
+    raw[:, :, 1:] = stack
+    head = _PNG_SIG + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0))
+    tail = _chunk(b"IEND", b"")
+    blank = None
+    out = []
+    for i, nonzero in enumerate(stack.reshape(n, h * w).any(axis=1).tolist()):
+        if not nonzero and blank is not None:
+            out.append(blank)
+            continue
+        z = zlib.compressobj(strategy=zlib.Z_RLE)
+        idat = z.compress(raw[i]) + z.flush()
+        png = b"".join((head, struct.pack(">I4s", len(idat), b"IDAT"), idat,
+                        struct.pack(">I", zlib.crc32(idat, _IDAT_CRC)), tail))
+        if not nonzero:
+            blank = png
+        out.append(png)
+    return out
 
 
 def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:

@@ -47,11 +47,18 @@ def ensure_shippable() -> None:
 
 
 def session_cpus() -> int:
-    """CPUs of the caller's Ray session (8 when no session is running)."""
+    """CPUs of the caller's Ray session (8 when no session is running).
+    A one-node session declared wider than the CPUs this process may run
+    on counts those: more tasks than cores would only take turns."""
     try:
         import ray
 
-        return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+        if not ray.is_initialized():
+            return 8
+        res = ray.cluster_resources()
+        cpus = int(res.get("CPU", 8))
+        nodes = sum(k.startswith("node:") and k != "node:__internal_head__" for k in res)
+        return min(cpus, len(os.sched_getaffinity(0))) if nodes == 1 else cpus
     except Exception:
         return 8
 

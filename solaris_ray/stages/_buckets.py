@@ -23,8 +23,14 @@ group: the kernel segments on the key itself.
 ``bucket_of`` is the Knuth multiplicative bucket key, used only as
 ``co_shuffle``'s tag hash; numpy's Python-style ``%`` keeps it
 non-negative even when the int64 product wraps.  ``shuffle_width`` is
-the one sizing policy: it follows the session and the input, never a
-fixed count.  ``co_shuffle`` runs the mask, event and graph families,
+the one sizing policy, never a fixed count: the session's CPUs (capped
+by ``runtime.session_cpus`` at the cores this process may use), or
+more when the input's bytes, as the leaves of its plan report them
+without running it (``plan_bytes``), fill more blocks of the dataset's
+``target_max_block_size``.  How the input is cut into blocks plays no
+part: a plan of many small blocks, or a map that coalesces them, is as
+wide as its bytes.  At one CPU a small input is one bucket, so it takes
+the one-task plan.  ``co_shuffle`` runs the mask, event and graph families,
 ``distinct_reduce``, the cell-partitioned spatial join
 (``joins.cell_partitioned_join``, keyed on the join cell) and the once
 hand-hashed keyed shuffles of ``stages/`` and
@@ -40,8 +46,8 @@ the input they shuffle.  The graph family (``sssp_dist`` and ``bfs_hops``,
 ``pagerank``, ``kcore``,
 ``triangle_counts``, ``link_prediction_scores`` and the star rounds of
 ``connected_components``) computes it once from its input, before the
-first round, and passes it to every round: the block count of unioned
-per-round state grows every round (NOTES round 4i), and a width read
+first round, and passes it to every round: unioned per-round state
+gains blocks and leaves every round (NOTES round 4i), and a width read
 from it would grow too.  ``co_shuffle`` writes exactly that many
 blocks, so no round repartitions.
 
@@ -81,12 +87,22 @@ def bucket_of(x: np.ndarray, n_buckets: int) -> np.ndarray:
     return ((x * np.int64(2654435761)) % np.int64(n_buckets)).astype(np.int64)
 
 
+def plan_bytes(ds) -> int:
+    """Bytes the leaves of ``ds``'s plan report, without running it:
+    exact for in-memory and materialized inputs, the datasource's
+    estimate for a read, 0 for a leaf that knows none."""
+    leaves = {id(op): op for op in ds._logical_plan.sources()}.values()
+    return sum(op.infer_metadata().size_bytes or 0 for op in leaves)
+
+
 def shuffle_width(ds) -> int:
-    """Blocks for a shuffle of ``ds``: the session's CPU count, or the
-    input's planned block count when that is larger.  The first lets a
-    one-block input use every CPU; the second keeps the average shuffle
-    task no larger than the average input block."""
-    return max(session_cpus(), ds._plan.initial_num_blocks() or 1)
+    """Blocks for a shuffle of ``ds``: the session's CPU count, or as
+    many blocks as its ``plan_bytes`` fill at the dataset's
+    ``target_max_block_size`` when that is more.  The first lets a small
+    input use every CPU; the second plans no bucket larger than one
+    block.  How the input is cut into blocks plays no part."""
+    target = ds.context.target_max_block_size
+    return max(session_cpus(), -(-plan_bytes(ds) // target) if target else 1)
 
 
 def key_i64(batch: pa.Table, col: str) -> np.ndarray:

@@ -23,10 +23,14 @@ per-feature geo coords; ``_buckets.co_shuffle`` on ``tile_id``
 co-locates a tile's features in one bucket, and ``tile_masks`` makes
 the masks of every tile of the bucket in one call (SURVEY.md §2.9).
 The shuffle is as wide as ``_buckets.shuffle_width`` says (the
-session's CPUs or the input's blocks, whichever is more), never a fixed
-count; at width 1 it is one map task over the whole join, with no tag
-and no sort.  Masks are emitted as PNG-compressed binary columns (wide fixed
-lists would blow up block sizes).
+session's CPUs, or the blocks the join's bytes fill when that is more),
+never a fixed count; at width 1 it is one map task over the whole join,
+with no tag and no sort.  Masks are emitted as PNG binary columns (wide
+fixed lists would blow up block sizes): every mask the module writes as
+PNG, the instance masks included, goes through
+``codec.png_encode_masks``, one call per ``(n, h, w)`` stack, which
+deflates each mask with ``Z_RLE`` and shares one stream between the
+stack's all-zero masks.
 
 The bucket kernel stacks ``CHUNK_PIXELS`` worth of whole tiles at a
 time (8 tiles of 128 px) and works on each chunk as whole arrays:
@@ -173,6 +177,14 @@ def _chunk_masks(coords, lens, slot, poly, n_tiles: int, shape, boundary_width: 
     return footprint, boundary, contact, road
 
 
+def _encode(stack: np.ndarray, out_fmt: str) -> list[bytes]:
+    """One encoded mask per ``(h, w)`` plane of ``stack``: every binary
+    mask the engine writes as PNG goes through ``codec.png_encode_masks``."""
+    if out_fmt == "png":
+        return codec.png_encode_masks(stack)
+    return [codec.encode(m, out_fmt) for m in stack]
+
+
 def tile_masks(
     group: pa.Table,
     tile_size: int = 128,
@@ -228,7 +240,7 @@ def tile_masks(
             min(per_chunk, n_tiles - c), shape, boundary_width, boundary_type, k,
             road_width, burn_value)
         for name, m in zip(names, stacks):
-            png[name] += [codec.encode(t, out_fmt) for t in m]
+            png[name] += _encode(m, out_fmt)
             n_px[name].append((m > 0).sum(axis=(1, 2)))
     return pa.table(
         {
@@ -267,7 +279,8 @@ def instance_masks(joined, tile_size: int = 128, burn_value: int = 255,
     The input is repartitioned first, into
     ``_buckets.shuffle_width(joined)`` blocks: a join that materialized
     to one block would rasterize every instance in ONE task (task
-    granularity is blocks, not batches)."""
+    granularity is blocks, not batches).  Each batch's masks are
+    rasterized into one stack and encoded in one call."""
     joined = joined.repartition(shuffle_width(joined))
 
     def _one(batch: pa.Table) -> pa.Table:
@@ -275,19 +288,17 @@ def instance_masks(joined, tile_size: int = 128, burn_value: int = 255,
         coords, lens = _packed_pixels(batch, np.arange(batch.num_rows), x0, y1,
                                       (x1 - x0) / tile_size, (y1 - y0) / tile_size)
         voff = np.r_[0, np.cumsum(lens)]
-        mask, mask_px = [], []
-        for a, b in zip(voff[:-1].tolist(), voff[1:].tolist()):
-            m = rasterize_rings(coords[a:b], np.asarray([0, b - a]), (tile_size, tile_size),
-                                values=burn_value)
-            mask.append(codec.encode(m, out_fmt))
-            mask_px.append(int((m > 0).sum()))
+        stack = np.zeros((batch.num_rows, tile_size, tile_size), dtype=np.uint8)
+        for i, (a, b) in enumerate(zip(voff[:-1].tolist(), voff[1:].tolist())):
+            stack[i] = rasterize_rings(coords[a:b], np.asarray([0, b - a]),
+                                       (tile_size, tile_size), values=burn_value)
         return pa.table(
             {
                 "tile_id": pc.cast(batch["tile_id"], pa.string()),
                 "image_id": pc.cast(batch["image_id"], pa.string()),
                 "feature_id": pc.cast(batch["feature_id"], pa.int64()),
-                "mask": pa.array(mask, pa.binary()),
-                "mask_px": pa.array(mask_px, pa.int64()),
+                "mask": pa.array(_encode(stack, out_fmt), pa.binary()),
+                "mask_px": pa.array((stack > 0).sum(axis=(1, 2)), pa.int64()),
             }
         )
 
@@ -359,23 +370,18 @@ def zero_nodata_instances(inst_ds, tiles_ds, nodata: float = 0.0, out_fmt: str =
             if img.ndim == 2:
                 img = img[:, :, None]
             valid = ~np.all(img == nodata, axis=-1)
-        out = {k: [] for k in ("tile_id", "image_id", "feature_id", "mask", "mask_px")}
-        for i in irows.tolist():
-            m = codec.decode(group["payload"][i].as_py(), group["fmt"][i].as_py())
-            if valid is not None:
-                m = m * valid.astype(m.dtype)
-            out["tile_id"].append(group["tile_id"][i].as_py())
-            out["image_id"].append(group["image_id"][i].as_py())
-            out["feature_id"].append(group["feature_id"][i].as_py())
-            out["mask"].append(codec.encode(m, out_fmt))
-            out["mask_px"].append(int((m > 0).sum()))
+        inst = group.take(irows)
+        stack = np.stack([codec.decode(p, f) for p, f in
+                          zip(inst["payload"].to_pylist(), inst["fmt"].to_pylist())])
+        if valid is not None:
+            stack = stack * valid.astype(stack.dtype)
         return pa.table(
             {
-                "tile_id": pa.array(out["tile_id"], pa.string()),
-                "image_id": pa.array(out["image_id"], pa.string()),
-                "feature_id": pa.array(out["feature_id"], pa.int64()),
-                "mask": pa.array(out["mask"], pa.binary()),
-                "mask_px": pa.array(out["mask_px"], pa.int64()),
+                "tile_id": pc.cast(inst["tile_id"], pa.string()),
+                "image_id": pc.cast(inst["image_id"], pa.string()),
+                "feature_id": pc.cast(inst["feature_id"], pa.int64()),
+                "mask": pa.array(_encode(stack, out_fmt), pa.binary()),
+                "mask_px": pa.array((stack > 0).sum(axis=(1, 2)), pa.int64()),
             }
         )
 

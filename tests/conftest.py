@@ -1,3 +1,4 @@
+import contextlib
 import os
 import signal
 import subprocess
@@ -28,6 +29,25 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@contextlib.contextmanager
+def small_blocks(ds):
+    """Datasets made inside plan blocks of an eighth of ``ds``'s leaf
+    bytes (``DataContext.target_max_block_size``), so ``shuffle_width``
+    of an input like ``ds`` is at least 8, wider than the suite's 4
+    CPUs.  They also run with that block size."""
+    from ray.data import DataContext
+
+    from solaris_ray.stages._buckets import plan_bytes
+
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = max(1, plan_bytes(ds) // 8)
+    try:
+        yield
+    finally:
+        ctx.target_max_block_size = old
 
 
 SF_DIR = "/root/testdata/sf0.001"

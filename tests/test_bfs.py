@@ -13,6 +13,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from conftest import small_blocks
 from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.bfs import bfs_hops
 
@@ -81,8 +82,10 @@ def test_bfs_bucket_invariance_random_graph(ray_session):
     ]
     seeds = [0, 17, 33]
     want = _dense_twin(pairs, seeds)
-    # the bucket count follows the input's block count
-    narrow, wide = _ds_edges(pairs, n_blocks=5), _ds_edges(pairs, n_blocks=128)
+    # the bucket count follows the input's bytes over the target block size
+    narrow = _ds_edges(pairs, n_blocks=5)
+    with small_blocks(narrow):
+        wide = _ds_edges(pairs, n_blocks=128)
     assert shuffle_width(narrow) != shuffle_width(wide)
     # force the frontier-rounds plan: the width only matters there
     for edges in (narrow, wide):

@@ -130,6 +130,45 @@ def test_schema_warnings_are_counted_per_gate_and_in_the_summary(tmp_path):
     assert out.returncode == 0, log
 
 
+# one gate runs two Ray Data executions: a materialize, then a map over
+# its blocks (reading the materialized rows back runs none); the other
+# runs one
+_RUNS_ENTRY = """
+import ray.data
+
+
+def _two(sf):
+    ds = ray.data.range(8).materialize()
+    assert len(ds.take_all()) == 8
+    return ds.map_batches(lambda b: b).to_pandas()
+
+
+def queries():
+    return {"two": _two, "one": lambda sf: ray.data.range(3).materialize().to_pandas()}
+
+
+def oracle_sql():
+    return {"two": "SELECT range AS id FROM range(8)", "one": "SELECT range AS id FROM range(3)"}
+"""
+
+
+def test_executions_are_counted_per_gate_and_in_the_summary(tmp_path):
+    tree = tmp_path / "copy"
+    (tree / "scripts").mkdir(parents=True)
+    shutil.copy(REPO / "scripts" / "check_oracle.py", tree / "scripts")
+    (tree / "__ray_entry__.py").write_text(_RUNS_ENTRY)
+    env = {**os.environ, "PYTHONPATH": str(tree)}
+    out = subprocess.run([sys.executable, "-c", _SWEEP, str(tree / "scripts" / "check_oracle.py"),
+                          SF_DIR],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    log = out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert any(l.startswith("PASS two:") and "[2 executions]" in l for l in lines), log
+    assert any(l.startswith("PASS one:") and "[1 executions]" in l for l in lines), log
+    assert "SUMMARY 2 PASS, 0 rows-only, 0 FAIL, 0 schema warnings, 3 executions" in out.stdout, log
+    assert out.returncode == 0, log
+
+
 # one gate reports the CPUs of the session the script started
 _CPU_ENTRY = """
 import pandas as pd

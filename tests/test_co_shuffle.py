@@ -12,6 +12,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
+from conftest import small_blocks
 from solaris_ray.raster import codec
 from solaris_ray.sources import synth
 from solaris_ray.stages import evaluate, masks, tiler
@@ -157,19 +158,39 @@ def test_per_key_calls_fn_once_per_key(ray_session, kind):
     assert sorted(out["n"]) == sorted(len(r) for r in rows.values())
 
 
-def test_shuffle_width_follows_cpus_and_blocks(ray_session):
-    """At least the session's CPUs; at least the input's blocks."""
+def test_shuffle_width_follows_cpus_and_leaf_bytes(ray_session, monkeypatch):
+    """At least the session's CPUs; at least the blocks that the plan's
+    leaf bytes fill at ``target_max_block_size``.  Block counts play no
+    part, and nothing runs."""
+    import ray
+
+    from solaris_ray.runtime import session_cpus
+    from solaris_ray.stages import _buckets
+
+    t = pa.table({"k": np.arange(1000, dtype=np.int64)})  # 8000 bytes
+    union = ray.data.from_arrow([t] * 5).union(
+        ray.data.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow"))
+    assert _buckets.plan_bytes(union) == 6 * t.nbytes
+    cpus = session_cpus()
+    assert shuffle_width(union) == cpus
+    monkeypatch.setattr(_buckets, "session_cpus", lambda: 1)
+    assert shuffle_width(union) == 1  # two small tables in a union: one task at 1 CPU
+    with small_blocks(ray.data.from_arrow(t)):  # 1000-byte blocks
+        wide = ray.data.from_arrow(t).union(ray.data.from_arrow(t)).repartition(1)
+    assert shuffle_width(wide) == 16
+    # materialized, the leaf is the blocks themselves
+    assert shuffle_width(ray.data.from_arrow(t).materialize()) == 1
+
+
+def test_session_cpus_count_the_cpus_this_process_may_use(ray_session):
+    import os
+
     import ray
 
     from solaris_ray.runtime import session_cpus
 
-    t = pa.table({"k": [1, 2, 3]})
-    cpus = session_cpus()
-    assert shuffle_width(ray.data.from_arrow(t)) == cpus
-    many = ray.data.from_arrow([t] * (cpus + 3))
-    assert shuffle_width(many) == cpus + 3
-    # a lazy map keeps its input's planned block count
-    assert shuffle_width(many.map_batches(lambda b: b, batch_format="pyarrow")) == cpus + 3
+    declared = int(ray.cluster_resources()["CPU"])
+    assert session_cpus() == min(declared, len(os.sched_getaffinity(0)))
 
 
 def _px_sha(buf: bytes) -> str:

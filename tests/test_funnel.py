@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from conftest import small_blocks
 from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.funnel import funnel
 
@@ -100,10 +101,12 @@ def test_funnel_bucket_invariance_random(ray_session):
         for _ in range(2000)
     ]
     want = _naive(rows, STEPS)
-    # the bucket count follows the input's block count
-    assert shuffle_width(_events_ds(rows, 5)) != shuffle_width(_events_ds(rows, 97))
+    # the bucket count follows the input's bytes over the target block size
+    narrow = _events_ds(rows, 5)
+    with small_blocks(narrow):
+        assert shuffle_width(narrow) != shuffle_width(_events_ds(rows, 97))
+        assert _run(rows, STEPS, n_blocks=97) == want
     assert _run(rows, STEPS, n_blocks=5) == want
-    assert _run(rows, STEPS, n_blocks=97) == want
 
 
 def test_funnel_rejects_bad_steps():

@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from conftest import small_blocks
 from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.moran import getis_ord
 
@@ -81,10 +82,12 @@ def test_hotspot_scores_high():
 def test_negative_coords_and_bucket_invariance(ray_session):
     rng = np.random.default_rng(47)
     xy = rng.uniform(-200, 200, size=(1200, 2)).tolist()
-    # the bucket count follows the input's block count
-    assert shuffle_width(_pts_ds(xy, 3)) != shuffle_width(_pts_ds(xy, 97))
+    # the bucket count follows the input's bytes over the target block size
+    narrow = _pts_ds(xy, 3)
     ka = _run(xy, 40.0, n_blocks=3)
-    assert _run(xy, 40.0, n_blocks=97) == ka
+    with small_blocks(narrow):
+        assert shuffle_width(narrow) != shuffle_width(_pts_ds(xy, 97))
+        assert _run(xy, 40.0, n_blocks=97) == ka
     expect = _naive(xy, 40.0)
     assert set(ka) == set(expect)
     for key in ka:

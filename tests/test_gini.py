@@ -6,6 +6,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from conftest import small_blocks
 from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.gini import group_gini
 
@@ -57,7 +58,9 @@ def test_gini_ties_are_order_invariant_and_bucket_invariant(ray_session):
     groups = [3, 3, 3, 3, 9, 9]
     vals = [5, 5, 5, 7, 1, 1]
     want = _brute(groups, vals)
-    # the bucket count follows the input's block count
-    assert shuffle_width(_ds(groups, vals, 3)) != shuffle_width(_ds(groups, vals, 97))
+    # the bucket count follows the input's bytes over the target block size
+    narrow = _ds(groups, vals, 3)
+    with small_blocks(narrow):
+        assert shuffle_width(narrow) != shuffle_width(_ds(groups, vals, 97))
+        assert _run(groups, vals, n_blocks=97) == want
     assert _run(groups, vals, n_blocks=3) == want
-    assert _run(groups, vals, n_blocks=97) == want

@@ -7,6 +7,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from conftest import small_blocks
 from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.intervals import merge_intervals
 
@@ -73,10 +74,12 @@ def test_intervals_bucket_invariance(ray_session):
     ss = rng.randint(0, 500, 200).tolist()
     ee = [s + int(d) for s, d in zip(ss, rng.randint(0, 60, 200))]
     want = _brute(keys, ss, ee)
-    # the bucket count follows the input's block count
-    assert shuffle_width(_ds(keys, ss, ee, 2)) != shuffle_width(_ds(keys, ss, ee, 128))
+    # the bucket count follows the input's bytes over the target block size
+    narrow = _ds(keys, ss, ee, 2)
+    with small_blocks(narrow):
+        assert shuffle_width(narrow) != shuffle_width(_ds(keys, ss, ee, 128))
+        assert _run(keys, ss, ee, n_blocks=128) == want
     assert _run(keys, ss, ee, n_blocks=2) == want
-    assert _run(keys, ss, ee, n_blocks=128) == want
 
 
 def test_intervals_rejects_end_before_start():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_blocks
 from solaris_ray.geom import cells
 from solaris_ray.geom.poly import clip_ring_to_box, clip_line_to_box, ring_areas, ring_lengths
 from solaris_ray.sources.synth import gen_shard
@@ -301,8 +302,10 @@ def _join_world(draw):
 @given(_join_world())
 def test_cell_partitioned_parity_property(ray_session, world):
     """The partitioned plan emits the broadcast plan's rows, every
-    column, with a hot cell salted, at two input block counts that
-    give two shuffle widths."""
+    column, with a hot cell salted, at two input block counts and two
+    block sizes that give two shuffle widths."""
+    import contextlib
+
     import ray.data as rd
 
     from solaris_ray.stages import joins
@@ -320,9 +323,10 @@ def test_cell_partitioned_parity_property(ray_session, world):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(joins, "co_shuffle", _spy)
         for blocks in (1, 3):
-            got = joins.cell_partitioned_join(
-                rd.from_arrow(tiles).repartition(blocks), rd.from_arrow(feats).repartition(blocks))
-            assert _sorted_rows(got).equals(want)
+            with small_blocks(rd.from_arrow(feats)) if blocks > 1 else contextlib.nullcontext():
+                got = joins.cell_partitioned_join(
+                    rd.from_arrow(tiles).repartition(blocks), rd.from_arrow(feats).repartition(blocks))
+                assert _sorted_rows(got).equals(want)
     assert widths[0] != widths[1]
 
 

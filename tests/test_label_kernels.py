@@ -439,7 +439,9 @@ def tile_masks(
     else:
         road = empty.copy()
 
-    enc = lambda m: codec.encode(m, out_fmt)  # noqa: E731
+    def enc(m):  # binary PNG masks go through the engine's one mask encoder
+        return codec.png_encode_masks(m[None])[0] if out_fmt == "png" else codec.encode(m, out_fmt)
+
     return pa.table(
         {
             "tile_id": pa.array([tid], pa.string()),
@@ -633,6 +635,20 @@ def test_tile_masks_matches_per_tile_reference_on_synth(synth_joined):
     assert masks.tile_masks(synth_joined).equals(_per_tile(synth_joined))
 
 
+def test_tile_masks_pixels_equal_the_reference_through_png_encode(synth_joined):
+    """The byte checks compare two calls of one mask encoder; decoded, the
+    bucket kernel's masks are the pixels of a reference that encodes each
+    mask with ``codec.png_encode``, and every other column is equal."""
+    with mock.patch.object(codec, "png_encode_masks", lambda s: [codec.png_encode(m) for m in s]):
+        want = _per_tile(synth_joined)
+    got = masks.tile_masks(synth_joined)
+    names = ["footprint", "boundary", "contact", "road"]
+    assert got.drop_columns(names).equals(want.drop_columns(names))
+    for name in names:
+        for a, b in zip(got[name].to_pylist(), want[name].to_pylist(), strict=True):
+            assert np.array_equal(codec.png_decode(a), codec.png_decode(b))
+
+
 def test_instance_masks_match_per_row_reference_on_synth(ray_session, synth_joined):
     """``instance_masks`` converts every row of a batch to pixels in one
     pass; each row's mask is the per-row conversion's."""
@@ -646,7 +662,7 @@ def test_instance_masks_match_per_row_reference_on_synth(ray_session, synth_join
         px, py = (r["x1"] - r["x0"]) / 128, (r["y1"] - r["y0"]) / 128
         coords, offsets = _to_pixel_rings([r["xs"]], [r["ys"]], r["x0"], r["y1"], px, py)
         want = kernels.rasterize_rings(coords, offsets, (128, 128), values=255)
-        assert mask == codec.encode(want, "png") and n_px == int((want > 0).sum())
+        assert mask == codec.png_encode_masks(want[None])[0] and n_px == int((want > 0).sum())
 
 
 # pixel coordinates on a half-pixel grid: the geo -> pixel arithmetic and

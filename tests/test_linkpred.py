@@ -85,12 +85,16 @@ def test_matches_bruteforce_random(ray_session):
 
 
 def test_width_invariance(ray_session):
-    # the shuffle width follows the input's block count; the scores do not
+    # the shuffle width follows the input's bytes over the target block size; the
+    # scores do not
+    from conftest import small_blocks
     from solaris_ray.stages._buckets import shuffle_width
 
     pairs = _random_pairs(5, 60, 150)
     want = _brute(pairs, 60)
-    narrow, wide = _pairs_ds(pairs, n_blocks=3), _pairs_ds(pairs, n_blocks=97)
+    narrow = _pairs_ds(pairs, n_blocks=3)
+    with small_blocks(narrow):
+        wide = _pairs_ds(pairs, n_blocks=97)
     assert shuffle_width(narrow) != shuffle_width(wide)
     for edges in (narrow, wide):
         assert _rows(link_prediction_scores(edges)) == want

@@ -8,6 +8,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from conftest import small_blocks
 from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.moran import moran_i
 
@@ -79,10 +80,12 @@ def test_clustered_positive_autocorrelation():
 def test_negative_coordinates_and_bucket_invariance(ray_session):
     rng = np.random.default_rng(8)
     xy = rng.uniform(-300, 300, size=(1500, 2)).tolist()
-    # the bucket count follows the input's block count
-    assert shuffle_width(_pts_ds(xy, 3)) != shuffle_width(_pts_ds(xy, 97))
-    r3 = moran_i(_pts_ds(xy, n_blocks=3), cell=60.0).take_all()[0]
-    r97 = moran_i(_pts_ds(xy, n_blocks=97), cell=60.0).take_all()[0]
+    # the bucket count follows the input's bytes over the target block size
+    narrow = _pts_ds(xy, 3)
+    with small_blocks(narrow):
+        assert shuffle_width(narrow) != shuffle_width(_pts_ds(xy, 97))
+        r97 = moran_i(_pts_ds(xy, n_blocks=97), cell=60.0).take_all()[0]
+    r3 = moran_i(narrow, cell=60.0).take_all()[0]
     assert r3 == r97
     assert r3["moran_e6"] == pytest.approx(_naive(xy, 60.0) * 1e6, abs=1.5)
 

@@ -13,6 +13,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from conftest import small_blocks
 from solaris_ray.stages._buckets import shuffle_width
 from solaris_ray.stages.pagerank import pagerank
 
@@ -77,8 +78,10 @@ def test_pagerank_many_buckets_invariance(ray_session):
     pairs = [(i, (i * 3 + 1) % 50) for i in range(50)]
     pairs += [(i, (i + 7) % 50) for i in range(0, 50, 2)]
     want = _dense_twin(pairs, 5)
-    # the bucket count follows the input's block count
-    narrow, wide = _edges_ds(pairs, n_blocks=7), _edges_ds(pairs, n_blocks=128)
+    # the bucket count follows the input's bytes over the target block size
+    narrow = _edges_ds(pairs, n_blocks=7)
+    with small_blocks(narrow):
+        wide = _edges_ds(pairs, n_blocks=128)
     assert shuffle_width(narrow) != shuffle_width(wide)
     for edges in (narrow, wide):
         res = pagerank(edges, iters=5).sort("node").take_all()

@@ -15,6 +15,7 @@ import struct
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,6 +234,50 @@ def test_libdeflate_path_equals_libpng(color_type, h, w, level, n_idat, seed):
     assert _same(got, png_decode_fast(buf))
     assert _same(got, _pure_decode(buf))
     assert got.flags.writeable
+
+
+@st.composite
+def _mask_stacks(draw):
+    """(n, h, w) stacks of 0 / burn-value masks: empty, full, one
+    rectangle or salt and pepper, 1-150 px a side."""
+    n, h, w = draw(st.integers(1, 6)), draw(st.integers(1, 150)), draw(st.integers(1, 150))
+    burn = draw(st.sampled_from([1, 127, 255]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((n, h, w), np.uint8)
+    for m in stack:
+        kind = draw(st.sampled_from(["empty", "full", "rect", "noise"]))
+        if kind == "full":
+            m[:] = burn
+        elif kind == "rect":
+            y0, x0 = rng.integers(0, h), rng.integers(0, w)
+            m[y0:rng.integers(y0, h + 1), x0:rng.integers(x0, w + 1)] = burn
+        elif kind == "noise":
+            m[rng.random((h, w)) < 0.5] = burn
+    return stack
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mask_stacks())
+def test_mask_encoder_round_trips_through_every_decoder(stack):
+    pngs = codec.png_encode_masks(stack)
+    assert len(pngs) == len(stack)
+    for m, buf in zip(stack, pngs):
+        # a mask's stream does not depend on the rest of its stack
+        assert buf == codec.png_encode_masks(m[None])[0]
+        assert _same(png_decode_fast(buf), m)
+        # codec's own fast path, through libdeflate and through stdlib zlib
+        with mock.patch.object(pnglib, "png_decode_fast", None):
+            assert _same(codec.png_decode(buf), m)
+            with mock.patch.object(pnglib, "_deflate", None):
+                assert _same(codec.png_decode(buf), m)
+
+
+def test_mask_encoder_shares_one_stream_between_empty_masks():
+    stack = np.zeros((4, 9, 7), np.uint8)
+    stack[1, 2:5, 3:] = 255
+    pngs = codec.png_encode_masks(stack)
+    assert pngs[0] is pngs[2] is pngs[3] and pngs[1] != pngs[0]
+    assert codec.png_encode_masks(stack[:0]) == []
 
 
 def test_own_streams_skip_libpng(inflater, monkeypatch):

@@ -1,11 +1,14 @@
 """_buckets.top_k against a brute-force per-key sort."""
 
+import contextlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import small_blocks
 from solaris_ray.stages._buckets import shuffle_width, top_k
 
 # two strings with one crc32 (1306201125): one bucket, two keys
@@ -70,16 +73,20 @@ def _table(ds) -> pa.Table:
     return pa.concat_tables([b for b in ray.get(ds.to_arrow_refs()) if b.num_columns])
 
 
-def test_block_counts_give_two_shuffle_widths(ray_session):
+def test_block_bytes_give_two_shuffle_widths(ray_session):
     tbl = pa.table({"key": np.arange(14)})
-    assert shuffle_width(_ds(tbl, 1)) != shuffle_width(_ds(tbl, 7))
+    narrow = _ds(tbl, 1)
+    with small_blocks(narrow):
+        assert shuffle_width(narrow) != shuffle_width(_ds(tbl, 7))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_cases())
 def test_top_k_matches_per_key_sort(ray_session, case):
     tbl, order, k, blocks = case
-    got = _table(top_k(_ds(tbl, blocks), "key", order, k))
+    # seven blocks also shuffle wider than the session's CPUs
+    with small_blocks(_ds(tbl, 1)) if blocks > 1 else contextlib.nullcontext():
+        got = _table(top_k(_ds(tbl, blocks), "key", order, k))
     assert got.column_names == [*tbl.column_names, "rank"]
     assert got.schema.field("rank").type == pa.int64()
     assert got.schema.remove(len(tbl.column_names)) == tbl.schema

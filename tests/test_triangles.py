@@ -66,7 +66,9 @@ def test_triangles_none(ray_session):
 
 
 def test_triangles_width_invariance(ray_session):
-    # the shuffle width follows the input's block count; the counts do not
+    # the shuffle width follows the input's bytes over the target block size; the
+    # counts do not
+    from conftest import small_blocks
     from solaris_ray.stages._buckets import shuffle_width
 
     rng = np.random.default_rng(8)
@@ -74,7 +76,9 @@ def test_triangles_width_invariance(ray_session):
         {tuple(sorted(p)) for p in rng.integers(0, 30, (200, 2)) if p[0] != p[1]}
     )
     want = _brute(pairs)
-    narrow, wide = _edges_ds(pairs, n_blocks=3), _edges_ds(pairs, n_blocks=97)
+    narrow = _edges_ds(pairs, n_blocks=3)
+    with small_blocks(narrow):
+        wide = _edges_ds(pairs, n_blocks=97)
     assert shuffle_width(narrow) != shuffle_width(wide)
     for edges in (narrow, wide):
         got = triangle_counts(edges).to_pandas()
