@@ -4583,7 +4583,7 @@ def q_bfs_hops(sf_dir: str):
     graph on customer keys (the pagerank fixture's edge rule), seeded
     at every key divisible by 29 — the graph twin of
     "distance to nearest POI".  ``bfs_hops`` is ``sssp_dist`` over unit
-    weights: one CSR task up to its edge limit, above it
+    weights: one CSR task while the graph fits one block, above it
     frontier-synchronous rounds of two id-only co-shuffles
     (``shuffle_width`` buckets); either way an exact int64 min-merge.
     The SQL twin is a depth-capped recursive CTE, so output is

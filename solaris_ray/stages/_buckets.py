@@ -1,5 +1,4 @@
-"""The one bucket co-shuffle, its key hash and its width; the one
-single-task runner.
+"""The one bucket co-shuffle, its key hash and its width.
 
 ``co_shuffle`` is the one shuffle that brings every row of a key
 together: each row is tagged with ``bucket_of(mix, n)`` over its mixed
@@ -27,10 +26,21 @@ the one sizing policy, never a fixed count: the session's CPUs (capped
 by ``runtime.session_cpus`` at the cores this process may use), or
 more when the input's bytes, as the leaves of its plan report them
 without running it (``plan_bytes``), fill more blocks of the dataset's
-``target_max_block_size``.  How the input is cut into blocks plays no
-part: a plan of many small blocks, or a map that coalesces them, is as
-wide as its bytes.  At one CPU a small input is one bucket, so it takes
-the one-task plan.  ``co_shuffle`` runs the mask, event and graph families,
+``target_max_block_size`` (``byte_blocks``).  How the input is cut into
+blocks plays no part: a plan of many small blocks, or a map that
+coalesces them, is as wide as its bytes.  At one CPU a small input is
+one bucket, so it takes the one-task plan.
+
+The graph family (``sssp_dist`` and ``bfs_hops``, ``kcore``,
+``connected_components`` and ``harmonic_centrality``) reads the same
+bytes term to pick its small-input plan: when the materialized input
+of its first round fits one block (``byte_blocks`` at most 1), the
+whole solve runs as ``co_shuffle(side, key, kernel, 1)``, one map task
+and one kernel call, in place of one Ray barrier per round.  That test
+does not read the CPU count: a fixed per-round cost does not shrink
+with more CPUs, and the plan stays the same on every box.
+
+``co_shuffle`` runs the mask, event and graph families,
 ``distinct_reduce``, the cell-partitioned spatial join
 (``joins.cell_partitioned_join``, keyed on the join cell) and the once
 hand-hashed keyed shuffles of ``stages/`` and
@@ -59,15 +69,10 @@ straggler pass and ``haversine_topk``, of ``pq.pq_adc_topk`` and of
 ``split.stratified_sample``, ranks ``tfidf_topk``'s terms and picks
 ``dedup``'s exact-vector representatives (k = 1 by id).  A caller
 that wants another ``rank`` dtype or column order selects or casts.
-
-``one_task`` is the small-input plan of the graph family: one remote
-task over the whole of each dataset.  ``SMALL_EDGE_LIMIT`` is the one
-default edge count at or below which those stages take it.
 """
 
 from __future__ import annotations
 
-import itertools
 import zlib
 
 import numpy as np
@@ -77,10 +82,6 @@ import pyarrow.compute as pc
 from ..runtime import session_cpus
 
 _TAG = "__bucket"
-
-# edges at or below which a graph stage runs in ``one_task``: 8 MB of
-# (src, dst) int64 pairs, where per-round shuffles are pure latency
-SMALL_EDGE_LIMIT = 500_000
 
 
 def bucket_of(x: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -95,14 +96,20 @@ def plan_bytes(ds) -> int:
     return sum(op.infer_metadata().size_bytes or 0 for op in leaves)
 
 
-def shuffle_width(ds) -> int:
-    """Blocks for a shuffle of ``ds``: the session's CPU count, or as
-    many blocks as its ``plan_bytes`` fill at the dataset's
-    ``target_max_block_size`` when that is more.  The first lets a small
-    input use every CPU; the second plans no bucket larger than one
-    block.  How the input is cut into blocks plays no part."""
+def byte_blocks(ds) -> int:
+    """Blocks that ``ds``'s ``plan_bytes`` fill at the dataset's
+    ``target_max_block_size`` (1 when it sets none): 0 for an input of
+    no bytes, 1 for one that fits one block."""
     target = ds.context.target_max_block_size
-    return max(session_cpus(), -(-plan_bytes(ds) // target) if target else 1)
+    return -(-plan_bytes(ds) // target) if target else 1
+
+
+def shuffle_width(ds) -> int:
+    """Blocks for a shuffle of ``ds``: the session's CPU count, or its
+    ``byte_blocks`` when that is more.  The first lets a small input
+    use every CPU; the second plans no bucket larger than one block.
+    How the input is cut into blocks plays no part."""
+    return max(session_cpus(), byte_blocks(ds))
 
 
 def key_i64(batch: pa.Table, col: str) -> np.ndarray:
@@ -181,41 +188,6 @@ def co_shuffle(ds, keys, fn, n_buckets: int | None = None):
         .sort(_TAG, boundaries=[b + 0.5 for b in range(n - 1)])
         .map_batches(_run, batch_format="pyarrow", batch_size=None)
     )
-
-
-def one_task(fn, *datasets):
-    """Run ``fn`` once, in one remote task, over the whole of each of
-    ``datasets`` -> a one-block dataset of the table ``fn`` returns.
-    ``fn`` gets one ``pa.Table`` per dataset: its blocks concatenated,
-    blocks without columns (empty shuffle partitions) dropped, and a
-    table with no columns when none is left (read it through
-    ``int_column``).  Blocks travel as object-store refs; the caller
-    never holds them."""
-    import ray
-    import ray.data
-
-    refs = [ds.to_arrow_refs() for ds in datasets]
-
-    @ray.remote
-    def _run(counts, *blocks):
-        tables, at = [], 0
-        for n in counts:
-            kept = [b for b in blocks[at:at + n] if b.num_columns]
-            tables.append(pa.concat_tables(kept, promote_options="permissive")
-                          if kept else pa.table({}))
-            at += n
-        return fn(*tables)
-
-    ref = _run.remote([len(r) for r in refs], *itertools.chain.from_iterable(refs))
-    return ray.data.from_arrow_refs([ref])
-
-
-def int_column(t: pa.Table, col: str) -> np.ndarray:
-    """Column ``col`` of a ``one_task`` table as int64; empty when the
-    table has no such column."""
-    if col not in t.column_names:
-        return np.empty(0, np.int64)
-    return t[col].to_numpy().astype(np.int64)
 
 
 def per_key(key: str, fn):

@@ -49,16 +49,16 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import (SMALL_EDGE_LIMIT, co_shuffle, distinct_reduce, int_column,
-                       one_task, shuffle_width)
+from ._buckets import byte_blocks, co_shuffle, distinct_reduce, shuffle_width
 
 
 
 def _union_find(edges: pa.Table) -> pa.Table:
-    """Canonical edge table -> (node, label), run by ``one_task``:
-    union-find with path halving (labels = per-component min ORIGINAL
-    id)."""
-    a, b = int_column(edges, "ea"), int_column(edges, "eb")
+    """Canonical edge table -> (node, label), one ``co_shuffle``
+    bucket: union-find with path halving (labels = per-component min
+    ORIGINAL id)."""
+    a = edges["ea"].to_numpy(zero_copy_only=False)
+    b = edges["eb"].to_numpy(zero_copy_only=False)
     uniq, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
     n = uniq.size
     ia = inv[: a.size].tolist()
@@ -108,7 +108,6 @@ def connected_components(
     node_col: str = "doc_id",
     max_rounds: int = 50,
     stats_out: dict | None = None,
-    small_edge_limit: int = SMALL_EDGE_LIMIT,
 ):
     """(edges Dataset, nodes Dataset) -> Dataset (node, component).
 
@@ -117,13 +116,15 @@ def connected_components(
     their own component.  ``nodes`` must cover every id that appears in
     ``edges``.
 
-    Two physical plans, chosen by the CANONICAL edge count (known after
-    the one-pass dedup/canonicalization, never from the corpus size):
+    Two physical plans, chosen by the bytes of the CANONICAL edge set
+    (known after the one-pass canonicalization, never from the corpus
+    size):
 
-    - ``<= small_edge_limit`` edges: ``one_task`` runs union-find over
-      the edge blocks (path-halving; labels = per-root min id).  A dedup pair graph is tiny relative to its corpus —
-       at 16 bytes/edge the default limit is an 8 MB object — and the
-      star rounds' per-round fixed cost (2 groupby shuffles) is pure
+    - fits one block (``_buckets.byte_blocks``; 16 bytes/edge, so 8.4M
+      edges at the default 128 MiB): one ``co_shuffle`` bucket runs
+      union-find over the edge set (path-halving; labels = per-root
+      min id).  A dedup pair graph is tiny relative to its corpus, and
+      the star rounds' per-round fixed cost (2 shuffles) is pure
       latency at that size (measured flat 11 s at 4 AND 16 cpus on a
       1.2k-edge graph).  The task runs engine-side; the DRIVER never
       holds the edge list.
@@ -174,9 +175,8 @@ def connected_components(
         E.map_batches(_ends, batch_format="pyarrow"), ["node"])
     touched = touched.materialize() if has_edges else touched
 
-    use_small = has_edges and n_edges <= small_edge_limit
-    if use_small:
-        lab = one_task(_union_find, E)
+    if has_edges and byte_blocks(E) <= 1:
+        lab = co_shuffle(E, "ea", _union_find, 1)
         if stats_out is not None:
             stats_out.update(rounds=0, edge_rows=[n_edges], converged=True,
                              path="union-find-task")
@@ -335,6 +335,8 @@ def connected_components(
             ),
             batch_format="pyarrow",
         )
+        # materialized: a second sort beside the isolated-node shuffle's
+        # in one execution stalled Ray's streaming executor
         lab = distinct_reduce(
             self_msgs.union(star_msgs), ["node"], aggs={"label": "min"}
         ).materialize()
@@ -374,7 +376,7 @@ def connected_components(
         )
 
     both = nodes.map_batches(_all, batch_format="pyarrow").union(
-        lab.select_columns(["node"]).map_batches(_touched, batch_format="pyarrow"))
+        touched.map_batches(_touched, batch_format="pyarrow"))
     isolated = co_shuffle(both, "node", _isolated)
     return resolved.union(isolated)
 
@@ -390,7 +392,6 @@ def fuzzy_dedup(
     text_col: str = "text",
     id_col: str = "doc_id",
     cc_stats: dict | None = None,
-    small_edge_limit: int = SMALL_EDGE_LIMIT,
 ):
     """documents -> (doc_id, component, keep): full fuzzy-dedup resolve.
 
@@ -409,7 +410,7 @@ def fuzzy_dedup(
     # chain is not re-executed just to enumerate ids
     comp = connected_components(
         pairs, ds.select_columns([id_col]).materialize(), node_col=id_col,
-        stats_out=cc_stats, small_edge_limit=small_edge_limit,
+        stats_out=cc_stats,
     )
 
     def _keep(batch: pa.Table) -> pa.Table:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import SMALL_EDGE_LIMIT, co_shuffle
+from ._buckets import co_shuffle
 
 
 def overlap_pairs(rects, cell: float = 256.0, id_col: str = "fid",
@@ -245,8 +245,7 @@ def overlap_pairs(rects, cell: float = 256.0, id_col: str = "fid",
 
 
 def dissolve(rects, cell: float = 256.0, id_col: str = "fid",
-             max_rounds: int = 50, cc_stats: dict | None = None,
-             small_edge_limit: int = SMALL_EDGE_LIMIT):
+             max_rounds: int = 50, cc_stats: dict | None = None):
     """rects -> (fid, component): transitive-overlap dissolve groups.
 
     Uses ``overlap_pairs(spanning=True)``: dense cells emit O(m)
@@ -259,5 +258,4 @@ def dissolve(rects, cell: float = 256.0, id_col: str = "fid",
     return connected_components(
         pairs, rects.select_columns([id_col]).materialize(), node_col=id_col,
         max_rounds=max_rounds, stats_out=cc_stats,
-        small_edge_limit=small_edge_limit,
     )

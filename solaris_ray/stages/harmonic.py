@@ -9,15 +9,16 @@ source) so the SQL twin reproduces them bit-for-bit.
 Two plans, the ``sssp.sssp_dist`` idiom (small graphs in one task,
 large ones in frontier rounds):
 
-- Small graphs (``<= small_edge_limit`` edges): ``one_task`` builds a
-  CSR once (``sssp._csr``, unit weights) and runs all k source sweeps
-  over it with the relaxation of ``sssp_dist``'s single-task plan
-  (``sssp._relax``); the caller never holds the graph.
+- Edges that fit one block (``_buckets.byte_blocks``): one
+  ``co_shuffle`` bucket builds a CSR once (``sssp._csr``, unit
+  weights) and runs all k source sweeps over it with the relaxation of
+  ``sssp_dist``'s single-task plan (``sssp._relax``); the caller never
+  holds the graph.
 - Larger graphs: k ``bfs_hops`` runs (``sssp_dist`` over unit
-  weights, whose scale-safe two-co-shuffle rounds take over above
-  its own edge limit), each tagged with its source and unioned into
-  one (node)-keyed aggregate.  State per run is O(nodes)
-  id-only rows; total work is k sweeps — the standard price of sampled
+  weights, whose scale-safe two-co-shuffle rounds take over by the
+  same bytes rule), each emitting (node, 1, 1_000_000 // hops) rows,
+  unioned into one ``distinct_reduce`` sum per node.  State per run is
+  O(nodes) id-only rows; total work is k sweeps — the standard price of sampled
   centrality (pick k ≪ n; the estimator's error is O(1/√k)).
 """
 
@@ -26,22 +27,19 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import SMALL_EDGE_LIMIT, int_column, one_task
+from ._buckets import byte_blocks, co_shuffle, distinct_reduce
 from .sssp import _INF, _csr, _relax
 
 _MICRO = 1_000_000
+_OUT = pa.schema([("node", pa.int64()), ("n_reached", pa.int64()), ("h_micro", pa.int64())])
 
 
 def harmonic_centrality(edges, sources: list[int],
-                        src_col: str = "src", dst_col: str = "dst",
-                        small_edge_limit: int = SMALL_EDGE_LIMIT):
+                        src_col: str = "src", dst_col: str = "dst"):
     """-> (node, n_reached, h_micro): for every node reached by at
     least one sampled source, the number of sources reaching it and
     the exact micro-unit harmonic mass Σ 1_000_000 // d."""
-    import ray
     import ray.data
-
-    from ray.data.aggregate import Sum
 
     from .bfs import bfs_hops
 
@@ -50,8 +48,10 @@ def harmonic_centrality(edges, sources: list[int],
         raise ValueError("harmonic_centrality: no sources")
 
     edges = edges.materialize()
-    if edges.count() <= small_edge_limit:
-        return one_task(lambda e: _sweeps(e, sources, src_col, dst_col), edges)
+    if edges.count() == 0:  # no node is reached; metadata-only
+        return ray.data.from_arrow(_OUT.empty_table())
+    if byte_blocks(edges) <= 1:
+        return co_shuffle(edges, src_col, lambda e: _sweeps(e, sources, src_col, dst_col), 1)
 
     per_src = []
     for s in sources:
@@ -63,17 +63,7 @@ def harmonic_centrality(edges, sources: list[int],
     u = per_src[0]
     for d in per_src[1:]:
         u = u.union(d)
-    agg = u.groupby("node").aggregate(Sum("r"), Sum("h"))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "node": b["node"],
-            "n_reached": pa.array(
-                b["sum(r)"].to_numpy(zero_copy_only=False).astype(np.int64)),
-            "h_micro": pa.array(
-                b["sum(h)"].to_numpy(zero_copy_only=False).astype(np.int64)),
-        }),
-        batch_format="pyarrow",
-    )
+    return distinct_reduce(u, ["node"], {"n_reached": "sum", "h_micro": "sum"})
 
 
 def _micro_rows(b: pa.Table) -> pa.Table:
@@ -82,14 +72,15 @@ def _micro_rows(b: pa.Table) -> pa.Table:
     m = h > 0  # the source itself contributes nothing
     return pa.table({
         "node": pa.array(nd[m], pa.int64()),
-        "r": pa.array(np.ones(int(m.sum()), np.int64)),
-        "h": pa.array(_MICRO // h[m], pa.int64()),
+        "n_reached": pa.array(np.ones(int(m.sum()), np.int64)),
+        "h_micro": pa.array(_MICRO // h[m], pa.int64()),
     })
 
 
 def _sweeps(edges: pa.Table, sources, src_col, dst_col) -> pa.Table:
-    """Small-graph plan, run by ``one_task``: one CSR, k sweeps."""
-    src, dst = int_column(edges, src_col), int_column(edges, dst_col)
+    """Small-graph plan, one ``co_shuffle`` bucket: one CSR, k sweeps."""
+    src = edges[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    dst = edges[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
     uniq, indptr, adj, aw, sdi = _csr(
         src, dst, np.ones(src.size, np.int64), np.asarray(sources, np.int64)
     )

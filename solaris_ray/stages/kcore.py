@@ -18,10 +18,11 @@ internally (one ``co_shuffle`` on the source ``k``: degree = distinct
 undirected neighbours, self-loops dropped).  Two physical plans (the
 bfs.py idiom):
 
-- small graphs (at most ``SMALL_EDGE_LIMIT`` edges by default):
-  ``one_task``, CSR + vectorized alive-mask peeling (a peel loop at 45k
-  edges is milliseconds of work — never worth per-round Ray barriers);
-- large graphs: per round TWO ``co_shuffle`` passes of id-only int64
+- deduped edges that fit one block (``_buckets.byte_blocks``): one
+  ``co_shuffle`` bucket, CSR + vectorized alive-mask peeling (a peel
+  loop at 45k edges is milliseconds of work — never worth per-round
+  Ray barriers);
+- larger: per round TWO ``co_shuffle`` passes of id-only int64
   rows, both at the width computed once from the input — (1) on the
   source ``k``: per-src degree is a segment count, under-k srcs become
   this round's removal set (complete, because the edge set is
@@ -41,14 +42,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import SMALL_EDGE_LIMIT, co_shuffle, int_column, one_task, shuffle_width
+from ._buckets import byte_blocks, co_shuffle, shuffle_width
 
 _OUT = pa.schema([("node", pa.int64()), ("deg", pa.int64())])
 
 
 def _peel(edges: pa.Table, k: int) -> pa.Table:
-    """Small-graph plan, run by ``one_task``: alive-mask peeling."""
-    src, dst = int_column(edges, "k"), int_column(edges, "dst")
+    """Small-graph plan, one ``co_shuffle`` bucket: alive-mask peeling."""
+    src = edges["k"].to_numpy(zero_copy_only=False)
+    dst = edges["dst"].to_numpy(zero_copy_only=False)
     uniq, inv = np.unique(np.concatenate([src, dst]), return_inverse=True)
     si, di = inv[: src.size], inv[src.size :]
     n = uniq.size
@@ -77,7 +79,6 @@ def kcore(
     src_col: str = "src",
     dst_col: str = "dst",
     max_rounds: int = 10_000,
-    small_edge_limit: int = SMALL_EDGE_LIMIT,
     stats_out: dict | None = None,
 ):
     """Directed ``edges`` -> (node, deg): every node of the k-core of
@@ -128,12 +129,11 @@ def kcore(
         import ray.data
 
         return ray.data.from_arrow(_OUT.empty_table())
-    if n_edges <= small_edge_limit:
-        if stats_out is not None:
-            stats_out["plan"] = "single-task"
-        return one_task(lambda e: _peel(e, k), state)
+    single = byte_blocks(state) <= 1
     if stats_out is not None:
-        stats_out["plan"] = "peel-rounds"
+        stats_out["plan"] = "single-task" if single else "peel-rounds"
+    if single:
+        return co_shuffle(state, "k", lambda e: _peel(e, k), 1)
 
     def _peel_src(group: pa.Table) -> pa.Table:
         # src-bucket kernel: segment degree per src; under-k srcs emit

@@ -32,12 +32,13 @@ rule).  Every shuffle uses one width, ``shuffle_width(edges)``, fixed
 before the first round: a width read from the unioned per-round state
 would grow with it (the round-4i block-growth lesson).
 
-Small graphs (at most ``SMALL_EDGE_LIMIT`` edges by default) route to
-``one_task``: ONE remote task running the same label-correcting loop
-over CSR with fully vectorized per-round relaxation (scatter-min via
-np.minimum.at): a 15-round frontier loop at 45k edges is ~20 s of
-fixed per-round Ray Data overhead for ~50 ms of real work.  Both plans
-are parity-tested bit-identical.
+When the first round's input -- the edge rows plus the seed frontier
+rows -- fits one block (``_buckets.byte_blocks``), that one union runs
+as ONE ``co_shuffle`` bucket: a single task runs the same
+label-correcting loop over CSR with fully vectorized per-round
+relaxation (scatter-min via np.minimum.at): a 15-round frontier loop at
+45k edges is ~20 s of fixed per-round Ray Data overhead for ~50 ms of
+real work.  Both plans are parity-tested bit-identical.
 
 Partitioning assumption (SURVEY custom-operator rule): node ids are
 non-negative int64 (dst = -1 marks frontier rows in shuffle 1);
@@ -51,9 +52,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import SMALL_EDGE_LIMIT, co_shuffle, int_column, one_task, shuffle_width
+from ._buckets import byte_blocks, co_shuffle, shuffle_width
 
-_OUT_SCHEMA = pa.schema([("node", pa.int64()), ("dist", pa.int64())])
 _INF = np.iinfo(np.int64).max
 
 
@@ -98,12 +98,14 @@ def _relax(indptr, adj, aw, seed_idx):
     return dist
 
 
-def _single_task(edges: pa.Table, seeds: pa.Table) -> pa.Table:
-    """Small-graph plan, run by ``one_task``: CSR + ``_relax``."""
-    uniq, indptr, adj, aw, sdi = _csr(
-        int_column(edges, "k"), int_column(edges, "dst"), int_column(edges, "d"),
-        int_column(seeds, "k"),
-    )
+def _single_task(rows: pa.Table) -> pa.Table:
+    """Small-graph plan, the one ``co_shuffle`` bucket of the first
+    round's union: CSR + ``_relax``.  ``dst = -1`` marks a seed."""
+    k = rows["k"].to_numpy(zero_copy_only=False)
+    dst = rows["dst"].to_numpy(zero_copy_only=False)
+    d = rows["d"].to_numpy(zero_copy_only=False)
+    edge = dst >= 0
+    uniq, indptr, adj, aw, sdi = _csr(k[edge], dst[edge], d[edge], k[~edge])
     dist = _relax(indptr, adj, aw, sdi)
     hit = dist < _INF
     return pa.table(
@@ -121,18 +123,19 @@ def sssp_dist(
     dst_col: str = "dst",
     w_col: str = "w",
     seed_col: str = "node",
+    dist_col: str = "dist",
     max_rounds: int = 256,
-    small_edge_limit: int = SMALL_EDGE_LIMIT,
     stats_out: dict | None = None,
 ):
-    """Directed weighted ``edges`` + ``seeds`` -> (node, dist): exact
-    minimum int64 weighted distance from any seed (seeds at 0).
+    """Directed weighted ``edges`` + ``seeds`` -> (node, ``dist_col``):
+    exact minimum int64 weighted distance from any seed (seeds at 0).
     Unreachable nodes are absent.  Weights must be non-negative int64.
 
     ``max_rounds`` is a safety valve — raises if the frontier is still
     non-empty when it trips (a partial relaxation must never pass as a
     converged one)."""
     width = shuffle_width(edges)
+    out_schema = pa.schema([("node", pa.int64()), (dist_col, pa.int64())])
 
     def _edge_rows(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -158,41 +161,30 @@ def sssp_dist(
         .materialize()
     )
 
+    def _frontier(k: pa.Array, d: pa.Array) -> pa.Table:
+        return pa.table({"k": k, "dst": pa.array(np.full(len(k), -1, np.int64)), "d": d})
+
     def _seed_rows(batch: pa.Table) -> pa.Table:
         n = batch[seed_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if n.size and n.min() < 0:
             raise ValueError("sssp_dist requires non-negative node ids")
-        # each seed enters as a settled label (f=0) and a frontier row (f=1)
-        k2 = np.concatenate([n, n])
-        return pa.table(
-            {
-                "k": pa.array(k2, pa.int64()),
-                "d": pa.array(np.zeros(k2.size, np.int64)),
-                "f": pa.array(np.repeat(np.array([0, 1], np.int64), n.size)),
-            }
-        )
+        return _frontier(pa.array(n, pa.int64()), pa.array(np.zeros(n.size, np.int64)))
 
-    state = seeds.map_batches(_seed_rows, batch_format="pyarrow").materialize()
-
-    n_edges = edge_side.count()
+    # the seeds are the first round's frontier, at distance 0
+    front = seeds.map_batches(_seed_rows, batch_format="pyarrow").materialize()
+    # the first round's union, sized at the edges' DataContext
+    first = edge_side.union(front)
+    single = byte_blocks(first) <= 1
     if stats_out is not None:
-        stats_out["edges"] = n_edges
-    if n_edges <= small_edge_limit:
-        if stats_out is not None:
-            stats_out["plan"] = "single-task"
-        return one_task(_single_task, edge_side, state)
-    if stats_out is not None:
-        stats_out["plan"] = "frontier-rounds"
+        stats_out["edges"] = edge_side.count()
+        stats_out["plan"] = "single-task" if single else "frontier-rounds"
+    if front.count() == 0:  # no seeds; metadata-only on a materialized ds
+        import ray.data
 
-    def _to_frontier_rows(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch["f"], 1))
-        return pa.table(
-            {
-                "k": t["k"],
-                "dst": pa.array(np.full(t.num_rows, -1, np.int64)),
-                "d": t["d"],
-            }
-        )
+        return ray.data.from_arrow(out_schema.empty_table())
+    if single:
+        return co_shuffle(
+            first, "k", lambda t: _single_task(t).rename_columns(out_schema.names), 1)
 
     def _expand(group: pa.Table) -> pa.Table:
         # source-bucket kernel: (dst, dist[src] + w) per out-edge of a
@@ -252,16 +244,21 @@ def sssp_dist(
             }
         )
 
+    def _to_frontier_rows(batch: pa.Table) -> pa.Table:
+        t = batch.filter(pc.equal(batch["f"], 1))
+        return _frontier(t["k"], t["d"])
+
     def _labels_only(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.equal(batch["f"], 0))
 
+    # every seed enters as a settled label (f=0) at distance 0
+    labels = front.map_batches(
+        lambda b: pa.table({"k": b["k"], "d": b["d"],
+                            "f": pa.array(np.zeros(b.num_rows, np.int64))}),
+        batch_format="pyarrow",
+    )
     rounds = 0
-    while True:
-        front = state.map_batches(
-            _to_frontier_rows, batch_format="pyarrow"
-        ).materialize()
-        if front.count() == 0:  # metadata-only on a materialized ds
-            break
+    while front.count():  # metadata-only on a materialized ds
         if rounds >= max_rounds:
             raise RuntimeError(
                 f"sssp_dist: frontier still non-empty after "
@@ -269,20 +266,17 @@ def sssp_dist(
             )
         rounds += 1
         cands = co_shuffle(front.union(edge_side), "k", _expand, width)
-        labels = state.map_batches(_labels_only, batch_format="pyarrow")
         state = co_shuffle(cands.union(labels), "k", _combine, width).materialize()
+        labels = state.map_batches(_labels_only, batch_format="pyarrow")
+        front = state.map_batches(_to_frontier_rows, batch_format="pyarrow").materialize()
 
     if stats_out is not None:
         stats_out["rounds"] = rounds
-    if state.count() == 0:  # no seeds; metadata-only on a materialized ds
-        import ray.data
-
-        return ray.data.from_arrow(_OUT_SCHEMA.empty_table())
 
     def _out(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch["f"], 0))
+        t = _labels_only(batch)
         if t.num_rows == 0:
-            return _OUT_SCHEMA.empty_table()
-        return pa.table({"node": t["k"], "dist": t["d"]})
+            return out_schema.empty_table()
+        return pa.table({"node": t["k"], dist_col: t["d"]})
 
     return state.map_batches(_out, batch_format="pyarrow")

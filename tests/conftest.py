@@ -32,18 +32,19 @@ def ray_session():
 
 
 @contextlib.contextmanager
-def small_blocks(ds):
-    """Datasets made inside plan blocks of an eighth of ``ds``'s leaf
-    bytes (``DataContext.target_max_block_size``), so ``shuffle_width``
-    of an input like ``ds`` is at least 8, wider than the suite's 4
-    CPUs.  They also run with that block size."""
+def small_blocks(ds, parts: int = 8):
+    """Datasets made inside plan blocks of a ``parts``-th of ``ds``'s
+    leaf bytes (``DataContext.target_max_block_size``), so
+    ``shuffle_width`` of an input like ``ds`` is at least ``parts`` (8,
+    wider than the suite's 4 CPUs, by default), and a graph stage over
+    it takes its rounds plan.  They also run with that block size."""
     from ray.data import DataContext
 
     from solaris_ray.stages._buckets import plan_bytes
 
     ctx = DataContext.get_current()
     old = ctx.target_max_block_size
-    ctx.target_max_block_size = max(1, plan_bytes(ds) // 8)
+    ctx.target_max_block_size = max(1, plan_bytes(ds) // parts)
     try:
         yield
     finally:

@@ -8,6 +8,8 @@ invariance, the max_rounds valve, and the non-negative-id guard.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -47,8 +49,15 @@ def _dense_twin(pairs, seeds):
     return dist
 
 
-def _run(pairs, seeds, **kw):
-    res = bfs_hops(_ds_edges(pairs), _ds_seeds(seeds), **kw).take_all()
+def _plan(pairs, small):
+    """Blocks that send ``bfs_hops`` over ``pairs`` to its rounds plan
+    when ``small``, or the default ones that fit it in one bucket."""
+    return small_blocks(_ds_edges(pairs)) if small else contextlib.nullcontext()
+
+
+def _run(pairs, seeds, small=False, **kw):
+    with _plan(pairs, small):
+        res = bfs_hops(_ds_edges(pairs), _ds_seeds(seeds), **kw).take_all()
     return {row["node"]: row["hops"] for row in res}
 
 
@@ -82,14 +91,19 @@ def test_bfs_bucket_invariance_random_graph(ray_session):
     ]
     seeds = [0, 17, 33]
     want = _dense_twin(pairs, seeds)
-    # the bucket count follows the input's bytes over the target block size
-    narrow = _ds_edges(pairs, n_blocks=5)
-    with small_blocks(narrow):
+    # the bucket count follows the input's bytes over the target block
+    # size; blocks smaller than the input also force the frontier-rounds
+    # plan, where alone the width matters
+    proto = _ds_edges(pairs)
+    with small_blocks(proto, parts=2):
+        narrow = _ds_edges(pairs, n_blocks=5)
+    with small_blocks(proto):
         wide = _ds_edges(pairs, n_blocks=128)
     assert shuffle_width(narrow) != shuffle_width(wide)
-    # force the frontier-rounds plan: the width only matters there
     for edges in (narrow, wide):
-        res = bfs_hops(edges, _ds_seeds(seeds), small_edge_limit=0).take_all()
+        stats = {}
+        res = bfs_hops(edges, _ds_seeds(seeds), stats_out=stats).take_all()
+        assert stats["plan"] == "frontier-rounds"
         assert {row["node"]: row["hops"] for row in res} == want
 
 
@@ -104,7 +118,7 @@ def test_bfs_plan_parity_single_vs_rounds():
     seeds = [1, 40, 79]
     s_single, s_rounds = {}, {}
     got_single = _run(pairs, seeds, stats_out=s_single)
-    got_rounds = _run(pairs, seeds, small_edge_limit=0, stats_out=s_rounds)
+    got_rounds = _run(pairs, seeds, small=True, stats_out=s_rounds)
     assert s_single["plan"] == "single-task"
     assert s_rounds["plan"] == "frontier-rounds"
     assert got_single == got_rounds == _dense_twin(pairs, seeds)
@@ -113,9 +127,7 @@ def test_bfs_plan_parity_single_vs_rounds():
 def test_bfs_max_rounds_valve_raises():
     pairs = [(i, i + 1) for i in range(10)]
     with pytest.raises(Exception, match="max_rounds"):
-        bfs_hops(
-            _ds_edges(pairs), _ds_seeds([0]), max_rounds=3, small_edge_limit=0
-        ).take_all()
+        _run(pairs, [0], small=True, max_rounds=3)
 
 
 def test_bfs_rejects_negative_ids():
@@ -123,13 +135,15 @@ def test_bfs_rejects_negative_ids():
         bfs_hops(_ds_edges([(-1, 2)]), _ds_seeds([0])).take_all()
 
 
-@pytest.mark.parametrize("limit", [500_000, 0])
-def test_bfs_empty_seeds_keep_columns(ray_session, limit):
+@pytest.mark.parametrize("small,plan", [(False, "single-task"), (True, "frontier-rounds")],
+                         ids=["default", "small_blocks"])
+def test_bfs_empty_seeds_keep_columns(ray_session, small, plan):
     # both plans return the declared columns, not a schema-less dataset
     # (checked on schema(): to_pandas() skips empty blocks, so it has no
     # columns for any empty dataset)
-    out = bfs_hops(
-        _ds_edges([(0, 1), (1, 2)]), _ds_seeds([]), small_edge_limit=limit
-    )
-    assert out.schema().names == ["node", "hops"]
-    assert out.count() == 0
+    pairs, stats = [(0, 1), (1, 2)], {}
+    with _plan(pairs, small):
+        out = bfs_hops(_ds_edges(pairs), _ds_seeds([]), stats_out=stats)
+        assert stats["plan"] == plan
+        assert out.schema().names == ["node", "hops"]
+        assert out.count() == 0

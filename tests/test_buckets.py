@@ -4,6 +4,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from conftest import small_blocks
 from solaris_ray.stages._buckets import bucket_of, distinct_reduce, top_k
 from solaris_ray.stages.actives import rolling_actives
 from solaris_ray.stages.align import caption_alignment
@@ -241,21 +242,26 @@ def test_graph_rounds_keep_block_count_at_width(ray_session):
     pairs += [(i, (i + 7) % 50) for i in range(0, 50, 2)]
     t = pa.table({"src": pa.array([p[0] for p in pairs], pa.int64()),
                   "dst": pa.array([p[1] for p in pairs], pa.int64())})
-    edges = ray.data.from_arrow(t).repartition(5)
-    seeds = ray.data.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
+    # blocks of half the edges' bytes force each stage's rounds plan;
+    # smaller ones would also split the blocks of kcore's final groupby
+    with small_blocks(ray.data.from_arrow(t), parts=2):
+        edges = ray.data.from_arrow(t).repartition(5)
+        seeds = ray.data.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
     width = shuffle_width(edges)
     assert pagerank(edges, iters=8).materialize().num_blocks() <= width
-    hops = bfs_hops(edges, seeds, small_edge_limit=0).materialize()
+    stats = {}
+    hops = bfs_hops(edges, seeds, stats_out=stats).materialize()
+    assert stats["plan"] == "frontier-rounds"
     assert hops.num_blocks() <= width
     weighted = edges.map_batches(
         lambda b: b.append_column("w", pa.array(np.full(b.num_rows, 2, np.int64))),
         batch_format="pyarrow")
     stats = {}
-    dist = sssp_dist(weighted, seeds, small_edge_limit=0, stats_out=stats).materialize()
+    dist = sssp_dist(weighted, seeds, stats_out=stats).materialize()
     assert stats["plan"] == "frontier-rounds" and stats["rounds"] > 2
     assert dist.num_blocks() <= width
     stats = {}
-    core = kcore(edges, 2, small_edge_limit=0, stats_out=stats).materialize()
+    core = kcore(edges, 2, stats_out=stats).materialize()
     assert stats["plan"] == "peel-rounds" and core.count() > 0
     # kcore's output is a Ray groupby over the peeled state; the state
     # of the peel rounds is what the width bounds
@@ -280,10 +286,12 @@ def test_star_rounds_shuffle_at_the_input_width(ray_session, monkeypatch):
     pairs = [(i, i + 1) for i in range(60) if i % 10 != 9]
     t = pa.table({"doc_a": pa.array([p[0] for p in pairs], pa.int64()),
                   "doc_b": pa.array([p[1] for p in pairs], pa.int64())})
-    edges = ray.data.from_arrow(t).repartition(5).materialize()
+    # blocks smaller than the edges force the star rounds
+    with small_blocks(ray.data.from_arrow(t)):
+        edges = ray.data.from_arrow(t).repartition(5).materialize()
     nodes = ray.data.from_arrow(pa.table({"doc_id": pa.array(range(70), pa.int64())}))
     stats = {}
-    out = connected_components(edges, nodes, stats_out=stats, small_edge_limit=0).to_pandas()
+    out = connected_components(edges, nodes, stats_out=stats).to_pandas()
     assert stats["path"] == "star-rounds" and stats["converged"]
     assert dict(zip(out.doc_id, out.component)) == {
         n: n - n % 10 if n < 60 else n for n in range(70)}

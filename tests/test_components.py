@@ -7,10 +7,14 @@ mass-duplicate clique (the case that motivates the component step).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pyarrow as pa
 import ray
 
+from conftest import small_blocks
+from solaris_ray.stages._buckets import co_shuffle
 from solaris_ray.stages.components import connected_components, fuzzy_dedup
 
 
@@ -54,8 +58,10 @@ def _uf(n_ids, pairs):
     return out
 
 
-def _run_cc(ids, pairs, **kw):
-    got = connected_components(_edges_ds(pairs), _nodes_ds(ids), **kw).to_pandas()
+def _run_cc(ids, pairs, small=False, **kw):
+    # small: blocks smaller than the edges, which force the star rounds
+    with small_blocks(_edges_ds(pairs)) if small else contextlib.nullcontext():
+        got = connected_components(_edges_ds(pairs), _nodes_ds(ids), **kw).to_pandas()
     return dict(zip(got["doc_id"], got["component"]))
 
 
@@ -79,8 +85,31 @@ def test_cc_random_graph_matches_union_find(ray_session):
     pairs = [tuple(sorted(p)) for p in rng.integers(0, 200, (150, 2)) if p[0] != p[1]]
     want = _uf(ids, pairs)
     # both physical plans must agree with the local oracle
-    assert _run_cc(ids, pairs) == want                        # union-find task
-    assert _run_cc(ids, pairs, small_edge_limit=0) == want    # star rounds
+    s_task, s_star = {}, {}
+    assert _run_cc(ids, pairs, stats_out=s_task) == want
+    assert _run_cc(ids, pairs, small=True, stats_out=s_star) == want
+    assert s_task["path"] == "union-find-task"
+    assert s_star["path"] == "star-rounds"
+
+
+def test_cc_one_bucket_after_empty_shuffle_buckets(ray_session):
+    # edges out of a co_shuffle wider than their 3 distinct keys, as a
+    # pair generator leaves them, with empty buckets behind: the
+    # union-find task must return the star rounds' rows
+    ids = list(range(12))
+    pairs = [(0, 1), (0, 2), (5, 6), (5, 7), (9, 10), (9, 11)]
+
+    def _run(small):
+        stats = {}
+        with small_blocks(_edges_ds(pairs)) if small else contextlib.nullcontext():
+            edges = co_shuffle(_edges_ds(pairs), "doc_a", lambda t: t, 8)
+            got = connected_components(edges, _nodes_ds(ids), stats_out=stats).to_pandas()
+        return stats["path"], sorted(zip(got["doc_id"], got["component"]))
+
+    path_task, task = _run(False)
+    path_star, star = _run(True)
+    assert (path_task, path_star) == ("union-find-task", "star-rounds")
+    assert task == star == sorted(_uf(ids, pairs).items())
 
 
 def test_cc_clique_mass_duplicates(ray_session):
@@ -167,17 +196,20 @@ def test_cc_stats_out_scale_evidence(ray_session):
         pa.table({"doc_a": pa.array(a), "doc_b": pa.array(a + 1)})
     ).repartition(4)
     nodes = ray.data.from_arrow(pa.table({"doc_id": pa.array(np.arange(33, dtype=np.int64))}))
-    # default: tiny graph routes to the single-task union-find path
+    # default: a graph that fits one block takes the union-find task
     stats = {}
     got = connected_components(edges, nodes, stats_out=stats).to_pandas()
     assert (got["component"] == 0).all()
     assert stats["path"] == "union-find-task"
     assert stats["converged"] is True and stats["rounds"] == 0
-    # forced star rounds: O(log n) convergence, not O(diameter)=32
+    # blocks smaller than the edges force the star rounds: O(log n)
+    # convergence, not O(diameter)=32
     stats = {}
-    got2 = connected_components(
-        edges, nodes, stats_out=stats, small_edge_limit=0
-    ).to_pandas()
+    with small_blocks(edges):
+        edges = ray.data.from_arrow(
+            pa.table({"doc_a": pa.array(a), "doc_b": pa.array(a + 1)})
+        ).repartition(4)
+        got2 = connected_components(edges, nodes, stats_out=stats).to_pandas()
     assert (got2["component"] == 0).all()
     assert stats["path"] == "star-rounds"
     assert stats["converged"] is True

@@ -1,8 +1,12 @@
 """Sampled-source harmonic centrality — both physical plans."""
 
+import contextlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
+
+from conftest import small_blocks
 
 
 def _ring_edges(n: int) -> pa.Table:
@@ -37,20 +41,32 @@ def _brute(n: int, sources, edge_tbl: pa.Table):
     return reached, harm
 
 
-@pytest.mark.parametrize("limit", [500_000, 0])  # CSR task vs BFS rounds
-def test_harmonic_matches_bruteforce(ray_session, limit):
+@pytest.mark.parametrize("small", [False, True],  # CSR task vs BFS rounds
+                         ids=["default", "small_blocks"])
+def test_harmonic_matches_bruteforce(ray_session, small, monkeypatch):
     import ray.data
 
-    from solaris_ray.stages.harmonic import harmonic_centrality
+    from solaris_ray.stages import bfs, harmonic
 
+    plans, bfs_hops = [], bfs.bfs_hops
+
+    def _bfs(*a, **kw):
+        stats = {}
+        out = bfs_hops(*a, stats_out=stats, **kw)
+        plans.append(stats["plan"])
+        return out
+
+    # the bfs runs are the rounds plan; the one-bucket plan starts none
+    monkeypatch.setattr(bfs, "bfs_hops", _bfs)
     n = 60
     tbl = _ring_edges(n)
     sources = [0, 17, 40]
-    out = (
-        harmonic_centrality(
-            ray.data.from_arrow(tbl), sources, small_edge_limit=limit
-        ).to_pandas().set_index("node").sort_index()
-    )
+    with small_blocks(ray.data.from_arrow(tbl)) if small else contextlib.nullcontext():
+        out = (
+            harmonic.harmonic_centrality(ray.data.from_arrow(tbl), sources)
+            .to_pandas().set_index("node").sort_index()
+        )
+    assert plans == (["frontier-rounds"] * len(sources) if small else [])
     reached, harm = _brute(n, sources, tbl)
     want_nodes = np.flatnonzero(reached)
     assert out.index.tolist() == want_nodes.tolist()

@@ -1,6 +1,7 @@
 """Weighted SSSP: exactness vs scipy-free Dijkstra twin, plan parity,
 input validation."""
 
+import contextlib
 import heapq
 
 import numpy as np
@@ -8,6 +9,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from conftest import small_blocks
 from solaris_ray.stages.sssp import sssp_dist
 
 
@@ -42,31 +44,37 @@ def _fixture(n=400, seed=3):
     return src, dst, w, seeds
 
 
-def _run(src, dst, w, seeds, **kw):
-    e = ray.data.from_arrow(
+def _edges(src, dst, w):
+    return ray.data.from_arrow(
         pa.table({"src": pa.array(src), "dst": pa.array(dst), "w": pa.array(w)})
     )
-    s = ray.data.from_arrow(pa.table({"node": pa.array(seeds)}))
-    out = sssp_dist(e, s, **kw).to_pandas().sort_values("node")
+
+
+def _run(src, dst, w, seeds, small=False, **kw):
+    # small: blocks smaller than the edges, which force the rounds plan
+    with small_blocks(_edges(src, dst, w)) if small else contextlib.nullcontext():
+        s = ray.data.from_arrow(pa.table({"node": pa.array(seeds)}))
+        out = sssp_dist(_edges(src, dst, w), s, **kw).to_pandas().sort_values("node")
     return dict(zip(out["node"], out["dist"]))
 
 
 def test_sssp_matches_dijkstra_single_task(ray_session):
     src, dst, w, seeds = _fixture()
-    got = _run(src, dst, w, seeds)
+    stats = {}
+    got = _run(src, dst, w, seeds, stats_out=stats)
+    assert stats["plan"] == "single-task"
     want = _dijkstra(zip(src.tolist(), dst.tolist(), w.tolist()), seeds.tolist())
     assert got == want
 
 
 def test_sssp_plan_parity(ray_session):
     src, dst, w, seeds = _fixture(n=200, seed=9)
-    small = _run(src, dst, w, seeds, small_edge_limit=10**9)
-    stats = {}
-    rounds = _run(
-        src, dst, w, seeds, small_edge_limit=0, stats_out=stats
-    )
-    assert stats["plan"] == "frontier-rounds"
-    assert small == rounds
+    s_single, s_rounds = {}, {}
+    single = _run(src, dst, w, seeds, stats_out=s_single)
+    rounds = _run(src, dst, w, seeds, small=True, stats_out=s_rounds)
+    assert s_single["plan"] == "single-task"
+    assert s_rounds["plan"] == "frontier-rounds"
+    assert single == rounds
 
 
 def test_sssp_rejects_negative_weight(ray_session):
@@ -101,12 +109,15 @@ def test_sssp_unreachable_absent(ray_session):
     assert dict(got) == {0: 0, 1: 4}
 
 
-@pytest.mark.parametrize("limit", [500_000, 0])
-def test_sssp_overflow_raises(ray_session, limit):
+@pytest.mark.parametrize("small,plan", [(False, "single-task"), (True, "frontier-rounds")],
+                         ids=["default", "small_blocks"])
+def test_sssp_overflow_raises(ray_session, small, plan):
     # 0 -> 1 -> 2 -> 3 with weights 2^62, 2^62, 1: dist(2) = 2^63 does
     # not fit int64 and must not wrap to a negative distance
     src = np.array([0, 1, 2], np.int64)
     dst = np.array([1, 2, 3], np.int64)
     w = np.array([2**62, 2**62, 1], np.int64)
+    stats = {}
     with pytest.raises(ValueError, match="overflows int64"):
-        _run(src, dst, w, np.array([0], np.int64), small_edge_limit=limit)
+        _run(src, dst, w, np.array([0], np.int64), small=small, stats_out=stats)
+    assert stats["plan"] == plan

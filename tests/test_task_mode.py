@@ -4,13 +4,17 @@ A pool of one-CPU actors cannot start while a one-CPU session runs the
 pool's input, so a gate built on one hangs there; and a fixed pool or
 task cap does not follow the session's CPUs.  Stateful stages go
 through ``runtime.stateful_map``, which builds one instance per worker
-process.  These scans keep it that way.
+process.  Nor does a stage size its plan by a knob of its own: a small
+graph takes one ``co_shuffle`` bucket when its bytes fit one block, not
+below an edge count (``small_edge_limit``).  These scans keep it that
+way.
 """
 
 import ast
 import pathlib
 
 _POOL_KEYWORDS = {"concurrency", "fn_constructor_args", "fn_constructor_kwargs"}
+_SIZING_PARAMS = {"concurrency", "small_edge_limit"}
 
 
 def _pool_requests(paths) -> set:
@@ -38,14 +42,14 @@ def _pool_requests(paths) -> set:
 
 def _concurrency_params(paths) -> set:
     """``module.function`` of each function among ``paths`` that takes a
-    ``concurrency`` parameter."""
+    ``concurrency`` or ``small_edge_limit`` parameter."""
     found = set()
     for path in paths:
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = fn.args
                 names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
-                if "concurrency" in names:
+                if names & _SIZING_PARAMS:
                     found.add(f"{path.stem}.{fn.name}")
     return found
 
@@ -58,11 +62,15 @@ def _library_files():
 
 def test_library_asks_for_no_actor_pool():
     from solaris_ray import runtime
+    from solaris_ray.stages import _buckets
 
     paths = _library_files()
     assert not _pool_requests(paths), sorted(_pool_requests(paths))
     assert not _concurrency_params(paths), sorted(_concurrency_params(paths))
     assert not hasattr(runtime, "auto_concurrency")
+    # the graph family's one small-input plan is co_shuffle's one bucket
+    for gone in ("one_task", "int_column", "SMALL_EDGE_LIMIT"):
+        assert not hasattr(_buckets, gone), gone
 
 
 def test_pool_scan_sees_each_form(tmp_path):
@@ -77,9 +85,10 @@ def test_pool_scan_sees_each_form(tmp_path):
                  "def f(ds, peak_concurrency):\n"
                  "    return ds.map_batches(Stage(), batch_size=8), peak_concurrency(ds)\n"),
         "param": "def f(ds, concurrency=None):\n    return ds\n",
+        "limit": "def g(ds, *, small_edge_limit=500_000):\n    return ds\n",
     }
     for name, src in forms.items():
         (tmp_path / f"{name}.py").write_text(src)
     paths = sorted(tmp_path.glob("*.py"))
     assert _pool_requests(paths) == {("cap", 2), ("ctor", 2), ("cls", 6), ("attr", 5)}
-    assert _concurrency_params(paths) == {"param.f"}
+    assert _concurrency_params(paths) == {"param.f", "limit.g"}
