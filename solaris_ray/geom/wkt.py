@@ -139,15 +139,6 @@ def wkb_encode_polygon(ring: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(pts, dtype="<f8").tobytes()
 
 
-def wkb_encode_linestring(pts: np.ndarray) -> bytes:
-    header = struct.pack("<BII", 1, _WKB_LINESTRING, len(pts))
-    return header + np.ascontiguousarray(pts, dtype="<f8").tobytes()
-
-
-def wkb_encode_point(x: float, y: float) -> bytes:
-    return struct.pack("<BIdd", 1, _WKB_POINT, x, y)
-
-
 def wkb_decode(buf: bytes) -> tuple[str, np.ndarray]:
     """WKB -> (geom_type, (N,2) coords). Polygon returns the OPEN outer ring."""
     byteorder = buf[0]

@@ -66,8 +66,3 @@ def read_images(path: str, columns: list[str] | None = None, **kwargs):
             len(infos), sum(i.size for i in infos), session_cpus()
         )
     return ray.data.read_parquet(path, columns=columns, **kwargs)
-
-
-def read_image_metadata(path: str, **kwargs):
-    """Plan-only read: every column except pixel bytes."""
-    return read_images(path, columns=META_COLUMNS, **kwargs)

@@ -349,35 +349,3 @@ def gen_proposals(features: pa.Table, seed: int) -> pa.Table:
         ]
     )
     return pa.Table.from_pylist(rows, schema=schema)
-
-
-def write_corpus(out_dir: str, n_images: int, seed: int = 42, size: int = 256) -> dict:
-    """Materialize a corpus to parquet (images/, features/, proposals/).
-
-    Driver-side helper for tests and bench; sharded so generation and
-    reads parallelize.  Returns paths + row counts.
-    """
-    import os
-
-    import pyarrow.parquet as pq
-
-    os.makedirs(out_dir, exist_ok=True)
-    shard = 64
-    img_parts, feat_parts = [], []
-    for s in range(0, n_images, shard):
-        idx = np.arange(s, min(s + shard, n_images))
-        images, features = gen_shard(idx, n_images, seed, size)
-        img_parts.append(images)
-        feat_parts.append(features)
-    images = pa.concat_tables(img_parts)
-    features = pa.concat_tables(feat_parts)
-    proposals = gen_proposals(features, seed)
-    for name, tbl in [("images", images), ("features", features), ("proposals", proposals)]:
-        os.makedirs(f"{out_dir}/{name}", exist_ok=True)
-        pq.write_table(tbl, f"{out_dir}/{name}/part-0.parquet")
-    return {
-        "dir": out_dir,
-        "images": images.num_rows,
-        "features": features.num_rows,
-        "proposals": proposals.num_rows,
-    }

@@ -45,12 +45,15 @@ with more CPUs, and the plan stays the same on every box.
 (``joins.cell_partitioned_join``, keyed on the join cell) and the once
 hand-hashed keyed shuffles of ``stages/`` and
 ``pipelines/queries.py``, the eval matcher of ``evaluate`` (keyed on
-the image), and every per-key top-k through ``top_k``.  It is not yet
-the only keyed exchange: other stages still call Ray's
+the image), every per-key top-k through ``top_k``, and every keyed
+exchange of ``dedup`` (the exact digests, the n-gram pairs, the
+``(band, key)`` LSH buckets, the exact-vector stars and the semantic
+clusters) and of ``ann.hamming_topk_banded``.  It is not yet the only
+keyed exchange: other stages still call Ray's
 ``groupby(key).map_groups`` themselves, among them ``zonal``,
-``windows``, ``export``, the LSH buckets of ``dedup`` and the
-``(band, key)`` candidates of ``ann.hamming_topk_banded``.
-``tests/test_buckets.py`` lists those modules; the list may only shrink.
+``windows`` and ``export``, or Ray's hash aggregates from
+``ray.data.aggregate``.  ``tests/test_buckets.py`` lists the modules of
+each kind; both lists may only shrink.
 Most ``co_shuffle`` callers take the width from ``shuffle_width`` of
 the input they shuffle.  The graph family (``sssp_dist`` and ``bfs_hops``,
 ``pagerank``, ``kcore``,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._buckets import distinct_reduce, top_k
+from ._buckets import co_shuffle, distinct_reduce, key_i64, top_k
 
 TOPK_SCHEMA = pa.schema(
     [
@@ -187,11 +187,6 @@ def hyperplanes(dim: int, n_planes: int = 12, seed: int = 42) -> np.ndarray:
 def lsh_code(M: np.ndarray, planes: np.ndarray) -> np.ndarray:
     bits = (M @ planes.T) > 0
     return (bits @ (1 << np.arange(planes.shape[0], dtype=np.int64))).astype(np.int64)
-
-
-def add_lsh_bucket(batch: pa.Table, planes: np.ndarray, vec_col: str = "embedding") -> pa.Table:
-    V = _normalize(list_col_to_matrix(batch[vec_col], np.float64))
-    return batch.append_column("bucket", pa.array(lsh_code(V, planes), pa.int64()))
 
 
 def lsh_topk(ds, queries_ids: np.ndarray, queries_mat: np.ndarray, k: int = 5,
@@ -369,7 +364,7 @@ class _HammingScorer:
         from .dedup import _popcount64
 
         ids = batch[self.id_col].to_numpy().astype(np.int64)
-        h = batch[self.hash_col].to_numpy().astype(np.int64)
+        h = key_i64(batch, self.hash_col)
         if len(h) == 0:
             return pa.schema([("query_id", pa.int64()),
                               ("item_id", pa.int64()),
@@ -397,7 +392,8 @@ def hamming_topk(ds, queries_ids: np.ndarray, queries_hashes: np.ndarray,
     """Exact Hamming top-k of each query hash over the whole Dataset —
     binary-hash retrieval (the query twin of the phash dedup path).
     Deterministic (dist asc, item_id asc) tie order; corpus streams,
-    only ~q*k candidate rows shuffle."""
+    only ~q*k candidate rows shuffle.  A null hash raises
+    ``ValueError`` naming ``hash_col``."""
     import ray
 
     from ..runtime import stateful_map
@@ -433,13 +429,18 @@ def hamming_topk_banded(corpus, queries, k: int = 5, radius: int = 3,
     Shuffle volume: n_bands 18-byte rows per hash on each side plus
     the candidate (query, item, dist) rows; hashes travel in the band
     rows so the rerank happens in-bucket with no join-back.
+
+    The ``(band, key)`` buckets go through ``dedup._lsh_runs``: a run
+    whose query x corpus pairs pass ``max_bucket``² keeps the
+    ``max_bucket`` smallest ids of each side, with a logged warning.
+    A null hash on either side raises ``ValueError`` naming its column.
     """
     band_bits = 64 // n_bands
     band_mask = np.uint64((1 << band_bits) - 1)
 
     def _bander(side: int, idc: str, hc: str):
         def _f(batch: pa.Table) -> pa.Table:
-            h = batch[hc].to_numpy().astype(np.uint64)
+            h = key_i64(batch, hc).view(np.uint64)
             ids = batch[idc].to_numpy().astype(np.int64)
             n = len(h)
             bi = np.repeat(np.arange(n_bands, dtype=np.int64), n)
@@ -458,48 +459,28 @@ def hamming_topk_banded(corpus, queries, k: int = 5, radius: int = 3,
 
         return _f
 
-    from .dedup import _popcount64
+    from .dedup import _lsh_runs, _popcount64
 
     both = (corpus.map_batches(_bander(0, id_col, hash_col),
                                batch_format="pyarrow")
             .union(queries.map_batches(_bander(1, q_id_col, q_hash_col),
                                        batch_format="pyarrow")))
 
-    cand_schema = pa.schema([("query_id", pa.int64()),
-                             ("item_id", pa.int64()),
-                             ("dist", pa.int64())])
+    def _bucket(bucket: pa.Table) -> pa.Table:
+        rows, pairs = _lsh_runs(bucket, ["band", "key"], "rid", max_bucket,
+                                "hamming_topk_banded", side="side")
+        rid = rows["rid"].to_numpy()
+        h = rows["rhash"].to_numpy().view(np.uint64)
+        out = []
+        for qa, cb in pairs:  # a query row, a corpus row of its run
+            d = _popcount64(h[qa] ^ h[cb])
+            keep = d <= radius
+            out.append(pa.table({"query_id": pa.array(rid[qa[keep]], pa.int64()),
+                                 "item_id": pa.array(rid[cb[keep]], pa.int64()),
+                                 "dist": pa.array(d[keep], pa.int64())}))
+        return pa.concat_tables(out)
 
-    def _bucket(group: pa.Table) -> pa.Table:
-        side = group["side"].to_numpy()
-        qm = side == 1
-        cm = ~qm
-        if not qm.any() or not cm.any():
-            return cand_schema.empty_table()
-        qi = group["rid"].to_numpy()[qm]
-        qh = group["rhash"].to_numpy()[qm].astype(np.uint64)
-        ci = group["rid"].to_numpy()[cm]
-        ch = group["rhash"].to_numpy()[cm].astype(np.uint64)
-        if len(qi) * len(ci) > max_bucket * max_bucket:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "hamming_topk_banded: bucket %d x %d truncated",
-                len(qi), len(ci))
-            qi, qh = qi[:max_bucket], qh[:max_bucket]
-            ci, ch = ci[:max_bucket], ch[:max_bucket]
-        d = _popcount64((qh[:, None] ^ ch[None, :]).astype(np.int64))
-        keep = d <= radius
-        a, b = np.nonzero(keep)
-        return pa.table(
-            {
-                "query_id": pa.array(qi[a], pa.int64()),
-                "item_id": pa.array(ci[b], pa.int64()),
-                "dist": pa.array(d[a, b].astype(np.int64), pa.int64()),
-            }
-        )
-
-    cands = both.groupby(["band", "key"]).map_groups(
-        _bucket, batch_format="pyarrow")
+    cands = co_shuffle(both, ["band", "key"], _bucket)
     # a pair can surface from several agreeing bands: distinct first
     # (bucketed vectorized min-reduce, not Ray's per-group aggregate)
     cands = distinct_reduce(cands, ["query_id", "item_id"],

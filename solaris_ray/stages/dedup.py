@@ -1,34 +1,42 @@
 """Deduplication stages for a documents/captions table.
 
-The reference's only dedup is exact ``drop_duplicates`` on graph nodes
-(/root/reference/solaris/vector/graph.py:326-334); a 100 TB training
-corpus needs the full ladder (driver mandate): exact hashing,
-MinHash+LSH, SimHash, n-gram Jaccard, and embedding-cosine near-dup.
+solaris's only dedup is exact ``drop_duplicates`` on graph nodes
+(``solaris/vector/graph.py``); a 100 TB training corpus needs the full
+ladder: exact hashing, MinHash+LSH, SimHash, n-gram Jaccard, and
+embedding-cosine near-dup.
 
-Distributed shapes (SURVEY.md §2.7 / §7.3):
+Every keyed exchange is one ``_buckets.co_shuffle`` (SURVEY.md §2.7 /
+§7.3):
 
-- exact:   hash-partition on a digest key -> per-group min-id keep
-  (``groupby(h).aggregate(Min(id), Count())`` — one small shuffle of
-  digests, never of document bodies).
+- exact:   ``co_shuffle`` on a digest key, one Arrow ``group_by(h)``
+  min-id / count per bucket (only digests and ids shuffle, never
+  document bodies).
 - MinHash: shingle -> signature inside ``map_batches`` (per-doc numpy),
-  band keys exploded, ``groupby(band, key)`` co-shuffle, per-bucket
-  pair emission with signature-agreement estimate, pair-dedup groupby.
+  band keys exploded, ``co_shuffle`` on ``(band, key)``, in-bucket pair
+  emission, pair-distinct, then the signature-agreement estimate.
 - SimHash: 64-bit sign-sum signature; banding on 16-bit chunks for
   Hamming<=3 candidates.
 - n-gram Jaccard: exact set intersection for co-located pairs.
 - embedding cosine: blocked matmul against a broadcast normalized
-  matrix (``ray.put`` once).
+  matrix (``ray.put`` once), or LSH buckets on ``(table, bucket)``.
+
+The LSH emitters (MinHash, embedding, Hamming, and
+``ann.hamming_topk_banded``) share one in-bucket step, ``_lsh_runs``:
+runs of equal bucket keys, each capped at its ``max_bucket`` smallest
+ids with one logged warning per call, and their pairs in slices of
+bounded size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._buckets import distinct_reduce, top_k
+from ._buckets import co_shuffle, distinct_reduce, key_i64, per_key, top_k
 from .text import WORD_SPLIT
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -36,8 +44,17 @@ _MERSENNE = np.uint64((1 << 61) - 1)
 
 # --- exact ---------------------------------------------------------------
 
+def _text(batch: pa.Table, text_col: str):
+    """``batch[text_col]``; a null has no digest or shingles, so it
+    raises ``ValueError`` naming the column."""
+    a = batch[text_col]
+    if a.null_count:
+        raise ValueError(f"null in text column {text_col!r}")
+    return a
+
+
 def add_md5_key(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    vals = batch[text_col].to_pylist()
+    vals = _text(batch, text_col).to_pylist()
     h = [hashlib.md5(v.encode("utf-8")).hexdigest() for v in vals]
     return batch.append_column("h", pa.array(h, pa.string()))
 
@@ -48,25 +65,23 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     Matches ``SELECT md5(text) h, min(doc_id) keep_id, count(*) n_dups
     GROUP BY 1``.  Only (digest, id) go through the shuffle.
     """
-    from ray.data.aggregate import Count, Min
-
     hashed = ds.map_batches(
         lambda b: add_md5_key(b, text_col).select(["h", id_col]),
         batch_format="pyarrow",
         batch_size=4096,
     )
-    agg = hashed.groupby("h").aggregate(Min(id_col), Count())
 
-    def _rename(b: pa.Table) -> pa.Table:
+    def _min_count(bucket: pa.Table) -> pa.Table:
+        g = bucket.group_by("h").aggregate([(id_col, "min"), ([], "count_all")])
         return pa.table(
             {
-                "h": b["h"],
-                "keep_id": pc.cast(b[f"min({id_col})"], pa.int64()),
-                "n_dups": pc.cast(b["count()"], pa.int64()),
+                "h": g["h"],
+                "keep_id": pc.cast(g[f"{id_col}_min"], pa.int64()),
+                "n_dups": g["count_all"],
             }
         )
 
-    return agg.map_batches(_rename, batch_format="pyarrow")
+    return co_shuffle(hashed, "h", _min_count)
 
 
 # --- shingling -----------------------------------------------------------
@@ -111,14 +126,14 @@ def jaccard_adjacent(ds, n: int = 3, text_col: str = "text", id_col: str = "doc_
     """Exact n-gram Jaccard for every (doc_id, doc_id+1) pair.
 
     Pattern: replicate each doc row to the pair keys it participates in
-    (pair p holds docs p and p+1), ``groupby(pair)`` co-shuffle, exact
-    set intersection inside the group.  Integer outputs (inter, uni)
+    (pair p holds docs p and p+1), ``co_shuffle`` on the pair key, exact
+    set intersection per pair (``per_key``).  Integer outputs (inter, uni)
     so the DuckDB oracle matches bit-for-bit.
     """
 
     def _explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy()
-        sh = word_shingles(batch[text_col], n)
+        sh = word_shingles(_text(batch, text_col), n)
         pair, doc, role, shl = [], [], [], []
         for i, d in enumerate(ids.tolist()):
             for p, r in ((d, 0), (d - 1, 1)):
@@ -164,7 +179,81 @@ def jaccard_adjacent(ds, n: int = 3, text_col: str = "text", id_col: str = "doc_
             }
         )
 
-    return exploded.groupby("pair").map_groups(_pair, batch_format="pyarrow")
+    return co_shuffle(exploded, "pair", per_key("pair", _pair))
+
+
+# --- LSH buckets: the one in-bucket step --------------------------------
+
+# pairs one ``_lsh_runs`` slice holds at most, besides one row's
+# partners: 512 KiB per int64 index array
+_PAIR_SLICE = 1 << 16
+
+
+def _lsh_runs(bucket: pa.Table, keys: list[str], id_col: str, max_bucket: int,
+              what: str, side: str | None = None):
+    """The in-bucket step of every LSH emitter: ``(rows, pairs)``.
+
+    ``rows`` is ``bucket`` sorted by ``keys`` (then ``side``) then
+    ``id_col``, holding only the runs of equal ``keys`` that make a
+    pair, each capped at its ``max_bucket`` smallest ids.  Without
+    ``side`` a run's rows pair among themselves, and a run of more than
+    ``max_bucket`` rows is capped.  With ``side`` (0 or 1) each side-1
+    row pairs with every side-0 row of its run; a run is capped when
+    its pairs pass ``max_bucket``², and keeps the ``max_bucket``
+    smallest ids of each side.  A capped run means a degenerate key;
+    one warning per call gives the capped runs and the dropped rows.
+
+    ``pairs`` yields ``(ia, ib)`` row indices into ``rows`` (without
+    ``side`` ``ia < ib``; with it ``ia`` is the side-1 row), at least
+    once, in slices of whole rows of at most ``_PAIR_SLICE`` pairs
+    plus one row's partners, however large the bucket.
+    """
+    cols = [*keys, *([side] if side else []), id_col]
+    rows = bucket.take(pc.sort_indices(bucket, [(c, "ascending") for c in cols]))
+    new = np.zeros(rows.num_rows, bool)  # the first row of each run
+    new[:1] = True
+    for c in keys:
+        k = rows[c].to_numpy()
+        new[1:] |= k[1:] != k[:-1]
+    run = np.cumsum(new) - 1
+    m = np.bincount(run)
+    if side:
+        s1 = rows[side].to_numpy() == 1
+        n1 = np.bincount(run[s1], minlength=len(m))
+        pairs = (m - n1) * n1
+        paired, over = pairs > 0, pairs > max_bucket * max_bucket
+        grp = 2 * run + s1  # one side of one run
+    else:
+        paired, over, grp = m > 1, m > max_bucket, run
+    rank = np.arange(len(grp)) - np.searchsorted(grp, grp)
+    keep = paired[run] & (~over[run] | (rank < max_bucket))
+    if over.any():
+        logging.getLogger("solaris_ray.dedup").warning(
+            "%s: %d runs over max_bucket=%d truncated, %d rows dropped",
+            what, int(over.sum()), max_bucket, int((paired[run] & ~keep).sum()))
+    rows, run = rows.filter(pa.array(keep)), run[keep]
+    if side:
+        s1 = s1[keep]
+        grp = 2 * run + s1  # a side-1 row pairs with the side 0 of its run
+        lo = np.where(s1, np.searchsorted(grp, 2 * run, "left"), 0)
+        hi = np.where(s1, np.searchsorted(grp, 2 * run, "right"), 0)
+    else:
+        lo, hi = np.arange(len(run)) + 1, np.searchsorted(run, run, "right")
+    return rows, _pair_slices(lo, hi)
+
+
+def _pair_slices(lo: np.ndarray, hi: np.ndarray):
+    """``(ia, ib)`` with each row ``ia`` paired with ``lo[ia]:hi[ia]``,
+    in slices of whole rows: a new slice starts at each
+    ``_PAIR_SLICE``-th pair.  Yields at least once."""
+    c = hi - lo
+    first = np.cumsum(c) - c  # each row's first pair
+    cuts = np.searchsorted(first, np.arange(_PAIR_SLICE, int(c.sum()), _PAIR_SLICE))
+    edges = np.r_[0, np.unique(np.r_[cuts, len(c)])]
+    for r0, r1 in zip(edges[:-1], edges[1:]):
+        cs = c[r0:r1]
+        ia = np.repeat(np.arange(r0, r1), cs)
+        yield ia, np.arange(ia.size) + np.repeat(lo[r0:r1] - np.cumsum(cs) + cs, cs)
 
 
 # --- MinHash + LSH -------------------------------------------------------
@@ -200,7 +289,7 @@ class MinHasher:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch[self.id_col].to_numpy()
-        shingles = word_shingles(batch[self.text_col], self.shingle_n)
+        shingles = word_shingles(_text(batch, self.text_col), self.shingle_n)
         n = len(ids)
         sigs = np.stack([self.signature(s) for s in shingles]) if n else np.empty((0, self.n_perm), dtype=np.uint64)
         r = self.rows_per_band
@@ -232,7 +321,7 @@ class _SigStage(MinHasher):
 
     def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
         ids = batch[self.id_col].to_numpy()
-        shingles = word_shingles(batch[self.text_col], self.shingle_n)
+        shingles = word_shingles(_text(batch, self.text_col), self.shingle_n)
         sigs = [self.signature(s).astype(np.int64).tolist() for s in shingles]
         return pa.table(
             {
@@ -262,10 +351,10 @@ def minhash_candidate_pairs(
     an 8x volume cut); buckets emit id-only pairs; the Jaccard estimate
     is computed after a cross-band DISTINCT by joining each pair's two
     signatures back in (two bucketed hash joins over the sig table,
-    O(docs) rows each).  Buckets larger than ``max_bucket`` are
-    truncated — a huge bucket means a degenerate key — and every
-    truncation is LOGGED (warning with the band key and dropped-row
-    count; no silent caps).  Pair estimate = fraction of agreeing
+    O(docs) rows each).  The ``(band, key)`` buckets go through
+    ``_lsh_runs``: a run of more than ``max_bucket`` docs keeps its
+    ``max_bucket`` smallest doc ids, with a logged warning (a huge run
+    means a degenerate key).  Pair estimate = fraction of agreeing
     signature positions (count/n_perm, exactly representable — output
     is bit-identical to the carry-sigs plan).
     """
@@ -309,37 +398,16 @@ def minhash_candidate_pairs(
 
     banded = sigs.map_batches(_band_keys, batch_format="pyarrow")
 
-    pair_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
+    def _bucket_ids(bucket: pa.Table) -> pa.Table:
+        rows, pairs = _lsh_runs(bucket, ["band", "key"], "doc_id", max_bucket, "minhash")
+        ids = rows["doc_id"].to_numpy()
+        return pa.concat_tables([pa.table({"doc_a": pa.array(ids[ia], pa.int64()),
+                                           "doc_b": pa.array(ids[ib], pa.int64())})
+                                 for ia, ib in pairs])
 
-    def _bucket_ids(group: pa.Table) -> pa.Table:
-        m = group.num_rows
-        if m < 2:
-            return pair_schema.empty_table()
-        if m > max_bucket:
-            import logging
-
-            logging.getLogger("solaris_ray.dedup").warning(
-                "minhash bucket (band=%s, key=%s) truncated: %d of %d rows dropped",
-                group["band"][0].as_py(), group["key"][0].as_py(), m - max_bucket, m,
-            )
-            group = group.slice(0, max_bucket)
-            m = max_bucket
-        ids = np.sort(group["doc_id"].to_numpy(zero_copy_only=False))
-        ia, ib = np.triu_indices(m, k=1)
-        return pa.table(
-            {
-                "doc_a": pa.array(ids[ia], pa.int64()),
-                "doc_b": pa.array(ids[ib], pa.int64()),
-            }
-        )
-
-    cand = distinct_reduce(
-        # cross-band distinct BEFORE the sig joins (a pair colliding in
-        # k bands would otherwise join its signatures k times)
-        banded.groupby(["band", "key"]).map_groups(
-            _bucket_ids, batch_format="pyarrow"),
-        ["doc_a", "doc_b"],
-    )
+    # cross-band distinct BEFORE the sig joins (a pair colliding in k
+    # bands would otherwise join its signatures k times)
+    cand = distinct_reduce(co_shuffle(banded, ["band", "key"], _bucket_ids), ["doc_a", "doc_b"])
 
     out_schema = pa.schema(
         [("doc_a", pa.int64()), ("doc_b", pa.int64()),
@@ -429,7 +497,7 @@ def simhash64(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -
     Token hash = MD5 low 8 bytes; signature bit b is the sign of the
     sum over tokens of (+1 if bit set else -1).  Hamming-distance<=3
     candidates collide on at least one of the four 16-bit bands
-    (pigeonhole), so ``groupby(band_i)`` finds them without N^2 work.
+    (pigeonhole), so a shuffle on ``band_i`` finds them without N^2 work.
     """
     ids = batch[id_col]
     toks_list = pc.split_pattern_regex(
@@ -499,10 +567,10 @@ def embedding_neardup_pairs_bucketed(ds, tau: float = 0.4, n_planes: int = 8,
                                      collapse_exact: bool = True):
     """Both-sides-large cosine near-dup: NO broadcast matrix.
 
-    Sign-random-projection buckets per hash table (groupby co-shuffle);
-    exact pairwise cosine INSIDE each bucket; distinct pairs via a
-    final groupby.  Near-identical vectors share buckets with
-    probability (1 - theta/pi)^n_planes per table, so multiple tables
+    Sign-random-projection buckets per hash table (``co_shuffle`` on
+    ``(t, bucket)``); exact pairwise cosine INSIDE each bucket; distinct
+    pairs via a final ``distinct_reduce``.  Near-identical vectors share
+    buckets with probability (1 - theta/pi)^n_planes per table, so multiple tables
     make the miss rate multiplicative — recall measured in tests
     against the exact broadcast path.  Scale shape: only (table,
     bucket, id, vector) rows shuffle; no structure ever fits-on-one-
@@ -518,10 +586,11 @@ def embedding_neardup_pairs_bucketed(ds, tau: float = 0.4, n_planes: int = 8,
       rows, not 5*10^11.  Member-to-other pairs are derivable
       transitively through the representative.  With no exact
       duplicates in the input this is a no-op and output is unchanged.
-    - ``max_bucket``: buckets larger than this are truncated with a
-      LOGGED warning (same policy as the MinHash emitter above); a
-      bucket that big after exact-collapse means a degenerate
-      projection key, and O(max_bucket^2) bounds the emitter.
+    - ``max_bucket``: a ``(t, bucket)`` run of more than this many
+      vectors keeps its ``max_bucket`` smallest ids, with a LOGGED
+      warning (``_lsh_runs``, as for MinHash); a run that big after
+      exact-collapse means a degenerate projection key, and
+      O(max_bucket^2) bounds the emitter.
     """
     from .ann import hyperplanes, list_col_to_matrix, lsh_code
 
@@ -566,43 +635,20 @@ def embedding_neardup_pairs_bucketed(ds, tau: float = 0.4, n_planes: int = 8,
 
     tagged = ds.map_batches(_tag, batch_format="pyarrow", batch_size=4096)
 
-    empty = pa.schema(
-        [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("sim6", pa.float64())]
-    ).empty_table()
+    def _bucket(bucket: pa.Table) -> pa.Table:
+        rows, pairs = _lsh_runs(bucket, ["t", "bucket"], id_col, max_bucket, "embedding LSH")
+        ids = rows[id_col].to_numpy()
+        V = list_col_to_matrix(rows["nvec"], np.float64)
+        out = []
+        for ia, ib in pairs:
+            sim = np.round(np.einsum("ij,ij->i", V[ia], V[ib]), 6)
+            keep = (sim >= tau) & (ids[ia] != ids[ib])
+            out.append(pa.table({"doc_a": pa.array(ids[ia[keep]], pa.int64()),
+                                 "doc_b": pa.array(ids[ib[keep]], pa.int64()),
+                                 "sim6": pa.array(sim[keep], pa.float64())}))
+        return pa.concat_tables(out)
 
-    def _bucket(group: pa.Table) -> pa.Table:
-        m = group.num_rows
-        if m < 2:
-            return empty
-        if m > max_bucket:
-            import logging
-
-            logging.getLogger("solaris_ray.dedup").warning(
-                "embedding-LSH bucket (t=%s, bucket=%s) truncated: %d of %d rows dropped",
-                group["t"][0].as_py(), group["bucket"][0].as_py(), m - max_bucket, m,
-            )
-            group = group.slice(0, max_bucket)
-            m = max_bucket
-        ids = group[id_col].to_numpy()
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        from .ann import list_col_to_matrix as _lcm
-
-        V = _lcm(group["nvec"], np.float64)[order]
-        sims = np.round(V @ V.T, 6)
-        ia, ib = np.triu_indices(m, k=1)
-        keep = (sims[ia, ib] >= tau) & (ids[ia] != ids[ib])
-        if not keep.any():
-            return empty
-        return pa.table(
-            {
-                "doc_a": pa.array(ids[ia[keep]], pa.int64()),
-                "doc_b": pa.array(ids[ib[keep]], pa.int64()),
-                "sim6": pa.array(sims[ia[keep], ib[keep]], pa.float64()),
-            }
-        )
-
-    pairs = tagged.groupby(["t", "bucket"]).map_groups(_bucket, batch_format="pyarrow")
+    pairs = co_shuffle(tagged, ["t", "bucket"], _bucket)
     if star_pairs is not None:
         pairs = pairs.union(star_pairs)
     # bucketed vectorized max-reduce (Ray's hash aggregate costs
@@ -623,10 +669,12 @@ def _collapse_exact_vectors(ds, id_col: str, vec_col: str):
     one row (min id) per distinct vector value; ``star_pairs`` is a
     (doc_a, doc_b, sim6=1.0) Dataset linking each representative to its
     duplicate class members.  Two independent lazy pipelines: the
-    star-pair side groups only (digest, id) — tiny rows — while the rep
-    side (a k = 1 ``top_k`` on the digest, by id) carries vectors.  No materialization; with no exact
-    duplicates ``reps`` re-emits every input row and ``star_pairs`` is
-    empty, so downstream output is unchanged.
+    star-pair side shuffles only (digest, id) — tiny rows — and links
+    the first id of each digest run to the rest, while the rep side (a
+    k = 1 ``top_k`` on the digest, by id) carries vectors.  No
+    materialization; with no exact duplicates ``reps`` re-emits every
+    input row and ``star_pairs`` is empty, so downstream output is
+    unchanged.
     """
 
     def _digest(batch: pa.Table) -> pa.Table:
@@ -642,28 +690,17 @@ def _collapse_exact_vectors(ds, id_col: str, vec_col: str):
     reps = top_k(keyed, "dkey", [(id_col, "ascending")], 1).map_batches(
         lambda b: b.drop_columns(["dkey", "rank"]), batch_format="pyarrow")
 
-    star_empty = pa.schema(
-        [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("sim6", pa.float64())]
-    ).empty_table()
+    def _stars(bucket: pa.Table) -> pa.Table:
+        rows = bucket.sort_by([("dkey", "ascending"), (id_col, "ascending")])
+        k = rows["dkey"].to_numpy()
+        ids = rows[id_col].to_numpy().astype(np.int64)
+        lead = np.r_[True, k[1:] != k[:-1]]
+        rep_id = ids[lead][np.cumsum(lead) - 1]
+        return pa.table({"doc_a": pa.array(rep_id[~lead], pa.int64()),
+                         "doc_b": pa.array(ids[~lead], pa.int64()),
+                         "sim6": pa.array(np.ones(len(ids) - lead.sum()), pa.float64())})
 
-    def _stars(group: pa.Table) -> pa.Table:
-        m = group.num_rows
-        if m < 2:
-            return star_empty
-        ids = np.sort(group[id_col].to_numpy().astype(np.int64))
-        return pa.table(
-            {
-                "doc_a": pa.array(np.full(m - 1, ids[0]), pa.int64()),
-                "doc_b": pa.array(ids[1:], pa.int64()),
-                "sim6": pa.array(np.ones(m - 1), pa.float64()),
-            }
-        )
-
-    stars = (
-        keyed.select_columns(["dkey", id_col])
-        .groupby("dkey")
-        .map_groups(_stars, batch_format="pyarrow")
-    )
+    stars = co_shuffle(keyed.select_columns(["dkey", id_col]), "dkey", _stars)
     return reps, stars
 
 
@@ -713,13 +750,14 @@ def hamming_neardup_pairs(
     detection is Hamming distance over it.  Pigeonhole banding: a
     64-bit hash splits into ``n_bands`` equal bands — two hashes with
     distance <= ``max_dist`` < n_bands MUST agree on at least one
-    band, so ``groupby(band, key)`` co-shuffles every candidate pair
-    into some shared bucket (16-byte rows, never pixels).  In-bucket
-    distances are one vectorized XOR + SWAR popcount; buckets above
-    ``max_bucket`` are truncated WITH a logged warning (the capped
-    pattern of minhash_candidate_pairs; a huge bucket means a
-    degenerate band value — pre-collapse exact duplicates upstream
-    with groupby(phash) if the corpus is dup-heavy).
+    band, so ``co_shuffle`` on ``(band, key)`` brings every candidate
+    pair into some shared bucket (16-byte rows, never pixels).
+    In-bucket distances are one vectorized XOR + SWAR popcount; a run
+    of more than ``max_bucket`` hashes keeps its ``max_bucket``
+    smallest ids WITH a logged warning (``_lsh_runs``, as for MinHash;
+    a huge run means a degenerate band value — pre-collapse exact
+    duplicates upstream if the corpus is dup-heavy).  A null hash
+    raises ``ValueError`` naming ``hash_col``.
 
     Returns distinct (id_a, id_b, dist) with id_a < id_b.
     """
@@ -729,7 +767,7 @@ def hamming_neardup_pairs(
     band_mask = np.uint64((1 << band_bits) - 1)
 
     def _bander(batch: pa.Table) -> pa.Table:
-        h = batch[hash_col].to_numpy().astype(np.uint64)
+        h = key_i64(batch, hash_col).view(np.uint64)
         ids = batch[id_col].to_numpy()
         n = len(h)
         doc = np.tile(ids, n_bands)
@@ -752,44 +790,20 @@ def hamming_neardup_pairs(
 
     banded = ds.map_batches(_bander, batch_format="pyarrow", batch_size=8192)
 
-    def _bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "dist": pa.array([], pa.int64()),
-            }
-        )
-        m = group.num_rows
-        if m < 2:
-            return empty
-        if m > max_bucket:
-            import logging
+    def _bucket(bucket: pa.Table) -> pa.Table:
+        rows, pairs = _lsh_runs(bucket, ["band", "key"], id_col, max_bucket, "hamming")
+        doc = rows[id_col].to_numpy()
+        h = rows["h"].to_numpy().view(np.uint64)
+        out = []
+        for ia, ib in pairs:
+            dist = _popcount64(h[ia] ^ h[ib])
+            keep = dist <= max_dist
+            out.append(pa.table({"id_a": pa.array(doc[ia[keep]], pa.int64()),
+                                 "id_b": pa.array(doc[ib[keep]], pa.int64()),
+                                 "dist": pa.array(dist[keep], pa.int64())}))
+        return pa.concat_tables(out)
 
-            logging.getLogger("solaris_ray.dedup").warning(
-                "hamming bucket (band=%s, key=%s) truncated: %d of %d rows dropped",
-                group["band"][0].as_py(), group["key"][0].as_py(), m - max_bucket, m,
-            )
-            group = group.slice(0, max_bucket)
-            m = max_bucket
-        doc = group[id_col].to_numpy()
-        h = group["h"].to_numpy().astype(np.uint64)
-        order = np.argsort(doc, kind="stable")
-        doc, h = doc[order], h[order]
-        ia, ib = np.triu_indices(m, k=1)
-        dist = _popcount64(h[ia] ^ h[ib])
-        keep = dist <= max_dist
-        if not keep.any():
-            return empty
-        return pa.table(
-            {
-                "id_a": pa.array(doc[ia[keep]], pa.int64()),
-                "id_b": pa.array(doc[ib[keep]], pa.int64()),
-                "dist": pa.array(dist[keep], pa.int64()),
-            }
-        )
-
-    pairs = banded.groupby(["band", "key"]).map_groups(_bucket, batch_format="pyarrow")
+    pairs = co_shuffle(banded, ["band", "key"], _bucket)
     return distinct_reduce(
         pairs, ["id_a", "id_b"], aggs={"dist": "min"}
     ).map_batches(
@@ -838,7 +852,7 @@ def semantic_dedup(ds, centroids: np.ndarray, tau: float = 0.95,
        product (broadcast matrix, one matmul per batch; argmax tie ->
        lowest cluster id, matching the SQL oracle's ``ORDER BY dp
        DESC, l``).
-    2. One ``groupby(cluster)`` co-shuffle; inside each cluster a
+    2. One ``co_shuffle`` on the cluster; inside each cluster a
        vector is DROPPED when any LOWER-id cluster member has
        ``round(cosine, 6) >= tau`` (keep-first-by-id, the paper's
        keep-one-per-semantic-class rule with a deterministic
@@ -872,14 +886,8 @@ def semantic_dedup(ds, centroids: np.ndarray, tau: float = 0.95,
         batch_size=4096,
     )
 
-    out_schema = pa.schema(
-        [(id_col, pa.int64()), ("cluster", pa.int64()), ("keep", pa.int64())]
-    )
-
     def _cluster(group: pa.Table) -> pa.Table:
         m = group.num_rows
-        if m == 0:
-            return out_schema.empty_table()
         ids = group[id_col].to_numpy()
         order = np.argsort(ids, kind="stable")
         ids = ids[order].astype(np.int64)
@@ -909,7 +917,7 @@ def semantic_dedup(ds, centroids: np.ndarray, tau: float = 0.95,
             }
         )
 
-    out = assigned.groupby("cluster").map_groups(_cluster, batch_format="pyarrow")
+    out = co_shuffle(assigned, "cluster", per_key("cluster", _cluster))
     if stars is None:
         return out
     return out, stars

@@ -43,26 +43,6 @@ def fill_nodata_constant(tiles, value: float, nodata: float = 0.0, fmt_col: str 
     return tiles.map_batches(_fill, batch_format="pyarrow", batch_size=16)
 
 
-def channel_stats_partial(batch: pa.Table, nodata: float = 0.0, n_bands: int = 3) -> pa.Table:
-    """Per-tile valid-pixel channel sums + counts (pass 1 partials)."""
-    ids, sums, counts = [], [], []
-    for i in range(batch.num_rows):
-        img = codec.decode(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-        if img.ndim == 2:
-            img = img[:, :, None]
-        valid = ~np.all(img == nodata, axis=-1)
-        ids.append(batch["image_id"][i].as_py())
-        sums.append(img[valid].sum(axis=0).astype(np.float64).tolist())
-        counts.append(int(valid.sum()))
-    return pa.table(
-        {
-            "image_id": pa.array(ids, pa.string()),
-            "band_sums": pa.array(sums, pa.list_(pa.float64())),
-            "n_valid": pa.array(counts, pa.int64()),
-        }
-    )
-
-
 def fill_nodata_mean(tiles, nodata: float = 0.0):
     """Mean fill: one co-shuffle, mean computed inside the image group.
 

@@ -210,12 +210,6 @@ def sar_multiply_conjugate(img: np.ndarray, a: int = 0, b: int = 1) -> np.ndarra
     return _from_complex((z[:, :, a] * np.conj(z[:, :, b]))[:, :, None])
 
 
-def band_math(img: np.ndarray, fn) -> np.ndarray:
-    """User-function pixel math (BandMath, preproc/sar.py:17-32)."""
-    out = fn(img)
-    return out[:, :, None] if out.ndim == 2 else out
-
-
 def decomposition_pauli(img: np.ndarray, hh_band: int = 0, vv_band: int = 1,
                         xx_band: int = 2) -> np.ndarray:
     """Pauli decomposition (preproc/sar.py:203-227): complex (re, im)

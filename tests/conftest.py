@@ -54,20 +54,22 @@ def small_blocks(ds, parts: int = 8):
 SF_DIR = "/root/testdata/sf0.001"
 
 
-def gate_rows_on_one_cpu(query: str, sf_dir: str = SF_DIR, timeout: float = 180) -> int:
-    """Row count of ``queries.<query>(sf_dir)`` run in a fresh
-    ``num_cpus=1`` Ray session (the suite's own session has 4 CPUs).
+def gate_rows_on_one_cpu(query: str, sf_dir: str = SF_DIR, timeout: float = 180,
+                         num_cpus: int = 1) -> int:
+    """Row count of ``queries.<query>(sf_dir)`` run in a fresh Ray
+    session of ``num_cpus`` CPUs (1 by default; the suite's own session
+    has 4).
 
     Fails the calling test when the gate does not finish within
     ``timeout`` seconds, as one whose actor pool the session cannot
-    start never does.
+    start, or whose execution stalls, never does.
     """
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = textwrap.dedent(f"""
         import sys
         sys.path.insert(0, {repo!r})
         import ray
-        ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
+        ray.init(address="local", num_cpus={num_cpus}, include_dashboard=False, logging_level="ERROR",
                  runtime_env={{"env_vars": {{"PYTHONPATH": {repo!r}}}}})
         from solaris_ray.pipelines import queries
         print("ROWS", queries.{query}({sf_dir!r}).count())
@@ -80,6 +82,6 @@ def gate_rows_on_one_cpu(query: str, sf_dir: str = SF_DIR, timeout: float = 180)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail(f"{query} did not finish in {timeout:.0f} s at num_cpus=1")
+        pytest.fail(f"{query} did not finish in {timeout:.0f} s at num_cpus={num_cpus}")
     assert proc.returncode == 0, err[-4000:]
     return int(out.split("ROWS", 1)[1].split()[0])

@@ -474,25 +474,42 @@ def test_vocab_topk_null_text_has_no_terms(ray_session):
 # groupby(key).map_groups instead of co_shuffle.  Each move to co_shuffle
 # removes its module; this set may only shrink.
 _MAP_GROUPS_ALLOWLIST = {
-    "ann", "asof", "calibrate", "chips", "cluster", "compact", "dedup", "dominance",
+    "asof", "calibrate", "chips", "cluster", "compact", "dominance",
     "export", "fill", "focal", "graph", "pca",
     "profile", "queries", "rangejoin", "segjoin", "sketch", "stump",
     "windows", "zonal",
 }
 
+# modules that still import Ray's hash aggregates (ray.data.aggregate)
+# for a groupby(key).aggregate; this set may only shrink too.
+_AGGREGATE_ALLOWLIST = {
+    "auc", "bm25", "bootstrap", "corpus", "dominance", "encode", "evaluate",
+    "histogram", "idw", "nbayes", "normalize", "pivot", "pyramid",
+    "quantiles", "queries", "ranktest", "rollup", "sketch", "windows",
+}
 
-def _map_groups_callers(paths) -> set:
-    """Stems of the modules among ``paths`` that call ``.map_groups``,
-    ``_buckets`` (``co_shuffle`` itself) excepted."""
+
+def _ray_exchange_users(paths) -> tuple[set, set]:
+    """Stems of the modules among ``paths`` that call ``.map_groups``
+    (``_buckets``, ``co_shuffle`` itself, excepted), and of those that
+    import ``ray.data.aggregate``."""
     import ast
 
-    found = set()
+    groups, aggs = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "map_groups" and path.stem != "_buckets"):
-                found.add(path.stem)
-    return found
+                groups.add(path.stem)
+            if isinstance(node, ast.Import):
+                mods = {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                mods = {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
+            else:
+                mods = set()
+            if "ray.data.aggregate" in mods:
+                aggs.add(path.stem)
+    return groups, aggs
 
 
 def test_map_groups_users_only_shrink():
@@ -501,21 +518,37 @@ def test_map_groups_users_only_shrink():
     import solaris_ray
 
     paths = pathlib.Path(solaris_ray.__file__).parent.rglob("*.py")
-    users = _map_groups_callers(paths)
+    users = _ray_exchange_users(paths)[0]
     assert users <= _MAP_GROUPS_ALLOWLIST, sorted(users - _MAP_GROUPS_ALLOWLIST)
 
 
+def test_aggregate_importers_only_shrink():
+    import pathlib
+
+    import solaris_ray
+
+    paths = pathlib.Path(solaris_ray.__file__).parent.rglob("*.py")
+    importers = _ray_exchange_users(paths)[1]
+    assert importers <= _AGGREGATE_ALLOWLIST, sorted(importers - _AGGREGATE_ALLOWLIST)
+
+
 def test_map_groups_scan_sees_each_form(tmp_path):
-    # the scan must flag every call form it polices, or the ratchet is empty
+    # the scan must flag every call and import form it polices, or the
+    # ratchet is empty
     forms = {
         "chained": "def f(ds):\n    return ds.groupby('k').map_groups(g)\n",
         "split": "def f(ds):\n    grouped = ds.groupby(['a', 'b'])\n    return grouped.map_groups(\n        g, batch_format='pyarrow')\n",
         "mention": "# groupby(k).map_groups in a comment\ns = 'x.map_groups(y)'\nmap_groups = 1\n",
         "_buckets": "def co_shuffle(ds):\n    return ds.groupby('t').map_groups(g)\n",
+        "agg_from": "def f(ds):\n    from ray.data.aggregate import Count, Min\n    return ds\n",
+        "agg_module": "from ray.data import aggregate\n",
+        "agg_import": "import ray.data.aggregate as agg\n",
+        "agg_mention": "# ray.data.aggregate\nfrom ray.data import DataContext\n",
     }
     for name, src in forms.items():
         (tmp_path / f"{name}.py").write_text(src)
-    assert _map_groups_callers(tmp_path.glob("*.py")) == {"chained", "split"}
+    assert _ray_exchange_users(tmp_path.glob("*.py")) == (
+        {"chained", "split"}, {"agg_from", "agg_module", "agg_import"})
 
 
 # stage functions that may still fix a width, each for a reason of its

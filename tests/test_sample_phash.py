@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 
 import numpy as np
 import pyarrow as pa
@@ -88,6 +90,73 @@ def test_hamming_neardup_finds_all_close_pairs(ray_session):
         for a in range(3):
             for b in range(a + 1, 3):
                 assert (gi * 10 + a, gi * 10 + b, 2) in got
+
+
+def _capped_hamming_pairs(ids, hashes, max_dist, n_bands, cap):
+    """``_brute_hamming_pairs`` over each (band, key) run's ``cap``
+    smallest ids."""
+    bits, h = 64 // n_bands, dict(zip(ids.tolist(), hashes.tolist()))
+    best = {}
+    for band in range(n_bands):
+        runs = {}
+        for i in sorted(h):
+            runs.setdefault((h[i] & (2 ** 64 - 1)) >> (bits * band) & ((1 << bits) - 1), []).append(i)
+        for a, b in itertools.chain.from_iterable(
+                itertools.combinations(r[:cap], 2) for r in runs.values()):
+            d = bin((h[a] ^ h[b]) & (2 ** 64 - 1)).count("1")
+            if d <= max_dist:
+                best[a, b] = d
+    return {(a, b, d) for (a, b), d in best.items()}
+
+
+def test_hamming_neardup_bucket_cap_keeps_smallest_ids(ray_session):
+    # 40 hashes share band 0's key, and each is one distinct bit off one
+    # base elsewhere: every pair is at distance 2, and every band's run
+    # of the base key is over the cap.  Rows arrive out of id order, so
+    # the first rows delivered are not the smallest ids
+    import ray
+
+    from conftest import small_blocks
+    from solaris_ray.stages._buckets import shuffle_width
+
+    rng = np.random.default_rng(17)
+    n, cap = 40, 8
+    ids = rng.permutation(1000)[:n].astype(np.int64)
+    base = int(rng.integers(0, 1 << 47)) << 16 | 0x1234
+    hs = np.array([base ^ (1 << (16 + p)) for p in rng.permutation(47)[:n]], np.int64)
+    tbl = pa.table({"image_id": ids, "phash": hs})
+    want = _capped_hamming_pairs(ids, hs, 3, 4, cap)
+    assert want != _brute_hamming_pairs(ids, hs, 3)  # the cap drops pairs
+    widths = set()
+    for ctx in (contextlib.nullcontext(), small_blocks(ray.data.from_arrow(tbl))):
+        with ctx:
+            ds = ray.data.from_arrow(tbl)
+            widths.add(shuffle_width(ds))
+            out = dedup.hamming_neardup_pairs(ds, max_bucket=cap).to_pandas()
+        got = {(int(a), int(b), int(d)) for a, b, d in zip(out.id_a, out.id_b, out["min(dist)"])}
+        assert got == want
+    assert len(widths) == 2
+
+
+@pytest.mark.parametrize("stage", ["hamming_neardup_pairs", "hamming_topk_banded", "hamming_topk"])
+def test_null_hash_is_refused(ray_session, stage):
+    # a null phash read as NaN, then 2**63 (or -2**63): two images with
+    # no hash came back as an exact duplicate pair, or as a query's
+    # nearest items
+    import ray
+
+    from solaris_ray.stages.ann import hamming_topk, hamming_topk_banded
+
+    ds = ray.data.from_arrow(pa.table({"image_id": pa.array([1, 2, 3], pa.int64()),
+                                       "phash": pa.array([None, None, 12345], pa.int64())}))
+    queries = pa.table({"query_id": pa.array([0], pa.int64()), "phash": pa.array([12345], pa.int64())})
+    with pytest.raises(Exception, match="ValueError: null in key column 'phash'"):
+        if stage == "hamming_neardup_pairs":
+            dedup.hamming_neardup_pairs(ds).materialize()
+        elif stage == "hamming_topk_banded":
+            hamming_topk_banded(ds, ray.data.from_arrow(queries)).materialize()
+        else:
+            hamming_topk(ds, queries["query_id"].to_numpy(), queries["phash"].to_numpy()).materialize()
 
 
 def test_hamming_neardup_rejects_bad_banding():

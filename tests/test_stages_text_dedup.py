@@ -322,15 +322,19 @@ def test_embedding_neardup_bucketed_mass_duplicates_bounded(ray_session):
     assert len(got) < 2 * k
 
 
-def test_embedding_neardup_bucket_cap_logged(ray_session, caplog):
-    """Oversize buckets of DISTINCT near-identical vectors truncate
-    with a logged warning instead of emitting O(m^2) pairs."""
-    import logging
+def test_embedding_neardup_bucket_cap_logged(ray_session):
+    """An oversize bucket of DISTINCT near-identical vectors keeps its
+    max_bucket smallest ids (with a warning, logged in the worker)
+    instead of emitting O(m^2) pairs, at two shuffle widths."""
+    import contextlib
 
     import ray
 
+    from conftest import small_blocks
+    from solaris_ray.stages._buckets import shuffle_width
+
     rng = np.random.default_rng(9)
-    n, dim = 200, 16
+    n, dim, cap = 200, 16, 32
     v = rng.normal(size=dim)
     M = v + 1e-6 * rng.normal(size=(n, dim))  # distinct bits, same bucket
     tbl = pa.table(
@@ -339,12 +343,48 @@ def test_embedding_neardup_bucket_cap_logged(ray_session, caplog):
             "embedding": pa.array(M.tolist(), pa.list_(pa.float64())),
         }
     )
-    got = dedup.embedding_neardup_pairs_bucketed(
-        ray.data.from_arrow(tbl), tau=0.5, n_planes=4, n_tables=1,
-        max_bucket=32,
-    ).to_pandas()
-    # pairs bounded by the cap, not by n^2
-    assert len(got) <= 32 * 31 // 2
+    Vn = M / np.linalg.norm(M, axis=1, keepdims=True)
+    assert len(set(ann.lsh_code(Vn, ann.hyperplanes(dim, 4, 42)).tolist())) == 1
+    # brute-force recount over the cap's smallest ids of the one bucket
+    S = np.round(Vn[:cap] @ Vn[:cap].T, 6)
+    ia, ib = np.triu_indices(cap, k=1)
+    keep = S[ia, ib] >= 0.5
+    want = sorted(zip(ia[keep].tolist(), ib[keep].tolist(), S[ia, ib][keep].tolist()))
+    assert len(want) == cap * (cap - 1) // 2
+    widths = set()
+    for ctx in (contextlib.nullcontext(), small_blocks(ray.data.from_arrow(tbl))):
+        with ctx:
+            ds = ray.data.from_arrow(tbl)
+            widths.add(shuffle_width(ds))
+            got = dedup.embedding_neardup_pairs_bucketed(
+                ds, tau=0.5, n_planes=4, n_tables=1, max_bucket=cap,
+            ).to_pandas()
+        assert sorted(zip(got.doc_a, got.doc_b, got["max(sim6)"])) == want
+    assert len(widths) == 2
+
+
+def test_embed_neardup_lsh_gate_finishes_on_four_cpus(ray_session):
+    # with collapse_exact, one execution unions the star pairs'
+    # co_shuffle with the LSH pairs' co_shuffle ahead of
+    # distinct_reduce: two sorted branches under one union, the shape
+    # that stalled a 4-CPU session on a 1-core box in connected_components
+    from conftest import SF_DIR, gate_rows_on_one_cpu
+    from solaris_ray.pipelines import queries
+
+    want = queries.q_embed_neardup_lsh(SF_DIR).count()
+    assert gate_rows_on_one_cpu("q_embed_neardup_lsh", num_cpus=4) == want
+
+
+@pytest.mark.parametrize("stage", [dedup.exact_dedup, dedup.jaccard_adjacent,
+                                   dedup.minhash_candidate_pairs], ids=lambda f: f.__name__)
+def test_null_text_is_refused(ray_session, stage):
+    # a null text raised a bare AttributeError (md5) or TypeError (shingles)
+    import ray
+
+    t = pa.table({"doc_id": pa.array([0, 1, 2], pa.int64()),
+                  "text": pa.array(["a b c d", None, "a b c e"])})
+    with pytest.raises(Exception, match="ValueError: null in text column 'text'"):
+        stage(ray.data.from_arrow(t)).materialize()
 
 
 def test_ivf_hash_sample_beats_head_sample_on_clustered_order(ray_session):
